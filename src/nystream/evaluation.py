@@ -77,12 +77,12 @@ def check_condition(
     gamma: float,
     epsilon: float,
     *,
-    tol: float = CONDITION_TOL,
     step: int = 0,
     selection: Selection | None = None,
 ) -> ConditionReport:
     """Check ``0 <= K - K_tilde <= gamma/(1-eps) * K (K + gamma I)^{-1}``
-    in the PSD order, and record the spectral gap.
+    in the PSD order (relative tolerance ``CONDITION_TOL``), and record the
+    spectral gap.
 
     When a selection is supplied its projection-gap certificate is computed
     as well (see :func:`psi_gap`); otherwise that field is NaN.
@@ -94,9 +94,9 @@ def check_condition(
     if K.shape != K_tilde.shape:
         raise InputError("matrices must share a shape")
     diff = K - K_tilde
-    lower_ok = psd_order_check(np.zeros_like(diff), diff, tol)
+    lower_ok = psd_order_check(np.zeros_like(diff), diff, CONDITION_TOL)
     bound = symmetrize(regularized_solve(K, gamma, K)) * (gamma / (1.0 - epsilon))
-    upper_ok = psd_order_check(diff, bound, tol)
+    upper_ok = psd_order_check(diff, bound, CONDITION_TOL)
     gap = spectral_norm(diff)
     psi = psi_gap(K, selection, gamma) if selection is not None else float("nan")
     return ConditionReport(
@@ -320,7 +320,6 @@ def verify_checkpoints(
     algorithm: str,
     *,
     problem: FixedDesignProblem | None = None,
-    tol: float = CONDITION_TOL,
 ) -> list[CheckpointRecord]:
     """Re-stream the data and verify every checkpoint of a finished run.
 
@@ -336,9 +335,7 @@ def verify_checkpoints(
         selection = checkpoint_selection(cp, t, algorithm)
         factor = nystrom_approx(K, selection, gamma)
         K_tilde = factor.materialize()
-        report = check_condition(
-            K, K_tilde, gamma, epsilon, tol=tol, step=t, selection=selection
-        )
+        report = check_condition(K, K_tilde, gamma, epsilon, step=t, selection=selection)
         deff_exact = exact_rls(K, gamma).deff
         risk_exact = risk_approx = bound = float("nan")
         if problem is not None:

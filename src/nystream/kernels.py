@@ -8,6 +8,7 @@ requested through :func:`evaluate`, :func:`stream_column` or :func:`gram`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -111,24 +112,30 @@ def evaluate(spec: KernelSpec, x, y) -> float:
 class Dataset:
     """An ordered point set with optional labels.
 
-    Points are frozen after construction; downstream state may hold views
-    into them safely.
+    Points and labels are copied and frozen at construction, so downstream
+    state may hold views into them safely while the caller's arrays stay
+    writable.  Non-finite values are rejected here, naming the first bad row.
     """
 
     points: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.array(self.points, dtype=np.float64, order="C")
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise InputError("dataset needs a non-empty 2-D (n, d) point array")
-        pts = np.ascontiguousarray(pts)
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            raise InputError(f"dataset row {bad[0]} has a non-finite point coordinate")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=np.float64).reshape(-1)
+            lab = np.array(self.labels, dtype=np.float64).reshape(-1)
             if lab.shape[0] != pts.shape[0]:
                 raise InputError("labels must match the number of points")
+            bad = np.flatnonzero(~np.isfinite(lab))
+            if bad.size:
+                raise InputError(f"dataset row {bad[0]} has a non-finite label")
             lab.setflags(write=False)
             object.__setattr__(self, "labels", lab)
 
@@ -206,6 +213,8 @@ def load_csv(
                 vals = [float(c) for c in row]
             except ValueError as exc:
                 raise InputError(f"{path}: malformed CSV row at line {lineno}: {exc}")
+            if not all(math.isfinite(v) for v in vals):
+                raise InputError(f"{path}: non-finite value at line {lineno}")
             if label_column is None:
                 rows.append(vals)
             else:
@@ -239,13 +248,16 @@ def load_libsvm(path) -> Dataset:
                 continue
             parts = line.split()
             try:
-                labels.append(float(parts[0]))
+                label = float(parts[0])
                 feats: dict[int, float] = {}
                 for item in parts[1:]:
                     key, val = item.split(":")
                     feats[int(key)] = float(val)
             except ValueError as exc:
                 raise InputError(f"{path}: malformed libsvm line {lineno}: {exc}")
+            if not all(math.isfinite(v) for v in (label, *feats.values())):
+                raise InputError(f"{path}: non-finite value at line {lineno}")
+            labels.append(label)
             if feats:
                 max_feature = max(max_feature, max(feats))
             entries.append(feats)

@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError, InvariantViolation, NumericalError
-from .linalg import regularized_solve, solve_shifted_indefinite, symmetrize, validate_psd
+from .linalg import regularized_solve, solve_shifted_indefinite, validate_psd
 
 # Tolerance below which a negative estimated increment is treated as roundoff.
 _NEGATIVE_INCREMENT_TOL = 1e-10
@@ -46,9 +46,10 @@ def beta_factor(epsilon: float, rho: float) -> float:
 def curvature_coefficient(epsilon: float) -> float:
     """Weight of the squared-inverse term in the increment estimator.
 
-    Kept as a single overridable constant: the printed estimator uses
-    (1 - eps)^2 / 4 while intermediate steps of its derivation suggest other
-    powers, and having it in one place makes experiments cheap.
+    The printed estimator uses (1 - eps)^2 / 4 while intermediate steps of
+    its derivation suggest other powers.  Experiments with other weights pass
+    ``curvature_coeff`` to :func:`estimate_deff_increment` directly; the
+    streaming runs always use this default.
     """
     return (1.0 - epsilon) ** 2 / 4.0
 
@@ -96,7 +97,7 @@ class EstimatedProfile:
     p_tilde: dict[int, float]
 
 
-def exact_rls(K: np.ndarray, gamma: float, *, psd_tol: float = 1e-8) -> LeverageProfile:
+def exact_rls(K: np.ndarray, gamma: float) -> LeverageProfile:
     """Exact ridge leverage scores of a PSD kernel matrix.
 
     ``tau_i`` is the i-th diagonal entry of ``K (K + gamma I)^{-1}``; their
@@ -106,7 +107,7 @@ def exact_rls(K: np.ndarray, gamma: float, *, psd_tol: float = 1e-8) -> Leverage
     """
     if not gamma > 0:
         raise InputError("gamma must be positive")
-    K = validate_psd(K, tol=psd_tol, what="kernel matrix")
+    K = validate_psd(K, what="kernel matrix")
     t = K.shape[0]
     if t == 0:
         return LeverageProfile(tau=np.empty(0), deff=0.0, probabilities=np.empty(0))
@@ -230,9 +231,9 @@ def estimate_deff_increment(
         raise InputError("gamma must be positive")
     alpha = alpha_factor(epsilon)
     coeff = curvature_coefficient(epsilon) if curvature_coeff is None else curvature_coeff
-    # PSD enforcement is left to the regularized solves below: a sketch that
-    # is indefinite beyond its shift fails there with a numerical error.
-    K_tilde = symmetrize(K_tilde)
+    # Symmetry and PSD checks are left to the regularized solves below: a
+    # sketch that is indefinite beyond its shift fails there with a numerical error.
+    K_tilde = np.asarray(K_tilde, dtype=np.float64)
     k_bar = np.asarray(k_bar, dtype=np.float64).reshape(-1)
     if k_bar.shape[0] != K_tilde.shape[0]:
         raise InputError("cross vector length must match the sketch size")

@@ -3,7 +3,8 @@ PSD ordering tests, spectral norm.
 
 All entry points symmetrize their input as (A + A^T)/2 when the asymmetry is
 below ``SYMMETRY_TOL`` (relative) and reject it otherwise, so floating-point
-drift accumulated while assembling approximations is absorbed here.
+drift accumulated while assembling approximations is absorbed here.  Callers
+pass matrices as they build them and do not symmetrize them first.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ SYMMETRY_TOL = 1e-10
 DEFAULT_PSD_TOL = 1e-8
 
 
-def symmetrize(A: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def symmetrize(A: np.ndarray) -> np.ndarray:
     """Return (A + A^T)/2, rejecting matrices that are not nearly symmetric."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -27,7 +28,7 @@ def symmetrize(A: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     if A.size == 0:
         return A
     scale = max(1.0, float(np.max(np.abs(A))))
-    if float(np.max(np.abs(A - A.T))) > tol * scale:
+    if float(np.max(np.abs(A - A.T))) > SYMMETRY_TOL * scale:
         raise InputError("matrix is not symmetric within tolerance")
     return (A + A.T) / 2.0
 
@@ -131,13 +132,13 @@ def min_eigenvalue(A: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(A)[0])
 
 
-def validate_psd(A: np.ndarray, tol: float = DEFAULT_PSD_TOL, what: str = "matrix") -> np.ndarray:
-    """Symmetrize and require eigenvalues >= -tol * max(1, lambda_max)."""
+def validate_psd(A: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Symmetrize and require eigenvalues >= -DEFAULT_PSD_TOL * max(1, lambda_max)."""
     A = symmetrize(A)
     if A.size == 0:
         return A
     lam = np.linalg.eigvalsh(A)
     scale = max(1.0, float(np.max(np.abs(lam))))
-    if lam[0] < -tol * scale:
+    if lam[0] < -DEFAULT_PSD_TOL * scale:
         raise InputError(f"{what} is not PSD (min eigenvalue {lam[0]:.3e})")
     return A

@@ -104,7 +104,7 @@ def nystrom_approx(K: np.ndarray, selection: Selection, gamma: float) -> Nystrom
         raise InputError("selection row count must match the kernel matrix")
     S = selection.dense()
     cross = K @ S
-    sampled = symmetrize(S.T @ cross)
+    sampled = S.T @ cross
     return NystromFactor(cross=cross, sampled=sampled, gamma=float(gamma))
 
 

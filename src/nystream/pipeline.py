@@ -13,9 +13,10 @@ kernel approximation:
 
 The streaming loop keeps, besides the dictionary itself, the kernel block
 among dictionary points (Q x Q), the raw dictionary points (Q x d), the
-factored approximation restricted to dictionary rows, the clamped sampling
-probabilities and the running effective-dimension estimate.  Nothing sized
-with the stream length is ever stored.
+clamped sampling probabilities and the running effective-dimension estimate.
+The factored approximation restricted to dictionary rows is derived from the
+kernel block and the dictionary weights where it is needed, not carried.
+Nothing sized with the stream length is ever stored.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .leverage import (
     exact_rls,
     update_deff,
 )
-from .linalg import regularized_solve, spectral_norm, symmetrize
+from .linalg import regularized_solve, spectral_norm
 from .nystrom import NystromFactor, Selection, build_selection, nystrom_approx
 from .sampling import Dictionary, RngHandle, direct_sample, selection_weights, shrink_expand
 
@@ -119,7 +120,6 @@ class SketchState:
     deff_tilde: float
     dict_gram: np.ndarray
     dict_points: np.ndarray
-    factor: NystromFactor
     rng: RngHandle
     diagnostics: Diagnostics
 
@@ -146,7 +146,6 @@ def initial_state(
         deff_tilde=0.0,
         dict_gram=np.zeros((0, 0)),
         dict_points=np.zeros((0, dim)),
-        factor=NystromFactor(cross=np.zeros((0, 0)), sampled=np.zeros((0, 0)), gamma=gamma),
         rng=rng,
         diagnostics=diagnostics if diagnostics is not None else Diagnostics(),
     )
@@ -167,7 +166,7 @@ def _restricted_factor(dict_gram: np.ndarray, dictionary: Dictionary, gamma: flo
     # restriction of the weighted selection applied to the kernel matrix.
     sqrt_b = np.sqrt(np.fromiter(dictionary.weights.values(), dtype=np.float64, count=dictionary.size))
     cross = dict_gram * sqrt_b[None, :]
-    sampled = symmetrize(sqrt_b[:, None] * dict_gram * sqrt_b[None, :]) if dictionary.size else np.zeros((0, 0))
+    sampled = sqrt_b[:, None] * dict_gram * sqrt_b[None, :]
     return NystromFactor(cross=cross, sampled=sampled, gamma=gamma)
 
 
@@ -245,13 +244,11 @@ class EstimateOracle:
         gamma: float,
         epsilon: float,
         *,
-        curvature_coeff: float | None = None,
         diagnostics: Diagnostics | None = None,
     ):
         self.alpha = alpha_factor(epsilon)
         self._gamma = float(gamma)
         self._epsilon = float(epsilon)
-        self._curvature = curvature_coeff
         self._diagnostics = diagnostics
         self._step = -1
         self._tau: dict[int, float] = {}
@@ -266,7 +263,7 @@ class EstimateOracle:
             # The very first effective dimension is available exactly.
             self._deff = self_term / (self_term + gamma) if self_term > 0 else 0.0
         else:
-            sketch_block = state.factor.materialize()
+            sketch_block = _restricted_factor(state.dict_gram, state.dictionary, state.gamma).materialize()
             gram_block = _border(state.dict_gram, cross, self_term)
             bordered = _border(sketch_block, cross, self_term)
             taus = estimate_rls_batch(
@@ -279,9 +276,7 @@ class EstimateOracle:
             )
             keys = state.dict_indices + (new_index,)
             self._tau = {i: float(v) for i, v in zip(keys, taus)}
-            delta = estimate_deff_increment(
-                sketch_block, cross, self_term, gamma, eps, curvature_coeff=self._curvature
-            )
+            delta = estimate_deff_increment(sketch_block, cross, self_term, gamma, eps)
             if state.deff_tilde > 0:
                 self._deff = update_deff(
                     state.deff_tilde, delta, eps, diagnostics=self._diagnostics
@@ -307,15 +302,13 @@ def ink_step(
     point: np.ndarray,
     column: KernelColumn,
     oracle: ScoreOracle,
-    *,
-    hard_cap_factor: float = 1.0,
 ) -> tuple[SketchState, EstimatedProfile]:
     """Advance the sketch by one column.
 
     Queries the oracle for scores on the dictionary plus the new index,
     clamps the induced probabilities against the previous step, runs the
-    shrink/expand chains, and rebuilds the dictionary-restricted factor with
-    the surviving columns.  ``column.cross`` must be aligned with the current
+    shrink/expand chains, and keeps the kernel block and points of the
+    surviving columns.  ``column.cross`` must be aligned with the current
     dictionary order.
     """
     if column.cross.shape[0] != state.dictionary.size:
@@ -330,7 +323,7 @@ def ink_step(
     profile = EstimatedProfile(tau_tilde=tau, deff_tilde=deff_new, p_tilde=p_new)
 
     new_dict = shrink_expand(state.dictionary, p_new, new_index, state.rng, step)
-    cap = math.ceil(8 * state.dictionary.q_bar * hard_cap_factor)
+    cap = 8 * state.dictionary.q_bar
     if new_dict.size > cap:
         raise InvariantViolation(
             f"dictionary grew to {new_dict.size} columns at step {step}, "
@@ -345,7 +338,6 @@ def ink_step(
     if new_index in new_dict.weights:
         gram_block = _border(gram_block, column.cross[pos], column.self_term)
         points_block = np.vstack([points_block, point[None, :]]) if points_block.size else point[None, :].copy()
-    factor = _restricted_factor(gram_block, new_dict, state.gamma)
 
     next_state = replace(
         state,
@@ -355,7 +347,6 @@ def ink_step(
         deff_tilde=deff_new,
         dict_gram=gram_block,
         dict_points=points_block,
-        factor=factor,
     )
     return next_state, profile
 
@@ -385,7 +376,6 @@ def _stream_run(
     epsilon: float | None,
     checkpoint_every: int,
     rng: RngHandle,
-    hard_cap_factor: float,
     audit: AccessAudit | None,
     diagnostics: Diagnostics | None = None,
 ) -> RunResult:
@@ -406,20 +396,18 @@ def _stream_run(
         if audit is not None:
             audit.record_pairs(idx, state.dict_indices)
             audit.record_pairs(idx, (idx,))
-        state, _ = ink_step(
-            state, idx, point, KernelColumn(cross, self_term), oracle,
-            hard_cap_factor=hard_cap_factor,
-        )
+        state, _ = ink_step(state, idx, point, KernelColumn(cross, self_term), oracle)
         if checkpoint_every and state.step % checkpoint_every == 0 and state.step != n:
             checkpoints.append(_checkpoint(state, started))
     checkpoints.append(_checkpoint(state, started))
 
+    factor = _restricted_factor(state.dict_gram, state.dictionary, state.gamma)
     diag = diagnostics.as_dict()
     if epsilon is not None and state.dictionary.size:
         # lambda_max of the sketch is only a lower-bound stand-in for the
         # full spectrum, so the derived factor is a report value, not a
         # guarantee.
-        rho_proxy = spectral_norm(state.factor.materialize()) / gamma
+        rho_proxy = spectral_norm(factor.materialize()) / gamma
         diag["rho_lower_bound_proxy"] = rho_proxy
         diag["beta_from_sketch_proxy"] = beta_factor(epsilon, rho_proxy)
     selection = build_selection(
@@ -434,7 +422,7 @@ def _stream_run(
         seed=rng.seed,
         checkpoints=tuple(checkpoints),
         selection=selection,
-        factor=state.factor,
+        factor=factor,
         deff_tilde=state.deff_tilde,
         diagnostics=diag,
     )
@@ -449,7 +437,6 @@ def ink_oracle_run(
     *,
     checkpoint_every: int = 50,
     rng: RngHandle | int = 0,
-    hard_cap_factor: float = 1.0,
     audit: AccessAudit | None = None,
 ) -> RunResult:
     """Stream the dataset through the dictionary sampler with a score oracle.
@@ -464,7 +451,7 @@ def ink_oracle_run(
         oracle = ExactOracle(dataset, kernel, gamma)
     return _stream_run(
         dataset, kernel, gamma, q_bar, oracle, "ink-oracle", None,
-        checkpoint_every, handle, hard_cap_factor, audit,
+        checkpoint_every, handle, audit,
     )
 
 
@@ -477,8 +464,6 @@ def ink_estimate_run(
     *,
     checkpoint_every: int = 50,
     rng: RngHandle | int = 0,
-    hard_cap_factor: float = 1.0,
-    curvature_coeff: float | None = None,
     audit: AccessAudit | None = None,
 ) -> RunResult:
     """Single-pass run: the oracle slot is filled by the incremental
@@ -489,12 +474,10 @@ def ink_estimate_run(
         raise InputError("epsilon must lie in (0, 1)")
     handle = _as_handle(rng)
     diagnostics = Diagnostics()
-    oracle = EstimateOracle(
-        gamma, epsilon, curvature_coeff=curvature_coeff, diagnostics=diagnostics
-    )
+    oracle = EstimateOracle(gamma, epsilon, diagnostics=diagnostics)
     return _stream_run(
         dataset, kernel, gamma, q_bar, oracle, "ink-estimate", epsilon,
-        checkpoint_every, handle, hard_cap_factor, audit, diagnostics,
+        checkpoint_every, handle, audit, diagnostics,
     )
 
 

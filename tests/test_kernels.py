@@ -147,6 +147,28 @@ class TestDataset:
         assert len(ds) == 2
         assert ds.dim == 2
 
+    def test_caller_arrays_stay_writable_and_unshared(self):
+        a = np.zeros((4, 2))
+        y = np.zeros(4)
+        ds = Dataset(points=a, labels=y)
+        assert a.flags.writeable and y.flags.writeable
+        assert not np.shares_memory(a, ds.points)
+        assert not np.shares_memory(y, ds.labels)
+        a[0, 0] = 9.0
+        assert ds.points[0, 0] == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_names_row(self, bad):
+        pts = np.zeros((5, 2))
+        pts[3, 1] = bad
+        pts[4, 0] = bad
+        with pytest.raises(InputError, match="row 3 has a non-finite point"):
+            Dataset(points=pts)
+
+    def test_non_finite_label_names_row(self):
+        with pytest.raises(InputError, match="row 1 has a non-finite label"):
+            Dataset(points=np.zeros((3, 2)), labels=[0.0, np.nan, 1.0])
+
 
 class TestLoaders:
     def test_csv_default_last_label(self, tmp_path):
@@ -175,6 +197,21 @@ class TestLoaders:
         path.write_text("1.0,2.0\nnope,4.0\n")
         with pytest.raises(InputError, match="line 2"):
             load_csv(path, label_column=None)
+
+    # load_csv takes the last column as the label, so "1.0,inf" is a bad label.
+    @pytest.mark.parametrize("row", ["nan,4.0", "1.0,inf", "-Infinity,4.0"])
+    def test_csv_non_finite_reports_line(self, tmp_path, row):
+        path = tmp_path / "d.csv"
+        path.write_text(f"1.0,2.0\n3.0,4.0\n{row}\n")
+        with pytest.raises(InputError, match="non-finite value at line 3"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("line", ["nan 1:0.5", "1.0 2:inf"])
+    def test_libsvm_non_finite_reports_line(self, tmp_path, line):
+        path = tmp_path / "d.svm"
+        path.write_text(f"# header comment\n1.0 1:0.5\n{line}\n")
+        with pytest.raises(InputError, match="non-finite value at line 3"):
+            load_libsvm(path)
 
     def test_libsvm_densified(self, tmp_path):
         path = tmp_path / "d.svm"

@@ -19,6 +19,7 @@ from nystream import (
     ink_oracle_run,
     ink_step,
     initial_state,
+    nystrom_approx,
     psd_order_check,
     stream_column,
     suggest_batch_m,
@@ -167,12 +168,11 @@ class TestInkStep:
             np.testing.assert_array_equal(state.dict_gram, K_dict)
 
     def test_hard_cap_violation(self):
-        ds = orthogonal_dataset(8)
+        ds = orthogonal_dataset(17)
         kern = KernelSpec.linear_kernel()
-        with pytest.raises(InvariantViolation):
-            ink_oracle_run(
-                ds, kern, 1.0, 1, StubOracle(), rng=0, hard_cap_factor=0.2
-            )  # cap = ceil(1.6) = 2, stub keeps everything
+        # cap = 8 * q_bar = 16; the stub keeps everything, so step 17 breaks it
+        with pytest.raises(InvariantViolation, match="grew to 17 columns .* beyond the hard cap 16"):
+            ink_oracle_run(ds, kern, 1.0, 2, StubOracle(), rng=0)
 
 
 class TestEstimateOracleAgainstExact:
@@ -313,6 +313,70 @@ class TestRuns:
         assert "rho_lower_bound_proxy" in res.diagnostics
         assert "beta_from_sketch_proxy" in res.diagnostics
         assert res.diagnostics["beta_from_sketch_proxy"] >= 1.0
+
+
+class TestGoldenRuns:
+    """Pinned outputs of two small seeded runs.  The stream contract is that
+    a fixed config and seed reproduce the same dictionaries and estimates, so
+    refactors of the sketch state must leave these values untouched."""
+
+    @staticmethod
+    def _problem():
+        spec = SyntheticSpec(n=300, d=3, n_clusters=4, cluster_std=0.5)
+        return generate_synthetic(spec, rng=7).dataset, KernelSpec.gaussian_kernel(2.0)
+
+    @staticmethod
+    def _assert_checkpoints(result, expected):
+        assert [cp.step for cp in result.checkpoints] == [step for step, *_ in expected]
+        for cp, (step, deff, indices, weights) in zip(result.checkpoints, expected):
+            assert cp.indices == indices
+            assert cp.weights == tuple(float(w) for w in weights)
+            assert cp.deff_tilde == pytest.approx(deff, rel=1e-9, abs=0.0)
+
+    def test_ink_estimate(self):
+        ds, kern = self._problem()
+        res = ink_estimate_run(ds, kern, 0.01, 200, 0.5, checkpoint_every=150, rng=7)
+        self._assert_checkpoints(res, [
+            (150, 213.4843067584253,
+             (2, 13, 18, 19, 23, 27, 30, 33, 48, 51, 79, 84, 85, 88, 91, 97, 104, 105,
+              109, 110, 113, 116, 125, 135, 137),
+             (2, 7, 5, 3, 10, 7, 3, 9, 4, 6, 2, 8, 7, 3, 5, 7, 10, 3, 4, 4, 10, 3, 10, 7, 4)),
+            (300, 540.6147344738426,
+             (18, 23, 33, 51, 85, 88, 97, 104, 105, 109, 113, 125, 175, 176, 183, 184,
+              196, 202, 207, 209, 221, 224, 227, 236, 237, 239, 263, 271, 278, 279, 293),
+             (5, 17, 13, 8, 8, 6, 9, 16, 9, 6, 16, 16, 8, 12, 14, 8, 8, 9, 6, 8, 8, 11, 5,
+              6, 9, 8, 11, 8, 5, 5, 6)),
+        ])
+
+    def test_ink_oracle(self):
+        ds, kern = self._problem()
+        res = ink_oracle_run(ds, kern, 0.1, 20, checkpoint_every=150, rng=7)
+        self._assert_checkpoints(res, [
+            (150, 9.435365797937436,
+             (4, 28, 32, 38, 50, 60, 79, 86, 93, 97, 105, 109, 110, 116, 125, 132, 135, 137),
+             (3, 7, 23, 3, 5, 15, 1, 6, 4, 9, 3, 8, 5, 4, 27, 4, 8, 7)),
+            (300, 20.748368374402673,
+             (86, 109, 116, 125, 132, 137, 168, 183, 187, 224, 227, 232, 236, 238, 239,
+              263, 264, 271, 280, 290, 293),
+             (14, 18, 22, 73, 10, 16, 10, 29, 5, 15, 5, 6, 7, 4, 11, 17, 11, 12, 4, 9, 7)),
+        ])
+
+    @pytest.mark.parametrize("algorithm", ["ink-estimate", "ink-oracle"])
+    def test_result_factor_is_dictionary_restriction(self, algorithm):
+        """The returned factor is the full-row Nystrom approximation of the
+        final selection, restricted to the dictionary rows and columns."""
+        ds, kern = self._problem()
+        gamma = 0.1
+        if algorithm == "ink-estimate":
+            res = ink_estimate_run(ds, kern, gamma, 200, 0.5, rng=3)
+        else:
+            res = ink_oracle_run(ds, kern, gamma, 20, rng=3)
+        idx = list(res.selection.indices)
+        assert res.factor.size == len(idx) > 0
+        full = nystrom_approx(gram(ds, kern), res.selection, gamma).materialize()
+        np.testing.assert_allclose(
+            res.factor.materialize(), full[np.ix_(idx, idx)], rtol=0, atol=1e-10
+        )
 
 
 class TestBatchExact:
