@@ -96,6 +96,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ("batch-exact", "ink-oracle", "ink-estimate"):
             raise InputError(f"unknown algorithm {self.algorithm!r}")
+        if self.kernel not in ("gaussian", "linear", "polynomial"):
+            raise InputError(f"unknown kernel {self.kernel!r}")
+        if self.data_format not in ("csv", "libsvm"):
+            raise InputError(f"unknown data format {self.data_format!r}")
         if not self.gamma > 0 or not self.mu > 0:
             raise InputError("gamma and mu must be positive")
         if not 0.0 < self.epsilon < 1.0:
@@ -110,9 +114,7 @@ class RunConfig:
             return KernelSpec.gaussian_kernel(self.bandwidth)
         if self.kernel == "linear":
             return KernelSpec.linear_kernel()
-        if self.kernel == "polynomial":
-            return KernelSpec.polynomial_kernel(self.degree, self.offset)
-        raise InputError(f"unknown kernel {self.kernel!r}")
+        return KernelSpec.polynomial_kernel(self.degree, self.offset)
 
 
 def _coerce(key: str, value):

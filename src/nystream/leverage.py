@@ -11,7 +11,7 @@ condition checked by :mod:`nystream.evaluation`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -62,17 +62,9 @@ class Diagnostics:
     rls_clamped_high: int = 0
     increment_clamped: int = 0
     sqrt_eig_floored: int = 0
-    extras: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
-            "rls_clamped_low": self.rls_clamped_low,
-            "rls_clamped_high": self.rls_clamped_high,
-            "increment_clamped": self.increment_clamped,
-            "sqrt_eig_floored": self.sqrt_eig_floored,
-        }
-        out.update(self.extras)
-        return out
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,10 @@ clamped sampling probabilities and the running effective-dimension estimate.
 The factored approximation restricted to dictionary rows is derived from the
 kernel block and the dictionary weights where it is needed, not carried.
 Nothing sized with the stream length is ever stored.
+
+Each step makes one oracle call, which returns the leverage scores of the
+dictionary plus the new column and the effective dimension of the grown
+matrix; the step turns them into sampling probabilities and resamples.
 """
 
 from __future__ import annotations
@@ -49,23 +53,20 @@ from .sampling import Dictionary, RngHandle, direct_sample, selection_weights, s
 class ScoreOracle(Protocol):
     """Per-step source of leverage-score and effective-dimension values.
 
-    ``begin_step`` is called once per arriving column, after which
-    ``rls(i, step)`` must answer for every retained index and the new one,
-    and ``deff(step)`` for the grown matrix.
+    ``begin_step`` is called once per arriving column, with the state before
+    the step and the new column's cross terms (aligned with the dictionary)
+    and self evaluation.  It returns ``(tau, deff)``: a float64 array of
+    scores aligned with ``state.dict_indices + (new_index,)`` and the
+    effective dimension of the grown matrix.
     """
 
     def begin_step(
         self,
         state: "SketchState",
         new_index: int,
-        point: np.ndarray,
         cross: np.ndarray,
         self_term: float,
-    ) -> None: ...
-
-    def rls(self, i: int, step: int) -> float: ...
-
-    def deff(self, step: int) -> float: ...
+    ) -> tuple[np.ndarray, float]: ...
 
 
 @dataclass
@@ -114,40 +115,27 @@ class SketchState:
     """Everything the streaming loop carries between steps."""
 
     step: int
-    gamma: float
     dictionary: Dictionary
     p_tilde: dict[int, float]
     deff_tilde: float
     dict_gram: np.ndarray
     dict_points: np.ndarray
     rng: RngHandle
-    diagnostics: Diagnostics
 
     @property
     def dict_indices(self) -> tuple[int, ...]:
         return self.dictionary.indices
 
 
-def initial_state(
-    gamma: float,
-    q_bar: int,
-    rng: RngHandle,
-    dim: int,
-    diagnostics: Diagnostics | None = None,
-) -> SketchState:
-    if not gamma > 0:
-        raise InputError("gamma must be positive")
-    empty = Dictionary.empty(q_bar)
+def initial_state(q_bar: int, rng: RngHandle, dim: int) -> SketchState:
     return SketchState(
         step=0,
-        gamma=float(gamma),
-        dictionary=empty,
+        dictionary=Dictionary.empty(q_bar),
         p_tilde={},
         deff_tilde=0.0,
         dict_gram=np.zeros((0, 0)),
         dict_points=np.zeros((0, dim)),
         rng=rng,
-        diagnostics=diagnostics if diagnostics is not None else Diagnostics(),
     )
 
 
@@ -174,59 +162,44 @@ class ExactOracle:
     """Exact score oracle (approximation factors both 1); a desk-scale
     testing device for the streaming loop.
 
-    Maintains the inverse of the regularized kernel prefix through
-    block-inverse updates (with periodic full refreshes against the stored
-    prefix), which makes each step quadratic instead of cubic.  Leverage
-    scores fall out of the identity ``tau_i = 1 - gamma * [inv]_ii``.
+    Holds the inverse of the regularized t x t kernel prefix and borders it
+    with each new column, evaluated against every earlier point (``cross``
+    covers only the dictionary and is not read), so a step costs O(t^2) time
+    and the oracle holds O(t^2) memory.  Every ``_REFRESH_EVERY`` steps the
+    inverse is recomputed from a freshly evaluated prefix.  Leverage scores
+    fall out of the identity ``tau_i = 1 - gamma * [inv]_ii``.
     """
 
     alpha = 1.0
     beta = 1.0
+    _REFRESH_EVERY = 64
 
-    def __init__(self, dataset: Dataset, kernel: KernelSpec, gamma: float, refresh_every: int = 64):
+    def __init__(self, dataset: Dataset, kernel: KernelSpec, gamma: float):
         if not gamma > 0:
             raise InputError("gamma must be positive")
         self._points = dataset.points
         self._kernel = kernel
         self._gamma = float(gamma)
-        self._refresh_every = int(refresh_every)
-        self._step = 0
-        self._gram = np.zeros((0, 0))
         self._inv = np.zeros((0, 0))
-        self._tau = np.empty(0)
-        self._deff = 0.0
 
-    def begin_step(self, state, new_index, point, cross, self_term) -> None:
-        if new_index != self._step:
+    def begin_step(self, state, new_index, cross, self_term) -> tuple[np.ndarray, float]:
+        t = self._inv.shape[0]
+        if new_index != t:
             raise InputError("exact oracle must observe the stream in order")
-        t = self._step
-        x = self._points[new_index]
-        k_bar = pairwise(self._kernel, x, self._points[:t])[0] if t else np.empty(0)
-        k_self = evaluate(self._kernel, x, x)
-        self._gram = _border(self._gram, k_bar, k_self)
-        if (t + 1) % self._refresh_every == 0:
-            self._inv = regularized_solve(self._gram, self._gamma, np.eye(t + 1))
+        if (t + 1) % self._REFRESH_EVERY == 0:
+            prefix = self._points[: t + 1]
+            self._inv = regularized_solve(pairwise(self._kernel, prefix, prefix), self._gamma, np.eye(t + 1))
+        elif t:
+            k_bar = pairwise(self._kernel, self._points[t], self._points[:t])[0]
+            u = self._inv @ k_bar
+            xi = self_term + self._gamma - float(k_bar @ u)
+            top = self._inv + np.outer(u, u) / xi
+            self._inv = _border(top, -u / xi, 1.0 / xi)
         else:
-            if t:
-                u = self._inv @ k_bar
-                xi = k_self + self._gamma - float(k_bar @ u)
-                top = self._inv + np.outer(u, u) / xi
-                self._inv = _border(top, -u / xi, 1.0 / xi)
-            else:
-                self._inv = np.array([[1.0 / (k_self + self._gamma)]])
-        self._step = t + 1
-        self._tau = 1.0 - self._gamma * np.diag(self._inv)
-        self._deff = float(self._step - self._gamma * np.trace(self._inv))
-
-    def rls(self, i: int, step: int) -> float:
-        if step != self._step or not 0 <= i < step:
-            raise InputError(f"exact oracle cannot answer index {i} at step {step}")
-        return float(self._tau[i])
-
-    def deff(self, step: int) -> float:
-        if step != self._step:
-            raise InputError(f"exact oracle cannot answer step {step}")
-        return self._deff
+            self._inv = np.array([[1.0 / (self_term + self._gamma)]])
+        keys = list(state.dict_indices) + [new_index]
+        tau = 1.0 - self._gamma * np.diag(self._inv)[keys]
+        return tau, float(t + 1 - self._gamma * np.trace(self._inv))
 
 
 class EstimateOracle:
@@ -246,54 +219,32 @@ class EstimateOracle:
         *,
         diagnostics: Diagnostics | None = None,
     ):
+        if not gamma > 0:
+            raise InputError("gamma must be positive")
         self.alpha = alpha_factor(epsilon)
         self._gamma = float(gamma)
         self._epsilon = float(epsilon)
         self._diagnostics = diagnostics
-        self._step = -1
-        self._tau: dict[int, float] = {}
-        self._deff = 0.0
 
-    def begin_step(self, state, new_index, point, cross, self_term) -> None:
-        step = state.step + 1
+    def begin_step(self, state, new_index, cross, self_term) -> tuple[np.ndarray, float]:
         gamma, eps = self._gamma, self._epsilon
         if state.step == 0:
             tau_new = self_term / (self_term + self.alpha * gamma) if self_term > 0 else 0.0
-            self._tau = {new_index: tau_new}
             # The very first effective dimension is available exactly.
-            self._deff = self_term / (self_term + gamma) if self_term > 0 else 0.0
+            deff = self_term / (self_term + gamma) if self_term > 0 else 0.0
+            return np.array([tau_new]), deff
+        sketch_block = _restricted_factor(state.dict_gram, state.dictionary, gamma).materialize()
+        gram_block = _border(state.dict_gram, cross, self_term)
+        bordered = _border(sketch_block, cross, self_term)
+        tau = estimate_rls_batch(
+            bordered, gram_block, np.diag(gram_block), gamma, eps, diagnostics=self._diagnostics
+        )
+        delta = estimate_deff_increment(sketch_block, cross, self_term, gamma, eps)
+        if state.deff_tilde > 0:
+            deff = update_deff(state.deff_tilde, delta, eps, diagnostics=self._diagnostics)
         else:
-            sketch_block = _restricted_factor(state.dict_gram, state.dictionary, state.gamma).materialize()
-            gram_block = _border(state.dict_gram, cross, self_term)
-            bordered = _border(sketch_block, cross, self_term)
-            taus = estimate_rls_batch(
-                bordered,
-                gram_block,
-                np.diag(gram_block),
-                gamma,
-                eps,
-                diagnostics=self._diagnostics,
-            )
-            keys = state.dict_indices + (new_index,)
-            self._tau = {i: float(v) for i, v in zip(keys, taus)}
-            delta = estimate_deff_increment(sketch_block, cross, self_term, gamma, eps)
-            if state.deff_tilde > 0:
-                self._deff = update_deff(
-                    state.deff_tilde, delta, eps, diagnostics=self._diagnostics
-                )
-            else:
-                self._deff = state.deff_tilde + self.alpha * max(delta, 0.0)
-        self._step = step
-
-    def rls(self, i: int, step: int) -> float:
-        if step != self._step or i not in self._tau:
-            raise InputError(f"estimator oracle cannot answer index {i} at step {step}")
-        return self._tau[i]
-
-    def deff(self, step: int) -> float:
-        if step != self._step:
-            raise InputError(f"estimator oracle cannot answer step {step}")
-        return self._deff
+            deff = state.deff_tilde + self.alpha * max(delta, 0.0)
+        return tau, deff
 
 
 def ink_step(
@@ -305,7 +256,7 @@ def ink_step(
 ) -> tuple[SketchState, EstimatedProfile]:
     """Advance the sketch by one column.
 
-    Queries the oracle for scores on the dictionary plus the new index,
+    Asks the oracle once for scores on the dictionary plus the new index,
     clamps the induced probabilities against the previous step, runs the
     shrink/expand chains, and keeps the kernel block and points of the
     surviving columns.  ``column.cross`` must be aligned with the current
@@ -314,13 +265,14 @@ def ink_step(
     if column.cross.shape[0] != state.dictionary.size:
         raise InputError("column restriction does not match the dictionary")
     step = state.step + 1
-    oracle.begin_step(state, new_index, point, column.cross, column.self_term)
+    tau, deff_new = oracle.begin_step(state, new_index, column.cross, column.self_term)
     queried = state.dict_indices + (new_index,)
-    tau = {i: oracle.rls(i, step) for i in queried}
-    deff_new = oracle.deff(step)
-    raw_p = {i: (tau[i] / deff_new if deff_new > 0 else 0.0) for i in queried}
-    p_new = clamp_probabilities(raw_p, state.p_tilde)
-    profile = EstimatedProfile(tau_tilde=tau, deff_tilde=deff_new, p_tilde=p_new)
+    tau = np.asarray(tau, dtype=np.float64)
+    if tau.shape != (len(queried),):
+        raise InputError(f"score oracle returned scores of shape {tau.shape} for {len(queried)} columns")
+    raw_p = tau / deff_new if deff_new > 0 else np.zeros_like(tau)
+    p_new = clamp_probabilities(dict(zip(queried, raw_p.tolist())), state.p_tilde)
+    profile = EstimatedProfile(tau_tilde=dict(zip(queried, tau.tolist())), deff_tilde=deff_new, p_tilde=p_new)
 
     new_dict = shrink_expand(state.dictionary, p_new, new_index, state.rng, step)
     cap = 8 * state.dictionary.q_bar
@@ -379,8 +331,11 @@ def _stream_run(
     audit: AccessAudit | None,
     diagnostics: Diagnostics | None = None,
 ) -> RunResult:
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-    state = initial_state(gamma, q_bar, rng, dataset.dim, diagnostics)
+    if not gamma > 0:
+        raise InputError("gamma must be positive")
+    if checkpoint_every < 0:
+        raise InputError("checkpoint_every must be non-negative (0 keeps only the final checkpoint)")
+    state = initial_state(q_bar, rng, dataset.dim)
     started = time.perf_counter()
     checkpoints: list[RunCheckpoint] = []
     n = len(dataset)
@@ -401,8 +356,8 @@ def _stream_run(
             checkpoints.append(_checkpoint(state, started))
     checkpoints.append(_checkpoint(state, started))
 
-    factor = _restricted_factor(state.dict_gram, state.dictionary, state.gamma)
-    diag = diagnostics.as_dict()
+    factor = _restricted_factor(state.dict_gram, state.dictionary, float(gamma))
+    diag = (diagnostics if diagnostics is not None else Diagnostics()).as_dict()
     if epsilon is not None and state.dictionary.size:
         # lambda_max of the sketch is only a lower-bound stand-in for the
         # full spectrum, so the derived factor is a report value, not a

@@ -210,6 +210,16 @@ class TestConfigPrecedence:
         assert main(argv) == 1
         assert "laplacian" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("DATA_FORMAT", "libsvn"), ("KERNEL", "laplacian")])
+    def test_unknown_choice_in_env_rejected(self, data_csv, tmp_path, monkeypatch, capsys, key, value):
+        monkeypatch.setenv("NYSTREAM_" + key, value)
+        argv = run_args(data_csv, tmp_path / "out")
+        i = argv.index("--kernel")
+        del argv[i : i + 2]
+        assert main(argv) == 1
+        assert repr(value) in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoints.json").exists()
+
 
 class TestSweep:
     def test_two_seeds(self, data_csv, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from nystream import (
     AccessAudit,
     Dataset,
+    Dictionary,
     EstimateOracle,
     ExactOracle,
     InputError,
@@ -50,55 +52,58 @@ class StubOracle:
     def __init__(self, tau=1.0, deff=1.0):
         self._tau, self._deff = tau, deff
 
-    def begin_step(self, state, new_index, point, cross, self_term):
-        pass
+    def begin_step(self, state, new_index, cross, self_term):
+        return np.full(state.dictionary.size + 1, self._tau), self._deff
 
-    def rls(self, i, step):
-        return self._tau
 
-    def deff(self, step):
-        return self._deff
+def prefix_state(t, dim):
+    """State before step ``t + 1`` whose dictionary holds every earlier
+    index, so an oracle's scores cover the whole prefix ``0..t``."""
+    state = initial_state(10, RngHandle(0), dim)
+    return replace(state, step=t, dictionary=Dictionary({i: 1 for i in range(t)}, q_bar=10))
+
+
+def self_term(ds, kern, t):
+    return stream_column(ds, kern, t, ()).self_term
 
 
 class TestExactOracle:
     def test_matches_exact_profile_along_stream(self, rng):
-        ds = clustered(40, seed=1)
+        # 140 points cross the inverse refresh at steps 64 and 128.
+        ds = clustered(140, seed=1)
         kern = KernelSpec.gaussian_kernel(1.0)
         gamma = 0.8
-        oracle = ExactOracle(ds, kern, gamma, refresh_every=7)
-        state = initial_state(gamma, 10, RngHandle(0), ds.dim)
+        oracle = ExactOracle(ds, kern, gamma)
         K = gram(ds, kern)
-        for t in range(40):
-            oracle.begin_step(state, t, ds.points[t], None, None)
+        for t in range(140):
+            tau, deff = oracle.begin_step(prefix_state(t, ds.dim), t, None, self_term(ds, kern, t))
             prof = exact_rls(K[: t + 1, : t + 1], gamma)
-            got = np.array([oracle.rls(i, t + 1) for i in range(t + 1)])
-            np.testing.assert_allclose(got, prof.tau, atol=1e-9)
-            assert oracle.deff(t + 1) == pytest.approx(prof.deff, abs=1e-9)
+            np.testing.assert_allclose(tau, prof.tau, atol=1e-9)
+            assert deff == pytest.approx(prof.deff, abs=1e-9)
 
     def test_orthogonal_closed_form(self):
         ds = orthogonal_dataset(12)
-        oracle = ExactOracle(ds, KernelSpec.linear_kernel(), 1.0)
-        state = initial_state(1.0, 5, RngHandle(0), ds.dim)
+        kern = KernelSpec.linear_kernel()
+        oracle = ExactOracle(ds, kern, 1.0)
         for t in range(12):
-            oracle.begin_step(state, t, ds.points[t], None, None)
-            assert oracle.rls(0, t + 1) == pytest.approx(0.5, abs=1e-12)
-            assert oracle.deff(t + 1) == pytest.approx((t + 1) / 2, abs=1e-12)
+            tau, deff = oracle.begin_step(prefix_state(t, ds.dim), t, None, self_term(ds, kern, t))
+            assert tau[0] == pytest.approx(0.5, abs=1e-12)
+            assert deff == pytest.approx((t + 1) / 2, abs=1e-12)
 
     def test_duplicate_closed_form(self):
         ds = duplicate_dataset(10)
-        oracle = ExactOracle(ds, KernelSpec.linear_kernel(), 1.0)
-        state = initial_state(1.0, 5, RngHandle(0), ds.dim)
+        kern = KernelSpec.linear_kernel()
+        oracle = ExactOracle(ds, kern, 1.0)
         for t in range(10):
-            oracle.begin_step(state, t, ds.points[t], None, None)
-            assert oracle.rls(0, t + 1) == pytest.approx(1.0 / (t + 2), abs=1e-10)
-            assert oracle.deff(t + 1) == pytest.approx((t + 1) / (t + 2), abs=1e-10)
+            tau, deff = oracle.begin_step(prefix_state(t, ds.dim), t, None, self_term(ds, kern, t))
+            assert tau[0] == pytest.approx(1.0 / (t + 2), abs=1e-10)
+            assert deff == pytest.approx((t + 1) / (t + 2), abs=1e-10)
 
     def test_out_of_order_rejected(self):
         ds = orthogonal_dataset(3)
         oracle = ExactOracle(ds, KernelSpec.linear_kernel(), 1.0)
-        state = initial_state(1.0, 5, RngHandle(0), ds.dim)
         with pytest.raises(InputError):
-            oracle.begin_step(state, 2, ds.points[2], None, None)
+            oracle.begin_step(prefix_state(2, ds.dim), 2, None, 1.0)
 
 
 class TestInkStep:
@@ -107,7 +112,7 @@ class TestInkStep:
         dictionary keeps everything at weight one."""
         ds = orthogonal_dataset(6)
         kern = KernelSpec.linear_kernel()
-        state = initial_state(1.0, 4, RngHandle(3), ds.dim)
+        state = initial_state(4, RngHandle(3), ds.dim)
         oracle = StubOracle(tau=1.0, deff=1.0)
         for t in range(6):
             col = stream_column(ds, kern, t, state.dict_indices)
@@ -119,7 +124,7 @@ class TestInkStep:
 
     def test_misaligned_column_rejected(self):
         ds = orthogonal_dataset(3)
-        state = initial_state(1.0, 4, RngHandle(0), ds.dim)
+        state = initial_state(4, RngHandle(0), ds.dim)
         bad = KernelColumn(cross=np.ones(2), self_term=1.0)
         with pytest.raises(InputError):
             ink_step(state, 0, ds.points[0], bad, StubOracle())
@@ -131,7 +136,7 @@ class TestInkStep:
         kern = KernelSpec.linear_kernel()
         gamma = 1.0
         oracle = ExactOracle(ds, kern, gamma)
-        state = initial_state(gamma, 50, RngHandle(5), ds.dim)
+        state = initial_state(50, RngHandle(5), ds.dim)
         for t in range(15):
             col = stream_column(ds, kern, t, state.dict_indices)
             state, profile = ink_step(state, t, ds.points[t], col, oracle)
@@ -144,7 +149,7 @@ class TestInkStep:
         ds = clustered(60, seed=2)
         kern = KernelSpec.gaussian_kernel(1.0)
         oracle = EstimateOracle(1.0, 0.5)
-        state = initial_state(1.0, 6, RngHandle(9), ds.dim)
+        state = initial_state(6, RngHandle(9), ds.dim)
         prev_deff = 0.0
         prev_p: dict[int, float] = {}
         for t in range(60):
@@ -167,6 +172,17 @@ class TestInkStep:
             ) if q else np.zeros((0, 0))
             np.testing.assert_array_equal(state.dict_gram, K_dict)
 
+    def test_wrong_score_count_rejected(self):
+        class ShortOracle(StubOracle):
+            def begin_step(self, state, new_index, cross, self_term):
+                return np.ones(state.dictionary.size), 1.0
+
+        ds = orthogonal_dataset(3)
+        state = initial_state(4, RngHandle(0), ds.dim)
+        col = stream_column(ds, KernelSpec.linear_kernel(), 0, ())
+        with pytest.raises(InputError, match="shape \\(0,\\) for 1 columns"):
+            ink_step(state, 0, ds.points[0], col, ShortOracle())
+
     def test_hard_cap_violation(self):
         ds = orthogonal_dataset(17)
         kern = KernelSpec.linear_kernel()
@@ -185,7 +201,7 @@ class TestEstimateOracleAgainstExact:
         gamma, eps = 1.0, 0.5
         alpha = (2 - eps) / (1 - eps)
         oracle = EstimateOracle(gamma, eps)
-        state = initial_state(gamma, 10_000, RngHandle(1), ds.dim)
+        state = initial_state(10_000, RngHandle(1), ds.dim)
         K = gram(ds, kern)
         for t in range(35):
             col = stream_column(ds, kern, t, state.dict_indices)
@@ -306,6 +322,22 @@ class TestRuns:
             ds, KernelSpec.gaussian_kernel(1.0), 1.0, 2000, rng=0, checkpoint_every=25
         )
         assert [cp.step for cp in res.checkpoints] == [25, 50, 75, 90]
+
+    def test_negative_checkpoint_every_rejected(self):
+        ds = clustered(20, seed=12)
+        with pytest.raises(InputError, match="checkpoint_every"):
+            ink_estimate_run(ds, KernelSpec.gaussian_kernel(1.0), 1.0, 10, 0.5, checkpoint_every=-1)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_nonpositive_gamma_rejected_before_any_step(self, gamma):
+        ds = clustered(20, seed=12)
+        kern = KernelSpec.gaussian_kernel(1.0)
+        audit = AccessAudit()
+        with pytest.raises(InputError, match="gamma must be positive"):
+            ink_oracle_run(ds, kern, gamma, 10, StubOracle(), audit=audit)
+        with pytest.raises(InputError, match="gamma must be positive"):
+            ink_estimate_run(ds, kern, gamma, 10, 0.5, audit=audit)
+        assert audit.points_consumed == []
 
     def test_estimate_run_diagnostics_labels(self):
         ds = clustered(40, seed=13)
