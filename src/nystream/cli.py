@@ -318,10 +318,19 @@ def cmd_suggest(args: argparse.Namespace) -> int:
 
 
 def _parse_seed_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(s) for s in text.split(",")]
+    """``lo:hi`` (hi exclusive) or a comma list; each seed gets its own
+    output directory, so a seed may appear once."""
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise InputError(f"--seeds {text!r} is not lo:hi or a comma-separated list of integers")
+    if len(set(seeds)) != len(seeds):
+        raise InputError(f"--seeds {text!r} repeats a seed")
+    return seeds
 
 
 def _sweep_worker(cfg_dict: dict) -> tuple[int, str]:

@@ -2,7 +2,10 @@
 
 Everything here is allowed a second pass over the data (rebuilding dense
 prefix matrices is how streaming claims get audited), so none of it is part
-of the single-pass pipeline proper.
+of the single-pass pipeline proper.  The upper PSD bound, psi_gap, the exact
+effective dimension and the risks are functions of K's spectrum: one private
+implementation each, which the public checks feed their own decomposition
+and :func:`verify_checkpoints` one ``eig_pairs(K)`` per checkpoint.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,7 +21,7 @@ import numpy as np
 from .errors import InputError
 from .kernels import Dataset, KernelSpec, gram
 from .leverage import deff_increment_exact, exact_rls
-from .linalg import eig_pairs, psd_order_check, regularized_solve, spectral_norm, symmetrize
+from .linalg import DEFAULT_PSD_TOL, eig_pairs, psd_order_check, symmetrize
 from .nystrom import NystromFactor, Selection, build_selection, nystrom_approx
 from .pipeline import RunCheckpoint
 
@@ -87,25 +90,11 @@ def check_condition(
     When a selection is supplied its projection-gap certificate is computed
     as well (see :func:`psi_gap`); otherwise that field is NaN.
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise InputError("epsilon must lie in [0, 1)")
     K = symmetrize(K)
     K_tilde = symmetrize(K_tilde)
     if K.shape != K_tilde.shape:
         raise InputError("matrices must share a shape")
-    diff = K - K_tilde
-    lower_ok = psd_order_check(np.zeros_like(diff), diff, CONDITION_TOL)
-    bound = symmetrize(regularized_solve(K, gamma, K)) * (gamma / (1.0 - epsilon))
-    upper_ok = psd_order_check(diff, bound, CONDITION_TOL)
-    gap = spectral_norm(diff)
-    psi = psi_gap(K, selection, gamma) if selection is not None else float("nan")
-    return ConditionReport(
-        step=step,
-        lower_psd_ok=lower_ok,
-        upper_psd_ok=upper_ok,
-        spectral_gap=gap,
-        psi_gap=psi,
-    )
+    return _condition(*_spectrum(K), K - K_tilde, gamma, epsilon, step, selection)
 
 
 def psi_gap(K: np.ndarray, selection: Selection, gamma: float) -> float:
@@ -116,18 +105,7 @@ def psi_gap(K: np.ndarray, selection: Selection, gamma: float) -> float:
     cover.  A value of at most ``eps`` certifies the two-sided PSD condition
     at that accuracy.
     """
-    pair = eig_pairs(K)
-    lam = np.clip(pair.eigenvalues, 0.0, None)
-    ratios = lam / (lam + gamma)
-    whitener = np.sqrt(ratios)[:, None] * pair.eigenvectors.T
-    if selection.size:
-        projected = whitener @ selection.dense()
-        M = np.diag(ratios) - projected @ projected.T
-    else:
-        M = np.diag(ratios)
-    if M.size == 0:
-        return 0.0
-    return float(np.max(np.linalg.eigvalsh(symmetrize(M))))
+    return _psi(*_spectrum(K), selection, gamma)
 
 
 def fixed_design_risk(K_effective: np.ndarray, problem: FixedDesignProblem) -> float:
@@ -138,13 +116,59 @@ def fixed_design_risk(K_effective: np.ndarray, problem: FixedDesignProblem) -> f
     ``mu^2 ||(K + mu I)^{-1} f*||^2 + sigma^2 tr(K^2 (K + mu I)^{-2})``.
     """
     K_effective = symmetrize(K_effective)
-    t = K_effective.shape[0]
-    if t != len(problem.dataset):
+    if K_effective.shape[0] != len(problem.dataset):
         raise InputError("matrix size must match the problem")
+    return _risk(*_spectrum(K_effective), problem)
+
+
+def _spectrum(K: np.ndarray, *, require_psd: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors and eigenvalues clipped at zero, in eig_pairs' order;
+    with ``require_psd``, ``K`` is first checked by validate_psd's rule."""
+    pair = eig_pairs(K)
+    lam = pair.eigenvalues
+    if require_psd and lam.size:
+        if lam[-1] < -DEFAULT_PSD_TOL * max(1.0, float(np.max(np.abs(lam)))):
+            raise InputError(f"kernel matrix is not PSD (min eigenvalue {lam[-1]:.3e})")
+    return pair.eigenvectors, np.clip(lam, 0.0, None)
+
+
+def _condition(
+    U: np.ndarray, lam: np.ndarray, diff: np.ndarray, gamma: float, epsilon: float,
+    step: int, selection: Selection | None,
+) -> ConditionReport:
+    if not gamma > 0:
+        raise InputError("gamma must be positive")
+    if not 0.0 <= epsilon < 1.0:
+        raise InputError("epsilon must lie in [0, 1)")
+    # One eigvalsh gives the lower check (psd_order_check's rule) and the gap.
+    gaps = np.linalg.eigvalsh(diff) if diff.size else np.zeros(1)
+    gap = float(np.max(np.abs(gaps)))
+    lower_ok = bool(gaps[0] >= -CONDITION_TOL * max(1.0, gap))
+    # The upper bound gamma/(1-eps) K (K + gamma I)^{-1} is root @ root.T.
+    root = U * np.sqrt(gamma / (1.0 - epsilon) * lam / (lam + gamma))
+    upper_ok = psd_order_check(diff, root @ root.T, CONDITION_TOL)
+    psi = _psi(U, lam, selection, gamma) if selection is not None else float("nan")
+    return ConditionReport(step, lower_ok, upper_ok, gap, psi)
+
+
+def _psi(U: np.ndarray, lam: np.ndarray, selection: Selection, gamma: float) -> float:
+    if selection.t != lam.shape[0]:
+        raise InputError("selection row count must match the kernel matrix")
+    ratios = lam / (lam + gamma)
+    M = np.diag(ratios)
+    if M.size == 0:
+        return 0.0
+    if selection.size:
+        idx, w = selection.arrays()
+        projected = U[idx].T * np.sqrt(ratios)[:, None] * w
+        M -= projected @ projected.T
+    return float(np.max(np.linalg.eigvalsh(M)))
+
+
+def _risk(U: np.ndarray, lam: np.ndarray, problem: FixedDesignProblem) -> float:
     mu = problem.mu
-    bias_vec = regularized_solve(K_effective, mu, problem.f_star)
+    bias_vec = (U.T @ problem.f_star) / (lam + mu)
     bias_sq = mu**2 * float(bias_vec @ bias_vec)
-    lam = np.clip(np.linalg.eigvalsh(K_effective), 0.0, None)
     variance = problem.noise_std**2 * float(np.sum((lam / (lam + mu)) ** 2))
     return bias_sq + variance
 
@@ -296,19 +320,8 @@ class CheckpointRecord:
     risk_ratio_bound: float = float("nan")
 
     def as_dict(self) -> dict:
-        return {
-            "t": self.step,
-            "Q_t": self.dict_size,
-            "deff_exact": self.deff_exact,
-            "deff_tilde": self.deff_tilde,
-            "spectral_gap": self.spectral_gap,
-            "psi_gap": self.psi_gap,
-            "lower_ok": self.lower_ok,
-            "upper_ok": self.upper_ok,
-            "risk_exact": self.risk_exact,
-            "risk_approx": self.risk_approx,
-            "risk_ratio_bound": self.risk_ratio_bound,
-        }
+        fields = asdict(self)
+        return {"t": fields.pop("step"), "Q_t": fields.pop("dict_size"), **fields}
 
 
 def verify_checkpoints(
@@ -326,38 +339,30 @@ def verify_checkpoints(
     Rebuilds the dense prefix matrix and the checkpoint's approximation,
     evaluates both PSD inequalities, the spectral and projection gaps, the
     exact effective dimension, and (when targets are known) the closed-form
-    risks of the exact and approximate solvers.
+    risks of the exact and approximate solvers.  Everything derived from K
+    comes from one eigendecomposition of it per checkpoint.
     """
     records: list[CheckpointRecord] = []
     for cp in checkpoints:
         t = cp.step
         K = gram(dataset, kernel, t)
         selection = checkpoint_selection(cp, t, algorithm)
-        factor = nystrom_approx(K, selection, gamma)
-        K_tilde = factor.materialize()
-        report = check_condition(K, K_tilde, gamma, epsilon, step=t, selection=selection)
-        deff_exact = exact_rls(K, gamma).deff
+        K_tilde = nystrom_approx(K, selection, gamma).materialize()
+        U, lam = _spectrum(K, require_psd=True)
+        report = _condition(U, lam, K - K_tilde, gamma, epsilon, t, selection)
+        deff_exact = float(np.sum(lam / (lam + gamma)))
         risk_exact = risk_approx = bound = float("nan")
         if problem is not None:
             sub = problem.prefix(t)
-            risk_exact = fixed_design_risk(K, sub)
+            risk_exact = _risk(U, lam, sub)
             risk_approx = fixed_design_risk(K_tilde, sub)
             bound = risk_ratio_bound(gamma, problem.mu, epsilon)
-        records.append(
-            CheckpointRecord(
-                step=t,
-                dict_size=len(set(selection.indices)),
-                deff_exact=deff_exact,
-                deff_tilde=cp.deff_tilde,
-                spectral_gap=report.spectral_gap,
-                psi_gap=report.psi_gap,
-                lower_ok=report.lower_psd_ok,
-                upper_ok=report.upper_psd_ok,
-                risk_exact=risk_exact,
-                risk_approx=risk_approx,
-                risk_ratio_bound=bound,
-            )
-        )
+        records.append(CheckpointRecord(
+            step=t, dict_size=len(set(selection.indices)), deff_exact=deff_exact,
+            deff_tilde=cp.deff_tilde, spectral_gap=report.spectral_gap, psi_gap=report.psi_gap,
+            lower_ok=report.lower_psd_ok, upper_ok=report.upper_psd_ok,
+            risk_exact=risk_exact, risk_approx=risk_approx, risk_ratio_bound=bound,
+        ))
     return records
 
 

@@ -47,9 +47,8 @@ def curvature_coefficient(epsilon: float) -> float:
     """Weight of the squared-inverse term in the increment estimator.
 
     The printed estimator uses (1 - eps)^2 / 4 while intermediate steps of
-    its derivation suggest other powers.  Experiments with other weights pass
-    ``curvature_coeff`` to :func:`estimate_deff_increment` directly; the
-    streaming runs always use this default.
+    its derivation suggest other powers; :func:`estimate_deff_increment`
+    always uses this value.
     """
     return (1.0 - epsilon) ** 2 / 4.0
 
@@ -210,8 +209,6 @@ def estimate_deff_increment(
     k_self: float,
     gamma: float,
     epsilon: float,
-    *,
-    curvature_coeff: float | None = None,
 ) -> float:
     """Estimated effective-dimension increment computed from the sketch.
 
@@ -222,7 +219,6 @@ def estimate_deff_increment(
     if not gamma > 0:
         raise InputError("gamma must be positive")
     alpha = alpha_factor(epsilon)
-    coeff = curvature_coefficient(epsilon) if curvature_coeff is None else curvature_coeff
     # Symmetry and PSD checks are left to the regularized solves below: a
     # sketch that is indefinite beyond its shift fails there with a numerical error.
     K_tilde = np.asarray(K_tilde, dtype=np.float64)
@@ -242,7 +238,7 @@ def estimate_deff_increment(
             f"increment denominator {denominator:.6e} is not positive; "
             "the sketch violates its approximation precondition"
         )
-    numerator = k_self - quad_alpha - coeff * gamma * quad_sq
+    numerator = k_self - quad_alpha - curvature_coefficient(epsilon) * gamma * quad_sq
     return numerator / denominator
 
 

@@ -20,8 +20,8 @@ class Selection:
     """A weighted column selection: (index, weight) pairs over ``t`` columns.
 
     Pairs may repeat an index (with-replacement batch sampling); streaming
-    dictionaries contribute each index once.  The dense t x Q operator is
-    only materialized on demand.
+    dictionaries contribute each index once.  Readers gather the selected
+    columns through :meth:`arrays`; no dense t x Q operator is built.
     """
 
     pairs: tuple[tuple[int, float], ...]
@@ -42,13 +42,10 @@ class Selection:
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.pairs)
 
-    def dense(self) -> np.ndarray:
-        if self.t > DESK_SCALE_CAP:
-            raise InputError(f"dense selection capped at {DESK_SCALE_CAP} rows")
-        S = np.zeros((self.t, len(self.pairs)))
-        for col, (i, w) in enumerate(self.pairs):
-            S[i, col] = w
-        return S
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Indices and weights as aligned arrays, one entry per pair."""
+        idx, w = zip(*self.pairs) if self.pairs else ((), ())
+        return np.array(idx, dtype=np.intp), np.array(w, dtype=np.float64)
 
 
 def build_selection(
@@ -102,9 +99,10 @@ def nystrom_approx(K: np.ndarray, selection: Selection, gamma: float) -> Nystrom
     K = symmetrize(K)
     if K.shape[0] != selection.t:
         raise InputError("selection row count must match the kernel matrix")
-    S = selection.dense()
-    cross = K @ S
-    sampled = S.T @ cross
+    idx, w = selection.arrays()
+    cross = K[:, idx] * w
+    # w_i * w_j is exact in either order, so the block is exactly symmetric.
+    sampled = K[np.ix_(idx, idx)] * np.outer(w, w)
     return NystromFactor(cross=cross, sampled=sampled, gamma=float(gamma))
 
 

@@ -233,6 +233,14 @@ class TestSweep:
         assert a["config_echo"]["seed"] == 3
         assert b["config_echo"]["seed"] == 4
 
+    @pytest.mark.parametrize("seeds", ["1,,2", "a:3", "1:x", "1,1", "0,2,0"])
+    def test_bad_seed_list_rejected(self, data_csv, tmp_path, capsys, seeds):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--seeds", seeds] + run_args(data_csv, out)[1:]
+        assert main(argv) == 1
+        assert repr(seeds) in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLibsvmInput:
     def test_run_on_libsvm(self, tmp_path):

@@ -10,6 +10,7 @@ from nystream import (
     KernelSpec,
     SyntheticSpec,
     check_condition,
+    exact_rls,
     fixed_design_risk,
     generate_synthetic,
     gram,
@@ -20,8 +21,14 @@ from nystream import (
     risk_ratio_bound,
     verify_checkpoints,
 )
-from nystream.evaluation import CheckpointRecord, write_records_csv, write_records_json
+from nystream.evaluation import (
+    CheckpointRecord,
+    checkpoint_selection,
+    write_records_csv,
+    write_records_json,
+)
 from nystream.nystrom import build_selection
+from nystream.pipeline import RunCheckpoint, batch_exact
 
 from conftest import random_gram
 
@@ -94,6 +101,13 @@ class TestPsiGap:
         got = psi_gap(K, build_selection([], {}, 8), 1.0)
         lam_max = float(np.linalg.eigvalsh(K)[-1])
         assert got == pytest.approx(lam_max / (lam_max + 1.0), rel=1e-10)
+
+    def test_selection_size_mismatch_rejected(self):
+        sel = build_selection([0], {0: 1.0}, 5)
+        with pytest.raises(InputError, match="row count"):
+            psi_gap(np.eye(3), sel, 1.0)
+        with pytest.raises(InputError, match="row count"):
+            check_condition(np.eye(3), np.eye(3), 1.0, 0.5, selection=sel)
 
     def test_gap_certifies_condition(self, rng):
         """psi_gap below one always implies the two-sided condition at that
@@ -232,6 +246,59 @@ class TestVerifyCheckpoints:
             assert rec.deff_tilde >= rec.deff_exact - 1e-9
             assert np.isfinite(rec.risk_exact) and np.isfinite(rec.risk_approx)
             assert rec.risk_approx <= rec.risk_ratio_bound * rec.risk_exact + 1e-8
+
+    @pytest.mark.parametrize("algorithm", ["ink-estimate", "batch-exact"])
+    def test_records_match_public_references(self, algorithm):
+        """Every record agrees with exact_rls, check_condition and
+        fixed_design_risk evaluated on the same K and K_tilde: below the
+        theoretical budget for ink-estimate, and with repeated indices for
+        batch-exact."""
+        prob = generate_synthetic(
+            SyntheticSpec(n=90, d=2, n_clusters=3, cluster_std=0.4), rng=21
+        )
+        kern = KernelSpec.gaussian_kernel(1.0)
+        gamma, eps = 1.0, 0.5
+        if algorithm == "ink-estimate":
+            res = ink_estimate_run(
+                prob.dataset, kern, gamma, 40, eps, rng=4, checkpoint_every=30
+            )
+            checkpoints = res.checkpoints
+            assert max(cp.dict_size for cp in checkpoints) < 30
+        else:
+            _, sel = batch_exact(prob.dataset, kern, gamma, 40, 4)
+            assert len(set(sel.indices)) < sel.size
+            weight_of = dict(sel.pairs)
+            checkpoints = [
+                RunCheckpoint(
+                    step=90,
+                    dict_size=len(set(sel.indices)),
+                    deff_tilde=1.0,
+                    indices=sel.indices,
+                    weights=tuple(weight_of[i] for i in sel.indices),
+                    elapsed_seconds=0.0,
+                )
+            ]
+        records = verify_checkpoints(
+            prob.dataset, kern, gamma, eps, checkpoints, algorithm, problem=prob
+        )
+        assert len(records) == len(checkpoints)
+        for cp, rec in zip(checkpoints, records):
+            t = cp.step
+            K = gram(prob.dataset, kern, t)
+            sel = checkpoint_selection(cp, t, algorithm)
+            K_tilde = nystrom_approx(K, sel, gamma).materialize()
+            report = check_condition(K, K_tilde, gamma, eps, step=t, selection=sel)
+            sub = prob.prefix(t)
+            got = [rec.deff_exact, rec.spectral_gap, rec.psi_gap, rec.risk_exact, rec.risk_approx]
+            want = [
+                exact_rls(K, gamma).deff,
+                report.spectral_gap,
+                report.psi_gap,
+                fixed_design_risk(K, sub),
+                fixed_design_risk(K_tilde, sub),
+            ]
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+            assert (rec.lower_ok, rec.upper_ok) == (report.lower_psd_ok, report.upper_psd_ok)
 
     def test_risk_fields_nan_without_targets(self):
         prob = generate_synthetic(

@@ -33,10 +33,10 @@ def random_selection(rng, t, *, multiset=False):
 class TestSelection:
     def test_single_index_operator(self):
         sel = build_selection([1], {1: 1.0}, 3)
-        S = sel.dense()
-        assert S.shape == (3, 1)
-        assert S[1, 0] == 1.0
-        assert S.sum() == 1.0
+        idx, w = sel.arrays()
+        assert idx.tolist() == [1]
+        assert w.tolist() == [1.0]
+        assert w.dtype == np.float64
 
     def test_multiset_allowed(self):
         sel = build_selection([0, 0, 2], {0: 0.5, 2: 1.5}, 3)
@@ -98,6 +98,25 @@ class TestNystromApprox:
             lam = np.sort(np.linalg.eigvalsh(K))
             lam_tilde = np.sort(np.linalg.eigvalsh(K_tilde))
             assert np.all(lam_tilde <= lam + 1e-8)
+
+    def test_blocks_match_explicit_selection_operator(self, rng):
+        """cross and sampled equal K S and S^T K S for the t x m operator S
+        with S[i_c, c] = w_c, repeated indices included; sampled is exactly
+        symmetric."""
+        repeats = 0
+        for _ in range(10):
+            t = int(rng.integers(2, 15))
+            K = random_gram(rng, t)
+            sel = random_selection(rng, t, multiset=True)
+            repeats += len(set(sel.indices)) < sel.size
+            S = np.zeros((t, sel.size))
+            for col, (i, w) in enumerate(sel.pairs):
+                S[i, col] = w
+            factor = nystrom_approx(K, sel, 0.7)
+            assert np.array_equal(factor.sampled, factor.sampled.T)
+            np.testing.assert_allclose(factor.cross, K @ S, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(factor.sampled, S.T @ K @ S, rtol=1e-12, atol=0)
+        assert repeats
 
     def test_materialize_cap(self):
         factor = NystromFactor(cross=np.ones((4, 1)), sampled=np.ones((1, 1)), gamma=1.0)
