@@ -5,7 +5,8 @@ prefix matrices is how streaming claims get audited), so none of it is part
 of the single-pass pipeline proper.  The upper PSD bound, psi_gap, the exact
 effective dimension and the risks are functions of K's spectrum: one private
 implementation each, which the public checks feed their own decomposition
-and :func:`verify_checkpoints` one ``eig_pairs(K)`` per checkpoint.
+and :func:`verify_checkpoints` one ``eig_pairs(K)`` per checkpoint.  The
+approximate risk comes from the rank-Q factor of ``K~`` instead.
 """
 
 from __future__ import annotations
@@ -171,6 +172,18 @@ def _risk(U: np.ndarray, lam: np.ndarray, problem: FixedDesignProblem) -> float:
     bias_sq = mu**2 * float(bias_vec @ bias_vec)
     variance = problem.noise_std**2 * float(np.sum((lam / (lam + mu)) ** 2))
     return bias_sq + variance
+
+
+def _factored_risk(F: np.ndarray, problem: FixedDesignProblem) -> float:
+    """The risk of ``fixed_design_risk(F @ F.T, problem)`` from the Q x Q
+    matrix ``F^T F``, whose spectrum is the nonzero spectrum of ``F F^T``;
+    the bias ``||f - F (F^T F + mu I)^{-1} F^T f||^2`` is Woodbury's form of
+    ``mu^2 ||(F F^T + mu I)^{-1} f||^2``."""
+    V, s = _spectrum(F.T @ F)
+    mu, f = problem.mu, problem.f_star
+    residual = f - F @ (V @ ((V.T @ (F.T @ f)) / (s + mu)))
+    variance = problem.noise_std**2 * float(np.sum((s / (s + mu)) ** 2))
+    return float(residual @ residual) + variance
 
 
 def risk_ratio_bound(gamma: float, mu: float, epsilon: float) -> float:
@@ -347,7 +360,9 @@ def verify_checkpoints(
         t = cp.step
         K = gram(dataset, kernel, t)
         selection = checkpoint_selection(cp, t, algorithm)
-        K_tilde = nystrom_approx(K, selection, gamma).materialize()
+        # materialize() as F F^T, keeping the rank-Q factor for the risk.
+        F = nystrom_approx(K, selection, gamma).whitened()
+        K_tilde = F @ F.T
         U, lam = _spectrum(K, require_psd=True)
         report = _condition(U, lam, K - K_tilde, gamma, epsilon, t, selection)
         deff_exact = float(np.sum(lam / (lam + gamma)))
@@ -355,7 +370,7 @@ def verify_checkpoints(
         if problem is not None:
             sub = problem.prefix(t)
             risk_exact = _risk(U, lam, sub)
-            risk_approx = fixed_design_risk(K_tilde, sub)
+            risk_approx = _factored_risk(F, sub)
             bound = risk_ratio_bound(gamma, problem.mu, epsilon)
         records.append(CheckpointRecord(
             step=t, dict_size=len(set(selection.indices)), deff_exact=deff_exact,

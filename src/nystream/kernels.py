@@ -103,6 +103,25 @@ def pairwise(spec: KernelSpec, rows, cols) -> np.ndarray:
     return out
 
 
+def _symmetric_pairwise(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
+    """``pairwise(spec, points, points)``, evaluating each pair once.
+
+    Each row block is evaluated against the points up to its end, and the
+    rest is mirrored from the blocks below; every family's value is exactly
+    symmetric in its two points, so the result equals the full evaluation
+    bit for bit.
+    """
+    n = points.shape[0]
+    out = np.empty((n, n))
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        out[start:stop, :stop] = pairwise(spec, points[start:stop], points[:stop])
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        out[start:stop, stop:] = out[stop:, start:stop].T
+    return out
+
+
 def evaluate(spec: KernelSpec, x, y) -> float:
     """Evaluate the kernel on a single pair of points."""
     return float(pairwise(spec, x, y)[0, 0])
@@ -182,8 +201,7 @@ def gram(dataset: Dataset, spec: KernelSpec, t: int | None = None) -> np.ndarray
         raise InputError(f"prefix length {t} out of range for {n} points")
     if t > DESK_SCALE_CAP:
         raise InputError(f"gram materialization capped at {DESK_SCALE_CAP} points")
-    X = dataset.points[:t]
-    return pairwise(spec, X, X)
+    return _symmetric_pairwise(spec, dataset.points[:t])
 
 
 def load_csv(

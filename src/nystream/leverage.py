@@ -15,9 +15,16 @@ from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import InputError, InvariantViolation, NumericalError
-from .linalg import regularized_solve, solve_shifted_indefinite, validate_psd
+from .linalg import (
+    regularized_solve,
+    shifted_cholesky,
+    solve_shifted_indefinite,
+    symmetrize,
+    validate_psd,
+)
 
 # Tolerance below which a negative estimated increment is treated as roundoff.
 _NEGATIVE_INCREMENT_TOL = 1e-10
@@ -137,13 +144,36 @@ def estimate_rls_batch(
     diagonal = np.atleast_1d(np.asarray(diagonal, dtype=np.float64))
     if columns.shape[1] != diagonal.shape[0]:
         raise InputError("one diagonal entry is needed per column")
-    solved = solve_shifted_indefinite(K_bar, alpha * gamma, columns)
-    quad = np.einsum("ij,ij->j", columns, solved)
-    raw = (diagonal - quad) / (alpha * gamma)
+    tau, _ = _rls(symmetrize(K_bar), columns, diagonal, alpha * gamma, diagnostics)
+    return tau
+
+
+def _rls(
+    K_bar: np.ndarray,
+    columns: np.ndarray,
+    diagonal: np.ndarray,
+    shift: float,
+    diagnostics: Diagnostics | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The estimates of :func:`estimate_rls_batch` for an exactly symmetric
+    ``K_bar`` and ``shift = alpha * gamma``, plus the Cholesky factor of
+    ``K_bar + shift I`` (None when that matrix is indefinite and a
+    symmetric-indefinite solve gives the quadratic forms).
+    """
+    try:
+        factor = shifted_cholesky(K_bar, shift)
+    except NumericalError:
+        solved = solve_shifted_indefinite(K_bar, shift, columns)
+        quad, factor = np.einsum("ij,ij->j", columns, solved), None
+    else:
+        # columns_j^T (L L^T)^{-1} columns_j is the squared norm of L^{-1} columns_j.
+        half = solve_triangular(factor, columns, lower=True, check_finite=False)
+        quad = np.einsum("ij,ij->j", half, half)
+    raw = (diagonal - quad) / shift
     if diagnostics is not None:
         diagnostics.rls_clamped_low += int(np.sum(raw < 0.0))
         diagnostics.rls_clamped_high += int(np.sum(raw > 1.0))
-    return np.clip(raw, 0.0, 1.0)
+    return np.clip(raw, 0.0, 1.0), factor
 
 
 def estimate_rls(
@@ -214,23 +244,39 @@ def estimate_deff_increment(
 
     Uses two regularized quadratic forms of the sketch against the exact new
     column: one at shift ``alpha * gamma`` and a squared-inverse one at shift
-    ``gamma``, the latter damped by the curvature coefficient.
+    ``gamma``, the latter damped by the curvature coefficient.  A sketch that
+    is indefinite beyond either shift raises :class:`NumericalError`.
     """
     if not gamma > 0:
         raise InputError("gamma must be positive")
-    alpha = alpha_factor(epsilon)
-    # Symmetry and PSD checks are left to the regularized solves below: a
-    # sketch that is indefinite beyond its shift fails there with a numerical error.
-    K_tilde = np.asarray(K_tilde, dtype=np.float64)
+    K_tilde = symmetrize(K_tilde)
     k_bar = np.asarray(k_bar, dtype=np.float64).reshape(-1)
     if k_bar.shape[0] != K_tilde.shape[0]:
         raise InputError("cross vector length must match the sketch size")
-    if K_tilde.shape[0] == 0:
+    return _increment(K_tilde, k_bar, k_self, gamma, epsilon, None)
+
+
+def _increment(
+    K_tilde: np.ndarray,
+    k_bar: np.ndarray,
+    k_self: float,
+    gamma: float,
+    epsilon: float,
+    whitened: np.ndarray | None,
+) -> float:
+    """The increment of :func:`estimate_deff_increment` for an exactly
+    symmetric ``K_tilde``; ``whitened`` is ``L^{-1} k_bar`` for
+    ``K_tilde + alpha gamma I = L L^T`` when the caller already holds it."""
+    alpha = alpha_factor(epsilon)
+    if k_bar.shape[0] == 0:
         quad_alpha = 0.0
         quad_sq = 0.0
     else:
-        quad_alpha = float(k_bar @ regularized_solve(K_tilde, alpha * gamma, k_bar))
-        u = regularized_solve(K_tilde, gamma, k_bar)
+        if whitened is None:
+            factor = shifted_cholesky(K_tilde, alpha * gamma)
+            whitened = solve_triangular(factor, k_bar, lower=True, check_finite=False)
+        quad_alpha = float(whitened @ whitened)
+        u = cho_solve((shifted_cholesky(K_tilde, gamma), True), k_bar, check_finite=False)
         quad_sq = float(u @ u)
     denominator = k_self + gamma - quad_alpha
     if denominator <= 0:
@@ -240,6 +286,34 @@ def estimate_deff_increment(
         )
     numerator = k_self - quad_alpha - curvature_coefficient(epsilon) * gamma * quad_sq
     return numerator / denominator
+
+
+def estimate_step(
+    K_bar: np.ndarray,
+    columns: np.ndarray,
+    diagonal: np.ndarray,
+    gamma: float,
+    epsilon: float,
+    *,
+    diagnostics: Diagnostics | None = None,
+) -> tuple[np.ndarray, float]:
+    """One streaming step's estimates from one factor of the bordered sketch.
+
+    ``K_bar`` is the sketch bordered with the exact new column as its last
+    row and column, built exactly symmetric (it is not symmetrized or
+    checked).  Returns ``estimate_rls_batch(K_bar, columns, diagonal, gamma,
+    epsilon)`` and ``estimate_deff_increment(K_bar[:-1, :-1], K_bar[:-1, -1],
+    K_bar[-1, -1], gamma, epsilon)``: the last row of the Cholesky factor of
+    ``K_bar + alpha gamma I`` is the whitened new column that the
+    increment's ``alpha gamma`` form needs, so the step factors three
+    matrices instead of four.
+    """
+    if not gamma > 0:
+        raise InputError("gamma must be positive")
+    tau, factor = _rls(K_bar, columns, diagonal, alpha_factor(epsilon) * gamma, diagnostics)
+    whitened = None if factor is None else factor[-1, :-1]
+    delta = _increment(K_bar[:-1, :-1], K_bar[:-1, -1], float(K_bar[-1, -1]), gamma, epsilon, whitened)
+    return tau, delta
 
 
 def update_deff(

@@ -1,10 +1,13 @@
 """Dense symmetric/PSD primitives: regularized solves, eigendecomposition,
 PSD ordering tests, spectral norm.
 
-All entry points symmetrize their input as (A + A^T)/2 when the asymmetry is
-below ``SYMMETRY_TOL`` (relative) and reject it otherwise, so floating-point
-drift accumulated while assembling approximations is absorbed here.  Callers
-pass matrices as they build them and do not symmetrize them first.
+All entry points but :func:`shifted_cholesky` symmetrize their input as
+(A + A^T)/2 when the asymmetry is below ``SYMMETRY_TOL`` (relative) and reject
+it otherwise, so floating-point drift accumulated while assembling
+approximations is absorbed here.  Callers pass matrices as they build them
+and do not symmetrize them first.  :func:`shifted_cholesky` is the streaming
+step's primitive: it takes matrices built exactly symmetric and checks
+nothing, so one factor per shift serves every solve at that shift.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf
 
 from .errors import InputError, NumericalError
 
@@ -74,6 +78,22 @@ def regularized_solve(A: np.ndarray, ridge: float, B: np.ndarray) -> np.ndarray:
         return scipy.linalg.cho_solve(factor, B, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"shifted matrix is not positive definite: {exc}")
+
+
+def shifted_cholesky(A: np.ndarray, shift: float) -> np.ndarray:
+    """Cholesky factor ``L`` of ``A + shift*I``, with ``A`` exactly symmetric.
+
+    Only the lower triangle of the returned array is ``L``; the strict upper
+    triangle keeps entries of the shifted matrix.  ``A`` is neither
+    symmetrized nor checked, and only one of its triangles is read.  Raises :class:`NumericalError` when the
+    shifted matrix is not positive definite.
+    """
+    # The shifted matrix is symmetric, so its transpose is the same matrix in
+    # the column-major layout LAPACK factors in place, without a copy.
+    factor, info = dpotrf((A + shift * np.eye(A.shape[0])).T, lower=1, clean=0, overwrite_a=1)
+    if info:
+        raise NumericalError(f"shifted matrix is not positive definite (leading minor {info})")
+    return factor
 
 
 def solve_shifted_indefinite(A: np.ndarray, shift: float, B: np.ndarray) -> np.ndarray:

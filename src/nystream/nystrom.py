@@ -8,11 +8,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import InputError
 from .kernels import DESK_SCALE_CAP
 from .leverage import Diagnostics
-from .linalg import eig_pairs, regularized_solve, symmetrize
+from .linalg import eig_pairs, regularized_solve, shifted_cholesky, symmetrize
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,9 @@ class NystromFactor:
 
     ``cross`` holds rows of the weighted selected columns: all t rows at desk
     scale, or just the dictionary rows in streaming mode (the evaluation
-    harness re-streams the data to assemble the full block).  Immutable once
-    built.
+    harness re-streams the data to assemble the full block).  ``sampled``
+    must be exactly symmetric, as :func:`nystrom_approx` and the streaming
+    loop build it: it is factored as given.  Immutable once built.
     """
 
     cross: np.ndarray
@@ -83,15 +85,27 @@ class NystromFactor:
     def size(self) -> int:
         return self.sampled.shape[0]
 
+    def whitened(self) -> np.ndarray:
+        """The rows x Q factor ``F = cross L^{-T}`` of the approximation
+        ``F F^T``, where ``sampled + gamma I = L L^T``.
+
+        Raises :class:`NumericalError` when ``sampled + gamma I`` is not
+        positive definite.
+        """
+        if self.size == 0:
+            return np.zeros((self.cross.shape[0], 0))
+        L = shifted_cholesky(self.sampled, self.gamma)
+        return solve_triangular(L, self.cross.T, lower=True, check_finite=False).T
+
     def materialize(self, cap: int = DESK_SCALE_CAP) -> np.ndarray:
-        """Dense approximation over the rows present in ``cross``."""
+        """Dense approximation over the rows present in ``cross``; exactly
+        symmetric, because ``F @ F.T`` is computed as one triangle and
+        mirrored."""
         n = self.cross.shape[0]
         if n > cap:
             raise InputError(f"dense materialization capped at {cap} rows")
-        if self.size == 0:
-            return np.zeros((n, n))
-        solved = regularized_solve(self.sampled, self.gamma, self.cross.T)
-        return symmetrize(self.cross @ solved)
+        F = self.whitened()
+        return F @ F.T
 
 
 def nystrom_approx(K: np.ndarray, selection: Selection, gamma: float) -> NystromFactor:

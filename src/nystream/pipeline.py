@@ -33,15 +33,14 @@ from typing import Protocol
 import numpy as np
 
 from .errors import InputError, InvariantViolation
-from .kernels import Dataset, KernelColumn, KernelSpec, evaluate, gram, pairwise
+from .kernels import Dataset, KernelColumn, KernelSpec, _symmetric_pairwise, evaluate, gram, pairwise
 from .leverage import (
     Diagnostics,
     EstimatedProfile,
     alpha_factor,
     beta_factor,
     clamp_probabilities,
-    estimate_deff_increment,
-    estimate_rls_batch,
+    estimate_step,
     exact_rls,
     update_deff,
 )
@@ -154,7 +153,8 @@ def _restricted_factor(dict_gram: np.ndarray, dictionary: Dictionary, gamma: flo
     # restriction of the weighted selection applied to the kernel matrix.
     sqrt_b = np.sqrt(np.fromiter(dictionary.weights.values(), dtype=np.float64, count=dictionary.size))
     cross = dict_gram * sqrt_b[None, :]
-    sampled = sqrt_b[:, None] * dict_gram * sqrt_b[None, :]
+    # sqrt_b_i * sqrt_b_j is exact in either order, so the block is exactly symmetric.
+    sampled = dict_gram * np.outer(sqrt_b, sqrt_b)
     return NystromFactor(cross=cross, sampled=sampled, gamma=gamma)
 
 
@@ -187,8 +187,8 @@ class ExactOracle:
         if new_index != t:
             raise InputError("exact oracle must observe the stream in order")
         if (t + 1) % self._REFRESH_EVERY == 0:
-            prefix = self._points[: t + 1]
-            self._inv = regularized_solve(pairwise(self._kernel, prefix, prefix), self._gamma, np.eye(t + 1))
+            prefix = _symmetric_pairwise(self._kernel, self._points[: t + 1])
+            self._inv = regularized_solve(prefix, self._gamma, np.eye(t + 1))
         elif t:
             k_bar = pairwise(self._kernel, self._points[t], self._points[:t])[0]
             u = self._inv @ k_bar
@@ -236,10 +236,9 @@ class EstimateOracle:
         sketch_block = _restricted_factor(state.dict_gram, state.dictionary, gamma).materialize()
         gram_block = _border(state.dict_gram, cross, self_term)
         bordered = _border(sketch_block, cross, self_term)
-        tau = estimate_rls_batch(
+        tau, delta = estimate_step(
             bordered, gram_block, np.diag(gram_block), gamma, eps, diagnostics=self._diagnostics
         )
-        delta = estimate_deff_increment(sketch_block, cross, self_term, gamma, eps)
         if state.deff_tilde > 0:
             deff = update_deff(state.deff_tilde, delta, eps, diagnostics=self._diagnostics)
         else:

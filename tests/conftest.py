@@ -45,3 +45,14 @@ def random_gram(rng, n, d=3):
     from nystream import gram
 
     return gram(ds, spec)
+
+
+def border(M, v, corner):
+    """``M`` bordered with ``v`` as its last row and column and ``corner``
+    on the diagonal."""
+    t = M.shape[0]
+    out = np.empty((t + 1, t + 1))
+    out[:t, :t] = M
+    out[:t, t] = out[t, :t] = v
+    out[t, t] = corner
+    return out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nystream import Dataset, InputError, KernelSpec, evaluate, gram, load_csv, load_libsvm, stream_column
-from nystream.kernels import DESK_SCALE_CAP, pairwise
+from nystream.kernels import DESK_SCALE_CAP, _symmetric_pairwise, pairwise
 
 from conftest import random_dataset, random_kernel
 
@@ -109,6 +109,18 @@ class TestGram:
             assert np.array_equal(K_big[:t, t], col.cross)
             assert np.array_equal(K_big[t, :t], col.cross)
             assert K_big[t, t] == col.self_term
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec.gaussian_kernel(1.3),
+        KernelSpec.linear_kernel(),
+        KernelSpec.polynomial_kernel(3, 0.5),
+    ], ids=["gaussian", "linear", "polynomial"])
+    def test_one_triangle_evaluation_matches_full(self, rng, spec):
+        """Evaluating each pair once and mirroring gives pairwise(X, X) bit
+        for bit, across several row blocks and a partial last block."""
+        for n in (1, 7, 600):
+            X = random_dataset(rng, n, d=3).points
+            assert np.array_equal(_symmetric_pairwise(spec, X), pairwise(spec, X, X))
 
     def test_psd_within_tolerance(self, rng):
         for _ in range(10):

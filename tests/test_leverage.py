@@ -15,9 +15,9 @@ from nystream import (
     exact_rls,
     update_deff,
 )
-from nystream.leverage import curvature_coefficient, estimate_rls_batch
+from nystream.leverage import curvature_coefficient, estimate_rls_batch, estimate_step
 
-from conftest import random_gram, random_psd
+from conftest import border, random_gram, random_psd
 
 
 def spectral_form_rls(K, gamma):
@@ -152,6 +152,11 @@ class TestEstimateRls:
         with pytest.raises(InputError):
             estimate_rls(np.eye(2), np.ones(2), 1.0, 1.0, 1.0)
 
+    def test_empty_sketch(self):
+        """A 0 x 0 sketch leaves only k_jj / (alpha * gamma), alpha = 3 here."""
+        got = estimate_rls_batch(np.zeros((0, 0)), np.zeros((0, 2)), np.array([1.0, 0.5]), 1.0, 0.5)
+        np.testing.assert_allclose(got, [1 / 3, 0.5 / 3], rtol=1e-15)
+
     def test_batch_matches_scalar(self, rng):
         K = random_gram(rng, 6)
         batch = estimate_rls_batch(K, K, np.diag(K), 1.0, 0.25)
@@ -245,6 +250,80 @@ class TestEstimateDeffIncrement:
             assert est <= alpha**2 * (1 + rho) * exact + 1e-8
             checked += 1
         assert checked >= 15
+
+
+class TestEstimateStep:
+    """One factor of the bordered sketch gives what the two public
+    estimators compute separately, including their errors."""
+
+    def test_matches_public_estimators(self, rng):
+        from nystream import nystrom_approx
+        from nystream.nystrom import build_selection
+
+        checked = 0
+        for _ in range(30):
+            K = random_gram(rng, 12)
+            gamma = float(rng.uniform(0.1, 2.0))
+            eps = float(rng.uniform(0.0, 0.9))
+            t = 11
+            idx = rng.choice(t, size=int(rng.integers(1, t + 1)), replace=False).tolist()
+            sel = build_selection(idx, {int(i): 1.0 for i in idx}, t)
+            sketch = nystrom_approx(K[:t, :t], sel, gamma).materialize()
+            bordered = border(sketch, K[:t, t], K[t, t])
+            diag_step, diag_ref = Diagnostics(), Diagnostics()
+            tau_ref = estimate_rls_batch(bordered, K, np.diag(K), gamma, eps, diagnostics=diag_ref)
+            try:
+                delta_ref = estimate_deff_increment(sketch, K[:t, t], K[t, t], gamma, eps)
+            except NumericalError as exc:
+                with pytest.raises(NumericalError) as raised:
+                    estimate_step(bordered, K, np.diag(K), gamma, eps, diagnostics=diag_step)
+                # The same check fails; the values in the messages may differ in rounding.
+                assert str(raised.value).split()[:2] == str(exc).split()[:2]
+                assert diag_step == diag_ref
+                continue
+            tau, delta = estimate_step(bordered, K, np.diag(K), gamma, eps, diagnostics=diag_step)
+            np.testing.assert_allclose(tau, tau_ref, rtol=1e-10, atol=1e-13)
+            assert delta == pytest.approx(delta_ref, rel=1e-10, abs=1e-13)
+            assert diag_step == diag_ref
+            checked += 1
+        assert checked >= 15
+
+    def test_indefinite_bordering_takes_the_fallback(self):
+        """A new column too large for the sketch makes the bordered matrix
+        indefinite at shift alpha*gamma while the sketch itself is fine: the
+        scores come from the symmetric-indefinite solve, and the increment's
+        denominator, which is that Schur complement minus (alpha-1)*gamma,
+        is then negative as well."""
+        gamma, eps = 0.1, 0.5
+        shift = alpha_factor(eps) * gamma
+        sketch, column, corner = np.array([[1.0 / 1.1]]), np.array([1.0]), 0.01
+        bordered = border(sketch, column, corner)
+        exact_cols = border(np.ones((1, 1)), column, corner)
+        eig = np.linalg.eigvalsh(bordered + shift * np.eye(2))
+        assert eig[0] < 0 < eig[1] and sketch[0, 0] + shift > 0
+        diag_ref, diag_step = Diagnostics(), Diagnostics()
+        tau_ref = estimate_rls_batch(bordered, exact_cols, np.diag(exact_cols), gamma, eps, diagnostics=diag_ref)
+        solved = np.linalg.solve(bordered + shift * np.eye(2), exact_cols)
+        raw = (np.diag(exact_cols) - np.einsum("ij,ij->j", exact_cols, solved)) / shift
+        np.testing.assert_allclose(tau_ref, np.clip(raw, 0.0, 1.0), atol=1e-12)
+        with pytest.raises(NumericalError, match="increment denominator"):
+            estimate_deff_increment(sketch, column, corner, gamma, eps)
+        with pytest.raises(NumericalError, match="increment denominator"):
+            estimate_step(bordered, exact_cols, np.diag(exact_cols), gamma, eps, diagnostics=diag_step)
+        assert diag_step == diag_ref
+
+    @pytest.mark.parametrize("low", [-1.0, -0.2], ids=["alpha-gamma", "gamma"])
+    def test_indefinite_sketch_raises(self, low):
+        """A sketch indefinite beyond shift alpha*gamma (-1.0) or only beyond
+        gamma (-0.2; alpha*gamma is 0.3 here) raises NumericalError on both
+        paths."""
+        gamma, eps = 0.1, 0.5
+        sketch, column = np.diag([low, 1.0]), np.array([0.0, 0.5])
+        bordered = border(sketch, column, 1.0)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            estimate_deff_increment(sketch, column, 1.0, gamma, eps)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            estimate_step(bordered, bordered, np.diag(bordered), gamma, eps)
 
 
 class TestUpdateDeff:

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from nystream import InputError, eig_pairs, psd_order_check, regularized_solve, spectral_norm
-from nystream.linalg import min_eigenvalue, solve_shifted_indefinite, symmetrize, validate_psd
+from nystream import InputError, NumericalError, eig_pairs, psd_order_check, regularized_solve, spectral_norm
+from nystream.linalg import (
+    min_eigenvalue,
+    shifted_cholesky,
+    solve_shifted_indefinite,
+    symmetrize,
+    validate_psd,
+)
 
 from conftest import random_psd
 
@@ -170,3 +176,24 @@ class TestIndefiniteSolve:
         assert np.linalg.eigvalsh(shifted)[0] < 0 < np.linalg.eigvalsh(shifted)[-1]
         expected = np.linalg.solve(shifted, b)
         np.testing.assert_allclose(solve_shifted_indefinite(A, 1.0, b), expected, atol=1e-10)
+
+
+class TestShiftedCholesky:
+    def test_lower_triangle_is_the_factor(self, rng):
+        for n in (1, 5, 40):
+            A = random_psd(rng, n, rank=max(n // 2, 1))
+            A = (A + A.T) / 2
+            L = np.tril(shifted_cholesky(A, 0.3))
+            np.testing.assert_allclose(L @ L.T, A + 0.3 * np.eye(n), rtol=0, atol=1e-12 * n)
+            assert np.all(np.diag(L) > 0)
+
+    def test_input_left_untouched(self, rng):
+        A = random_psd(rng, 6)
+        A = (A + A.T) / 2
+        before = A.copy()
+        shifted_cholesky(A, 1.0)
+        assert np.array_equal(A, before)
+
+    def test_indefinite_shift_raises(self):
+        with pytest.raises(NumericalError, match="not positive definite"):
+            shifted_cholesky(np.diag([1.0, -0.5, 2.0]), 0.25)

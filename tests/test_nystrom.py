@@ -118,6 +118,22 @@ class TestNystromApprox:
             np.testing.assert_allclose(factor.sampled, S.T @ K @ S, rtol=1e-12, atol=0)
         assert repeats
 
+    def test_whitened_factor_gives_materialize(self, rng):
+        """materialize() is F F^T for the whitened factor F, exactly
+        symmetric, and equal to cross (sampled + gamma I)^{-1} cross^T."""
+        for _ in range(10):
+            t = int(rng.integers(2, 15))
+            K = random_gram(rng, t)
+            sel = random_selection(rng, t, multiset=bool(rng.integers(0, 2)))
+            factor = nystrom_approx(K, sel, 0.6)
+            F = factor.whitened()
+            K_tilde = factor.materialize()
+            assert F.shape == (t, sel.size)
+            assert np.array_equal(K_tilde, F @ F.T)
+            assert np.array_equal(K_tilde, K_tilde.T)
+            inv = np.linalg.inv(factor.sampled + 0.6 * np.eye(sel.size))
+            np.testing.assert_allclose(K_tilde, factor.cross @ inv @ factor.cross.T, rtol=0, atol=1e-10)
+
     def test_materialize_cap(self):
         factor = NystromFactor(cross=np.ones((4, 1)), sampled=np.ones((1, 1)), gamma=1.0)
         with pytest.raises(InputError):

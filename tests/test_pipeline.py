@@ -7,14 +7,19 @@ import pytest
 from nystream import (
     AccessAudit,
     Dataset,
+    Diagnostics,
     Dictionary,
     EstimateOracle,
     ExactOracle,
     InputError,
     InvariantViolation,
     KernelSpec,
+    NumericalError,
     RngHandle,
+    alpha_factor,
     batch_exact,
+    build_selection,
+    estimate_deff_increment,
     exact_rls,
     gram,
     ink_estimate_run,
@@ -26,9 +31,13 @@ from nystream import (
     stream_column,
     suggest_batch_m,
     suggest_q_bar,
+    update_deff,
 )
 from nystream.evaluation import SyntheticSpec, generate_synthetic
 from nystream.kernels import KernelColumn
+from nystream.leverage import estimate_rls_batch
+
+from conftest import border
 
 
 def orthogonal_dataset(n):
@@ -214,6 +223,94 @@ class TestEstimateOracleAgainstExact:
             assert profile.deff_tilde >= prof.deff - 1e-9
 
 
+class PublicPathOracle:
+    """Wraps an EstimateOracle and recomputes every step through the public
+    estimators: the sketch from nystrom_approx on the dictionary block,
+    estimate_rls_batch on it bordered with the new column, and
+    estimate_deff_increment."""
+
+    def __init__(self, gamma, epsilon):
+        self.gamma, self.epsilon = gamma, epsilon
+        self.diagnostics, self.reference_diagnostics = Diagnostics(), Diagnostics()
+        self.oracle = EstimateOracle(gamma, epsilon, diagnostics=self.diagnostics)
+        self.steps = []
+
+    def begin_step(self, state, new_index, cross, self_term):
+        tau, deff = self.oracle.begin_step(state, new_index, cross, self_term)
+        if state.step:
+            gamma, eps = self.gamma, self.epsilon
+            weights = {pos: np.sqrt(b) for pos, b in enumerate(state.dictionary.weights.values())}
+            selection = build_selection(range(len(weights)), weights, len(weights))
+            sketch = nystrom_approx(state.dict_gram, selection, gamma).materialize()
+            columns = border(state.dict_gram, cross, self_term)
+            tau_ref = estimate_rls_batch(
+                border(sketch, cross, self_term), columns, np.diag(columns), gamma, eps,
+                diagnostics=self.reference_diagnostics,
+            )
+            delta = estimate_deff_increment(sketch, cross, self_term, gamma, eps)
+            deff_ref = update_deff(state.deff_tilde, delta, eps, diagnostics=self.reference_diagnostics)
+            self.steps.append((tau, tau_ref, deff, deff_ref))
+        return tau, deff
+
+
+class TestEstimateOracleMatchesEstimators:
+    def test_seeded_stream(self):
+        spec = SyntheticSpec(n=300, d=3, n_clusters=4, cluster_std=0.5)
+        ds = generate_synthetic(spec, rng=7).dataset
+        wrapper = PublicPathOracle(0.01, 0.5)
+        ink_oracle_run(ds, KernelSpec.gaussian_kernel(2.0), 0.01, 200, wrapper, rng=7)
+        assert len(wrapper.steps) == 299
+        for tau, tau_ref, deff, deff_ref in wrapper.steps:
+            np.testing.assert_allclose(tau, tau_ref, rtol=1e-10, atol=1e-10 * np.max(tau_ref))
+            assert deff == pytest.approx(deff_ref, rel=1e-10, abs=0.0)
+        assert wrapper.diagnostics == wrapper.reference_diagnostics
+
+    @staticmethod
+    def _one_column_state(dict_gram):
+        q = dict_gram.shape[0]
+        state = initial_state(10, RngHandle(0), 1)
+        return replace(
+            state, step=q, deff_tilde=0.5, dict_gram=dict_gram, dict_points=np.zeros((q, 1)),
+            dictionary=Dictionary({i: 1 for i in range(q)}, q_bar=10),
+        )
+
+    def test_indefinite_bordering_fallback(self):
+        """The bordered matrix is indefinite at shift alpha*gamma while the
+        sketch plus alpha*gamma is positive definite: the scores take the
+        symmetric-indefinite fallback (counted clamps included) and the step
+        fails on the increment's denominator, as on the public path."""
+        gamma, eps = 0.1, 0.5
+        shift = alpha_factor(eps) * gamma
+        state = self._one_column_state(np.array([[1.0]]))
+        cross, corner = np.array([1.0]), 0.01
+        sketch = nystrom_approx(state.dict_gram, build_selection([0], {0: 1.0}, 1), gamma).materialize()
+        assert sketch[0, 0] + shift > 0
+        assert np.linalg.eigvalsh(border(sketch, cross, corner) + shift * np.eye(2))[0] < 0
+        reference = Diagnostics()
+        columns = border(state.dict_gram, cross, corner)
+        estimate_rls_batch(
+            border(sketch, cross, corner), columns, np.diag(columns), gamma, eps, diagnostics=reference
+        )
+        diagnostics = Diagnostics()
+        oracle = EstimateOracle(gamma, eps, diagnostics=diagnostics)
+        with pytest.raises(NumericalError, match="increment denominator"):
+            oracle.begin_step(state, 1, cross, corner)
+        assert diagnostics == reference
+        assert reference.rls_clamped_low + reference.rls_clamped_high > 0
+
+    def test_numerical_error_on_indefinite_dictionary_block(self):
+        """A dictionary block whose weighted form plus gamma is not positive
+        definite cannot be factored: NumericalError, as from the public
+        materialize()."""
+        gamma, eps = 0.1, 0.5
+        state = self._one_column_state(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        selection = build_selection([0, 1], {0: 1.0, 1: 1.0}, 2)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            nystrom_approx(state.dict_gram, selection, gamma).materialize()
+        with pytest.raises(NumericalError, match="not positive definite"):
+            EstimateOracle(gamma, eps).begin_step(state, 2, np.array([0.5, 0.5]), 1.0)
+
+
 class TestRuns:
     def test_single_point_estimate_run(self):
         ds = Dataset(points=[[2.0]])
@@ -338,6 +435,17 @@ class TestRuns:
         with pytest.raises(InputError, match="gamma must be positive"):
             ink_estimate_run(ds, kern, gamma, 10, 0.5, audit=audit)
         assert audit.points_consumed == []
+
+    @pytest.mark.parametrize("algorithm", ["ink-estimate", "ink-oracle"])
+    def test_result_factor_sampled_is_exactly_symmetric(self, algorithm):
+        ds = clustered(120, seed=15, d=3)
+        kern = KernelSpec.gaussian_kernel(1.0)
+        if algorithm == "ink-estimate":
+            res = ink_estimate_run(ds, kern, 0.05, 100, 0.5, rng=2)
+        else:
+            res = ink_oracle_run(ds, kern, 0.05, 20, rng=2)
+        assert res.factor.size > 1
+        assert np.array_equal(res.factor.sampled, res.factor.sampled.T)
 
     def test_estimate_run_diagnostics_labels(self):
         ds = clustered(40, seed=13)
