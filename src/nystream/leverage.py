@@ -12,7 +12,6 @@ condition checked by :mod:`nystream.evaluation`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Mapping
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -84,15 +83,16 @@ class LeverageProfile:
 
 @dataclass(frozen=True)
 class EstimatedProfile:
-    """One step's estimated scores, keyed by column index.
+    """One step's estimates, aligned with the queried columns: the
+    dictionary's ``indices`` in order, then the new column.
 
-    Covers exactly the queried indices (current dictionary plus the new
-    column); ``p_tilde`` holds the post-clamp sampling probabilities.
+    ``p_tilde`` holds the post-clamp sampling probabilities.
     """
 
-    tau_tilde: dict[int, float]
+    indices: np.ndarray
+    tau_tilde: np.ndarray
     deff_tilde: float
-    p_tilde: dict[int, float]
+    p_tilde: np.ndarray
 
 
 def exact_rls(K: np.ndarray, gamma: float) -> LeverageProfile:
@@ -144,36 +144,24 @@ def estimate_rls_batch(
     diagonal = np.atleast_1d(np.asarray(diagonal, dtype=np.float64))
     if columns.shape[1] != diagonal.shape[0]:
         raise InputError("one diagonal entry is needed per column")
-    tau, _ = _rls(symmetrize(K_bar), columns, diagonal, alpha * gamma, diagnostics)
-    return tau
-
-
-def _rls(
-    K_bar: np.ndarray,
-    columns: np.ndarray,
-    diagonal: np.ndarray,
-    shift: float,
-    diagnostics: Diagnostics | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The estimates of :func:`estimate_rls_batch` for an exactly symmetric
-    ``K_bar`` and ``shift = alpha * gamma``, plus the Cholesky factor of
-    ``K_bar + shift I`` (None when that matrix is indefinite and a
-    symmetric-indefinite solve gives the quadratic forms).
-    """
+    K_bar, shift = symmetrize(K_bar), alpha * gamma
     try:
         factor = shifted_cholesky(K_bar, shift)
     except NumericalError:
-        solved = solve_shifted_indefinite(K_bar, shift, columns)
-        quad, factor = np.einsum("ij,ij->j", columns, solved), None
+        quad = np.einsum("ij,ij->j", columns, solve_shifted_indefinite(K_bar, shift, columns))
     else:
         # columns_j^T (L L^T)^{-1} columns_j is the squared norm of L^{-1} columns_j.
         half = solve_triangular(factor, columns, lower=True, check_finite=False)
         quad = np.einsum("ij,ij->j", half, half)
+    return _clamped_scores(diagonal, quad, shift, diagnostics)
+
+
+def _clamped_scores(diagonal, quad, shift: float, diagnostics: Diagnostics | None) -> np.ndarray:
     raw = (diagonal - quad) / shift
     if diagnostics is not None:
         diagnostics.rls_clamped_low += int(np.sum(raw < 0.0))
         diagnostics.rls_clamped_high += int(np.sum(raw > 1.0))
-    return np.clip(raw, 0.0, 1.0), factor
+    return np.clip(raw, 0.0, 1.0)
 
 
 def estimate_rls(
@@ -299,20 +287,31 @@ def estimate_step(
 ) -> tuple[np.ndarray, float]:
     """One streaming step's estimates from one factor of the bordered sketch.
 
-    ``K_bar`` is the sketch bordered with the exact new column as its last
-    row and column, built exactly symmetric (it is not symmetrized or
-    checked).  Returns ``estimate_rls_batch(K_bar, columns, diagonal, gamma,
-    epsilon)`` and ``estimate_deff_increment(K_bar[:-1, :-1], K_bar[:-1, -1],
-    K_bar[-1, -1], gamma, epsilon)``: the last row of the Cholesky factor of
+    ``K_bar`` is the sketch ``K~_D`` bordered with the exact new column
+    ``c`` and self term ``k`` as its last row and column, built exactly
+    symmetric (it is not symmetrized or checked).  Returns
+    ``estimate_rls_batch(K_bar, columns, diagonal, gamma, epsilon)`` and
+    ``estimate_deff_increment(K_bar[:-1, :-1], K_bar[:-1, -1], K_bar[-1, -1],
+    gamma, epsilon)``: the last row of the Cholesky factor of
     ``K_bar + alpha gamma I`` is the whitened new column that the
     increment's ``alpha gamma`` form needs, so the step factors three
-    matrices instead of four.
+    matrices instead of four.  When that factor fails, the increment's
+    denominator (the bordered Schur complement less ``(alpha - 1) gamma``)
+    cannot be positive, so the step raises :class:`NumericalError` at once.
     """
     if not gamma > 0:
         raise InputError("gamma must be positive")
-    tau, factor = _rls(K_bar, columns, diagonal, alpha_factor(epsilon) * gamma, diagnostics)
-    whitened = None if factor is None else factor[-1, :-1]
-    delta = _increment(K_bar[:-1, :-1], K_bar[:-1, -1], float(K_bar[-1, -1]), gamma, epsilon, whitened)
+    shift = alpha_factor(epsilon) * gamma
+    try:
+        factor = shifted_cholesky(K_bar, shift)
+    except NumericalError as exc:
+        raise NumericalError(
+            "K~_D + alpha*gamma*I or its bordered Schur complement k + alpha*gamma - c^T "
+            f"(K~_D + alpha*gamma*I)^-1 c is not positive: bordered {exc}"
+        ) from None
+    half = solve_triangular(factor, columns, lower=True, check_finite=False)
+    tau = _clamped_scores(diagonal, np.einsum("ij,ij->j", half, half), shift, diagnostics)
+    delta = _increment(K_bar[:-1, :-1], K_bar[:-1, -1], float(K_bar[-1, -1]), gamma, epsilon, factor[-1, :-1])
     return tau, delta
 
 
@@ -342,12 +341,12 @@ def update_deff(
     return deff_tilde + alpha_factor(epsilon) * delta_tilde
 
 
-def clamp_probabilities(
-    new: Mapping[int, float], old: Mapping[int, float]
-) -> dict[int, float]:
-    """Element-wise minimum of two probability maps over the new map's keys.
+def clamp_probabilities(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Element-wise minimum of ``new`` and ``old`` at ``old``'s positions.
 
-    Keys missing from ``old`` (a brand-new index has no previous value) pass
-    through unclamped.
+    ``new`` is aligned with ``old`` and may run longer: entries past ``old``
+    (a brand-new index has no previous value) pass through unclamped.
     """
-    return {i: min(p, old[i]) if i in old else p for i, p in new.items()}
+    out = np.array(new, dtype=np.float64)
+    np.minimum(out[: len(old)], old, out=out[: len(old)])
+    return out

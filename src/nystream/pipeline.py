@@ -11,11 +11,11 @@ kernel approximation:
   estimators, so the whole run touches each sample exactly once and stores
   only dictionary-sized state.
 
-The streaming loop keeps, besides the dictionary itself, the kernel block
-among dictionary points (Q x Q), the raw dictionary points (Q x d), the
-clamped sampling probabilities and the running effective-dimension estimate.
-The factored approximation restricted to dictionary rows is derived from the
-kernel block and the dictionary weights where it is needed, not carried.
+The streaming loop keeps position-aligned arrays (the dictionary's ascending
+indices, integer weights and clamped sampling probabilities, the kernel block
+among dictionary points, Q x Q, and the raw points, Q x d) plus the running
+effective-dimension estimate.  The factored approximation restricted to
+dictionary rows is derived from them where it is needed, not carried.
 Nothing sized with the stream length is ever stored.
 
 Each step makes one oracle call, which returns the leverage scores of the
@@ -46,7 +46,7 @@ from .leverage import (
 )
 from .linalg import regularized_solve, spectral_norm
 from .nystrom import NystromFactor, Selection, build_selection, nystrom_approx
-from .sampling import Dictionary, RngHandle, direct_sample, selection_weights, shrink_expand
+from .sampling import _KEY_SPAN, Dictionary, RngHandle, direct_sample, selection_weights, shrink_expand
 
 
 class ScoreOracle(Protocol):
@@ -55,8 +55,9 @@ class ScoreOracle(Protocol):
     ``begin_step`` is called once per arriving column, with the state before
     the step and the new column's cross terms (aligned with the dictionary)
     and self evaluation.  It returns ``(tau, deff)``: a float64 array of
-    scores aligned with ``state.dict_indices + (new_index,)`` and the
-    effective dimension of the grown matrix.
+    scores for the dictionary columns in the order of
+    ``state.dictionary.indices``, then for ``new_index``, and the effective
+    dimension of the grown matrix.
     """
 
     def begin_step(
@@ -111,26 +112,24 @@ class RunResult:
 
 @dataclass(frozen=True)
 class SketchState:
-    """Everything the streaming loop carries between steps."""
+    """Everything the streaming loop carries between steps; ``p_tilde``,
+    ``dict_gram`` and ``dict_points`` are aligned with the dictionary's
+    positions."""
 
     step: int
     dictionary: Dictionary
-    p_tilde: dict[int, float]
+    p_tilde: np.ndarray
     deff_tilde: float
     dict_gram: np.ndarray
     dict_points: np.ndarray
     rng: RngHandle
 
-    @property
-    def dict_indices(self) -> tuple[int, ...]:
-        return self.dictionary.indices
-
 
 def initial_state(q_bar: int, rng: RngHandle, dim: int) -> SketchState:
     return SketchState(
         step=0,
-        dictionary=Dictionary.empty(q_bar),
-        p_tilde={},
+        dictionary=Dictionary.from_weights({}, q_bar),
+        p_tilde=np.empty(0),
         deff_tilde=0.0,
         dict_gram=np.zeros((0, 0)),
         dict_points=np.zeros((0, dim)),
@@ -148,10 +147,10 @@ def _border(M: np.ndarray, v: np.ndarray, corner: float) -> np.ndarray:
     return out
 
 
-def _restricted_factor(dict_gram: np.ndarray, dictionary: Dictionary, gamma: float) -> NystromFactor:
+def _restricted_factor(dict_gram: np.ndarray, counts: np.ndarray, gamma: float) -> NystromFactor:
     # cross = D B^{1/2}, sampled = B^{1/2} D B^{1/2}: the dictionary-row
     # restriction of the weighted selection applied to the kernel matrix.
-    sqrt_b = np.sqrt(np.fromiter(dictionary.weights.values(), dtype=np.float64, count=dictionary.size))
+    sqrt_b = np.sqrt(counts)
     cross = dict_gram * sqrt_b[None, :]
     # sqrt_b_i * sqrt_b_j is exact in either order, so the block is exactly symmetric.
     sampled = dict_gram * np.outer(sqrt_b, sqrt_b)
@@ -197,8 +196,7 @@ class ExactOracle:
             self._inv = _border(top, -u / xi, 1.0 / xi)
         else:
             self._inv = np.array([[1.0 / (self_term + self._gamma)]])
-        keys = list(state.dict_indices) + [new_index]
-        tau = 1.0 - self._gamma * np.diag(self._inv)[keys]
+        tau = 1.0 - self._gamma * np.diag(self._inv)[np.append(state.dictionary.indices, new_index)]
         return tau, float(t + 1 - self._gamma * np.trace(self._inv))
 
 
@@ -233,7 +231,7 @@ class EstimateOracle:
             # The very first effective dimension is available exactly.
             deff = self_term / (self_term + gamma) if self_term > 0 else 0.0
             return np.array([tau_new]), deff
-        sketch_block = _restricted_factor(state.dict_gram, state.dictionary, gamma).materialize()
+        sketch_block = _restricted_factor(state.dict_gram, state.dictionary.counts, gamma).materialize()
         gram_block = _border(state.dict_gram, cross, self_term)
         bordered = _border(sketch_block, cross, self_term)
         tau, delta = estimate_step(
@@ -259,47 +257,46 @@ def ink_step(
     clamps the induced probabilities against the previous step, runs the
     shrink/expand chains, and keeps the kernel block and points of the
     surviving columns.  ``column.cross`` must be aligned with the current
-    dictionary order.
+    dictionary order, and ``new_index`` must exceed every dictionary index.
     """
-    if column.cross.shape[0] != state.dictionary.size:
+    d = state.dictionary
+    if column.cross.shape[0] != d.size:
         raise InputError("column restriction does not match the dictionary")
     step = state.step + 1
     tau, deff_new = oracle.begin_step(state, new_index, column.cross, column.self_term)
-    queried = state.dict_indices + (new_index,)
     tau = np.asarray(tau, dtype=np.float64)
-    if tau.shape != (len(queried),):
-        raise InputError(f"score oracle returned scores of shape {tau.shape} for {len(queried)} columns")
+    if tau.shape != (d.size + 1,):
+        raise InputError(f"score oracle returned scores of shape {tau.shape} for {d.size + 1} columns")
     raw_p = tau / deff_new if deff_new > 0 else np.zeros_like(tau)
-    p_new = clamp_probabilities(dict(zip(queried, raw_p.tolist())), state.p_tilde)
-    profile = EstimatedProfile(tau_tilde=dict(zip(queried, tau.tolist())), deff_tilde=deff_new, p_tilde=p_new)
-
-    new_dict = shrink_expand(state.dictionary, p_new, new_index, state.rng, step)
-    cap = 8 * state.dictionary.q_bar
-    if new_dict.size > cap:
+    p_new = clamp_probabilities(raw_p, state.p_tilde)
+    weights = shrink_expand(d, p_new, new_index, state.rng, step)
+    keep = np.flatnonzero(weights)
+    cap = 8 * d.q_bar
+    if keep.shape[0] > cap:
         raise InvariantViolation(
-            f"dictionary grew to {new_dict.size} columns at step {step}, "
+            f"dictionary grew to {keep.shape[0]} columns at step {step}, "
             f"beyond the hard cap {cap}"
         )
 
-    old_pos = {i: pos for pos, i in enumerate(state.dict_indices)}
-    kept_old = [i for i in new_dict.indices if i != new_index]
-    pos = [old_pos[i] for i in kept_old]
-    gram_block = state.dict_gram[np.ix_(pos, pos)]
-    points_block = state.dict_points[pos]
-    if new_index in new_dict.weights:
-        gram_block = _border(gram_block, column.cross[pos], column.self_term)
-        points_block = np.vstack([points_block, point[None, :]]) if points_block.size else point[None, :].copy()
+    queried = np.append(d.indices, new_index)
+    admitted = weights[-1] != 0
+    old = keep[:-1] if admitted else keep
+    gram_block = state.dict_gram[np.ix_(old, old)]
+    points_block = state.dict_points[old]
+    if admitted:
+        gram_block = _border(gram_block, column.cross[old], column.self_term)
+        points_block = np.vstack([points_block, point[None, :]])
 
     next_state = replace(
         state,
         step=step,
-        dictionary=new_dict,
-        p_tilde={i: p_new[i] for i in new_dict.indices},
+        dictionary=Dictionary(queried[keep], weights[keep], d.q_bar),
+        p_tilde=p_new[keep],
         deff_tilde=deff_new,
         dict_gram=gram_block,
         dict_points=points_block,
     )
-    return next_state, profile
+    return next_state, EstimatedProfile(queried, tau, deff_new, p_new)
 
 
 def _as_handle(rng: RngHandle | int) -> RngHandle:
@@ -311,8 +308,8 @@ def _checkpoint(state: SketchState, started: float) -> RunCheckpoint:
         step=state.step,
         dict_size=state.dictionary.size,
         deff_tilde=state.deff_tilde,
-        indices=state.dict_indices,
-        weights=tuple(float(b) for b in state.dictionary.weights.values()),
+        indices=tuple(state.dictionary.indices.tolist()),
+        weights=tuple(state.dictionary.counts.astype(np.float64).tolist()),
         elapsed_seconds=time.perf_counter() - started,
     )
 
@@ -334,10 +331,13 @@ def _stream_run(
         raise InputError("gamma must be positive")
     if checkpoint_every < 0:
         raise InputError("checkpoint_every must be non-negative (0 keeps only the final checkpoint)")
+    n = len(dataset)
+    if n >= _KEY_SPAN:
+        # Chain substreams are keyed by step, which must stay below 2**28.
+        raise InputError(f"stream of {n} points is too long: the limit is 2**28 - 1 = {_KEY_SPAN - 1}")
     state = initial_state(q_bar, rng, dataset.dim)
     started = time.perf_counter()
     checkpoints: list[RunCheckpoint] = []
-    n = len(dataset)
     for idx in range(n):
         point = dataset.points[idx]
         if audit is not None:
@@ -348,14 +348,14 @@ def _stream_run(
             cross = np.empty(0)
         self_term = evaluate(kernel, point, point)
         if audit is not None:
-            audit.record_pairs(idx, state.dict_indices)
+            audit.record_pairs(idx, state.dictionary.indices)
             audit.record_pairs(idx, (idx,))
         state, _ = ink_step(state, idx, point, KernelColumn(cross, self_term), oracle)
         if checkpoint_every and state.step % checkpoint_every == 0 and state.step != n:
             checkpoints.append(_checkpoint(state, started))
     checkpoints.append(_checkpoint(state, started))
 
-    factor = _restricted_factor(state.dict_gram, state.dictionary, float(gamma))
+    factor = _restricted_factor(state.dict_gram, state.dictionary.counts, float(gamma))
     diag = (diagnostics if diagnostics is not None else Diagnostics()).as_dict()
     if epsilon is not None and state.dictionary.size:
         # lambda_max of the sketch is only a lower-bound stand-in for the
@@ -364,9 +364,7 @@ def _stream_run(
         rho_proxy = spectral_norm(factor.materialize()) / gamma
         diag["rho_lower_bound_proxy"] = rho_proxy
         diag["beta_from_sketch_proxy"] = beta_factor(epsilon, rho_proxy)
-    selection = build_selection(
-        state.dict_indices, selection_weights(state.dictionary), n
-    )
+    selection = build_selection(state.dictionary.indices.tolist(), selection_weights(state.dictionary), n)
     return RunResult(
         algorithm=algorithm,
         n_steps=n,

@@ -20,6 +20,7 @@ _PURPOSE_CHAIN = 1
 _PURPOSE_BATCH = 2
 _MASK64 = (1 << 64) - 1
 _KEY_SPAN = 1 << 28  # step/index components must stay below this
+_ONE = np.ones(1, dtype=np.int64)  # entry weight of a new index
 
 
 @dataclass(frozen=True)
@@ -51,34 +52,37 @@ class RngHandle:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Retained column indices with positive integer weights.
+    """Retained columns as position-aligned arrays: ascending int64
+    ``indices`` and their positive int64 integer weights ``counts``.
 
     ``q_bar`` is the capacity parameter: chains fire whenever an index's
-    weight-probability product drops to 1/q_bar or below.
+    weight-probability product drops to 1/q_bar or below.  The constructor
+    takes the arrays as they are; :meth:`from_weights` validates and sorts.
     """
 
-    weights: dict[int, int]
+    indices: np.ndarray
+    counts: np.ndarray
     q_bar: int
 
-    def __post_init__(self) -> None:
-        if int(self.q_bar) < 1:
-            raise InputError("q_bar must be a positive integer")
-        for i, b in self.weights.items():
-            if b < 1:
-                raise InputError(f"index {i} has non-positive weight {b}")
-        object.__setattr__(self, "weights", dict(sorted(self.weights.items())))
-
     @classmethod
-    def empty(cls, q_bar: int) -> "Dictionary":
-        return cls(weights={}, q_bar=q_bar)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self.weights)
+    def from_weights(cls, weights: Mapping[int, int], q_bar: int) -> "Dictionary":
+        if int(q_bar) < 1:
+            raise InputError("q_bar must be a positive integer")
+        for i, b in weights.items():
+            if not (b >= 1 and float(b).is_integer()):
+                raise InputError(f"index {i} needs a positive integer weight, got {b}")
+        indices = np.array(sorted(weights), dtype=np.int64)
+        return cls(indices, np.array([weights[i] for i in indices.tolist()], dtype=np.int64), q_bar)
 
     @property
     def size(self) -> int:
-        return len(self.weights)
+        return self.indices.shape[0]
+
+    @property
+    def weights(self) -> dict[int, int]:
+        """Index -> weight, built on each access for readers that look
+        weights up by column index; the streaming step reads the arrays."""
+        return dict(zip(self.indices.tolist(), self.counts.tolist()))
 
 
 def direct_sample(p, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -109,48 +113,43 @@ def _weight_chain(b: int, p: float, inv_budget: float, gen: np.random.Generator)
 
 def shrink_expand(
     dictionary: Dictionary,
-    p_tilde: Mapping[int, float],
+    p_tilde: np.ndarray,
     new_index: int,
     rng: RngHandle,
     step: int,
-) -> Dictionary:
+) -> np.ndarray:
     """One dictionary update: rethreshold retained weights, admit the new index.
 
-    ``p_tilde`` must cover every retained index plus ``new_index`` with the
-    already-clamped (monotone) probabilities.  Retained indices whose chain
-    fails are dropped and never resurface; the new index enters with weight 1
-    and runs the same chain against its own probability.
+    ``p_tilde`` holds the already-clamped (monotone) probabilities of the
+    retained columns in dictionary order, then that of ``new_index``, which
+    must exceed every retained index.  Returns the weights in the same order,
+    0 for a dropped column: retained columns whose chain fails are dropped
+    and never resurface; the new index enters with weight 1 and runs the
+    same chain against its own probability.
     """
+    q = dictionary.size
+    p = np.asarray(p_tilde, dtype=np.float64)
+    if p.shape != (q + 1,):
+        raise InputError(f"expected {q + 1} probabilities (dictionary plus new index), got shape {p.shape}")
+    if q and new_index <= dictionary.indices[-1]:
+        raise InputError(f"index {new_index} does not follow the dictionary's last index {dictionary.indices[-1]}")
+    b = np.concatenate((dictionary.counts, _ONE))
     inv_budget = 1.0 / dictionary.q_bar
-    out: dict[int, int] = {}
-    for i, b in dictionary.weights.items():
-        try:
-            p = p_tilde[i]
-        except KeyError:
-            raise InputError(f"no probability supplied for retained index {i}")
-        if not p > 0:
-            raise InputError(f"retained index {i} has non-positive probability")
-        if b * p <= inv_budget:
-            # Substreams are keyed by (step, index), so skipping generator
-            # creation for chains that never fire cannot shift anyone else's
-            # randomness.
-            b = _weight_chain(b, p, inv_budget, rng.chain_stream(step, i))
-        if b != 0:
-            out[i] = b
-    if new_index in dictionary.weights:
-        raise InputError(f"index {new_index} is already in the dictionary")
-    p_new = p_tilde.get(new_index, 0.0)
-    if p_new > 0:
-        b_new = 1
-        if b_new * p_new <= inv_budget:
-            b_new = _weight_chain(1, p_new, inv_budget, rng.chain_stream(step, new_index))
-        if b_new != 0:
-            out[new_index] = b_new
-    # p_new <= 0 only in degenerate streams (zero kernel mass); the chain
-    # would then a.s. end at weight 0, so drop the column outright.
-    return Dictionary(weights=out, q_bar=dictionary.q_bar)
+    # Chains run only where b * p <= 1/q_bar (any p <= 0 or NaN included);
+    # substreams are keyed by (step, index), so skipping the rest shifts no draws.
+    for pos in (~(b * p > inv_budget)).nonzero()[0].tolist():
+        index = new_index if pos == q else int(dictionary.indices[pos])
+        if p[pos] > 0:
+            b[pos] = _weight_chain(int(b[pos]), float(p[pos]), inv_budget, rng.chain_stream(step, index))
+        elif pos < q:
+            raise InputError(f"retained index {index} has non-positive probability")
+        else:
+            # Only degenerate streams (zero kernel mass) get here; the chain
+            # would a.s. end at weight 0, so the column is dropped outright.
+            b[pos] = 0
+    return b
 
 
 def selection_weights(dictionary: Dictionary) -> dict[int, float]:
     """Square roots of the integer weights: the selection entries."""
-    return {i: float(np.sqrt(b)) for i, b in dictionary.weights.items()}
+    return dict(zip(dictionary.indices.tolist(), np.sqrt(dictionary.counts).tolist()))

@@ -213,16 +213,16 @@ def test_criterion_05_shrink_expand_martingale():
         if l >= l_target:
             # threshold not crossed: the chain must not fire at all
             for trial in range(200):
-                d = Dictionary(weights={0: l}, q_bar=q_bar)
-                out = shrink_expand(d, {0: p, 1: 1.0}, 1, handle, step=row * trials + trial)
-                assert out.weights[0] == l
+                d = Dictionary.from_weights({0: l}, q_bar=q_bar)
+                out = shrink_expand(d, np.array([p, 1.0]), 1, handle, step=row * trials + trial)
+                assert out[0] == l
             continue
         survived = 0
         for trial in range(trials):
-            d = Dictionary(weights={0: l}, q_bar=q_bar)
-            out = shrink_expand(d, {0: p, 1: 1.0}, 1, handle, step=row * trials + trial)
-            if 0 in out.weights:
-                assert out.weights[0] == l_target
+            d = Dictionary.from_weights({0: l}, q_bar=q_bar)
+            out = shrink_expand(d, np.array([p, 1.0]), 1, handle, step=row * trials + trial)
+            if out[0]:
+                assert out[0] == l_target
                 survived += 1
         rate = survived / trials
         mean_b = l_target * rate

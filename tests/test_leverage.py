@@ -16,6 +16,7 @@ from nystream import (
     update_deff,
 )
 from nystream.leverage import curvature_coefficient, estimate_rls_batch, estimate_step
+from nystream.linalg import shifted_cholesky
 
 from conftest import border, random_gram, random_psd
 
@@ -277,6 +278,13 @@ class TestEstimateStep:
             except NumericalError as exc:
                 with pytest.raises(NumericalError) as raised:
                     estimate_step(bordered, K, np.diag(K), gamma, eps, diagnostics=diag_step)
+                try:
+                    shifted_cholesky(bordered, alpha_factor(eps) * gamma)
+                except NumericalError:
+                    # The bordered factor fails: the step stops before any score.
+                    assert "bordered Schur complement" in str(raised.value)
+                    assert diag_step == Diagnostics()
+                    continue
                 # The same check fails; the values in the messages may differ in rounding.
                 assert str(raised.value).split()[:2] == str(exc).split()[:2]
                 assert diag_step == diag_ref
@@ -291,9 +299,10 @@ class TestEstimateStep:
     def test_indefinite_bordering_takes_the_fallback(self):
         """A new column too large for the sketch makes the bordered matrix
         indefinite at shift alpha*gamma while the sketch itself is fine: the
-        scores come from the symmetric-indefinite solve, and the increment's
-        denominator, which is that Schur complement minus (alpha-1)*gamma,
-        is then negative as well."""
+        batch scores come from the symmetric-indefinite solve, and the
+        increment's denominator, which is that Schur complement minus
+        (alpha-1)*gamma, is then negative as well, so the step raises on the
+        failed factor before computing any score."""
         gamma, eps = 0.1, 0.5
         shift = alpha_factor(eps) * gamma
         sketch, column, corner = np.array([[1.0 / 1.1]]), np.array([1.0]), 0.01
@@ -308,9 +317,9 @@ class TestEstimateStep:
         np.testing.assert_allclose(tau_ref, np.clip(raw, 0.0, 1.0), atol=1e-12)
         with pytest.raises(NumericalError, match="increment denominator"):
             estimate_deff_increment(sketch, column, corner, gamma, eps)
-        with pytest.raises(NumericalError, match="increment denominator"):
+        with pytest.raises(NumericalError, match="bordered Schur complement .* not positive definite"):
             estimate_step(bordered, exact_cols, np.diag(exact_cols), gamma, eps, diagnostics=diag_step)
-        assert diag_step == diag_ref
+        assert diag_step == Diagnostics()
 
     @pytest.mark.parametrize("low", [-1.0, -0.2], ids=["alpha-gamma", "gamma"])
     def test_indefinite_sketch_raises(self, low):
@@ -354,26 +363,26 @@ class TestUpdateDeff:
 
 class TestClampProbabilities:
     def test_new_above_old(self):
-        old = {0: 0.5, 1: 0.25}
-        new = {0: 0.9, 1: 0.8}
-        assert clamp_probabilities(new, old) == old
+        old = np.array([0.5, 0.25])
+        new = np.array([0.9, 0.8])
+        assert clamp_probabilities(new, old).tolist() == old.tolist()
 
     def test_new_below_old(self):
-        old = {0: 0.5, 1: 0.25}
-        new = {0: 0.1, 1: 0.2}
-        assert clamp_probabilities(new, old) == new
+        old = np.array([0.5, 0.25])
+        new = np.array([0.1, 0.2])
+        assert clamp_probabilities(new, old).tolist() == new.tolist()
 
     def test_mixed_matches_naive_loop(self, rng):
         keys = list(range(12))
-        old = {k: float(rng.uniform(0, 1)) for k in keys}
-        new = {k: float(rng.uniform(0, 1)) for k in keys}
+        old = rng.uniform(0, 1, size=12)
+        new = rng.uniform(0, 1, size=12)
         got = clamp_probabilities(new, old)
         for k in keys:
             assert got[k] == min(new[k], old[k])
             assert got[k] <= old[k]
 
     def test_unseen_key_passes_through(self):
-        assert clamp_probabilities({5: 0.7}, {}) == {5: 0.7}
+        assert clamp_probabilities(np.array([0.7]), np.empty(0)).tolist() == [0.7]
 
 
 class TestMonotoneLaws:

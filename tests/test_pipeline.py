@@ -69,7 +69,7 @@ def prefix_state(t, dim):
     """State before step ``t + 1`` whose dictionary holds every earlier
     index, so an oracle's scores cover the whole prefix ``0..t``."""
     state = initial_state(10, RngHandle(0), dim)
-    return replace(state, step=t, dictionary=Dictionary({i: 1 for i in range(t)}, q_bar=10))
+    return replace(state, step=t, dictionary=Dictionary.from_weights({i: 1 for i in range(t)}, q_bar=10))
 
 
 def self_term(ds, kern, t):
@@ -124,11 +124,11 @@ class TestInkStep:
         state = initial_state(4, RngHandle(3), ds.dim)
         oracle = StubOracle(tau=1.0, deff=1.0)
         for t in range(6):
-            col = stream_column(ds, kern, t, state.dict_indices)
+            col = stream_column(ds, kern, t, state.dictionary.indices)
             state, profile = ink_step(
                 state, t, ds.points[t], KernelColumn(col.cross, col.self_term), oracle
             )
-            assert profile.p_tilde[t] == 1.0
+            assert profile.p_tilde[-1] == 1.0
         assert state.dictionary.weights == {i: 1 for i in range(6)}
 
     def test_misaligned_column_rejected(self):
@@ -147,9 +147,9 @@ class TestInkStep:
         oracle = ExactOracle(ds, kern, gamma)
         state = initial_state(50, RngHandle(5), ds.dim)
         for t in range(15):
-            col = stream_column(ds, kern, t, state.dict_indices)
+            col = stream_column(ds, kern, t, state.dictionary.indices)
             state, profile = ink_step(state, t, ds.points[t], col, oracle)
-            for p in profile.p_tilde.values():
+            for p in profile.p_tilde:
                 assert p == pytest.approx(1.0 / (t + 1), abs=1e-12)
 
     def test_state_bookkeeping_invariants(self):
@@ -162,19 +162,19 @@ class TestInkStep:
         prev_deff = 0.0
         prev_p: dict[int, float] = {}
         for t in range(60):
-            col = stream_column(ds, kern, t, state.dict_indices)
+            col = stream_column(ds, kern, t, state.dictionary.indices)
             state, profile = ink_step(state, t, ds.points[t], col, oracle)
             q = state.dictionary.size
             assert state.dict_gram.shape == (q, q)
             assert state.dict_points.shape[0] == q
-            assert set(state.p_tilde) == set(state.dict_indices)
-            assert sum(profile.p_tilde.values()) <= 1.0 + 1e-10
+            assert state.p_tilde.shape == (q,)
+            assert sum(profile.p_tilde) <= 1.0 + 1e-10
             assert state.deff_tilde >= prev_deff - 1e-12
-            for i, p in state.p_tilde.items():
+            for i, p in zip(state.dictionary.indices.tolist(), state.p_tilde):
                 if i in prev_p:
                     assert p <= prev_p[i] + 1e-12
             prev_deff = state.deff_tilde
-            prev_p = dict(state.p_tilde)
+            prev_p = dict(zip(state.dictionary.indices.tolist(), state.p_tilde))
             # stored gram is exactly the kernel on the dictionary points
             K_dict = gram(
                 Dataset(points=state.dict_points), kern
@@ -213,11 +213,11 @@ class TestEstimateOracleAgainstExact:
         state = initial_state(10_000, RngHandle(1), ds.dim)
         K = gram(ds, kern)
         for t in range(35):
-            col = stream_column(ds, kern, t, state.dict_indices)
+            col = stream_column(ds, kern, t, state.dictionary.indices)
             state, profile = ink_step(state, t, ds.points[t], col, oracle)
             prof = exact_rls(K[: t + 1, : t + 1], gamma)
             assert state.dictionary.size == t + 1  # nothing evicted
-            for i, tau_t in profile.tau_tilde.items():
+            for i, tau_t in zip(profile.indices, profile.tau_tilde):
                 assert tau_t <= prof.tau[i] + 1e-9
                 assert tau_t >= prof.tau[i] / alpha - 1e-9
             assert profile.deff_tilde >= prof.deff - 1e-9
@@ -271,14 +271,16 @@ class TestEstimateOracleMatchesEstimators:
         state = initial_state(10, RngHandle(0), 1)
         return replace(
             state, step=q, deff_tilde=0.5, dict_gram=dict_gram, dict_points=np.zeros((q, 1)),
-            dictionary=Dictionary({i: 1 for i in range(q)}, q_bar=10),
+            dictionary=Dictionary.from_weights({i: 1 for i in range(q)}, q_bar=10),
         )
 
     def test_indefinite_bordering_fallback(self):
         """The bordered matrix is indefinite at shift alpha*gamma while the
-        sketch plus alpha*gamma is positive definite: the scores take the
-        symmetric-indefinite fallback (counted clamps included) and the step
-        fails on the increment's denominator, as on the public path."""
+        sketch plus alpha*gamma is positive definite: the public scores take
+        the symmetric-indefinite fallback (counting clamps) and the public
+        increment fails on its denominator, while the step raises on the
+        failed bordered factor before any score, leaving the counters
+        untouched."""
         gamma, eps = 0.1, 0.5
         shift = alpha_factor(eps) * gamma
         state = self._one_column_state(np.array([[1.0]]))
@@ -294,8 +296,10 @@ class TestEstimateOracleMatchesEstimators:
         diagnostics = Diagnostics()
         oracle = EstimateOracle(gamma, eps, diagnostics=diagnostics)
         with pytest.raises(NumericalError, match="increment denominator"):
+            estimate_deff_increment(sketch, cross, corner, gamma, eps)
+        with pytest.raises(NumericalError, match="bordered Schur complement .* not positive definite"):
             oracle.begin_step(state, 1, cross, corner)
-        assert diagnostics == reference
+        assert diagnostics == Diagnostics()
         assert reference.rls_clamped_low + reference.rls_clamped_high > 0
 
     def test_numerical_error_on_indefinite_dictionary_block(self):
@@ -435,6 +439,37 @@ class TestRuns:
         with pytest.raises(InputError, match="gamma must be positive"):
             ink_estimate_run(ds, kern, gamma, 10, 0.5, audit=audit)
         assert audit.points_consumed == []
+
+    def test_stream_of_2_pow_28_points_rejected_before_any_point(self):
+        """Chain keys need step < 2**28, so such a stream fails up front,
+        through both entry points, before a single point is read."""
+
+        class PointRead(Exception):
+            pass
+
+        class LongStream:
+            dim = 3
+
+            def __init__(self, n):
+                self.n = n
+
+            def __len__(self):
+                return self.n
+
+            @property
+            def points(self):
+                raise PointRead
+
+        kern = KernelSpec.gaussian_kernel(1.0)
+        audit = AccessAudit()
+        with pytest.raises(InputError, match=r"2\*\*28 - 1 = 268435455"):
+            ink_estimate_run(LongStream(2**28), kern, 1.0, 10, 0.5, audit=audit)
+        with pytest.raises(InputError, match=r"2\*\*28 - 1 = 268435455"):
+            ink_oracle_run(LongStream(2**28), kern, 1.0, 10, StubOracle(), audit=audit)
+        assert audit.points_consumed == []
+        # One point fewer passes the check and goes on to read the first point.
+        with pytest.raises(PointRead):
+            ink_estimate_run(LongStream(2**28 - 1), kern, 1.0, 10, 0.5, audit=audit)
 
     @pytest.mark.parametrize("algorithm", ["ink-estimate", "ink-oracle"])
     def test_result_factor_sampled_is_exactly_symmetric(self, algorithm):
