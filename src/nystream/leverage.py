@@ -266,6 +266,12 @@ def _increment(
         quad_alpha = float(whitened @ whitened)
         u = cho_solve((shifted_cholesky(K_tilde, gamma), True), k_bar, check_finite=False)
         quad_sq = float(u @ u)
+    return _increment_from_forms(k_self, gamma, epsilon, quad_alpha, quad_sq)
+
+
+def _increment_from_forms(k_self: float, gamma: float, epsilon: float, quad_alpha: float, quad_sq: float) -> float:
+    """The increment from its two quadratic forms of the new column ``c``:
+    ``c^T (K~ + alpha gamma I)^-1 c`` and ``|(K~ + gamma I)^-1 c|^2``."""
     denominator = k_self + gamma - quad_alpha
     if denominator <= 0:
         raise NumericalError(
@@ -298,6 +304,9 @@ def estimate_step(
     matrices instead of four.  When that factor fails, the increment's
     denominator (the bordered Schur complement less ``(alpha - 1) gamma``)
     cannot be positive, so the step raises :class:`NumericalError` at once.
+
+    This is the one-shot form of a step; ``EstimateOracle`` gets the same
+    values from the inverses it carries across steps (:mod:`nystream.sketch`).
     """
     if not gamma > 0:
         raise InputError("gamma must be positive")
@@ -305,14 +314,18 @@ def estimate_step(
     try:
         factor = shifted_cholesky(K_bar, shift)
     except NumericalError as exc:
-        raise NumericalError(
-            "K~_D + alpha*gamma*I or its bordered Schur complement k + alpha*gamma - c^T "
-            f"(K~_D + alpha*gamma*I)^-1 c is not positive: bordered {exc}"
-        ) from None
+        raise _bordered_schur_error(str(exc)) from None
     half = solve_triangular(factor, columns, lower=True, check_finite=False)
     tau = _clamped_scores(diagonal, np.einsum("ij,ij->j", half, half), shift, diagnostics)
     delta = _increment(K_bar[:-1, :-1], K_bar[:-1, -1], float(K_bar[-1, -1]), gamma, epsilon, factor[-1, :-1])
     return tau, delta
+
+
+def _bordered_schur_error(detail: str) -> NumericalError:
+    return NumericalError(
+        "K~_D + alpha*gamma*I or its bordered Schur complement k + alpha*gamma - c^T "
+        f"(K~_D + alpha*gamma*I)^-1 c is not positive: bordered {detail}"
+    )
 
 
 def update_deff(

@@ -37,16 +37,19 @@ from .kernels import Dataset, KernelColumn, KernelSpec, _symmetric_pairwise, eva
 from .leverage import (
     Diagnostics,
     EstimatedProfile,
+    _bordered_schur_error,
+    _clamped_scores,
+    _increment_from_forms,
     alpha_factor,
     beta_factor,
     clamp_probabilities,
-    estimate_step,
     exact_rls,
     update_deff,
 )
 from .linalg import regularized_solve, spectral_norm
 from .nystrom import NystromFactor, Selection, build_selection, nystrom_approx
 from .sampling import _KEY_SPAN, Dictionary, RngHandle, direct_sample, selection_weights, shrink_expand
+from .sketch import CarriedSketch, Spares, _border, _restricted_factor, _submatrix
 
 
 class ScoreOracle(Protocol):
@@ -97,6 +100,10 @@ class RunCheckpoint:
 
 @dataclass(frozen=True)
 class RunResult:
+    """A run's output.  Besides the selection it keeps the kernel and the
+    final dictionary's points (Q x d) and integer weights, from which
+    :attr:`factor` is derived on access."""
+
     algorithm: str
     n_steps: int
     gamma: float
@@ -105,9 +112,18 @@ class RunResult:
     seed: int | None
     checkpoints: tuple[RunCheckpoint, ...]
     selection: Selection
-    factor: NystromFactor
+    kernel: KernelSpec
+    dict_points: np.ndarray
+    dict_counts: np.ndarray
     deff_tilde: float
     diagnostics: dict
+
+    @property
+    def factor(self) -> NystromFactor:
+        """The final selection's factored approximation restricted to the
+        dictionary rows; the kernel block is re-evaluated on each access."""
+        gram_block = _symmetric_pairwise(self.kernel, self.dict_points)
+        return _restricted_factor(gram_block, self.dict_counts, float(self.gamma))
 
 
 @dataclass(frozen=True)
@@ -135,26 +151,6 @@ def initial_state(q_bar: int, rng: RngHandle, dim: int) -> SketchState:
         dict_points=np.zeros((0, dim)),
         rng=rng,
     )
-
-
-def _border(M: np.ndarray, v: np.ndarray, corner: float) -> np.ndarray:
-    t = M.shape[0]
-    out = np.empty((t + 1, t + 1))
-    out[:t, :t] = M
-    out[:t, t] = v
-    out[t, :t] = v
-    out[t, t] = corner
-    return out
-
-
-def _restricted_factor(dict_gram: np.ndarray, counts: np.ndarray, gamma: float) -> NystromFactor:
-    # cross = D B^{1/2}, sampled = B^{1/2} D B^{1/2}: the dictionary-row
-    # restriction of the weighted selection applied to the kernel matrix.
-    sqrt_b = np.sqrt(counts)
-    cross = dict_gram * sqrt_b[None, :]
-    # sqrt_b_i * sqrt_b_j is exact in either order, so the block is exactly symmetric.
-    sampled = dict_gram * np.outer(sqrt_b, sqrt_b)
-    return NystromFactor(cross=cross, sampled=sampled, gamma=gamma)
 
 
 class ExactOracle:
@@ -208,7 +204,17 @@ class EstimateOracle:
     inside the streaming memory contract.  The effective-dimension estimate
     is seeded exactly from the first self term and grown by scaled increment
     estimates afterwards.
+
+    The oracle carries the sketch's inverses (:class:`CarriedSketch`) from
+    one step to the next and moves them along with the 1-2 dictionary columns
+    a step changes, in O(k Q^2).  It rebuilds them from scratch every
+    ``_REFRESH_EVERY`` steps, when an update's Schur complement is not
+    positive, and whenever ``begin_step`` gets a state that is not the
+    successor of the one it saw last: the next step of the same run (same
+    random handle), keeping only columns that call queried.
     """
+
+    _REFRESH_EVERY = 64
 
     def __init__(
         self,
@@ -223,24 +229,52 @@ class EstimateOracle:
         self._gamma = float(gamma)
         self._epsilon = float(epsilon)
         self._diagnostics = diagnostics
+        # (sketch, and the step, random handle and possibly admitted index of
+        # the successor state it expects next)
+        self._carried: tuple[CarriedSketch, int, RngHandle, int] | None = None
+        self._spares = Spares()
+
+    def _advanced(self, state) -> CarriedSketch | None:
+        """The carried sketch moved to ``state``; None when a rebuild is due."""
+        carried, self._carried = self._carried, None
+        if carried is None:
+            return None
+        sketch, step, rng, new_index = carried
+        if state.step % self._REFRESH_EVERY == 0 or state.step != step or state.rng is not rng:
+            self._spares.give(sketch.inv_m, sketch.inv_shift, sketch.inv_gamma)
+            return None
+        d = state.dictionary
+        return sketch.advance(d.indices, d.counts, state.dict_gram, new_index)
 
     def begin_step(self, state, new_index, cross, self_term) -> tuple[np.ndarray, float]:
         gamma, eps = self._gamma, self._epsilon
         if state.step == 0:
+            self._carried = None
             tau_new = self_term / (self_term + self.alpha * gamma) if self_term > 0 else 0.0
             # The very first effective dimension is available exactly.
             deff = self_term / (self_term + gamma) if self_term > 0 else 0.0
             return np.array([tau_new]), deff
-        sketch_block = _restricted_factor(state.dict_gram, state.dictionary.counts, gamma).materialize()
-        gram_block = _border(state.dict_gram, cross, self_term)
-        bordered = _border(sketch_block, cross, self_term)
-        tau, delta = estimate_step(
-            bordered, gram_block, np.diag(gram_block), gamma, eps, diagnostics=self._diagnostics
-        )
+        sketch = self._advanced(state)
+        if sketch is not None:
+            forms, quad_alpha, quad_sq, schur = sketch.query(cross, self_term)
+        if sketch is None or not schur > 0:
+            d = state.dictionary
+            sketch = CarriedSketch.rebuild(
+                d.indices, d.counts, state.dict_gram, gamma, self.alpha * gamma, self._spares
+            )
+            forms, quad_alpha, quad_sq, schur = sketch.query(cross, self_term)
+            if not schur > 0:
+                raise _bordered_schur_error(
+                    f"shifted matrix is not positive definite (leading minor {d.size + 1})"
+                )
+        diagonal = np.append(np.diag(state.dict_gram), self_term)
+        tau = _clamped_scores(diagonal, forms, self.alpha * gamma, self._diagnostics)
+        delta = _increment_from_forms(self_term, gamma, eps, quad_alpha, quad_sq)
         if state.deff_tilde > 0:
             deff = update_deff(state.deff_tilde, delta, eps, diagnostics=self._diagnostics)
         else:
             deff = state.deff_tilde + self.alpha * max(delta, 0.0)
+        self._carried = (sketch, state.step + 1, state.rng, new_index)
         return tau, deff
 
 
@@ -281,8 +315,12 @@ def ink_step(
     queried = np.append(d.indices, new_index)
     admitted = weights[-1] != 0
     old = keep[:-1] if admitted else keep
-    gram_block = state.dict_gram[np.ix_(old, old)]
-    points_block = state.dict_points[old]
+    if old.shape[0] == d.size:
+        # No retained column was dropped: the next state shares the arrays.
+        gram_block, points_block = state.dict_gram, state.dict_points
+    else:
+        gram_block = _submatrix(state.dict_gram, old)
+        points_block = state.dict_points[old]
     if admitted:
         gram_block = _border(gram_block, column.cross[old], column.self_term)
         points_block = np.vstack([points_block, point[None, :]])
@@ -355,12 +393,12 @@ def _stream_run(
             checkpoints.append(_checkpoint(state, started))
     checkpoints.append(_checkpoint(state, started))
 
-    factor = _restricted_factor(state.dict_gram, state.dictionary.counts, float(gamma))
     diag = (diagnostics if diagnostics is not None else Diagnostics()).as_dict()
     if epsilon is not None and state.dictionary.size:
         # lambda_max of the sketch is only a lower-bound stand-in for the
         # full spectrum, so the derived factor is a report value, not a
         # guarantee.
+        factor = _restricted_factor(state.dict_gram, state.dictionary.counts, float(gamma))
         rho_proxy = spectral_norm(factor.materialize()) / gamma
         diag["rho_lower_bound_proxy"] = rho_proxy
         diag["beta_from_sketch_proxy"] = beta_factor(epsilon, rho_proxy)
@@ -374,7 +412,9 @@ def _stream_run(
         seed=rng.seed,
         checkpoints=tuple(checkpoints),
         selection=selection,
-        factor=factor,
+        kernel=kernel,
+        dict_points=state.dict_points,
+        dict_counts=state.dictionary.counts,
         deff_tilde=state.deff_tilde,
         diagnostics=diag,
     )

@@ -9,7 +9,7 @@ indices stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -21,6 +21,12 @@ _PURPOSE_BATCH = 2
 _MASK64 = (1 << 64) - 1
 _KEY_SPAN = 1 << 28  # step/index components must stay below this
 _ONE = np.ones(1, dtype=np.int64)  # entry weight of a new index
+_ZERO4 = np.zeros(4, dtype=np.uint64)  # counter and buffer of a fresh Philox
+
+
+def _chain_pair() -> tuple[np.random.Philox, np.random.Generator]:
+    bitgen = np.random.Philox(0)
+    return bitgen, np.random.Generator(bitgen)
 
 
 @dataclass(frozen=True)
@@ -28,6 +34,11 @@ class RngHandle:
     """Seeded source of independent, addressable random substreams."""
 
     seed: int
+    # One Philox generator, re-keyed for every chain substream: creating a
+    # Philox costs several times more than setting its state.
+    _chain: tuple[np.random.Philox, np.random.Generator] = field(
+        default_factory=_chain_pair, init=False, repr=False, compare=False
+    )
 
     def _key(self, purpose: int, a: int, b: int) -> int:
         if not (0 <= a < _KEY_SPAN and 0 <= b < _KEY_SPAN):
@@ -40,10 +51,23 @@ class RngHandle:
         )
 
     def chain_stream(self, step: int, index: int) -> np.random.Generator:
-        """Substream feeding the Bernoulli chain of one index at one step."""
-        return np.random.Generator(
-            np.random.Philox(key=self._key(_PURPOSE_CHAIN, step, index))
-        )
+        """Substream feeding the Bernoulli chain of one index at one step.
+
+        The draws are those of ``Generator(Philox(key=...))`` for the same
+        key, but the returned generator is the handle's one chain generator,
+        re-keyed: it is valid until the handle's next ``chain_stream`` call.
+        """
+        key = self._key(_PURPOSE_CHAIN, step, index)
+        bitgen, gen = self._chain
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO4, "key": np.array([key & _MASK64, key >> 64], dtype=np.uint64)},
+            "buffer": _ZERO4,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
 
     def batch_stream(self) -> np.random.Generator:
         """Substream for batch multinomial sampling."""

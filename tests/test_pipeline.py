@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -36,6 +37,7 @@ from nystream import (
 from nystream.evaluation import SyntheticSpec, generate_synthetic
 from nystream.kernels import KernelColumn
 from nystream.leverage import estimate_rls_batch
+from nystream.sketch import _restricted_factor
 
 from conftest import border
 
@@ -181,6 +183,40 @@ class TestInkStep:
             ) if q else np.zeros((0, 0))
             np.testing.assert_array_equal(state.dict_gram, K_dict)
 
+    def test_steps_leave_their_input_state_unchanged(self):
+        """States share arrays (a step that drops no column passes the kernel
+        block and points on as they are), so neither the oracle nor the step
+        may write into the state they are given: checked bit for bit on steps
+        that admit, evict, reweight and change nothing."""
+        spec = SyntheticSpec(n=300, d=3, n_clusters=4, cluster_std=0.5)
+        ds = generate_synthetic(spec, rng=7).dataset
+        kern = KernelSpec.gaussian_kernel(2.0)
+        oracle = EstimateOracle(0.01, 0.5)
+        state = initial_state(200, RngHandle(7), ds.dim)
+        seen = set()
+        for t in range(len(ds)):
+            d = state.dictionary
+            arrays = (d.indices, d.counts, state.p_tilde, state.dict_gram, state.dict_points)
+            before = [a.tobytes() for a in arrays]
+            col = stream_column(ds, kern, t, d.indices)
+            nxt, _ = ink_step(state, t, ds.points[t], col, oracle)
+            assert [a.tobytes() for a in arrays] == before
+            new = nxt.dictionary
+            admitted = bool(new.size) and new.indices[-1] == t
+            retained = np.isin(d.indices, new.indices)
+            kinds = {
+                "admit": admitted,
+                "evict": not retained.all(),
+                "reweight": not np.array_equal(d.counts[retained], new.counts[: new.size - admitted]),
+            }
+            seen.update(kind for kind, happened in kinds.items() if happened)
+            if not any(kinds.values()):
+                seen.add("nothing")
+            if not (kinds["admit"] or kinds["evict"]):
+                assert nxt.dict_gram is state.dict_gram and nxt.dict_points is state.dict_points
+            state = nxt
+        assert seen == {"admit", "evict", "reweight", "nothing"}
+
     def test_wrong_score_count_rejected(self):
         class ShortOracle(StubOracle):
             def begin_step(self, state, new_index, cross, self_term):
@@ -313,6 +349,52 @@ class TestEstimateOracleMatchesEstimators:
             nystrom_approx(state.dict_gram, selection, gamma).materialize()
         with pytest.raises(NumericalError, match="not positive definite"):
             EstimateOracle(gamma, eps).begin_step(state, 2, np.array([0.5, 0.5]), 1.0)
+
+
+class TestEstimateOracleCarry:
+    """The oracle carries its sketch inverses from a state to its successor
+    and rebuilds them for any other state."""
+
+    GAMMA, EPS = 0.05, 0.5
+
+    @classmethod
+    def _calls(cls, seed, steps, oracle):
+        """``(state, new_index, column)`` of each step of a seeded stream."""
+        ds = clustered(80, seed=5, d=3)
+        kern = KernelSpec.gaussian_kernel(1.0)
+        state = initial_state(40, RngHandle(seed), ds.dim)
+        calls = []
+        for t in range(steps):
+            col = stream_column(ds, kern, t, state.dictionary.indices)
+            calls.append((state, t, col))
+            state, _ = ink_step(state, t, ds.points[t], col, oracle)
+        return calls
+
+    @classmethod
+    def _ask(cls, oracle, call):
+        state, t, col = call
+        return oracle.begin_step(state, t, col.cross, col.self_term)
+
+    def test_non_successor_states_get_the_from_scratch_result(self):
+        oracle = EstimateOracle(self.GAMMA, self.EPS)
+        calls = self._calls(1, 60, oracle)
+        other_run = self._calls(2, 61, EstimateOracle(self.GAMMA, self.EPS))
+        # The state just asked about, again; another run's state at the next
+        # step; an earlier state; the first state once more.
+        for call in (calls[-1], other_run[60], calls[20], calls[-1]):
+            tau, deff = self._ask(oracle, call)
+            ref_tau, ref_deff = self._ask(EstimateOracle(self.GAMMA, self.EPS), call)
+            assert tau.tobytes() == ref_tau.tobytes()
+            assert deff == ref_deff
+
+    def test_successors_match_the_from_scratch_result(self):
+        oracle = EstimateOracle(self.GAMMA, self.EPS)
+        reference = EstimateOracle(self.GAMMA, self.EPS)
+        for call in self._calls(1, 80, oracle)[1:]:
+            tau, deff = self._ask(oracle, call)
+            ref_tau, ref_deff = self._ask(reference, call)
+            np.testing.assert_allclose(tau, ref_tau, rtol=1e-10, atol=1e-12)
+            assert deff == pytest.approx(ref_deff, rel=1e-12)
 
 
 class TestRuns:
@@ -481,6 +563,46 @@ class TestRuns:
             res = ink_oracle_run(ds, kern, 0.05, 20, rng=2)
         assert res.factor.size > 1
         assert np.array_equal(res.factor.sampled, res.factor.sampled.T)
+
+    @pytest.mark.parametrize("algorithm", ["ink-estimate", "ink-oracle"])
+    def test_result_keeps_no_dictionary_square(self, algorithm):
+        """A result keeps the final dictionary's points and weights, not its
+        Q x Q blocks, and derives the factor the final state gives, bit for
+        bit."""
+        ds = clustered(150, seed=15, d=3)
+        kern = KernelSpec.gaussian_kernel(1.0)
+        gamma = 0.05
+        if algorithm == "ink-estimate":
+            q_bar, oracle = 100, EstimateOracle(gamma, 0.5)
+            res = ink_estimate_run(ds, kern, gamma, q_bar, 0.5, rng=2)
+        else:
+            q_bar, oracle = 20, ExactOracle(ds, kern, gamma)
+            res = ink_oracle_run(ds, kern, gamma, q_bar, rng=2)
+        state = initial_state(q_bar, RngHandle(2), ds.dim)
+        for t in range(len(ds)):
+            col = stream_column(ds, kern, t, state.dictionary.indices)
+            state, _ = ink_step(state, t, ds.points[t], col, oracle)
+        q = state.dictionary.size
+        assert q > ds.dim + 1  # so a Q x Q block breaks the bound
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif dataclasses.is_dataclass(value):
+                for f in dataclasses.fields(value):
+                    yield from arrays(getattr(value, f.name))
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+            elif isinstance(value, dict):
+                for item in value.values():
+                    yield from arrays(item)
+
+        assert max(a.size for a in arrays(res)) <= q * ds.dim + q
+        expected = _restricted_factor(state.dict_gram, state.dictionary.counts, gamma)
+        assert res.factor.cross.tobytes() == expected.cross.tobytes()
+        assert res.factor.sampled.tobytes() == expected.sampled.tobytes()
+        assert res.factor.gamma == expected.gamma
 
     def test_estimate_run_diagnostics_labels(self):
         ds = clustered(40, seed=13)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nystream import Dictionary, InputError, RngHandle, direct_sample, selection_weights, shrink_expand
+from nystream.sampling import _PURPOSE_CHAIN
 
 
 def chain_setup(target, q_bar=20):
@@ -32,6 +33,34 @@ class TestRngHandle:
         a = RngHandle(seed=1).chain_stream(0, 0).random(4)
         b = RngHandle(seed=2).chain_stream(0, 0).random(4)
         assert not np.array_equal(a, b)
+
+
+    def test_draws_match_a_fresh_philox_after_partial_use(self):
+        """The re-keyed chain generator draws what a fresh Philox with the
+        same key draws, even when the previous substream left a half-used
+        output buffer and a cached 32-bit half behind."""
+        h = RngHandle(seed=12345)
+        keys = [(1, 0), (1, 5), (2, 5), (0, 2**28 - 2), (2**28 - 1, 3), (1, 0)]
+        for step, index in keys:
+            gen = h.chain_stream(step, index)
+            fresh = np.random.Generator(np.random.Philox(key=h._key(_PURPOSE_CHAIN, step, index)))
+            for draw in (
+                lambda g: g.random(2),
+                lambda g: g.random(3),
+                lambda g: g.integers(0, 2**32 - 1, size=3, dtype=np.uint32),
+                lambda g: g.random(2, dtype=np.float32),
+                lambda g: g.random(),
+                lambda g: g.standard_normal(2),
+            ):
+                assert np.array_equal(draw(gen), draw(fresh))
+
+    def test_one_generator_per_handle(self):
+        """A returned generator is valid until the handle's next call; the
+        cached pair takes no part in equality, hashing or repr."""
+        h = RngHandle(seed=3)
+        assert h.chain_stream(1, 2) is h.chain_stream(2, 1)
+        assert h == RngHandle(seed=3) and hash(h) == hash(RngHandle(seed=3))
+        assert repr(h) == "RngHandle(seed=3)"
 
 
 class TestDictionary:
