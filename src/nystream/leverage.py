@@ -305,8 +305,9 @@ def estimate_step(
     denominator (the bordered Schur complement less ``(alpha - 1) gamma``)
     cannot be positive, so the step raises :class:`NumericalError` at once.
 
-    This is the one-shot form of a step; ``EstimateOracle`` gets the same
-    values from the inverses it carries across steps (:mod:`nystream.sketch`).
+    This is the one-shot form of a step, and the reference for
+    ``EstimateOracle``, which gets the same values from the inverses it
+    carries across steps (:mod:`nystream.sketch`).
     """
     if not gamma > 0:
         raise InputError("gamma must be positive")

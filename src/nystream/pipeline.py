@@ -49,7 +49,7 @@ from .leverage import (
 from .linalg import regularized_solve, spectral_norm
 from .nystrom import NystromFactor, Selection, build_selection, nystrom_approx
 from .sampling import _KEY_SPAN, Dictionary, RngHandle, direct_sample, selection_weights, shrink_expand
-from .sketch import CarriedSketch, Spares, _border, _restricted_factor, _submatrix
+from .sketch import CarriedSketch, _border, _restricted_factor
 
 
 class ScoreOracle(Protocol):
@@ -232,7 +232,6 @@ class EstimateOracle:
         # (sketch, and the step, random handle and possibly admitted index of
         # the successor state it expects next)
         self._carried: tuple[CarriedSketch, int, RngHandle, int] | None = None
-        self._spares = Spares()
 
     def _advanced(self, state) -> CarriedSketch | None:
         """The carried sketch moved to ``state``; None when a rebuild is due."""
@@ -241,7 +240,6 @@ class EstimateOracle:
             return None
         sketch, step, rng, new_index = carried
         if state.step % self._REFRESH_EVERY == 0 or state.step != step or state.rng is not rng:
-            self._spares.give(sketch.inv_m, sketch.inv_shift, sketch.inv_gamma)
             return None
         d = state.dictionary
         return sketch.advance(d.indices, d.counts, state.dict_gram, new_index)
@@ -259,9 +257,7 @@ class EstimateOracle:
             forms, quad_alpha, quad_sq, schur = sketch.query(cross, self_term)
         if sketch is None or not schur > 0:
             d = state.dictionary
-            sketch = CarriedSketch.rebuild(
-                d.indices, d.counts, state.dict_gram, gamma, self.alpha * gamma, self._spares
-            )
+            sketch = CarriedSketch.rebuild(d.indices, d.counts, state.dict_gram, gamma, self.alpha * gamma)
             forms, quad_alpha, quad_sq, schur = sketch.query(cross, self_term)
             if not schur > 0:
                 raise _bordered_schur_error(
@@ -319,7 +315,7 @@ def ink_step(
         # No retained column was dropped: the next state shares the arrays.
         gram_block, points_block = state.dict_gram, state.dict_points
     else:
-        gram_block = _submatrix(state.dict_gram, old)
+        gram_block = state.dict_gram[np.ix_(old, old)]
         points_block = state.dict_points[old]
     if admitted:
         gram_block = _border(gram_block, column.cross[old], column.self_term)

@@ -22,17 +22,17 @@ O(k Q^2) for k changed columns:
   with ``(c, k + gamma / b)``, which is a rank-one change of ``K~`` on the old
   coordinates followed by a bordering.
 
-:meth:`CarriedSketch.rebuild` computes the same quantities from scratch
-through :meth:`NystromFactor.materialize` and :func:`shifted_cholesky`.
+:meth:`CarriedSketch.rebuild` computes the same quantities from scratch,
+with one :func:`shifted_cholesky` of ``D + Gamma`` (scaled as
+:class:`NystromFactor` holds it) and one of ``K~`` at each shift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotri
 
 from .linalg import shifted_cholesky
@@ -49,10 +49,9 @@ def _restricted_factor(dict_gram: np.ndarray, counts: np.ndarray, gamma: float) 
     return NystromFactor(cross=cross, sampled=sampled, gamma=gamma)
 
 
-def _border(M: np.ndarray, v: np.ndarray, corner: float, out: np.ndarray | None = None) -> np.ndarray:
+def _border(M: np.ndarray, v: np.ndarray, corner: float) -> np.ndarray:
     t = M.shape[0]
-    if out is None:
-        out = np.empty((t + 1, t + 1))
+    out = np.empty((t + 1, t + 1))
     out[:t, :t] = M
     out[:t, t] = v
     out[t, :t] = v
@@ -73,11 +72,8 @@ def _inverse(L: np.ndarray) -> np.ndarray:
 class CarriedSketch:
     """``N``, ``(K~ + shift I)^-1``, ``(K~ + gamma I)^-1`` and
     ``diag(D (K~ + shift I)^-1 D)`` for one dictionary, aligned with its
-    ``indices``, ``counts`` and kernel block ``gram``.  :meth:`advance` hands
-    this sketch's inverses on to the sketch it returns, updating them in
-    place where their size allows, so a sketch is advanced at most once;
-    matrices of a new size are cut from ``spares``, which takes back the
-    memory of those they replace.  ``gram`` is only read."""
+    ``indices``, ``counts`` and kernel block ``gram``.  No array is written
+    after construction."""
 
     indices: np.ndarray
     counts: np.ndarray
@@ -88,25 +84,27 @@ class CarriedSketch:
     quad: np.ndarray
     gamma: float
     shift: float
-    spares: Spares = field(compare=False, repr=False)
 
     @classmethod
-    def rebuild(cls, indices, counts, gram, gamma: float, shift: float, spares: Spares) -> CarriedSketch:
+    def rebuild(cls, indices, counts, gram, gamma: float, shift: float) -> CarriedSketch:
         """The carried quantities from scratch.
 
         Raises :class:`NumericalError` when ``D + Gamma`` is not positive
         definite.
         """
         factor = _restricted_factor(gram, counts, gamma)
-        tilde = factor.materialize()
-        # N = B^{1/2} (sampled + gamma I)^-1 B^{1/2}.
+        # K~ as NystromFactor.materialize computes it, keeping the factor of
+        # sampled + gamma I for N = B^{1/2} (sampled + gamma I)^-1 B^{1/2}.
+        L_m = shifted_cholesky(factor.sampled, gamma)
+        F = solve_triangular(L_m, factor.cross.T, lower=True, check_finite=False).T
+        tilde = F @ F.T
         sqrt_b = np.sqrt(counts)
-        inv_m = _inverse(shifted_cholesky(factor.sampled, gamma)) * np.outer(sqrt_b, sqrt_b)
+        inv_m = _inverse(L_m) * np.outer(sqrt_b, sqrt_b)
         L = shifted_cholesky(tilde, shift)
         half = solve_triangular(L, gram, lower=True, check_finite=False)
         return cls(
             indices, counts, gram, inv_m, _inverse(L), _inverse(shifted_cholesky(tilde, gamma)),
-            np.einsum("ij,ij->j", half, half), gamma, shift, spares,
+            np.einsum("ij,ij->j", half, half), gamma, shift,
         )
 
     def advance(self, indices, counts, gram, new_index: int) -> CarriedSketch | None:
@@ -130,7 +128,7 @@ class CarriedSketch:
             out = self._admitted(*out, counts, gram)
             if out is None:
                 return None
-        return CarriedSketch(indices, counts, gram, *out, self.gamma, self.shift, self.spares)
+        return CarriedSketch(indices, counts, gram, *out, self.gamma, self.shift)
 
     def _reweighted(self, changed, b1, pos):
         """One Woodbury update for every weight change and eviction (new
@@ -155,12 +153,12 @@ class CarriedSketch:
         middle = np.zeros((H.shape[1], H.shape[1]))
         middle[:k, :k] = -T
         rows = slice(None) if pos is None else pos
-        inv_m = _plus_low_rank(self._kept(self.inv_m, pos), n_s[rows], -np.linalg.inv(T))
+        inv_m = _plus_low_rank(_kept(self.inv_m, pos), n_s[rows], -np.linalg.inv(T))
         updated = []
         for P in (self.inv_shift, self.inv_gamma):
             V = P @ H
             C = -np.linalg.inv(middle + H.T @ V)
-            updated.append((_plus_low_rank(self._kept(P, pos), V[rows], C), V, C))
+            updated.append((_plus_low_rank(_kept(P, pos), V[rows], C), V, C))
         (inv_shift, V, C), (inv_gamma, *_) = updated
         Y = self.gram @ V
         quad = self.quad + np.einsum("ij,ij->i", Y @ C, Y)
@@ -179,7 +177,7 @@ class CarriedSketch:
         # (D + Gamma)^-1 bordered: N + (v; -1)(v; -1)^T / sigma.  K~ gains
         # (Gamma v)(Gamma v)^T / sigma on the old coordinates and the border
         # column a with corner kappa.
-        inv_m = _plus_low_rank(self._grown(inv_m), np.append(v, -1.0)[:, None], np.array([[1.0 / sigma]]))
+        inv_m = _plus_low_rank(_border(inv_m, 0.0, 0.0), np.append(v, -1.0)[:, None], np.array([[1.0 / sigma]]))
         h = (self.gamma / counts[:m]) * v
         a = c - (gamma_new / sigma) * h
         kappa = k - gamma_new + gamma_new * gamma_new / sigma
@@ -196,7 +194,7 @@ class CarriedSketch:
                 return None
             W = np.zeros((m + 1, 2))
             W[:m, 0], W[:m, 1], W[m, 1] = z, u, -1.0
-            bordered.append((_plus_low_rank(self._grown(P), W, np.diag([-1.0 / rho, 1.0 / s])), Z, rho, u, s))
+            bordered.append((_plus_low_rank(_border(P, 0.0, 0.0), W, np.diag([-1.0 / rho, 1.0 / s])), Z, rho, u, s))
         (inv_shift, Z, rho, u, s), (inv_gamma, *_) = bordered
         # With x = (D_i, c_i): x^T P' x = D_i^T P D_i - (D_i^T z)^2 / rho
         # + (D_i^T u - c_i)^2 / s.
@@ -208,22 +206,6 @@ class CarriedSketch:
         quad_new = float(c @ pc) + (float(u @ c) - k) ** 2 / s
         quad = np.append(quad - dz * dz / rho + (du - c) ** 2 / s, quad_new)
         return inv_m, inv_shift, inv_gamma, quad
-
-    def _kept(self, P: np.ndarray, pos) -> np.ndarray:
-        """``P`` itself when nothing is evicted; else its retained rows and
-        columns, in spare memory, and ``P``'s memory is given back."""
-        if pos is None:
-            return P
-        out = _submatrix(P, pos, self.spares.matrix(pos.shape[0]))
-        self.spares.give(P)
-        return out
-
-    def _grown(self, P: np.ndarray) -> np.ndarray:
-        """``P`` with a zero row and column appended, in spare memory; ``P``'s
-        memory is given back."""
-        out = _border(P, 0.0, 0.0, self.spares.matrix(P.shape[0] + 1))
-        self.spares.give(P)
-        return out
 
     def query(self, cross: np.ndarray, self_term: float) -> tuple[np.ndarray, float, float, float]:
         """Forms of the sketch bordered with the new column ``(c, k)``:
@@ -240,62 +222,11 @@ class CarriedSketch:
         return forms, quad_c, float(w @ w), s
 
 
-def _submatrix(A: np.ndarray, pos: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``A[np.ix_(pos, pos)]`` for ascending ``pos``, copied block by block
-    between the dropped rows: a step drops one or two, and a fancy-indexed
-    gather costs several times more than the few slice copies."""
-    starts = np.flatnonzero(np.diff(pos) != 1) + 1
-    if pos.shape[0] == 0 or starts.shape[0] > 8:
-        if out is None:
-            return A[np.ix_(pos, pos)]
-        out[...] = A[np.ix_(pos, pos)]
-        return out
-    bounds = np.concatenate(([0], starts, [pos.shape[0]])).tolist()
-    runs = [(lo, hi, int(pos[lo])) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    if out is None:
-        out = np.empty((pos.shape[0], pos.shape[0]))
-    for lo, hi, src in runs:
-        for lo2, hi2, src2 in runs:
-            out[lo:hi, lo2:hi2] = A[src : src + hi - lo, src2 : src2 + hi2 - lo2]
-    return out
+def _kept(P: np.ndarray, pos) -> np.ndarray:
+    """``P`` restricted to the retained positions ``pos`` (None: all)."""
+    return P if pos is None else P[np.ix_(pos, pos)]
 
 
-class Spares:
-    """Memory of carried matrices that a step replaced, kept for the next
-    ones.  An admission or eviction replaces each carried Q x Q matrix by a
-    new one a row and column larger or smaller; cut from memory the process
-    has already written, the new one costs no page faults, which for fresh
-    memory are about as expensive as the update itself."""
-
-    # A step replaces the carried matrices one at a time, and each new one
-    # fits in the memory the one before gave back.
-    _KEEP = 2
-
-    def __init__(self):
-        self._buffers: list[np.ndarray] = []
-
-    def matrix(self, n: int) -> np.ndarray:
-        """An uninitialised C-contiguous n x n array."""
-        size = n * n
-        for i, buf in enumerate(self._buffers):  # smallest first
-            if buf.shape[0] >= size:
-                return self._buffers.pop(i)[:size].reshape(n, n)
-        # Headroom lets one buffer serve the next few admissions too.
-        return np.empty(size + size // 4 + 64)[:size].reshape(n, n)
-
-    def give(self, *matrices: np.ndarray) -> None:
-        """Take the memory of contiguous matrices that nothing reads any more."""
-        for matrix in matrices:
-            owner = matrix if matrix.base is None else matrix.base
-            if owner.flags.c_contiguous or owner.flags.f_contiguous:
-                self._buffers.append(owner.reshape(-1, order="A"))
-        self._buffers.sort(key=len)
-        del self._buffers[: -self._KEEP]
-
-
-def _plus_low_rank(out: np.ndarray, W: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """``out + W C W^T`` for a symmetric ``out`` the caller owns; contiguous
-    arrays are updated in place."""
-    # ``out`` is symmetric, so whichever of it and its transpose is
-    # column-major is the same matrix in the layout BLAS updates in place.
-    return dgemm(1.0, W, C @ W.T, beta=1.0, c=out if out.flags.f_contiguous else out.T, overwrite_c=1)
+def _plus_low_rank(P: np.ndarray, W: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """``P + W C W^T``."""
+    return P + W @ C @ W.T

@@ -36,7 +36,7 @@ from nystream import (
 )
 from nystream.evaluation import SyntheticSpec, generate_synthetic
 from nystream.kernels import KernelColumn
-from nystream.leverage import estimate_rls_batch
+from nystream.leverage import estimate_rls_batch, estimate_step
 from nystream.sketch import _restricted_factor
 
 from conftest import border
@@ -360,7 +360,7 @@ class TestEstimateOracleCarry:
     @classmethod
     def _calls(cls, seed, steps, oracle):
         """``(state, new_index, column)`` of each step of a seeded stream."""
-        ds = clustered(80, seed=5, d=3)
+        ds = clustered(max(80, steps), seed=5, d=3)
         kern = KernelSpec.gaussian_kernel(1.0)
         state = initial_state(40, RngHandle(seed), ds.dim)
         calls = []
@@ -387,12 +387,28 @@ class TestEstimateOracleCarry:
             assert tau.tobytes() == ref_tau.tobytes()
             assert deff == ref_deff
 
-    def test_successors_match_the_from_scratch_result(self):
+    @classmethod
+    def _one_shot(cls, call):
+        """The step from scratch: ``estimate_step`` on the materialized
+        sketch bordered with the new column, and the deff update."""
+        state, t, col = call
+        gamma, eps = cls.GAMMA, cls.EPS
+        sketch = _restricted_factor(state.dict_gram, state.dictionary.counts, gamma).materialize()
+        exact = border(state.dict_gram, col.cross, col.self_term)
+        bordered = border(sketch, col.cross, col.self_term)
+        tau, delta = estimate_step(bordered, exact, np.diag(exact), gamma, eps)
+        if state.deff_tilde > 0:
+            return tau, update_deff(state.deff_tilde, delta, eps)
+        return tau, state.deff_tilde + alpha_factor(eps) * max(delta, 0.0)
+
+    def test_successors_match_the_one_shot_step(self):
+        """Over more than one refresh period, so steps both right after a
+        rebuild and far from one are checked."""
         oracle = EstimateOracle(self.GAMMA, self.EPS)
-        reference = EstimateOracle(self.GAMMA, self.EPS)
-        for call in self._calls(1, 80, oracle)[1:]:
+        calls = self._calls(1, 2 * EstimateOracle._REFRESH_EVERY + 20, oracle)
+        for call in calls[1:]:
             tau, deff = self._ask(oracle, call)
-            ref_tau, ref_deff = self._ask(reference, call)
+            ref_tau, ref_deff = self._one_shot(call)
             np.testing.assert_allclose(tau, ref_tau, rtol=1e-10, atol=1e-12)
             assert deff == pytest.approx(ref_deff, rel=1e-12)
 

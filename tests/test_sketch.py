@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from nystream import KernelSpec
 from nystream.kernels import _symmetric_pairwise
 from nystream.leverage import alpha_factor
-from nystream.sketch import CarriedSketch, Spares, _submatrix
+from nystream.sketch import CarriedSketch
 
 CARRIED = ("inv_m", "inv_shift", "inv_gamma", "quad")
 
 
 def assert_matches_rebuild(sketch, rtol=1e-9):
     reference = CarriedSketch.rebuild(
-        sketch.indices, sketch.counts, sketch.gram, sketch.gamma, sketch.shift, Spares()
+        sketch.indices, sketch.counts, sketch.gram, sketch.gamma, sketch.shift
     )
     for name in CARRIED:
         got, want = getattr(sketch, name), getattr(reference, name)
@@ -50,7 +50,7 @@ def test_updates_match_rebuild(seed, size, gamma, steps):
     shift = alpha_factor(0.5) * gamma
     indices, counts = np.arange(size), rng.integers(1, 10, size=size)
     sketch = CarriedSketch.rebuild(
-        indices, counts, _symmetric_pairwise(kernel, points[indices]), gamma, shift, Spares()
+        indices, counts, _symmetric_pairwise(kernel, points[indices]), gamma, shift
     )
     for new_index, (reweights, evictions, admitted) in enumerate(steps, start=size):
         counts = counts.copy()
@@ -75,7 +75,7 @@ def test_advance_rejects_a_non_successor():
     indices, counts = np.arange(4), np.array([1, 2, 3, 4])
 
     def sketch():
-        return CarriedSketch.rebuild(indices, counts, _symmetric_pairwise(kernel, points[:4]), 0.1, 0.3, Spares())
+        return CarriedSketch.rebuild(indices, counts, _symmetric_pairwise(kernel, points[:4]), 0.1, 0.3)
 
     def gram(idx):
         return _symmetric_pairwise(kernel, points[idx])
@@ -86,24 +86,12 @@ def test_advance_rejects_a_non_successor():
     assert sketch().advance(np.array([4]), np.array([1]), gram([4]), 4) is None
 
 
-def test_submatrix_matches_fancy_indexing():
-    rng = np.random.default_rng(8)
-    A = rng.normal(size=(30, 30))
-    A = A + A.T
-    for pos in ([], [4], [0, 1, 2], list(range(30)), [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22]):
-        pos = np.array(pos, dtype=np.int64)
-        assert np.array_equal(_submatrix(A, pos), A[np.ix_(pos, pos)])
-    for _ in range(50):
-        pos = np.flatnonzero(rng.random(30) < 0.8)
-        assert np.array_equal(_submatrix(A, pos), A[np.ix_(pos, pos)])
-
-
 def test_empty_dictionary(capfd):
     """A dictionary emptied by evictions: the rebuild gives empty arrays
     (without LAPACK complaining about a 0 x 0 matrix), and the new column is
     scored alone."""
     empty = np.zeros(0, dtype=np.int64)
-    sketch = CarriedSketch.rebuild(empty, empty, np.zeros((0, 0)), 0.1, 0.3, Spares())
+    sketch = CarriedSketch.rebuild(empty, empty, np.zeros((0, 0)), 0.1, 0.3)
     assert sketch.inv_m.shape == sketch.inv_shift.shape == sketch.inv_gamma.shape == (0, 0)
     forms, quad_c, quad_sq, schur = sketch.query(np.zeros(0), 2.0)
     assert forms.tolist() == [2.0 * 2.0 / 2.3] and (quad_c, quad_sq, schur) == (0.0, 0.0, 2.3)
