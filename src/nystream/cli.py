@@ -344,6 +344,8 @@ def _sweep_worker(cfg_dict: dict) -> tuple[int, str]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise InputError(f"--jobs {args.jobs} must be at least 1")
     seeds = _parse_seed_range(args.seeds)
     if not seeds:
         raise InputError("no seeds given")

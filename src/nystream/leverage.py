@@ -241,29 +241,13 @@ def estimate_deff_increment(
     k_bar = np.asarray(k_bar, dtype=np.float64).reshape(-1)
     if k_bar.shape[0] != K_tilde.shape[0]:
         raise InputError("cross vector length must match the sketch size")
-    return _increment(K_tilde, k_bar, k_self, gamma, epsilon, None)
-
-
-def _increment(
-    K_tilde: np.ndarray,
-    k_bar: np.ndarray,
-    k_self: float,
-    gamma: float,
-    epsilon: float,
-    whitened: np.ndarray | None,
-) -> float:
-    """The increment of :func:`estimate_deff_increment` for an exactly
-    symmetric ``K_tilde``; ``whitened`` is ``L^{-1} k_bar`` for
-    ``K_tilde + alpha gamma I = L L^T`` when the caller already holds it."""
-    alpha = alpha_factor(epsilon)
+    shift = alpha_factor(epsilon) * gamma
     if k_bar.shape[0] == 0:
         quad_alpha = 0.0
         quad_sq = 0.0
     else:
-        if whitened is None:
-            factor = shifted_cholesky(K_tilde, alpha * gamma)
-            whitened = solve_triangular(factor, k_bar, lower=True, check_finite=False)
-        quad_alpha = float(whitened @ whitened)
+        half = solve_triangular(shifted_cholesky(K_tilde, shift), k_bar, lower=True, check_finite=False)
+        quad_alpha = float(half @ half)
         u = cho_solve((shifted_cholesky(K_tilde, gamma), True), k_bar, check_finite=False)
         quad_sq = float(u @ u)
     return _increment_from_forms(k_self, gamma, epsilon, quad_alpha, quad_sq)
@@ -280,53 +264,6 @@ def _increment_from_forms(k_self: float, gamma: float, epsilon: float, quad_alph
         )
     numerator = k_self - quad_alpha - curvature_coefficient(epsilon) * gamma * quad_sq
     return numerator / denominator
-
-
-def estimate_step(
-    K_bar: np.ndarray,
-    columns: np.ndarray,
-    diagonal: np.ndarray,
-    gamma: float,
-    epsilon: float,
-    *,
-    diagnostics: Diagnostics | None = None,
-) -> tuple[np.ndarray, float]:
-    """One streaming step's estimates from one factor of the bordered sketch.
-
-    ``K_bar`` is the sketch ``K~_D`` bordered with the exact new column
-    ``c`` and self term ``k`` as its last row and column, built exactly
-    symmetric (it is not symmetrized or checked).  Returns
-    ``estimate_rls_batch(K_bar, columns, diagonal, gamma, epsilon)`` and
-    ``estimate_deff_increment(K_bar[:-1, :-1], K_bar[:-1, -1], K_bar[-1, -1],
-    gamma, epsilon)``: the last row of the Cholesky factor of
-    ``K_bar + alpha gamma I`` is the whitened new column that the
-    increment's ``alpha gamma`` form needs, so the step factors three
-    matrices instead of four.  When that factor fails, the increment's
-    denominator (the bordered Schur complement less ``(alpha - 1) gamma``)
-    cannot be positive, so the step raises :class:`NumericalError` at once.
-
-    This is the one-shot form of a step, and the reference for
-    ``EstimateOracle``, which gets the same values from the inverses it
-    carries across steps (:mod:`nystream.sketch`).
-    """
-    if not gamma > 0:
-        raise InputError("gamma must be positive")
-    shift = alpha_factor(epsilon) * gamma
-    try:
-        factor = shifted_cholesky(K_bar, shift)
-    except NumericalError as exc:
-        raise _bordered_schur_error(str(exc)) from None
-    half = solve_triangular(factor, columns, lower=True, check_finite=False)
-    tau = _clamped_scores(diagonal, np.einsum("ij,ij->j", half, half), shift, diagnostics)
-    delta = _increment(K_bar[:-1, :-1], K_bar[:-1, -1], float(K_bar[-1, -1]), gamma, epsilon, factor[-1, :-1])
-    return tau, delta
-
-
-def _bordered_schur_error(detail: str) -> NumericalError:
-    return NumericalError(
-        "K~_D + alpha*gamma*I or its bordered Schur complement k + alpha*gamma - c^T "
-        f"(K~_D + alpha*gamma*I)^-1 c is not positive: bordered {detail}"
-    )
 
 
 def update_deff(

@@ -1,13 +1,14 @@
 """Dense symmetric/PSD primitives: regularized solves, eigendecomposition,
 PSD ordering tests, spectral norm.
 
-All entry points but :func:`shifted_cholesky` symmetrize their input as
-(A + A^T)/2 when the asymmetry is below ``SYMMETRY_TOL`` (relative) and reject
-it otherwise, so floating-point drift accumulated while assembling
-approximations is absorbed here.  Callers pass matrices as they build them
-and do not symmetrize them first.  :func:`shifted_cholesky` is the streaming
-step's primitive: it takes matrices built exactly symmetric and checks
-nothing, so one factor per shift serves every solve at that shift.
+All entry points but :func:`shifted_cholesky` and :func:`_inverse` symmetrize
+their input as (A + A^T)/2 when the asymmetry is below ``SYMMETRY_TOL``
+(relative) and reject it otherwise, so floating-point drift accumulated while
+assembling approximations is absorbed here.  Callers pass matrices as they
+build them and do not symmetrize them first.  :func:`shifted_cholesky` and
+:func:`_inverse` are the streaming oracles' primitives: they take matrices
+built exactly symmetric and check nothing, so one factor per shift serves
+every solve at that shift, and its inverse costs one more LAPACK call.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import InputError, NumericalError
 
@@ -94,6 +95,16 @@ def shifted_cholesky(A: np.ndarray, shift: float) -> np.ndarray:
     if info:
         raise NumericalError(f"shifted matrix is not positive definite (leading minor {info})")
     return factor
+
+
+def _inverse(L: np.ndarray) -> np.ndarray:
+    """``(L L^T)^-1``, exactly symmetric, from the lower triangle ``L`` of a
+    :func:`shifted_cholesky` factor; the factor's array may be overwritten."""
+    if L.shape[0] == 0:
+        return np.zeros((0, 0))  # LAPACK rejects an empty matrix
+    lower, _ = dpotri(L, lower=1, overwrite_c=1)
+    # dpotri fills one triangle; mirror it into the other.
+    return np.tril(lower) + np.tril(lower, -1).T
 
 
 def solve_shifted_indefinite(A: np.ndarray, shift: float, B: np.ndarray) -> np.ndarray:

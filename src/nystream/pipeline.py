@@ -32,12 +32,11 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, NumericalError
 from .kernels import Dataset, KernelColumn, KernelSpec, _symmetric_pairwise, evaluate, gram, pairwise
 from .leverage import (
     Diagnostics,
     EstimatedProfile,
-    _bordered_schur_error,
     _clamped_scores,
     _increment_from_forms,
     alpha_factor,
@@ -46,9 +45,9 @@ from .leverage import (
     exact_rls,
     update_deff,
 )
-from .linalg import regularized_solve, spectral_norm
+from .linalg import _inverse, shifted_cholesky, spectral_norm
 from .nystrom import NystromFactor, Selection, build_selection, nystrom_approx
-from .sampling import _KEY_SPAN, Dictionary, RngHandle, direct_sample, selection_weights, shrink_expand
+from .sampling import _KEY_LIMIT, Dictionary, RngHandle, direct_sample, selection_weights, shrink_expand
 from .sketch import CarriedSketch, _border, _restricted_factor
 
 
@@ -161,7 +160,8 @@ class ExactOracle:
     with each new column, evaluated against every earlier point (``cross``
     covers only the dictionary and is not read), so a step costs O(t^2) time
     and the oracle holds O(t^2) memory.  Every ``_REFRESH_EVERY`` steps the
-    inverse is recomputed from a freshly evaluated prefix.  Leverage scores
+    inverse is recomputed from a freshly evaluated prefix, built exactly
+    symmetric, through one Cholesky factor and its inverse.  Leverage scores
     fall out of the identity ``tau_i = 1 - gamma * [inv]_ii``.
     """
 
@@ -183,15 +183,13 @@ class ExactOracle:
             raise InputError("exact oracle must observe the stream in order")
         if (t + 1) % self._REFRESH_EVERY == 0:
             prefix = _symmetric_pairwise(self._kernel, self._points[: t + 1])
-            self._inv = regularized_solve(prefix, self._gamma, np.eye(t + 1))
-        elif t:
+            self._inv = _inverse(shifted_cholesky(prefix, self._gamma))
+        else:
             k_bar = pairwise(self._kernel, self._points[t], self._points[:t])[0]
             u = self._inv @ k_bar
             xi = self_term + self._gamma - float(k_bar @ u)
             top = self._inv + np.outer(u, u) / xi
             self._inv = _border(top, -u / xi, 1.0 / xi)
-        else:
-            self._inv = np.array([[1.0 / (self_term + self._gamma)]])
         tau = 1.0 - self._gamma * np.diag(self._inv)[np.append(state.dictionary.indices, new_index)]
         return tau, float(t + 1 - self._gamma * np.trace(self._inv))
 
@@ -260,8 +258,10 @@ class EstimateOracle:
             sketch = CarriedSketch.rebuild(d.indices, d.counts, state.dict_gram, gamma, self.alpha * gamma)
             forms, quad_alpha, quad_sq, schur = sketch.query(cross, self_term)
             if not schur > 0:
-                raise _bordered_schur_error(
-                    f"shifted matrix is not positive definite (leading minor {d.size + 1})"
+                raise NumericalError(
+                    "K~_D + alpha*gamma*I or its bordered Schur complement k + alpha*gamma - c^T "
+                    "(K~_D + alpha*gamma*I)^-1 c is not positive: bordered shifted matrix is not "
+                    f"positive definite (leading minor {d.size + 1})"
                 )
         diagonal = np.append(np.diag(state.dict_gram), self_term)
         tau = _clamped_scores(diagonal, forms, self.alpha * gamma, self._diagnostics)
@@ -366,9 +366,10 @@ def _stream_run(
     if checkpoint_every < 0:
         raise InputError("checkpoint_every must be non-negative (0 keeps only the final checkpoint)")
     n = len(dataset)
-    if n >= _KEY_SPAN:
-        # Chain substreams are keyed by step, which must stay below 2**28.
-        raise InputError(f"stream of {n} points is too long: the limit is 2**28 - 1 = {_KEY_SPAN - 1}")
+    if n >= _KEY_LIMIT:
+        # Chain substreams are keyed by step (1..n) and index (0..n-1), both
+        # of which must stay below 2**28 - 1.
+        raise InputError(f"stream of {n} points is too long: the limit is 2**28 - 2 = {_KEY_LIMIT - 1}")
     state = initial_state(q_bar, rng, dataset.dim)
     started = time.perf_counter()
     checkpoints: list[RunCheckpoint] = []

@@ -19,7 +19,9 @@ from .errors import InputError
 _PURPOSE_CHAIN = 1
 _PURPOSE_BATCH = 2
 _MASK64 = (1 << 64) - 1
-_KEY_SPAN = 1 << 28  # step/index components must stay below this
+# Step and index are each stored plus one in a 28-bit field of the key, so
+# both must stay below 2**28 - 1.
+_KEY_LIMIT = (1 << 28) - 1
 _ONE = np.ones(1, dtype=np.int64)  # entry weight of a new index
 _ZERO4 = np.zeros(4, dtype=np.uint64)  # counter and buffer of a fresh Philox
 
@@ -41,7 +43,7 @@ class RngHandle:
     )
 
     def _key(self, purpose: int, a: int, b: int) -> int:
-        if not (0 <= a < _KEY_SPAN and 0 <= b < _KEY_SPAN):
+        if not (0 <= a < _KEY_LIMIT and 0 <= b < _KEY_LIMIT):
             raise InputError("substream coordinates out of range")
         return (
             (self.seed & _MASK64)

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotri
 
-from .linalg import shifted_cholesky
+from .linalg import _inverse, shifted_cholesky
 from .nystrom import NystromFactor
 
 
@@ -57,15 +56,6 @@ def _border(M: np.ndarray, v: np.ndarray, corner: float) -> np.ndarray:
     out[t, :t] = v
     out[t, t] = corner
     return out
-
-
-def _inverse(L: np.ndarray) -> np.ndarray:
-    """``(L L^T)^-1`` from the lower-triangular factor ``L``."""
-    if L.shape[0] == 0:
-        return np.zeros((0, 0))  # LAPACK rejects an empty matrix
-    lower, _ = dpotri(L, lower=1, overwrite_c=1)
-    # dpotri fills one triangle; mirror it into the other.
-    return np.tril(lower) + np.tril(lower, -1).T
 
 
 @dataclass(frozen=True)

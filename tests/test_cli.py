@@ -241,6 +241,14 @@ class TestSweep:
         assert repr(seeds) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, data_csv, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--seeds", "3:5", "--jobs", jobs] + run_args(data_csv, out)[1:]
+        assert main(argv) == 1
+        assert f"--jobs {jobs} " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLibsvmInput:
     def test_run_on_libsvm(self, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from nystream import InputError, NumericalError, eig_pairs, psd_order_check, regularized_solve, spectral_norm
 from nystream.linalg import (
+    _inverse,
     min_eigenvalue,
     shifted_cholesky,
     solve_shifted_indefinite,
@@ -197,3 +198,20 @@ class TestShiftedCholesky:
     def test_indefinite_shift_raises(self):
         with pytest.raises(NumericalError, match="not positive definite"):
             shifted_cholesky(np.diag([1.0, -0.5, 2.0]), 0.25)
+
+
+class TestInverse:
+    def test_inverse_of_the_shifted_matrix(self, rng):
+        for n in (1, 5, 40):
+            A = random_psd(rng, n, rank=max(n // 2, 1))
+            A = (A + A.T) / 2
+            inv = _inverse(shifted_cholesky(A, 0.3))
+            assert np.array_equal(inv, inv.T)
+            expected = np.linalg.inv(A + 0.3 * np.eye(n))
+            np.testing.assert_allclose(inv, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+    def test_empty(self, capfd):
+        """A 0 x 0 factor gives a 0 x 0 inverse, without LAPACK complaining
+        about the empty matrix."""
+        assert _inverse(shifted_cholesky(np.zeros((0, 0)), 0.3)).shape == (0, 0)
+        assert capfd.readouterr() == ("", "")

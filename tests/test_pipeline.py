@@ -36,8 +36,8 @@ from nystream import (
 )
 from nystream.evaluation import SyntheticSpec, generate_synthetic
 from nystream.kernels import KernelColumn
-from nystream.leverage import estimate_rls_batch, estimate_step
-from nystream.sketch import _restricted_factor
+from nystream.leverage import estimate_rls_batch
+from nystream.sketch import CarriedSketch, _restricted_factor
 
 from conftest import border
 
@@ -387,30 +387,45 @@ class TestEstimateOracleCarry:
             assert tau.tobytes() == ref_tau.tobytes()
             assert deff == ref_deff
 
-    @classmethod
-    def _one_shot(cls, call):
-        """The step from scratch: ``estimate_step`` on the materialized
-        sketch bordered with the new column, and the deff update."""
-        state, t, col = call
-        gamma, eps = cls.GAMMA, cls.EPS
-        sketch = _restricted_factor(state.dict_gram, state.dictionary.counts, gamma).materialize()
-        exact = border(state.dict_gram, col.cross, col.self_term)
-        bordered = border(sketch, col.cross, col.self_term)
-        tau, delta = estimate_step(bordered, exact, np.diag(exact), gamma, eps)
-        if state.deff_tilde > 0:
-            return tau, update_deff(state.deff_tilde, delta, eps)
-        return tau, state.deff_tilde + alpha_factor(eps) * max(delta, 0.0)
-
     def test_successors_match_the_one_shot_step(self):
-        """Over more than one refresh period, so steps both right after a
-        rebuild and far from one are checked."""
+        """Each successor against a fresh oracle, which computes the step from
+        scratch; over more than one refresh period, so steps both right after
+        a rebuild and far from one are checked."""
         oracle = EstimateOracle(self.GAMMA, self.EPS)
         calls = self._calls(1, 2 * EstimateOracle._REFRESH_EVERY + 20, oracle)
         for call in calls[1:]:
             tau, deff = self._ask(oracle, call)
-            ref_tau, ref_deff = self._one_shot(call)
+            ref_tau, ref_deff = self._ask(EstimateOracle(self.GAMMA, self.EPS), call)
             np.testing.assert_allclose(tau, ref_tau, rtol=1e-10, atol=1e-12)
             assert deff == pytest.approx(ref_deff, rel=1e-12)
+
+
+    def test_failed_admission_rebuilds(self):
+        """An admission whose Schur complement of ``D + Gamma`` is not
+        positive leaves the carried update to a rebuild, which raises what a
+        fresh oracle raises."""
+        gamma, eps = 0.1, 0.5
+        state = initial_state(10, RngHandle(0), 1)
+        first = replace(
+            state, step=1, deff_tilde=0.5, dict_gram=np.array([[1.0]]), dict_points=np.zeros((1, 1)),
+            dictionary=Dictionary.from_weights({0: 1}, q_bar=10),
+        )
+        # The step admits index 1; its block with index 0 is indefinite.
+        second = replace(
+            first, step=2, dict_gram=np.array([[1.0, 2.0], [2.0, 1.0]]), dict_points=np.zeros((2, 1)),
+            dictionary=Dictionary.from_weights({0: 1, 1: 1}, q_bar=10),
+        )
+        d = first.dictionary
+        carried = CarriedSketch.rebuild(d.indices, d.counts, first.dict_gram, gamma, alpha_factor(eps) * gamma)
+        assert carried.advance(second.dictionary.indices, second.dictionary.counts, second.dict_gram, 1) is None
+        oracle = EstimateOracle(gamma, eps)
+        oracle.begin_step(first, 1, np.array([0.5]), 1.0)
+        with pytest.raises(NumericalError) as carried_error:
+            oracle.begin_step(second, 2, np.array([0.5, 0.5]), 1.0)
+        with pytest.raises(NumericalError) as fresh_error:
+            EstimateOracle(gamma, eps).begin_step(second, 2, np.array([0.5, 0.5]), 1.0)
+        assert str(carried_error.value) == str(fresh_error.value)
+        assert "not positive definite (leading minor 2)" in str(carried_error.value)
 
 
 class TestRuns:
@@ -539,8 +554,9 @@ class TestRuns:
         assert audit.points_consumed == []
 
     def test_stream_of_2_pow_28_points_rejected_before_any_point(self):
-        """Chain keys need step < 2**28, so such a stream fails up front,
-        through both entry points, before a single point is read."""
+        """Chain keys need step < 2**28 - 1, so a stream of 2**28 points or
+        one fewer fails up front, through both entry points, before a single
+        point is read."""
 
         class PointRead(Exception):
             pass
@@ -560,14 +576,15 @@ class TestRuns:
 
         kern = KernelSpec.gaussian_kernel(1.0)
         audit = AccessAudit()
-        with pytest.raises(InputError, match=r"2\*\*28 - 1 = 268435455"):
-            ink_estimate_run(LongStream(2**28), kern, 1.0, 10, 0.5, audit=audit)
-        with pytest.raises(InputError, match=r"2\*\*28 - 1 = 268435455"):
-            ink_oracle_run(LongStream(2**28), kern, 1.0, 10, StubOracle(), audit=audit)
+        for n in (2**28, 2**28 - 1):
+            with pytest.raises(InputError, match=r"2\*\*28 - 2 = 268435454"):
+                ink_estimate_run(LongStream(n), kern, 1.0, 10, 0.5, audit=audit)
+            with pytest.raises(InputError, match=r"2\*\*28 - 2 = 268435454"):
+                ink_oracle_run(LongStream(n), kern, 1.0, 10, StubOracle(), audit=audit)
         assert audit.points_consumed == []
-        # One point fewer passes the check and goes on to read the first point.
+        # 2**28 - 2 points pass the check and go on to read the first point.
         with pytest.raises(PointRead):
-            ink_estimate_run(LongStream(2**28 - 1), kern, 1.0, 10, 0.5, audit=audit)
+            ink_estimate_run(LongStream(2**28 - 2), kern, 1.0, 10, 0.5, audit=audit)
 
     @pytest.mark.parametrize("algorithm", ["ink-estimate", "ink-oracle"])
     def test_result_factor_sampled_is_exactly_symmetric(self, algorithm):

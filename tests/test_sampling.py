@@ -40,7 +40,7 @@ class TestRngHandle:
         same key draws, even when the previous substream left a half-used
         output buffer and a cached 32-bit half behind."""
         h = RngHandle(seed=12345)
-        keys = [(1, 0), (1, 5), (2, 5), (0, 2**28 - 2), (2**28 - 1, 3), (1, 0)]
+        keys = [(1, 0), (1, 5), (2, 5), (0, 2**28 - 2), (2**28 - 2, 3), (1, 0)]
         for step, index in keys:
             gen = h.chain_stream(step, index)
             fresh = np.random.Generator(np.random.Philox(key=h._key(_PURPOSE_CHAIN, step, index)))
@@ -53,6 +53,18 @@ class TestRngHandle:
                 lambda g: g.standard_normal(2),
             ):
                 assert np.array_equal(draw(gen), draw(fresh))
+
+    def test_key_components_stop_below_2_pow_28_minus_1(self):
+        """Each component is stored plus one in a 28-bit field: 2**28 - 1 is
+        out of range, and at the last step in range neighbouring indices
+        still draw differently."""
+        h = RngHandle(seed=5)
+        for step, index in ((2**28 - 1, 0), (0, 2**28 - 1)):
+            with pytest.raises(InputError, match="out of range"):
+                h._key(_PURPOSE_CHAIN, step, index)
+        a = h.chain_stream(2**28 - 2, 1).random(4)
+        b = h.chain_stream(2**28 - 2, 2).random(4)
+        assert not np.array_equal(a, b)
 
     def test_one_generator_per_handle(self):
         """A returned generator is valid until the handle's next call; the
