@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InputError
 from .kernels import Dataset, KernelSpec, gram
 from .leverage import deff_increment_exact, exact_rls
-from .linalg import DEFAULT_PSD_TOL, eig_pairs, psd_order_check, symmetrize
+from .linalg import DEFAULT_PSD_TOL, eig_pairs, symmetrize
 from .nystrom import NystromFactor, Selection, build_selection, nystrom_approx
 from .pipeline import RunCheckpoint
 
@@ -146,8 +146,15 @@ def _condition(
     gap = float(np.max(np.abs(gaps)))
     lower_ok = bool(gaps[0] >= -CONDITION_TOL * max(1.0, gap))
     # The upper bound gamma/(1-eps) K (K + gamma I)^{-1} is root @ root.T.
+    # It and ``diff`` are exactly symmetric, so their difference is too and
+    # goes to eigvalsh as it is, under psd_order_check's rule.
     root = U * np.sqrt(gamma / (1.0 - epsilon) * lam / (lam + gamma))
-    upper_ok = psd_order_check(diff, root @ root.T, CONDITION_TOL)
+    slack = root @ root.T
+    del root
+    slack -= diff
+    margins = np.linalg.eigvalsh(slack) if slack.size else np.zeros(1)
+    del slack
+    upper_ok = bool(margins[0] >= -CONDITION_TOL * max(1.0, float(np.max(np.abs(margins)))))
     psi = _psi(U, lam, selection, gamma) if selection is not None else float("nan")
     return ConditionReport(step, lower_ok, upper_ok, gap, psi)
 
@@ -355,30 +362,39 @@ def verify_checkpoints(
     risks of the exact and approximate solvers.  Everything derived from K
     comes from one eigendecomposition of it per checkpoint.
     """
-    records: list[CheckpointRecord] = []
-    for cp in checkpoints:
-        t = cp.step
-        K = gram(dataset, kernel, t)
-        selection = checkpoint_selection(cp, t, algorithm)
-        # materialize() as F F^T, keeping the rank-Q factor for the risk.
-        F = nystrom_approx(K, selection, gamma).whitened()
-        K_tilde = F @ F.T
-        U, lam = _spectrum(K, require_psd=True)
-        report = _condition(U, lam, K - K_tilde, gamma, epsilon, t, selection)
-        deff_exact = float(np.sum(lam / (lam + gamma)))
-        risk_exact = risk_approx = bound = float("nan")
-        if problem is not None:
-            sub = problem.prefix(t)
-            risk_exact = _risk(U, lam, sub)
-            risk_approx = _factored_risk(F, sub)
-            bound = risk_ratio_bound(gamma, problem.mu, epsilon)
-        records.append(CheckpointRecord(
-            step=t, dict_size=len(set(selection.indices)), deff_exact=deff_exact,
-            deff_tilde=cp.deff_tilde, spectral_gap=report.spectral_gap, psi_gap=report.psi_gap,
-            lower_ok=report.lower_psd_ok, upper_ok=report.upper_psd_ok,
-            risk_exact=risk_exact, risk_approx=risk_approx, risk_ratio_bound=bound,
-        ))
-    return records
+    return [_verified(dataset, kernel, gamma, epsilon, cp, algorithm, problem) for cp in checkpoints]
+
+
+def _verified(
+    dataset: Dataset, kernel: KernelSpec, gamma: float, epsilon: float,
+    cp: RunCheckpoint, algorithm: str, problem: FixedDesignProblem | None,
+) -> CheckpointRecord:
+    """One checkpoint of :func:`verify_checkpoints`; its t x t arrays are
+    freed on return, before the next checkpoint builds its own."""
+    t = cp.step
+    K = gram(dataset, kernel, t)
+    selection = checkpoint_selection(cp, t, algorithm)
+    U, lam = _spectrum(K, require_psd=True)
+    # materialize() as F F^T, keeping the rank-Q factor for the risk;
+    # K - K~ is formed in K~'s buffer and K is dropped before the checks.
+    F = nystrom_approx(K, selection, gamma).whitened()
+    diff = F @ F.T
+    np.subtract(K, diff, out=diff)
+    del K
+    report = _condition(U, lam, diff, gamma, epsilon, t, selection)
+    deff_exact = float(np.sum(lam / (lam + gamma)))
+    risk_exact = risk_approx = bound = float("nan")
+    if problem is not None:
+        sub = problem.prefix(t)
+        risk_exact = _risk(U, lam, sub)
+        risk_approx = _factored_risk(F, sub)
+        bound = risk_ratio_bound(gamma, problem.mu, epsilon)
+    return CheckpointRecord(
+        step=t, dict_size=len(set(selection.indices)), deff_exact=deff_exact,
+        deff_tilde=cp.deff_tilde, spectral_gap=report.spectral_gap, psi_gap=report.psi_gap,
+        lower_ok=report.lower_psd_ok, upper_ok=report.upper_psd_ok,
+        risk_exact=risk_exact, risk_approx=risk_approx, risk_ratio_bound=bound,
+    )
 
 
 def _fmt(value) -> str:

@@ -6,7 +6,7 @@ their input as (A + A^T)/2 when the asymmetry is below ``SYMMETRY_TOL``
 (relative) and reject it otherwise, so floating-point drift accumulated while
 assembling approximations is absorbed here.  Callers pass matrices as they
 build them and do not symmetrize them first.  :func:`shifted_cholesky` and
-:func:`_inverse` are the streaming oracles' primitives: they take matrices
+:func:`_inverse` are the carried sketch's primitives: they take matrices
 built exactly symmetric and check nothing, so one factor per shift serves
 every solve at that shift, and its inverse costs one more LAPACK call.
 """

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 import numpy as np
+from scipy.linalg.blas import dtpsv
 
 from .errors import InputError, InvariantViolation, NumericalError
 from .kernels import Dataset, KernelColumn, KernelSpec, _symmetric_pairwise, evaluate, gram, pairwise
@@ -45,7 +46,7 @@ from .leverage import (
     exact_rls,
     update_deff,
 )
-from .linalg import _inverse, shifted_cholesky, spectral_norm
+from .linalg import spectral_norm
 from .nystrom import NystromFactor, Selection, build_selection, nystrom_approx
 from .sampling import _KEY_LIMIT, Dictionary, RngHandle, direct_sample, selection_weights, shrink_expand
 from .sketch import CarriedSketch, _border, _restricted_factor
@@ -156,18 +157,21 @@ class ExactOracle:
     """Exact score oracle (approximation factors both 1); a desk-scale
     testing device for the streaming loop.
 
-    Holds the inverse of the regularized t x t kernel prefix and borders it
-    with each new column, evaluated against every earlier point (``cross``
-    covers only the dictionary and is not read), so a step costs O(t^2) time
-    and the oracle holds O(t^2) memory.  Every ``_REFRESH_EVERY`` steps the
-    inverse is recomputed from a freshly evaluated prefix, built exactly
-    symmetric, through one Cholesky factor and its inverse.  Leverage scores
-    fall out of the identity ``tau_i = 1 - gamma * [inv]_ii``.
+    Holds the lower Cholesky factor ``L`` of the regularized t x t kernel
+    prefix ``K_t + gamma I`` and the diagonal ``d`` of its inverse, and
+    borders both with each new column, evaluated against every earlier point
+    (``cross`` covers only the dictionary and is not read).  ``L`` is stored
+    row by row in one flat buffer, row i at offset i (i + 1) / 2: the packed
+    upper column-major layout of ``L^T``, so bordering appends a row and the
+    BLAS packed triangular solve ``dtpsv`` reads the prefix in place.  A step
+    makes two triangular solves against ``L`` and a rank-one update of
+    ``d``, O(t^2) time and no t x t temporary, and the oracle holds about
+    t^2 / 2 floats, grown by doubling.  Leverage scores fall out of the
+    identity ``tau_i = 1 - gamma * d_i``.
     """
 
     alpha = 1.0
     beta = 1.0
-    _REFRESH_EVERY = 64
 
     def __init__(self, dataset: Dataset, kernel: KernelSpec, gamma: float):
         if not gamma > 0:
@@ -175,23 +179,49 @@ class ExactOracle:
         self._points = dataset.points
         self._kernel = kernel
         self._gamma = float(gamma)
-        self._inv = np.zeros((0, 0))
+        self._t = 0
+        self._packed = np.empty(0)
+        self._diag = np.empty(0)
 
     def begin_step(self, state, new_index, cross, self_term) -> tuple[np.ndarray, float]:
-        t = self._inv.shape[0]
+        t, gamma = self._t, self._gamma
         if new_index != t:
             raise InputError("exact oracle must observe the stream in order")
-        if (t + 1) % self._REFRESH_EVERY == 0:
-            prefix = _symmetric_pairwise(self._kernel, self._points[: t + 1])
-            self._inv = _inverse(shifted_cholesky(prefix, self._gamma))
-        else:
+        if t >= len(self._points):
+            raise InputError(f"index {t} is past the oracle's dataset of {len(self._points)} points")
+        start = t * (t + 1) // 2
+        if start + t + 1 > self._packed.shape[0]:
+            self._packed = _grown(self._packed, start, start + t + 1)
+        if t + 1 > self._diag.shape[0]:
+            self._diag = _grown(self._diag, t, t + 1)
+        if t:
             k_bar = pairwise(self._kernel, self._points[t], self._points[:t])[0]
-            u = self._inv @ k_bar
-            xi = self_term + self._gamma - float(k_bar @ u)
-            top = self._inv + np.outer(u, u) / xi
-            self._inv = _border(top, -u / xi, 1.0 / xi)
-        tau = 1.0 - self._gamma * np.diag(self._inv)[np.append(state.dictionary.indices, new_index)]
-        return tau, float(t + 1 - self._gamma * np.trace(self._inv))
+            y = dtpsv(t, self._packed, k_bar, trans=1)  # L^-1 k_bar
+            u = dtpsv(t, self._packed, y)  # (K_t + gamma I)^-1 k_bar
+        else:
+            y = u = np.empty(0)  # BLAS rejects empty vectors
+        xi = self_term + gamma - float(y @ y)
+        if not xi > 0:
+            raise NumericalError(
+                f"regularized kernel prefix is not positive definite (leading minor {t + 1}): "
+                f"Schur complement {xi:.3e}"
+            )
+        self._packed[start : start + t] = y
+        self._packed[start + t] = math.sqrt(xi)
+        self._diag[:t] += u * u / xi
+        self._diag[t] = 1.0 / xi
+        self._t = t + 1
+        d = self._diag[: t + 1]
+        tau = 1.0 - gamma * d[np.append(state.dictionary.indices, new_index)]
+        return tau, float(t + 1 - gamma * d.sum())
+
+
+def _grown(buffer: np.ndarray, used: int, needed: int) -> np.ndarray:
+    """A buffer of at least ``needed`` and twice ``buffer``'s entries that
+    starts with ``buffer[:used]``."""
+    out = np.empty(max(needed, 2 * buffer.shape[0]))
+    out[:used] = buffer[:used]
+    return out
 
 
 class EstimateOracle:

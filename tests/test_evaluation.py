@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,26 @@ class TestVerifyCheckpoints:
             ]
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
             assert (rec.lower_ok, rec.upper_ok) == (report.lower_psd_ok, report.upper_psd_ok)
+
+    def test_checkpoint_holds_about_five_squares(self):
+        """Verifying a t = 300 checkpoint keeps at most six t x t arrays alive
+        at once (about five: K, its eigenvectors and symmetrize's copies,
+        then K - K~ beside the upper bound's matrix and eigvalsh's copy)."""
+        t = 300
+        prob = generate_synthetic(SyntheticSpec(n=t, d=3, n_clusters=4, cluster_std=0.5), rng=5)
+        kern = KernelSpec.gaussian_kernel(2.0)
+        res = ink_estimate_run(prob.dataset, kern, 0.1, 200, 0.5, rng=5, checkpoint_every=0)
+        args = (prob.dataset, kern, 0.1, 0.5, res.checkpoints, "ink-estimate")
+        verify_checkpoints(*args, problem=prob)  # first-call set-up is not counted
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            (record,) = verify_checkpoints(*args, problem=prob)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert record.step == t
+        assert peak <= 6 * 8 * t * t
 
     def test_risk_fields_nan_without_targets(self):
         prob = generate_synthetic(

@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nystream import (
     AccessAudit,
@@ -80,7 +83,7 @@ def self_term(ds, kern, t):
 
 class TestExactOracle:
     def test_matches_exact_profile_along_stream(self, rng):
-        # 140 points cross the inverse refresh at steps 64 and 128.
+        # 140 points, each prefix checked against a from-scratch profile.
         ds = clustered(140, seed=1)
         kern = KernelSpec.gaussian_kernel(1.0)
         gamma = 0.8
@@ -115,6 +118,78 @@ class TestExactOracle:
         oracle = ExactOracle(ds, KernelSpec.linear_kernel(), 1.0)
         with pytest.raises(InputError):
             oracle.begin_step(prefix_state(2, ds.dim), 2, None, 1.0)
+
+    def test_index_past_dataset_rejected(self):
+        ds = orthogonal_dataset(3)
+        oracle = ExactOracle(ds, KernelSpec.linear_kernel(), 1.0)
+        for t in range(3):
+            oracle.begin_step(prefix_state(t, ds.dim), t, None, 1.0)
+        with pytest.raises(InputError, match="past the oracle's dataset of 3 points"):
+            oracle.begin_step(prefix_state(3, ds.dim), 3, None, 1.0)
+
+    def test_long_stream_matches_exact_profile(self):
+        """600 steps, all bordered onto one factor: the scores and deff match
+        the exact profile of every prefix.  The diagonal of prefix t's
+        (K_t + gamma I)^-1 is the column sums of squares of the leading
+        t x t block of M = L^-1, for L the Cholesky factor of the whole
+        K + gamma I, so one factorization gives every prefix's reference;
+        exact_rls pins that reference every 100 prefixes."""
+        n, gamma = 600, 0.8
+        ds = clustered(n, seed=4)
+        kern = KernelSpec.gaussian_kernel(1.0)
+        K = gram(ds, kern)
+        M = scipy.linalg.solve_triangular(np.linalg.cholesky(K + gamma * np.eye(n)), np.eye(n), lower=True)
+        prefix_diag = np.cumsum(M * M, axis=0)  # row t - 1: the diagonal for prefix t
+        oracle = ExactOracle(ds, kern, gamma)
+        for t in range(n):
+            tau, deff = oracle.begin_step(prefix_state(t, ds.dim), t, None, self_term(ds, kern, t))
+            want_tau = 1.0 - gamma * prefix_diag[t, : t + 1]
+            np.testing.assert_allclose(tau, want_tau, atol=1e-9)
+            assert deff == pytest.approx(float(np.sum(want_tau)), abs=1e-9)
+            if (t + 1) % 100 == 0:
+                prof = exact_rls(K[: t + 1, : t + 1], gamma)
+                np.testing.assert_allclose(want_tau, prof.tau, atol=1e-9)
+                assert deff == pytest.approx(prof.deff, abs=1e-9)
+
+    def test_steps_allocate_no_square(self):
+        """Apart from the steps that double the packed factor's buffer, a
+        step allocates O(t) memory: no t x t (or t^2 / 2) temporary."""
+        ds = clustered(400, seed=3)
+        kern = KernelSpec.gaussian_kernel(1.0)
+        oracle = ExactOracle(ds, kern, 0.5)
+        doublings = 0
+        tracemalloc.start()
+        try:
+            for t in range(len(ds)):
+                state, k = prefix_state(t, ds.dim), self_term(ds, kern, t)
+                buffer = oracle._packed
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                oracle.begin_step(state, t, None, k)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                if oracle._packed is not buffer:
+                    doublings += 1
+                elif t >= 100:
+                    assert peak < 16 * 8 * t, f"step {t} allocated {peak} bytes"
+        finally:
+            tracemalloc.stop()
+        assert doublings < 20
+
+    def test_non_positive_pivot_names_the_leading_minor(self):
+        """Six repeated points at gamma = 1e-18: the second pivot rounds to
+        zero, which is reported at that step, with no floating-point warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"leading minor 2\)"):
+                ink_oracle_run(duplicate_dataset(6), KernelSpec.linear_kernel(), 1e-18, 3, rng=0)
+
+    def test_near_singular_repeats_complete(self):
+        """At gamma = 1e-12 the pivots of six repeated points are tiny but
+        positive (each about 2 gamma, with a relative rounding error of about
+        1e-16 / gamma), and the run ends with the one effective dimension
+        they span."""
+        res = ink_oracle_run(duplicate_dataset(6), KernelSpec.linear_kernel(), 1e-12, 3, rng=0)
+        assert res.deff_tilde == pytest.approx(1.0, rel=1e-2)
 
 
 class TestInkStep:
