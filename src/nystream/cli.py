@@ -216,7 +216,6 @@ def _execute_run(cfg: RunConfig) -> tuple[list[RunCheckpoint], dict]:
             deff_tilde=profile.deff,
             indices=selection.indices,
             weights=tuple(weight_of[i] for i in selection.indices),
-            elapsed_seconds=0.0,
         )
         return [checkpoint], {}
     if cfg.algorithm == "ink-estimate":
@@ -270,7 +269,6 @@ def _verify_directory(rundir: Path, input_override: str | None) -> int:
             deff_tilde=item["deff_tilde"],
             indices=tuple(i - 1 for i in item["dictionary_indices"]),
             weights=tuple(item["weights"]),
-            elapsed_seconds=0.0,
         )
         for item in payload["checkpoints"]
     ]

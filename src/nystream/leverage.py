@@ -164,27 +164,6 @@ def _clamped_scores(diagonal, quad, shift: float, diagnostics: Diagnostics | Non
     return np.clip(raw, 0.0, 1.0)
 
 
-def estimate_rls(
-    K_bar: np.ndarray,
-    column: np.ndarray,
-    diag_entry: float,
-    gamma: float,
-    epsilon: float,
-    *,
-    diagnostics: Diagnostics | None = None,
-) -> float:
-    """Single-column form of :func:`estimate_rls_batch`."""
-    out = estimate_rls_batch(
-        K_bar,
-        np.asarray(column, dtype=np.float64).reshape(-1, 1),
-        np.asarray([diag_entry]),
-        gamma,
-        epsilon,
-        diagnostics=diagnostics,
-    )
-    return float(out[0])
-
-
 def deff_increment_exact(
     K_t: np.ndarray,
     k_bar: np.ndarray,

@@ -26,16 +26,25 @@ DEFAULT_PSD_TOL = 1e-8
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:
-    """Return (A + A^T)/2, rejecting matrices that are not nearly symmetric."""
+    """Return (A + A^T)/2, rejecting matrices that are not nearly symmetric.
+    An exactly symmetric ``A`` comes back itself, unsummed and uncopied, so
+    callers must not write into the result."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
     if A.size == 0:
         return A
-    scale = max(1.0, float(np.max(np.abs(A))))
-    if float(np.max(np.abs(A - A.T))) > SYMMETRY_TOL * scale:
+    scale = max(1.0, float(A.max()), -float(A.min()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        work = np.subtract(A, A.T)
+        asymmetry = float(np.abs(work, out=work).max())
+    if asymmetry == 0.0:
+        return A
+    if asymmetry > SYMMETRY_TOL * scale:
         raise InputError("matrix is not symmetric within tolerance")
-    return (A + A.T) / 2.0
+    np.add(A, A.T, out=work)
+    work /= 2.0
+    return work
 
 
 @dataclass(frozen=True)

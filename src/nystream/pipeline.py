@@ -12,11 +12,11 @@ kernel approximation:
   only dictionary-sized state.
 
 The streaming loop keeps position-aligned arrays (the dictionary's ascending
-indices, integer weights and clamped sampling probabilities, the kernel block
-among dictionary points, Q x Q, and the raw points, Q x d) plus the running
-effective-dimension estimate.  The factored approximation restricted to
-dictionary rows is derived from them where it is needed, not carried.
-Nothing sized with the stream length is ever stored.
+indices, integer weights and clamped sampling probabilities, and the raw
+points, Q x d), the kernel and the running effective-dimension estimate.
+The kernel block among dictionary points (Q x Q; :class:`EstimateOracle`
+carries its own) and the factored approximation are derived from them where
+they are needed.  Nothing sized with the stream length is ever stored.
 
 Each step makes one oracle call, which returns the leverage scores of the
 dictionary plus the new column and the effective dimension of the grown
@@ -26,7 +26,6 @@ matrix; the step turns them into sampling probabilities and resamples.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from typing import Protocol
 
@@ -49,7 +48,7 @@ from .leverage import (
 from .linalg import spectral_norm
 from .nystrom import NystromFactor, Selection, build_selection, nystrom_approx
 from .sampling import _KEY_LIMIT, Dictionary, RngHandle, direct_sample, selection_weights, shrink_expand
-from .sketch import CarriedSketch, _border, _restricted_factor
+from .sketch import CarriedSketch, _restricted_factor
 
 
 class ScoreOracle(Protocol):
@@ -95,7 +94,6 @@ class RunCheckpoint:
     deff_tilde: float
     indices: tuple[int, ...]
     weights: tuple[float, ...]
-    elapsed_seconds: float
 
 
 @dataclass(frozen=True)
@@ -128,26 +126,26 @@ class RunResult:
 
 @dataclass(frozen=True)
 class SketchState:
-    """Everything the streaming loop carries between steps; ``p_tilde``,
-    ``dict_gram`` and ``dict_points`` are aligned with the dictionary's
+    """Everything the streaming loop carries between steps, O(Q d) numbers;
+    ``p_tilde`` and ``dict_points`` are aligned with the dictionary's
     positions."""
 
     step: int
     dictionary: Dictionary
     p_tilde: np.ndarray
     deff_tilde: float
-    dict_gram: np.ndarray
+    kernel: KernelSpec
     dict_points: np.ndarray
     rng: RngHandle
 
 
-def initial_state(q_bar: int, rng: RngHandle, dim: int) -> SketchState:
+def initial_state(q_bar: int, rng: RngHandle, kernel: KernelSpec, dim: int) -> SketchState:
     return SketchState(
         step=0,
         dictionary=Dictionary.from_weights({}, q_bar),
         p_tilde=np.empty(0),
         deff_tilde=0.0,
-        dict_gram=np.zeros((0, 0)),
+        kernel=kernel,
         dict_points=np.zeros((0, dim)),
         rng=rng,
     )
@@ -233,13 +231,15 @@ class EstimateOracle:
     is seeded exactly from the first self term and grown by scaled increment
     estimates afterwards.
 
-    The oracle carries the sketch's inverses (:class:`CarriedSketch`) from
-    one step to the next and moves them along with the 1-2 dictionary columns
-    a step changes, in O(k Q^2).  It rebuilds them from scratch every
-    ``_REFRESH_EVERY`` steps, when an update's Schur complement is not
-    positive, and whenever ``begin_step`` gets a state that is not the
-    successor of the one it saw last: the next step of the same run (same
-    random handle), keeping only columns that call queried.
+    The oracle carries the kernel block and inverses of the sketch
+    (:class:`CarriedSketch`) and the column it was last asked about from one
+    step to the next, and moves them along with the 1-2 dictionary columns a
+    step changes, in O(k Q^2).  It rebuilds them on the moved block every
+    ``_REFRESH_EVERY`` steps and when an update's Schur complement is not
+    positive, and on the block evaluated from the state's points whenever
+    ``begin_step`` gets a state that is not the successor of the one it saw
+    last: the next step of the same run (same random handle), keeping only
+    columns that call queried.
     """
 
     _REFRESH_EVERY = 64
@@ -257,20 +257,25 @@ class EstimateOracle:
         self._gamma = float(gamma)
         self._epsilon = float(epsilon)
         self._diagnostics = diagnostics
-        # (sketch, and the step, random handle and possibly admitted index of
-        # the successor state it expects next)
-        self._carried: tuple[CarriedSketch, int, RngHandle, int] | None = None
+        # (sketch, the step and random handle of the successor state it
+        # expects next, and the possibly admitted index with its column)
+        self._carried: tuple[CarriedSketch, int, RngHandle, tuple[int, np.ndarray, float]] | None = None
 
-    def _advanced(self, state) -> CarriedSketch | None:
-        """The carried sketch moved to ``state``; None when a rebuild is due."""
+    def _sketch(self, state) -> CarriedSketch:
+        """The carried sketch moved to ``state``, or rebuilt for it."""
         carried, self._carried = self._carried, None
-        if carried is None:
-            return None
-        sketch, step, rng, new_index = carried
-        if state.step % self._REFRESH_EVERY == 0 or state.step != step or state.rng is not rng:
-            return None
         d = state.dictionary
-        return sketch.advance(d.indices, d.counts, state.dict_gram, new_index)
+        moved = None
+        if carried is not None:
+            sketch, step, rng, column = carried
+            if state.step == step and state.rng is rng:
+                if state.step % self._REFRESH_EVERY:
+                    advanced = sketch.advance(d.indices, d.counts, *column)
+                    if advanced is not None:
+                        return advanced
+                moved = sketch.moved_block(d.indices, *column)
+        block = _symmetric_pairwise(state.kernel, state.dict_points) if moved is None else moved[1]
+        return CarriedSketch.rebuild(d.indices, d.counts, block, self._gamma, self.alpha * self._gamma)
 
     def begin_step(self, state, new_index, cross, self_term) -> tuple[np.ndarray, float]:
         gamma, eps = self._gamma, self._epsilon
@@ -280,12 +285,11 @@ class EstimateOracle:
             # The very first effective dimension is available exactly.
             deff = self_term / (self_term + gamma) if self_term > 0 else 0.0
             return np.array([tau_new]), deff
-        sketch = self._advanced(state)
-        if sketch is not None:
-            forms, quad_alpha, quad_sq, schur = sketch.query(cross, self_term)
-        if sketch is None or not schur > 0:
+        sketch = self._sketch(state)
+        forms, quad_alpha, quad_sq, schur = sketch.query(cross, self_term)
+        if not schur > 0:
             d = state.dictionary
-            sketch = CarriedSketch.rebuild(d.indices, d.counts, state.dict_gram, gamma, self.alpha * gamma)
+            sketch = CarriedSketch.rebuild(d.indices, d.counts, sketch.gram, gamma, self.alpha * gamma)
             forms, quad_alpha, quad_sq, schur = sketch.query(cross, self_term)
             if not schur > 0:
                 raise NumericalError(
@@ -293,14 +297,14 @@ class EstimateOracle:
                     "(K~_D + alpha*gamma*I)^-1 c is not positive: bordered shifted matrix is not "
                     f"positive definite (leading minor {d.size + 1})"
                 )
-        diagonal = np.append(np.diag(state.dict_gram), self_term)
+        diagonal = np.append(np.diag(sketch.gram), self_term)
         tau = _clamped_scores(diagonal, forms, self.alpha * gamma, self._diagnostics)
         delta = _increment_from_forms(self_term, gamma, eps, quad_alpha, quad_sq)
         if state.deff_tilde > 0:
             deff = update_deff(state.deff_tilde, delta, eps, diagnostics=self._diagnostics)
         else:
             deff = state.deff_tilde + self.alpha * max(delta, 0.0)
-        self._carried = (sketch, state.step + 1, state.rng, new_index)
+        self._carried = (sketch, state.step + 1, state.rng, (new_index, cross, self_term))
         return tau, deff
 
 
@@ -315,9 +319,9 @@ def ink_step(
 
     Asks the oracle once for scores on the dictionary plus the new index,
     clamps the induced probabilities against the previous step, runs the
-    shrink/expand chains, and keeps the kernel block and points of the
-    surviving columns.  ``column.cross`` must be aligned with the current
-    dictionary order, and ``new_index`` must exceed every dictionary index.
+    shrink/expand chains, and keeps the points of the surviving columns.
+    ``column.cross`` must be aligned with the current dictionary order, and
+    ``new_index`` must exceed every dictionary index.
     """
     d = state.dictionary
     if column.cross.shape[0] != d.size:
@@ -341,14 +345,9 @@ def ink_step(
     queried = np.append(d.indices, new_index)
     admitted = weights[-1] != 0
     old = keep[:-1] if admitted else keep
-    if old.shape[0] == d.size:
-        # No retained column was dropped: the next state shares the arrays.
-        gram_block, points_block = state.dict_gram, state.dict_points
-    else:
-        gram_block = state.dict_gram[np.ix_(old, old)]
-        points_block = state.dict_points[old]
+    # No retained column was dropped: the next state shares the points.
+    points_block = state.dict_points if old.shape[0] == d.size else state.dict_points[old]
     if admitted:
-        gram_block = _border(gram_block, column.cross[old], column.self_term)
         points_block = np.vstack([points_block, point[None, :]])
 
     next_state = replace(
@@ -357,7 +356,6 @@ def ink_step(
         dictionary=Dictionary(queried[keep], weights[keep], d.q_bar),
         p_tilde=p_new[keep],
         deff_tilde=deff_new,
-        dict_gram=gram_block,
         dict_points=points_block,
     )
     return next_state, EstimatedProfile(queried, tau, deff_new, p_new)
@@ -367,14 +365,13 @@ def _as_handle(rng: RngHandle | int) -> RngHandle:
     return rng if isinstance(rng, RngHandle) else RngHandle(seed=int(rng))
 
 
-def _checkpoint(state: SketchState, started: float) -> RunCheckpoint:
+def _checkpoint(state: SketchState) -> RunCheckpoint:
     return RunCheckpoint(
         step=state.step,
         dict_size=state.dictionary.size,
         deff_tilde=state.deff_tilde,
         indices=tuple(state.dictionary.indices.tolist()),
         weights=tuple(state.dictionary.counts.astype(np.float64).tolist()),
-        elapsed_seconds=time.perf_counter() - started,
     )
 
 
@@ -400,8 +397,7 @@ def _stream_run(
         # Chain substreams are keyed by step (1..n) and index (0..n-1), both
         # of which must stay below 2**28 - 1.
         raise InputError(f"stream of {n} points is too long: the limit is 2**28 - 2 = {_KEY_LIMIT - 1}")
-    state = initial_state(q_bar, rng, dataset.dim)
-    started = time.perf_counter()
+    state = initial_state(q_bar, rng, kernel, dataset.dim)
     checkpoints: list[RunCheckpoint] = []
     for idx in range(n):
         point = dataset.points[idx]
@@ -417,20 +413,12 @@ def _stream_run(
             audit.record_pairs(idx, (idx,))
         state, _ = ink_step(state, idx, point, KernelColumn(cross, self_term), oracle)
         if checkpoint_every and state.step % checkpoint_every == 0 and state.step != n:
-            checkpoints.append(_checkpoint(state, started))
-    checkpoints.append(_checkpoint(state, started))
+            checkpoints.append(_checkpoint(state))
+    checkpoints.append(_checkpoint(state))
 
     diag = (diagnostics if diagnostics is not None else Diagnostics()).as_dict()
-    if epsilon is not None and state.dictionary.size:
-        # lambda_max of the sketch is only a lower-bound stand-in for the
-        # full spectrum, so the derived factor is a report value, not a
-        # guarantee.
-        factor = _restricted_factor(state.dict_gram, state.dictionary.counts, float(gamma))
-        rho_proxy = spectral_norm(factor.materialize()) / gamma
-        diag["rho_lower_bound_proxy"] = rho_proxy
-        diag["beta_from_sketch_proxy"] = beta_factor(epsilon, rho_proxy)
     selection = build_selection(state.dictionary.indices.tolist(), selection_weights(state.dictionary), n)
-    return RunResult(
+    result = RunResult(
         algorithm=algorithm,
         n_steps=n,
         gamma=gamma,
@@ -445,6 +433,14 @@ def _stream_run(
         deff_tilde=state.deff_tilde,
         diagnostics=diag,
     )
+    if epsilon is not None and state.dictionary.size:
+        # lambda_max of the sketch is only a lower-bound stand-in for the
+        # full spectrum, so the derived factor is a report value, not a
+        # guarantee.
+        rho_proxy = spectral_norm(result.factor.materialize()) / gamma
+        diag["rho_lower_bound_proxy"] = rho_proxy
+        diag["beta_from_sketch_proxy"] = beta_factor(epsilon, rho_proxy)
+    return result
 
 
 def ink_oracle_run(

@@ -10,9 +10,10 @@ so ``K~ = D - Gamma + Gamma N Gamma``.  A step needs ``(K~ + shift I)^-1``
 at two shifts (``alpha * gamma`` for the leverage scores, ``gamma`` for the
 increment's squared-inverse form) and the Q quadratic forms
 ``diag(D (K~ + alpha gamma I)^-1 D)``.  Between two steps only a column or
-two of the dictionary changes, so :class:`CarriedSketch` keeps ``N``, both
-inverses and the quadratic forms, and moves them to the next dictionary in
-O(k Q^2) for k changed columns:
+two of the dictionary changes, so :class:`CarriedSketch` keeps ``D`` itself,
+``N``, both inverses and the quadratic forms, and moves them to the next
+dictionary in O(k Q^2) for k changed columns (``D`` is restricted to the
+surviving columns and bordered with the admitted one):
 
 * a weight change ``b -> b'`` adds ``gamma (1/b' - 1/b)`` to one diagonal
   entry of ``D + Gamma``: a rank-one change of ``N`` and of ``K~``; an
@@ -38,13 +39,13 @@ from .linalg import _inverse, shifted_cholesky
 from .nystrom import NystromFactor
 
 
-def _restricted_factor(dict_gram: np.ndarray, counts: np.ndarray, gamma: float) -> NystromFactor:
+def _restricted_factor(gram: np.ndarray, counts: np.ndarray, gamma: float) -> NystromFactor:
     # cross = D B^{1/2}, sampled = B^{1/2} D B^{1/2}: the dictionary-row
     # restriction of the weighted selection applied to the kernel matrix.
     sqrt_b = np.sqrt(counts)
-    cross = dict_gram * sqrt_b[None, :]
+    cross = gram * sqrt_b[None, :]
     # sqrt_b_i * sqrt_b_j is exact in either order, so the block is exactly symmetric.
-    sampled = dict_gram * np.outer(sqrt_b, sqrt_b)
+    sampled = gram * np.outer(sqrt_b, sqrt_b)
     return NystromFactor(cross=cross, sampled=sampled, gamma=gamma)
 
 
@@ -60,10 +61,10 @@ def _border(M: np.ndarray, v: np.ndarray, corner: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CarriedSketch:
-    """``N``, ``(K~ + shift I)^-1``, ``(K~ + gamma I)^-1`` and
-    ``diag(D (K~ + shift I)^-1 D)`` for one dictionary, aligned with its
-    ``indices``, ``counts`` and kernel block ``gram``.  No array is written
-    after construction."""
+    """The kernel block ``gram`` (``D``), ``N``, ``(K~ + shift I)^-1``,
+    ``(K~ + gamma I)^-1`` and ``diag(D (K~ + shift I)^-1 D)`` for one
+    dictionary, aligned with its ``indices`` and ``counts``.  No array is
+    written after construction."""
 
     indices: np.ndarray
     counts: np.ndarray
@@ -97,24 +98,40 @@ class CarriedSketch:
             np.einsum("ij,ij->j", half, half), gamma, shift,
         )
 
-    def advance(self, indices, counts, gram, new_index: int) -> CarriedSketch | None:
-        """The carried quantities for the dictionary ``(indices, counts,
-        gram)`` that one step made from this one, admitting ``new_index`` or
-        not; None when it is not such a successor, or when a Schur complement
-        of the update is not positive (only a rebuild can tell why)."""
+    def moved_block(self, indices, new_index: int, cross: np.ndarray, self_term: float):
+        """``(pos, gram)`` for the dictionary ``indices`` that one step made
+        from this one: the positions here of the columns it kept, and this
+        block restricted to them (shared if all are kept) and bordered with
+        ``new_index``'s column ``(cross, self_term)`` if it was admitted.
+        None when ``indices`` is not such a successor."""
         q0, q1 = self.indices.shape[0], indices.shape[0]
         admitted = q1 > 0 and indices[-1] == new_index
         m = q1 - admitted
         pos = np.searchsorted(self.indices, indices[:m])
         if m == 0 or pos[-1] >= q0 or not np.array_equal(self.indices[pos], indices[:m]):
             return None
+        gram = self.gram if m == q0 else self.gram[np.ix_(pos, pos)]
+        if admitted:
+            gram = _border(gram, cross[pos], self_term)
+        return pos, gram
+
+    def advance(self, indices, counts, new_index: int, cross: np.ndarray, self_term: float) -> CarriedSketch | None:
+        """The carried quantities for the dictionary ``(indices, counts)``
+        on the block :meth:`moved_block` gives; None when it is not a
+        successor, or when a Schur complement of the update is not positive
+        (only a rebuild can tell why)."""
+        moved = self.moved_block(indices, new_index, cross, self_term)
+        if moved is None:
+            return None
+        pos, gram = moved
+        q0, m = self.indices.shape[0], pos.shape[0]
         b_new = np.zeros(q0, dtype=np.int64)
         b_new[pos] = counts[:m]
         changed = np.flatnonzero(b_new != self.counts)
         out = (self.inv_m, self.inv_shift, self.inv_gamma, self.quad)
         if changed.size:
             out = self._reweighted(changed, b_new[changed], pos if m < q0 else None)
-        if admitted:
+        if m < indices.shape[0]:
             out = self._admitted(*out, counts, gram)
             if out is None:
                 return None

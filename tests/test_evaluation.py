@@ -276,7 +276,6 @@ class TestVerifyCheckpoints:
                     deff_tilde=1.0,
                     indices=sel.indices,
                     weights=tuple(weight_of[i] for i in sel.indices),
-                    elapsed_seconds=0.0,
                 )
             ]
         records = verify_checkpoints(
@@ -303,7 +302,7 @@ class TestVerifyCheckpoints:
 
     def test_checkpoint_holds_about_five_squares(self):
         """Verifying a t = 300 checkpoint keeps at most six t x t arrays alive
-        at once (about five: K, its eigenvectors and symmetrize's copies,
+        at once (about five: K, its eigenvectors and symmetrize's temporary,
         then K - K~ beside the upper bound's matrix and eigvalsh's copy)."""
         t = 300
         prob = generate_synthetic(SyntheticSpec(n=t, d=3, n_clusters=4, cluster_std=0.5), rng=5)

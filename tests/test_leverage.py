@@ -11,7 +11,6 @@ from nystream import (
     clamp_probabilities,
     deff_increment_exact,
     estimate_deff_increment,
-    estimate_rls,
     exact_rls,
     update_deff,
 )
@@ -88,13 +87,13 @@ class TestExactRls:
 class TestEstimateRls:
     def test_identity_hand_value(self):
         # exact sketch of I_2 at eps=0: estimate 1/3 sits inside [1/4, 1/2]
-        got = estimate_rls(np.eye(2), np.array([1.0, 0.0]), 1.0, 1.0, 0.0)
+        (got,) = estimate_rls_batch(np.eye(2), np.array([1.0, 0.0]), 1.0, 1.0, 0.0)
         assert got == pytest.approx(1 / 3)
         tau = exact_rls(np.eye(2), 1.0).tau[0]
         assert tau / 2 <= got <= tau
 
     def test_null_column(self):
-        assert estimate_rls(np.eye(3), np.zeros(3), 0.0, 1.0, 0.0) == 0.0
+        assert estimate_rls_batch(np.eye(3), np.zeros(3), 0.0, 1.0, 0.0).tolist() == [0.0]
 
     def test_sandwich_with_exact_sketch(self, rng):
         """With the sketch equal to the matrix itself and eps=0, estimates
@@ -144,13 +143,13 @@ class TestEstimateRls:
         diag = Diagnostics()
         # A sketch wildly above the "exact" data drives the estimate negative.
         bad_sketch = 100.0 * np.eye(2)
-        got = estimate_rls(bad_sketch, np.array([1.0, 0.0]), 0.001, 1.0, 0.0, diagnostics=diag)
+        (got,) = estimate_rls_batch(bad_sketch, np.array([1.0, 0.0]), 0.001, 1.0, 0.0, diagnostics=diag)
         assert got == 0.0
         assert diag.rls_clamped_low == 1
 
     def test_rejects_epsilon_one(self):
         with pytest.raises(InputError):
-            estimate_rls(np.eye(2), np.ones(2), 1.0, 1.0, 1.0)
+            estimate_rls_batch(np.eye(2), np.ones(2), 1.0, 1.0, 1.0)
 
     def test_empty_sketch(self):
         """A 0 x 0 sketch leaves only k_jj / (alpha * gamma), alpha = 3 here."""
@@ -160,7 +159,7 @@ class TestEstimateRls:
     def test_batch_matches_scalar(self, rng):
         K = random_gram(rng, 6)
         batch = estimate_rls_batch(K, K, np.diag(K), 1.0, 0.25)
-        singles = [estimate_rls(K, K[:, i], K[i, i], 1.0, 0.25) for i in range(6)]
+        singles = [estimate_rls_batch(K, K[:, i], K[i, i], 1.0, 0.25)[0] for i in range(6)]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
 

@@ -153,6 +153,23 @@ class TestSymmetrize:
         with pytest.raises(InputError):
             symmetrize(A)
 
+    def test_roundoff_is_averaged_bit_for_bit(self, rng):
+        A = random_psd(rng, 5)
+        A[0, 1] += 1e-13
+        assert symmetrize(A).tobytes() == ((A + A.T) / 2.0).tobytes()
+
+    def test_exactly_symmetric_input_is_not_copied(self, rng):
+        A = random_psd(rng, 5)
+        A = np.triu(A) + np.triu(A, 1).T
+        assert symmetrize(A) is A
+
+    def test_entries_near_the_overflow_range(self):
+        """An exactly symmetric matrix near the largest double is not summed
+        (no overflow to inf), and its eigenvalues stay finite."""
+        A = np.array([[1e308, 0.0], [0.0, 1.0]])
+        assert symmetrize(A).tolist() == A.tolist()
+        assert eig_pairs(A).eigenvalues.tolist() == [1e308, 1.0]
+
     def test_validate_psd_rejects_indefinite(self):
         with pytest.raises(InputError):
             validate_psd(np.diag([1.0, -0.5]))

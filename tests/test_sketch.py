@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nystream import KernelSpec
-from nystream.kernels import _symmetric_pairwise
+from nystream.kernels import _symmetric_pairwise, evaluate, pairwise
 from nystream.leverage import alpha_factor
 from nystream.sketch import CarriedSketch
 
@@ -42,8 +42,9 @@ STEP = st.tuples(
 )
 def test_updates_match_rebuild(seed, size, gamma, steps):
     """Random gaussian-kernel dictionary blocks through random sequences of
-    reweights, evictions and admissions: after every step the carried
-    quantities match a rebuild on the new dictionary."""
+    reweights, evictions and admissions: after every step the carried kernel
+    block is the kernel on the new dictionary's points, bit for bit, and the
+    carried quantities match a rebuild on it."""
     rng = np.random.default_rng(seed)
     points = rng.normal(0.0, 1.5, size=(size + len(steps), 2))
     kernel = KernelSpec.gaussian_kernel(float(rng.uniform(0.5, 2.0)))
@@ -63,8 +64,11 @@ def test_updates_match_rebuild(seed, size, gamma, steps):
         indices, counts = indices[keep], counts[keep]
         if admitted is not None:
             indices, counts = np.append(indices, new_index), np.append(counts, admitted)
-        sketch = sketch.advance(indices, counts, _symmetric_pairwise(kernel, points[indices]), new_index)
+        cross = pairwise(kernel, points[new_index], points[sketch.indices])[0]
+        self_term = evaluate(kernel, points[new_index], points[new_index])
+        sketch = sketch.advance(indices, counts, new_index, cross, self_term)
         assert sketch is not None
+        assert sketch.gram.tobytes() == _symmetric_pairwise(kernel, points[indices]).tobytes()
         assert_matches_rebuild(sketch)
 
 
@@ -77,13 +81,14 @@ def test_advance_rejects_a_non_successor():
     def sketch():
         return CarriedSketch.rebuild(indices, counts, _symmetric_pairwise(kernel, points[:4]), 0.1, 0.3)
 
-    def gram(idx):
-        return _symmetric_pairwise(kernel, points[idx])
-
+    # The column of index 4 against the sketch's dictionary.
+    column = (pairwise(kernel, points[4], points[:4])[0], evaluate(kernel, points[4], points[4]))
     # An index the sketch never held, other than the one the step may admit.
-    assert sketch().advance(np.array([0, 5]), np.array([1, 1]), gram([0, 5]), 4) is None
+    assert sketch().advance(np.array([0, 5]), np.array([1, 1]), 4, *column) is None
+    assert sketch().moved_block(np.array([0, 5]), 4, *column) is None
     # No old column kept.
-    assert sketch().advance(np.array([4]), np.array([1]), gram([4]), 4) is None
+    assert sketch().advance(np.array([4]), np.array([1]), 4, *column) is None
+    assert sketch().moved_block(np.array([4]), 4, *column) is None
 
 
 def test_empty_dictionary(capfd):
