@@ -9,18 +9,18 @@ Subcommands:
 * ``suggest-budget`` print the sampling/space budget formulas
 * ``sweep``          fan a run config out over several seeds
 
-Option precedence is flags > environment (``NYSTREAM_*``) > config file >
-defaults.  Outputs are byte-stable for a fixed config and seed, except for
+Each run option is one :class:`RunConfig` field, set by a flag, a
+``NYSTREAM_*`` environment variable or a config-file key, all parsed by
+one function; precedence is flags > environment > config file > defaults.
+Outputs are byte-stable for a fixed config and seed, except for
 the ``generated_at`` field in JSON files.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,62 +43,43 @@ from .pipeline import (
 )
 
 ENV_PREFIX = "NYSTREAM_"
-
-_DEFAULTS: dict = {
-    "algorithm": "ink-estimate",
-    "kernel": "gaussian",
-    "bandwidth": 1.0,
-    "degree": 2,
-    "offset": 0.0,
-    "gamma": 1.0,
-    "mu": 1.0,
-    "epsilon": 0.5,
-    "delta": 0.1,
-    "budget": 100,
-    "seed": 0,
-    "checkpoint_every": 50,
-    "verify": False,
-    "input": None,
-    "output": None,
-    "data_format": "csv",
-    "has_header": False,
-    "label_column": -1,
-    "no_labels": False,
-}
-
-_FLOAT_KEYS = {"bandwidth", "offset", "gamma", "mu", "epsilon", "delta"}
-_INT_KEYS = {"degree", "budget", "seed", "checkpoint_every", "label_column"}
-_BOOL_KEYS = {"verify", "has_header", "no_labels"}
+ALGORITHMS = ("batch-exact", "ink-oracle", "ink-estimate")
+KERNELS = ("gaussian", "linear", "polynomial")
+DATA_FORMATS = ("csv", "libsvm")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    algorithm: str
-    kernel: str
-    bandwidth: float
-    degree: int
-    offset: float
-    gamma: float
-    mu: float
-    epsilon: float
-    delta: float
-    budget: int
-    seed: int
-    checkpoint_every: int
-    verify: bool
+    """The run options: each field is a flag (``--data-format``), an
+    environment variable (``NYSTREAM_DATA_FORMAT``) and a config-file key
+    (``data_format``).  A field without a default is required."""
+
+    algorithm: str = "ink-estimate"
+    kernel: str = "gaussian"
+    bandwidth: float = 1.0
+    degree: int = 2
+    offset: float = 0.0
+    gamma: float = 1.0
+    mu: float = 1.0
+    epsilon: float = 0.5
+    delta: float = 0.1
+    budget: int = 100
+    seed: int = 0
+    checkpoint_every: int = 50
+    verify: bool = False
     input: str
     output: str
-    data_format: str
-    has_header: bool
-    label_column: int
-    no_labels: bool
+    data_format: str = "csv"
+    has_header: bool = False
+    label_column: int = -1
+    no_labels: bool = False
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("batch-exact", "ink-oracle", "ink-estimate"):
+        if self.algorithm not in ALGORITHMS:
             raise InputError(f"unknown algorithm {self.algorithm!r}")
-        if self.kernel not in ("gaussian", "linear", "polynomial"):
+        if self.kernel not in KERNELS:
             raise InputError(f"unknown kernel {self.kernel!r}")
-        if self.data_format not in ("csv", "libsvm"):
+        if self.data_format not in DATA_FORMATS:
             raise InputError(f"unknown data format {self.data_format!r}")
         if not self.gamma > 0 or not self.mu > 0:
             raise InputError("gamma and mu must be positive")
@@ -117,46 +98,72 @@ class RunConfig:
         return KernelSpec.polynomial_kernel(self.degree, self.offset)
 
 
-def _coerce(key: str, value):
-    if value is None:
-        return None
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _BOOL_KEYS:
-        if isinstance(value, bool):
-            return value
-        return str(value).strip().lower() in ("1", "true", "yes", "on")
+_OPTIONS = {f.name: f for f in fields(RunConfig)}
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
+               "false": False, "0": False, "no": False, "off": False}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _coerce(key: str, value, kind: type, source: str):
+    """Parse one option value, from any source, as ``kind``.  Strings parse
+    as the type; JSON numbers and booleans must already be of it, except that
+    an integral JSON float is an int."""
+    try:
+        if kind is bool:
+            return _BOOL_WORDS[str(value).strip().lower()]
+        if isinstance(value, str):
+            return kind(value)
+        if kind is float and type(value) in (int, float):
+            return float(value)
+        if kind is int and (type(value) is int or type(value) is float and value.is_integer()):
+            return int(value)
+    except (KeyError, ValueError, OverflowError):
+        pass
+    raise InputError(f"{key} from {source}: {value!r} is not a valid {kind.__name__}")
+
+
+def _config_from(given) -> RunConfig:
+    """Build a RunConfig from ``(key, value, source)`` triples; a later
+    triple for the same key wins."""
+    resolved = {}
+    for key, value, source in given:
+        if key not in _OPTIONS:
+            raise InputError(f"unknown config key {key!r} in {source}")
+        resolved[key] = _coerce(key, value, _OPTIONS[key].type, source)
+    for key, option in _OPTIONS.items():
+        if key not in resolved and option.default is MISSING:
+            raise InputError(f"{key} is required ({_flag(key)})")
+    return RunConfig(**resolved)
+
+
+def _read_json_object(path, what: str) -> dict:
+    try:
+        with open(path) as fh:
+            value = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}")
+    if not isinstance(value, dict):
+        raise InputError(f"{what} {path} does not hold a JSON object")
     return value
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    resolved = dict(_DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            with open(config_path) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read config file {config_path}: {exc}")
-        for key, value in file_cfg.items():
-            if key not in _DEFAULTS:
-                raise InputError(f"unknown config key {key!r} in {config_path}")
-            resolved[key] = _coerce(key, value)
-    for key in _DEFAULTS:
-        env_val = os.environ.get(ENV_PREFIX + key.upper())
-        if env_val is not None:
-            resolved[key] = _coerce(key, env_val)
-    for key in _DEFAULTS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            resolved[key] = _coerce(key, flag_val)
-    if resolved["input"] is None:
-        raise InputError("an input dataset file is required (--input)")
-    if resolved["output"] is None:
-        raise InputError("an output directory is required (--output)")
-    return RunConfig(**resolved)
+    """Defaults < config file < environment < flags."""
+    given = []
+    if args.config:
+        source = f"config file {args.config}"
+        given += [(k, v, source) for k, v in _read_json_object(args.config, "config file").items()]
+    for key in _OPTIONS:
+        env = ENV_PREFIX + key.upper()
+        if env in os.environ:
+            given.append((key, os.environ[env], f"environment variable {env}"))
+    for key in _OPTIONS:
+        if getattr(args, key) is not None:
+            given.append((key, getattr(args, key), f"flag {_flag(key)}"))
+    return _config_from(given)
 
 
 def _load_dataset(cfg: RunConfig) -> Dataset:
@@ -243,20 +250,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_run_payload(rundir: Path) -> dict:
-    path = rundir / "checkpoints.json"
-    if not path.exists():
-        raise InputError(f"{path} not found; run the pipeline first")
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _verify_directory(rundir: Path, input_override: str | None) -> int:
-    payload = _parse_run_payload(rundir)
-    cfg_dict = dict(payload["config_echo"])
+    path = rundir / "checkpoints.json"
+    payload = _read_json_object(path, "run file")
+    echo, source = payload.get("config_echo"), f"config_echo in {path}"
+    if not isinstance(echo, dict):
+        raise InputError(f"{path} has no config_echo object")
+    missing = sorted(_OPTIONS.keys() - echo.keys())
+    if missing:
+        raise InputError(f"{source} lacks {', '.join(missing)}")
+    given = [(key, value, source) for key, value in echo.items()]
     if input_override:
-        cfg_dict["input"] = input_override
-    cfg = RunConfig(**cfg_dict)
+        given.append(("input", input_override, "flag --input"))
+    cfg = _config_from(given)
     dataset = _load_dataset(cfg)
     if len(dataset) > DESK_SCALE_CAP:
         raise InputError(
@@ -331,8 +337,7 @@ def _parse_seed_range(text: str) -> list[int]:
     return seeds
 
 
-def _sweep_worker(cfg_dict: dict) -> tuple[int, str]:
-    cfg = RunConfig(**cfg_dict)
+def _sweep_worker(cfg: RunConfig) -> tuple[int, str]:
     try:
         checkpoints, diagnostics = _execute_run(cfg)
         _write_run_outputs(Path(cfg.output), cfg, checkpoints, diagnostics)
@@ -348,12 +353,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not seeds:
         raise InputError("no seeds given")
     base = _resolve_config(args)
-    configs = []
-    for seed in seeds:
-        cfg_dict = asdict(base)
-        cfg_dict["seed"] = seed
-        cfg_dict["output"] = str(Path(base.output) / f"seed-{seed}")
-        configs.append(cfg_dict)
+    configs = [
+        replace(base, seed=seed, output=str(Path(base.output) / f"seed-{seed}")) for seed in seeds
+    ]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -368,46 +370,40 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 2 if failures else 0
 
 
+_HELP = {
+    "budget": "space budget q_bar (streaming) or sample count m (batch)",
+    "verify": "run the desk-scale verification pass after the run",
+    "input": "dataset file (CSV or libsvm)",
+    "output": "output directory",
+    "label_column": "column holding the label (default: last)",
+    "mu": "KRR ridge; recorded in config_echo only",
+    "delta": "failure probability; recorded in config_echo only",
+}
+_CHOICES = {"algorithm": ALGORITHMS, "kernel": KERNELS, "data_format": DATA_FORMATS}
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file (flags win over it)")
-    parser.add_argument(
-        "--algorithm", choices=["batch-exact", "ink-oracle", "ink-estimate"]
-    )
-    parser.add_argument("--kernel", choices=["gaussian", "linear", "polynomial"])
-    parser.add_argument("--bandwidth", type=float)
-    parser.add_argument("--degree", type=int)
-    parser.add_argument("--offset", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument(
-        "--budget", "--q-bar", "--m", dest="budget", type=int,
-        help="space budget q_bar (streaming) or sample count m (batch)",
-    )
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    parser.add_argument(
-        "--verify", action="store_const", const=True, default=None,
-        help="run the desk-scale verification pass after the run",
-    )
-    parser.add_argument("--input", help="dataset file (CSV or libsvm)")
-    parser.add_argument("--output", help="output directory")
-    parser.add_argument("--data-format", dest="data_format", choices=["csv", "libsvm"])
-    parser.add_argument(
-        "--has-header", dest="has_header", action="store_const", const=True, default=None
-    )
-    parser.add_argument(
-        "--label-column", dest="label_column", type=int,
-        help="column holding the label (default: last)",
-    )
-    parser.add_argument(
-        "--no-labels", dest="no_labels", action="store_const", const=True, default=None
-    )
+    """One flag per RunConfig field.  Values stay strings here: they are
+    parsed with every other source in _resolve_config."""
+    parser.add_argument("--config", help="JSON config file (environment and flags win over it)")
+    for f in _OPTIONS.values():
+        names = [_flag(f.name)] + (["--q-bar", "--m"] if f.name == "budget" else [])
+        if f.type is bool:
+            how = {"action": "store_const", "const": "true"}
+        else:
+            how = {"metavar": "{" + ",".join(_CHOICES[f.name]) + "}"} if f.name in _CHOICES else {}
+        parser.add_argument(*names, dest=f.name, help=_HELP.get(f.name), **how)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is an input error (exit 1), not argparse's exit 2."""
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nystream",
         description="Streaming leverage-score Nystrom sketching for kernel ridge regression",
     )
@@ -423,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     suggest = sub.add_parser("suggest-budget", help="budget formulas for a target accuracy")
-    suggest.add_argument("--algorithm", default="ink-estimate",
-                         choices=["batch-exact", "ink-oracle", "ink-estimate"])
+    suggest.add_argument("--algorithm", default="ink-estimate", choices=ALGORITHMS)
     suggest.add_argument("--deff", type=float, required=True)
     suggest.add_argument("--epsilon", type=float, default=0.5)
     suggest.add_argument("--delta", type=float, default=0.1)
@@ -442,9 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -275,6 +275,8 @@ def load_libsvm(path) -> Dataset:
                 raise InputError(f"{path}: malformed libsvm line {lineno}: {exc}")
             if not all(math.isfinite(v) for v in (label, *feats.values())):
                 raise InputError(f"{path}: non-finite value at line {lineno}")
+            if feats and min(feats) < 1:
+                raise InputError(f"{path}: feature index {min(feats)} below 1 at line {lineno}")
             labels.append(label)
             if feats:
                 max_feature = max(max_feature, max(feats))

@@ -20,7 +20,6 @@ from .errors import InputError, InvariantViolation, NumericalError
 from .linalg import (
     regularized_solve,
     shifted_cholesky,
-    solve_shifted_indefinite,
     symmetrize,
     validate_psd,
 )
@@ -133,7 +132,9 @@ def estimate_rls_batch(
     restricted to the same coordinates as ``K_bar``; ``diagonal[j]`` is that
     index's self evaluation.  Returns one estimate per column, clamped to
     [0, 1] (clamps are counted in ``diagnostics``; they can only trigger when
-    the sketch has drifted out of its guaranteed regime).
+    the sketch has drifted out of its guaranteed regime).  Raises
+    :class:`NumericalError` when ``K_bar + alpha*gamma*I`` is not positive
+    definite, as the carried sketch does.
     """
     if not gamma > 0:
         raise InputError("gamma must be positive")
@@ -145,14 +146,10 @@ def estimate_rls_batch(
     if columns.shape[1] != diagonal.shape[0]:
         raise InputError("one diagonal entry is needed per column")
     K_bar, shift = symmetrize(K_bar), alpha * gamma
-    try:
-        factor = shifted_cholesky(K_bar, shift)
-    except NumericalError:
-        quad = np.einsum("ij,ij->j", columns, solve_shifted_indefinite(K_bar, shift, columns))
-    else:
-        # columns_j^T (L L^T)^{-1} columns_j is the squared norm of L^{-1} columns_j.
-        half = solve_triangular(factor, columns, lower=True, check_finite=False)
-        quad = np.einsum("ij,ij->j", half, half)
+    factor = shifted_cholesky(K_bar, shift)
+    # columns_j^T (L L^T)^{-1} columns_j is the squared norm of L^{-1} columns_j.
+    half = solve_triangular(factor, columns, lower=True, check_finite=False)
+    quad = np.einsum("ij,ij->j", half, half)
     return _clamped_scores(diagonal, quad, shift, diagnostics)
 
 

@@ -26,16 +26,19 @@ DEFAULT_PSD_TOL = 1e-8
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:
-    """Return (A + A^T)/2, rejecting matrices that are not nearly symmetric.
-    An exactly symmetric ``A`` comes back itself, unsummed and uncopied, so
-    callers must not write into the result."""
+    """Return (A + A^T)/2, rejecting matrices that are not nearly symmetric
+    or hold a non-finite entry.  An exactly symmetric ``A`` comes back
+    itself, unsummed and uncopied, so callers must not write into the result."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
     if A.size == 0:
         return A
-    scale = max(1.0, float(A.max()), -float(A.min()))
-    with np.errstate(over="ignore", invalid="ignore"):
+    top, bottom = float(A.max()), float(A.min())
+    if not (np.isfinite(top) and np.isfinite(bottom)):
+        raise InputError("matrix has a non-finite entry")
+    scale = max(1.0, top, -bottom)
+    with np.errstate(over="ignore"):
         work = np.subtract(A, A.T)
         asymmetry = float(np.abs(work, out=work).max())
     if asymmetry == 0.0:

@@ -1,11 +1,14 @@
 import json
 import math
+import shutil
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nystream import SyntheticSpec, generate_synthetic
-from nystream.cli import main
+from nystream.cli import RunConfig, main
 import nystream.cli as cli_mod
 
 
@@ -264,3 +267,153 @@ class TestLibsvmInput:
         assert main(argv) == 0
         payload = json.loads((out / "checkpoints.json").read_text())
         assert payload["checkpoints"][-1]["t"] == 25
+
+
+# The run options' defaults as written to config_echo; input and output have none.
+DEFAULTS = {
+    "algorithm": "ink-estimate", "kernel": "gaussian", "bandwidth": 1.0, "degree": 2,
+    "offset": 0.0, "gamma": 1.0, "mu": 1.0, "epsilon": 0.5, "delta": 0.1, "budget": 100,
+    "seed": 0, "checkpoint_every": 50, "verify": False, "data_format": "csv",
+    "has_header": False, "label_column": -1, "no_labels": False,
+}
+# One value per option other than its default; input and output are set per test.
+NON_DEFAULT = {
+    "algorithm": "ink-oracle", "kernel": "polynomial", "bandwidth": 1.5, "degree": 3,
+    "offset": 0.5, "gamma": 0.5, "mu": 2.0, "epsilon": 0.25, "delta": 0.2, "budget": 300,
+    "seed": 11, "checkpoint_every": 30, "verify": True, "input": None, "output": None,
+    "data_format": "libsvm", "has_header": True, "label_column": 0, "no_labels": True,
+}
+
+
+def write_libsvm(path, n=25):
+    gen = np.random.default_rng(0)
+    lines = []
+    for _ in range(n):
+        x = gen.normal(size=2)
+        lines.append(f"{gen.normal():.6f} 1:{x[0]:.6f} 2:{x[1]:.6f}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def echo_of(outdir):
+    return json.loads((Path(outdir) / "checkpoints.json").read_text())["config_echo"]
+
+
+def set_option(argv, source, key, value, tmp_path, monkeypatch):
+    """Set one option from one source; returns the name the source goes by
+    (the flag, the variable or the config file)."""
+    if source == "flag":
+        flag = "--" + key.replace("_", "-")
+        argv += [flag] if value is True else [flag, str(value)]
+        return flag
+    if source == "env":
+        monkeypatch.setenv("NYSTREAM_" + key.upper(), str(value))
+        return "NYSTREAM_" + key.upper()
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: value}))
+    argv += ["--config", str(cfgfile)]
+    return str(cfgfile)
+
+
+class TestOptionTable:
+    """Every RunConfig field is a flag, a NYSTREAM_* variable and a config
+    key, parsed the same way from each."""
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
+    def test_every_option_from_every_source(self, data_csv, tmp_path, monkeypatch, key, source):
+        given = {"input": str(data_csv), "output": str(tmp_path / "out")}
+        if key == "data_format":
+            given["input"] = str(write_libsvm(tmp_path / "d.svm"))
+        value = {
+            "input": str(shutil.copy(data_csv, tmp_path / "other.csv")),
+            "output": str(tmp_path / "elsewhere"),
+        }.get(key, NON_DEFAULT[key])
+        argv = ["run"]
+        for other, text in given.items():
+            if other != key:
+                argv += [f"--{other}", text]
+        set_option(argv, source, key, value, tmp_path, monkeypatch)
+        assert main(argv) == 0
+        assert echo_of(value if key == "output" else given["output"]) == {**DEFAULTS, **given, key: value}
+
+    @pytest.mark.parametrize(
+        "source, key, value, expected",
+        [
+            ("flag", "budget", " 40", 40),
+            ("env", "budget", "40", 40),
+            ("config", "budget", "40", 40),
+            ("config", "budget", 40.0, 40),
+            ("config", "gamma", 2, 2.0),
+        ]
+        + [("env", "no_labels", w, True) for w in ("true", "1", "yes", "on", "ON")]
+        + [("env", "no_labels", w, False) for w in ("false", "0", "no", "off", "False")],
+    )
+    def test_accepted_forms(self, data_csv, tmp_path, monkeypatch, source, key, value, expected):
+        out = tmp_path / "out"
+        argv = ["run", "--input", str(data_csv), "--output", str(out)]
+        set_option(argv, source, key, value, tmp_path, monkeypatch)
+        assert main(argv) == 0
+        assert echo_of(out)[key] == expected and type(echo_of(out)[key]) is type(expected)
+
+    @pytest.mark.parametrize(
+        "source, key, value",
+        [
+            ("flag", "gamma", "abc"),
+            ("flag", "budget", "2.5"),
+            ("flag", "kernel", "laplacian"),
+            ("env", "gamma", "abc"),
+            ("env", "budget", "2.9"),
+            ("env", "verify", "maybe"),
+            ("config", "budget", "ten"),
+            ("config", "budget", 2.9),
+            ("config", "verify", "maybe"),
+            ("config", "gamma", True),
+            ("config", "kernel", 3),
+            ("config", "input", None),
+        ],
+    )
+    def test_malformed_value_exits_1(self, data_csv, tmp_path, monkeypatch, capsys, source, key, value):
+        out = tmp_path / "out"
+        argv = ["run", "--input", str(data_csv), "--output", str(out)]
+        where = set_option(argv, source, key, value, tmp_path, monkeypatch)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        if key != "kernel":  # an unknown choice is named by its value
+            assert key in err and where in err
+        assert repr(value) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--bogus", "1"], ["verify"], [], ["suggest-budget", "--deff", "x", "--n", "3"]],
+        ids=["unknown-flag", "missing-run-dir", "no-command", "bad-suggest-value"],
+    )
+    def test_usage_errors_exit_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert "error: " in capsys.readouterr().err
+
+
+class TestVerifyConfigEcho:
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda echo: echo.pop("epsilon"), "epsilon"),
+            (lambda echo: echo.update(gamma="abc"), "gamma"),
+            (lambda echo: echo.update(budget=2.5), "budget"),
+        ],
+        ids=["missing-key", "wrong-type-str", "wrong-type-float"],
+    )
+    def test_bad_config_echo_exits_1_naming_the_file(self, data_csv, tmp_path, capsys, edit, named):
+        out = tmp_path / "out"
+        assert main(run_args(data_csv, out)) == 0
+        path = out / "checkpoints.json"
+        payload = json.loads(path.read_text())
+        edit(payload["config_echo"])
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err
+        assert not (out / "condition_reports.csv").exists()

@@ -225,6 +225,14 @@ class TestLoaders:
         with pytest.raises(InputError, match="non-finite value at line 3"):
             load_libsvm(path)
 
+    # Indices are 1-based: 0 used to land in the last column, -1 raised IndexError.
+    @pytest.mark.parametrize("line", ["2 0:9.0 1:1.0", "2 1:1.0 -1:9.0"])
+    def test_libsvm_index_below_one_reports_line(self, tmp_path, line):
+        path = tmp_path / "d.svm"
+        path.write_text(f"1.0 1:0.5 2:1.0\n{line}\n")
+        with pytest.raises(InputError, match=r"d\.svm: feature index -?\d below 1 at line 2"):
+            load_libsvm(path)
+
     def test_libsvm_densified(self, tmp_path):
         path = tmp_path / "d.svm"
         path.write_text("1.0 1:0.5 3:2.0\n-1.0 2:1.5\n")

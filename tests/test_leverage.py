@@ -220,11 +220,11 @@ class TestEstimateDeffIncrement:
         with pytest.raises(NumericalError):
             estimate_deff_increment(np.zeros((1, 1)), np.zeros(1), -1.0, 0.5, 0.0)
 
-    def test_indefinite_bordering_takes_the_fallback(self):
+    def test_indefinite_bordering_raises(self):
         """A new column too large for the sketch makes the bordered matrix
         indefinite at shift alpha*gamma while the sketch itself is fine: the
-        batch scores come from the symmetric-indefinite solve, and the
-        increment's denominator, which is that Schur complement minus
+        batch scores cannot factor it and raise, as the carried sketch does,
+        and the increment's denominator, which is that Schur complement minus
         (alpha-1)*gamma, is then negative as well."""
         gamma, eps = 0.1, 0.5
         shift = alpha_factor(eps) * gamma
@@ -233,10 +233,8 @@ class TestEstimateDeffIncrement:
         exact_cols = border(np.ones((1, 1)), column, corner)
         eig = np.linalg.eigvalsh(bordered + shift * np.eye(2))
         assert eig[0] < 0 < eig[1] and sketch[0, 0] + shift > 0
-        tau = estimate_rls_batch(bordered, exact_cols, np.diag(exact_cols), gamma, eps)
-        solved = np.linalg.solve(bordered + shift * np.eye(2), exact_cols)
-        raw = (np.diag(exact_cols) - np.einsum("ij,ij->j", exact_cols, solved)) / shift
-        np.testing.assert_allclose(tau, np.clip(raw, 0.0, 1.0), atol=1e-12)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            estimate_rls_batch(bordered, exact_cols, np.diag(exact_cols), gamma, eps)
         with pytest.raises(NumericalError, match="increment denominator"):
             estimate_deff_increment(sketch, column, corner, gamma, eps)
 

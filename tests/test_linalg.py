@@ -3,7 +3,16 @@ import pytest
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtpsv
 
-from nystream import InputError, NumericalError, eig_pairs, psd_order_check, regularized_solve, spectral_norm
+from nystream import (
+    InputError,
+    NumericalError,
+    check_condition,
+    eig_pairs,
+    exact_rls,
+    psd_order_check,
+    regularized_solve,
+    spectral_norm,
+)
 from nystream.linalg import (
     _inverse,
     min_eigenvalue,
@@ -169,6 +178,26 @@ class TestSymmetrize:
         A = np.array([[1e308, 0.0], [0.0, 1.0]])
         assert symmetrize(A).tolist() == A.tolist()
         assert eig_pairs(A).eigenvalues.tolist() == [1e308, 1.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            symmetrize,
+            spectral_norm,
+            lambda A: exact_rls(A, 0.5),
+            lambda A: check_condition(A, np.eye(3), 0.5, 0.5),
+            lambda A: check_condition(np.eye(3), A, 0.5, 0.5),
+        ],
+        ids=["symmetrize", "spectral_norm", "exact_rls", "check_condition-K", "check_condition-K_tilde"],
+    )
+    def test_rejects_a_non_finite_entry(self, entry_point, bad):
+        """A non-finite symmetric pair fails where the matrix comes in, not
+        as NaN scores, a NaN norm or an eigensolver that does not converge."""
+        A = 2.0 * np.eye(3)
+        A[0, 2] = A[2, 0] = bad
+        with pytest.raises(InputError, match="non-finite entry"):
+            entry_point(A)
 
     def test_validate_psd_rejects_indefinite(self):
         with pytest.raises(InputError):

@@ -430,12 +430,11 @@ class TestEstimateOracleMatchesEstimators:
             assert deff == pytest.approx(deff_ref, rel=1e-10, abs=0.0)
         assert wrapper.diagnostics == wrapper.reference_diagnostics
 
-    def test_indefinite_bordering_fallback(self):
+    def test_indefinite_bordering_raises(self):
         """The bordered matrix is indefinite at shift alpha*gamma while the
-        sketch plus alpha*gamma is positive definite: the public scores take
-        the symmetric-indefinite fallback (counting clamps) and the public
-        increment fails on its denominator, while the step raises on the
-        failed bordered factor before any score, leaving the counters
+        sketch plus alpha*gamma is positive definite: the public scores and
+        the public increment raise NumericalError, and so does the step, on
+        the failed bordered factor before any score, leaving the counters
         untouched."""
         gamma, eps = 0.1, 0.5
         shift = alpha_factor(eps) * gamma
@@ -447,17 +446,17 @@ class TestEstimateOracleMatchesEstimators:
         assert np.linalg.eigvalsh(border(sketch, cross, corner) + shift * np.eye(2))[0] < 0
         reference = Diagnostics()
         columns = border(block, cross, corner)
-        estimate_rls_batch(
-            border(sketch, cross, corner), columns, np.diag(columns), gamma, eps, diagnostics=reference
-        )
+        with pytest.raises(NumericalError, match="not positive definite"):
+            estimate_rls_batch(
+                border(sketch, cross, corner), columns, np.diag(columns), gamma, eps, diagnostics=reference
+            )
         diagnostics = Diagnostics()
         oracle = EstimateOracle(gamma, eps, diagnostics=diagnostics)
         with pytest.raises(NumericalError, match="increment denominator"):
             estimate_deff_increment(sketch, cross, corner, gamma, eps)
         with pytest.raises(NumericalError, match="bordered Schur complement .* not positive definite"):
             oracle.begin_step(state, 1, cross, corner)
-        assert diagnostics == Diagnostics()
-        assert reference.rls_clamped_low + reference.rls_clamped_high > 0
+        assert diagnostics == Diagnostics() == reference
 
     def test_numerical_error_on_indefinite_dictionary_block(self):
         """A carried dictionary block whose weighted form plus gamma is not
