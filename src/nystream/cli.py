@@ -35,7 +35,7 @@ from .kernels import DESK_SCALE_CAP, Dataset, KernelSpec, gram, load_csv, load_l
 from .leverage import alpha_factor, beta_factor, exact_rls
 from .pipeline import (
     RunCheckpoint,
-    batch_exact,
+    _batch_selection,
     ink_estimate_run,
     ink_oracle_run,
     suggest_batch_m,
@@ -211,18 +211,14 @@ def _execute_run(cfg: RunConfig) -> tuple[list[RunCheckpoint], dict]:
     if cfg.algorithm == "batch-exact":
         if len(dataset) > DESK_SCALE_CAP:
             raise InputError("batch-exact needs the dense matrix: dataset too large")
-        K = gram(dataset, kernel)
-        profile = exact_rls(K, cfg.gamma)
-        _, selection = batch_exact(
-            dataset, kernel, cfg.gamma, cfg.budget, cfg.seed, profile=profile
-        )
-        weight_of = dict(selection.pairs)
+        profile = exact_rls(gram(dataset, kernel), cfg.gamma)
+        selection = _batch_selection(profile.probabilities, cfg.budget, cfg.seed)
         checkpoint = RunCheckpoint(
             step=len(dataset),
             dict_size=len(set(selection.indices)),
             deff_tilde=profile.deff,
             indices=selection.indices,
-            weights=tuple(weight_of[i] for i in selection.indices),
+            weights=tuple(w for _, w in selection.pairs),
         )
         return [checkpoint], {}
     if cfg.algorithm == "ink-estimate":
@@ -250,6 +246,42 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _wire_checkpoints(items, path) -> list[RunCheckpoint]:
+    """The checkpoints of a run file, each field checked against what
+    :func:`_checkpoint_payload` writes."""
+    if not isinstance(items, list) or not items:
+        raise InputError(f"{path}: checkpoints is not a non-empty list")
+    checkpoints = []
+    for pos, item in enumerate(items):
+        where = f"{path}: checkpoints[{pos}]"
+        if not isinstance(item, dict):
+            raise InputError(f"{where} is not an object")
+        for key, ok, what in (
+            ("t", _is_count, "a non-negative integer"),
+            ("Q_t", _is_count, "a non-negative integer"),
+            ("deff_tilde", lambda v: type(v) in (int, float), "a number"),
+            ("dictionary_indices", lambda v: isinstance(v, list) and all(map(_is_count, v)), "a list of integers"),
+            ("weights", lambda v: isinstance(v, list) and all(type(w) in (int, float) and w > 0 for w in v),
+             "a list of positive numbers"),
+        ):
+            if not ok(item.get(key)):
+                got = repr(item[key]) if key in item else "nothing"
+                raise InputError(f"{where}.{key} must be {what}, got {got}")
+        t, wire_indices, weights = item["t"], item["dictionary_indices"], item["weights"]
+        for i in wire_indices:
+            if not 1 <= i <= t:
+                raise InputError(f"{where}.dictionary_indices holds {i}, outside 1..{t}")
+        if len(weights) != len(wire_indices):
+            raise InputError(f"{where} has {len(weights)} weights for {len(wire_indices)} dictionary indices")
+        indices = tuple(i - 1 for i in wire_indices)
+        checkpoints.append(RunCheckpoint(t, item["Q_t"], item["deff_tilde"], indices, tuple(weights)))
+    return checkpoints
+
+
 def _verify_directory(rundir: Path, input_override: str | None) -> int:
     path = rundir / "checkpoints.json"
     payload = _read_json_object(path, "run file")
@@ -268,16 +300,7 @@ def _verify_directory(rundir: Path, input_override: str | None) -> int:
         raise InputError(
             f"verification materializes dense matrices and refuses n > {DESK_SCALE_CAP}"
         )
-    checkpoints = [
-        RunCheckpoint(
-            step=item["t"],
-            dict_size=item["Q_t"],
-            deff_tilde=item["deff_tilde"],
-            indices=tuple(i - 1 for i in item["dictionary_indices"]),
-            weights=tuple(item["weights"]),
-        )
-        for item in payload["checkpoints"]
-    ]
+    checkpoints = _wire_checkpoints(payload.get("checkpoints"), path)
     records = verify_checkpoints(
         dataset,
         cfg.kernel_spec(),

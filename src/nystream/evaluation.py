@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InputError
 from .kernels import Dataset, KernelSpec, gram
 from .leverage import deff_increment_exact, exact_rls
-from .linalg import DEFAULT_PSD_TOL, eig_pairs, symmetrize
+from .linalg import DEFAULT_PSD_TOL, _psd_within, eig_pairs, symmetrize
 from .nystrom import NystromFactor, Selection, build_selection, nystrom_approx
 from .pipeline import RunCheckpoint
 
@@ -127,9 +127,8 @@ def _spectrum(K: np.ndarray, *, require_psd: bool = False) -> tuple[np.ndarray, 
     with ``require_psd``, ``K`` is first checked by validate_psd's rule."""
     pair = eig_pairs(K)
     lam = pair.eigenvalues
-    if require_psd and lam.size:
-        if lam[-1] < -DEFAULT_PSD_TOL * max(1.0, float(np.max(np.abs(lam)))):
-            raise InputError(f"kernel matrix is not PSD (min eigenvalue {lam[-1]:.3e})")
+    if require_psd and lam.size and not _psd_within(lam, DEFAULT_PSD_TOL):
+        raise InputError(f"kernel matrix is not PSD (min eigenvalue {lam[-1]:.3e})")
     return pair.eigenvectors, np.clip(lam, 0.0, None)
 
 
@@ -141,20 +140,20 @@ def _condition(
         raise InputError("gamma must be positive")
     if not 0.0 <= epsilon < 1.0:
         raise InputError("epsilon must lie in [0, 1)")
-    # One eigvalsh gives the lower check (psd_order_check's rule) and the gap.
+    # One eigvalsh gives the lower check and the gap.
     gaps = np.linalg.eigvalsh(diff) if diff.size else np.zeros(1)
     gap = float(np.max(np.abs(gaps)))
-    lower_ok = bool(gaps[0] >= -CONDITION_TOL * max(1.0, gap))
+    lower_ok = _psd_within(gaps, CONDITION_TOL)
     # The upper bound gamma/(1-eps) K (K + gamma I)^{-1} is root @ root.T.
     # It and ``diff`` are exactly symmetric, so their difference is too and
-    # goes to eigvalsh as it is, under psd_order_check's rule.
+    # goes to eigvalsh as it is.
     root = U * np.sqrt(gamma / (1.0 - epsilon) * lam / (lam + gamma))
     slack = root @ root.T
     del root
     slack -= diff
     margins = np.linalg.eigvalsh(slack) if slack.size else np.zeros(1)
     del slack
-    upper_ok = bool(margins[0] >= -CONDITION_TOL * max(1.0, float(np.max(np.abs(margins)))))
+    upper_ok = _psd_within(margins, CONDITION_TOL)
     psi = _psi(U, lam, selection, gamma) if selection is not None else float("nan")
     return ConditionReport(step, lower_ok, upper_ok, gap, psi)
 

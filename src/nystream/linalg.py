@@ -1,14 +1,13 @@
 """Dense symmetric/PSD primitives: regularized solves, eigendecomposition,
 PSD ordering tests, spectral norm.
 
-All entry points but :func:`shifted_cholesky` and :func:`_inverse` symmetrize
-their input as (A + A^T)/2 when the asymmetry is below ``SYMMETRY_TOL``
-(relative) and reject it otherwise, so floating-point drift accumulated while
-assembling approximations is absorbed here.  Callers pass matrices as they
-build them and do not symmetrize them first.  :func:`shifted_cholesky` and
-:func:`_inverse` are the carried sketch's primitives: they take matrices
-built exactly symmetric and check nothing, so one factor per shift serves
-every solve at that shift, and its inverse costs one more LAPACK call.
+The public entry points symmetrize their input as (A + A^T)/2 when the
+asymmetry is below ``SYMMETRY_TOL`` (relative) and reject it otherwise, so
+floating-point drift accumulated while assembling approximations is absorbed
+here; callers do not symmetrize first.  Every Cholesky factor comes from
+:func:`shifted_cholesky`, which checks nothing: the solves pass it their
+symmetrized input, and the carried sketch its exactly symmetric blocks, with
+:func:`_inverse` for the inverse.  Every PSD verdict is :func:`_psd_within`'s.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import InputError, NumericalError
@@ -73,8 +73,8 @@ def eig_pairs(A: np.ndarray) -> EigPair:
 def regularized_solve(A: np.ndarray, ridge: float, B: np.ndarray) -> np.ndarray:
     """Solve (A + ridge*I) x = B for symmetric PSD ``A`` and ``ridge > 0``.
 
-    Uses a Cholesky factorization of the shifted matrix (the shift makes it
-    positive definite).  The result has the same shape as ``B``.
+    Uses :func:`shifted_cholesky` (the shift makes the matrix positive
+    definite).  The result has the same shape as ``B``.
     """
     if not ridge > 0:
         raise InputError("ridge must be positive")
@@ -85,12 +85,7 @@ def regularized_solve(A: np.ndarray, ridge: float, B: np.ndarray) -> np.ndarray:
         raise InputError(f"B has {B.shape[0]} rows, expected {expected}")
     if expected == 0:
         return B.copy()
-    shifted = A + ridge * np.eye(expected)
-    try:
-        factor = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(factor, B, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"shifted matrix is not positive definite: {exc}")
+    return cho_solve((shifted_cholesky(A, ridge), True), B, check_finite=False)
 
 
 def shifted_cholesky(A: np.ndarray, shift: float) -> np.ndarray:
@@ -131,14 +126,12 @@ def solve_shifted_indefinite(A: np.ndarray, shift: float, B: np.ndarray) -> np.n
     B = np.asarray(B, dtype=np.float64)
     if A.shape[0] == 0:
         return B.copy()
-    shifted = A + shift * np.eye(A.shape[0])
     try:
-        factor = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(factor, B, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        return cho_solve((shifted_cholesky(A, shift), True), B, check_finite=False)
+    except NumericalError:
         pass
     try:
-        return scipy.linalg.solve(shifted, B, assume_a="sym", check_finite=False)
+        return scipy.linalg.solve(A + shift * np.eye(A.shape[0]), B, assume_a="sym", check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"shifted solve failed: {exc}")
 
@@ -151,11 +144,16 @@ def spectral_norm(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(A))))
 
 
-def psd_order_check(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> bool:
-    """True iff A <= B in the PSD order, within a relative tolerance.
+def _psd_within(eigenvalues: np.ndarray, tol: float) -> bool:
+    """The PSD rule: ``lambda_min >= -tol * max(1, max |lambda|)``, for the
+    non-empty eigenvalues of a symmetric matrix in any order."""
+    low, high = float(eigenvalues.min()), float(eigenvalues.max())
+    return low >= -tol * max(1.0, -low, high)
 
-    The check is ``lambda_min(B - A) >= -tol * max(1, ||B - A||_2)``.
-    """
+
+def psd_order_check(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> bool:
+    """True iff A <= B in the PSD order: ``B - A`` passes :func:`_psd_within`
+    at ``tol``."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if A.shape != B.shape:
@@ -163,9 +161,7 @@ def psd_order_check(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_PSD_TOL) 
     diff = symmetrize(B - A)
     if diff.size == 0:
         return True
-    lam = np.linalg.eigvalsh(diff)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    return bool(lam[0] >= -tol * scale)
+    return _psd_within(np.linalg.eigvalsh(diff), tol)
 
 
 def min_eigenvalue(A: np.ndarray) -> float:
@@ -176,12 +172,11 @@ def min_eigenvalue(A: np.ndarray) -> float:
 
 
 def validate_psd(A: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Symmetrize and require eigenvalues >= -DEFAULT_PSD_TOL * max(1, lambda_max)."""
+    """Symmetrize and require :func:`_psd_within` at ``DEFAULT_PSD_TOL``."""
     A = symmetrize(A)
     if A.size == 0:
         return A
     lam = np.linalg.eigvalsh(A)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if lam[0] < -DEFAULT_PSD_TOL * scale:
+    if not _psd_within(lam, DEFAULT_PSD_TOL):
         raise InputError(f"{what} is not PSD (min eigenvalue {lam[0]:.3e})")
     return A

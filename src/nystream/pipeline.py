@@ -47,7 +47,7 @@ from .leverage import (
 )
 from .linalg import spectral_norm
 from .nystrom import NystromFactor, Selection, build_selection, nystrom_approx
-from .sampling import _KEY_LIMIT, Dictionary, RngHandle, direct_sample, selection_weights, shrink_expand
+from .sampling import Dictionary, RngHandle, direct_sample, selection_weights, shrink_expand
 from .sketch import CarriedSketch, _restricted_factor
 
 
@@ -98,30 +98,32 @@ class RunCheckpoint:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A run's output.  Besides the selection it keeps the kernel and the
-    final dictionary's points (Q x d) and integer weights, from which
-    :attr:`factor` is derived on access."""
+    """A run's output: its checkpoints, the final dictionary with its points
+    (Q x d), the kernel, gamma and the clamp counters.  The final selection,
+    ``deff_tilde`` and :attr:`factor` are derived from them on access."""
 
-    algorithm: str
-    n_steps: int
-    gamma: float
-    budget: int
-    epsilon: float | None
-    seed: int | None
     checkpoints: tuple[RunCheckpoint, ...]
-    selection: Selection
-    kernel: KernelSpec
+    dictionary: Dictionary
     dict_points: np.ndarray
-    dict_counts: np.ndarray
-    deff_tilde: float
+    kernel: KernelSpec
+    gamma: float
     diagnostics: dict
+
+    @property
+    def deff_tilde(self) -> float:
+        return self.checkpoints[-1].deff_tilde
+
+    @property
+    def selection(self) -> Selection:
+        d = self.dictionary
+        return build_selection(d.indices.tolist(), selection_weights(d), self.checkpoints[-1].step)
 
     @property
     def factor(self) -> NystromFactor:
         """The final selection's factored approximation restricted to the
         dictionary rows; the kernel block is re-evaluated on each access."""
         gram_block = _symmetric_pairwise(self.kernel, self.dict_points)
-        return _restricted_factor(gram_block, self.dict_counts, float(self.gamma))
+        return _restricted_factor(gram_block, self.dictionary.counts, float(self.gamma))
 
 
 @dataclass(frozen=True)
@@ -167,9 +169,6 @@ class ExactOracle:
     t^2 / 2 floats, grown by doubling.  Leverage scores fall out of the
     identity ``tau_i = 1 - gamma * d_i``.
     """
-
-    alpha = 1.0
-    beta = 1.0
 
     def __init__(self, dataset: Dataset, kernel: KernelSpec, gamma: float):
         if not gamma > 0:
@@ -361,10 +360,6 @@ def ink_step(
     return next_state, EstimatedProfile(queried, tau, deff_new, p_new)
 
 
-def _as_handle(rng: RngHandle | int) -> RngHandle:
-    return rng if isinstance(rng, RngHandle) else RngHandle(seed=int(rng))
-
-
 def _checkpoint(state: SketchState) -> RunCheckpoint:
     return RunCheckpoint(
         step=state.step,
@@ -381,23 +376,20 @@ def _stream_run(
     gamma: float,
     q_bar: int,
     oracle: ScoreOracle,
-    algorithm: str,
-    epsilon: float | None,
     checkpoint_every: int,
-    rng: RngHandle,
+    rng: RngHandle | int,
     audit: AccessAudit | None,
-    diagnostics: Diagnostics | None = None,
+    diagnostics: Diagnostics,
 ) -> RunResult:
+    if q_bar < 1:
+        raise InputError("q_bar must be at least 1")
     if not gamma > 0:
         raise InputError("gamma must be positive")
     if checkpoint_every < 0:
         raise InputError("checkpoint_every must be non-negative (0 keeps only the final checkpoint)")
+    handle = rng if isinstance(rng, RngHandle) else RngHandle(seed=int(rng))
     n = len(dataset)
-    if n >= _KEY_LIMIT:
-        # Chain substreams are keyed by step (1..n) and index (0..n-1), both
-        # of which must stay below 2**28 - 1.
-        raise InputError(f"stream of {n} points is too long: the limit is 2**28 - 2 = {_KEY_LIMIT - 1}")
-    state = initial_state(q_bar, rng, kernel, dataset.dim)
+    state = initial_state(q_bar, handle, kernel, dataset.dim)
     checkpoints: list[RunCheckpoint] = []
     for idx in range(n):
         point = dataset.points[idx]
@@ -415,32 +407,14 @@ def _stream_run(
         if checkpoint_every and state.step % checkpoint_every == 0 and state.step != n:
             checkpoints.append(_checkpoint(state))
     checkpoints.append(_checkpoint(state))
-
-    diag = (diagnostics if diagnostics is not None else Diagnostics()).as_dict()
-    selection = build_selection(state.dictionary.indices.tolist(), selection_weights(state.dictionary), n)
-    result = RunResult(
-        algorithm=algorithm,
-        n_steps=n,
-        gamma=gamma,
-        budget=q_bar,
-        epsilon=epsilon,
-        seed=rng.seed,
+    return RunResult(
         checkpoints=tuple(checkpoints),
-        selection=selection,
-        kernel=kernel,
+        dictionary=state.dictionary,
         dict_points=state.dict_points,
-        dict_counts=state.dictionary.counts,
-        deff_tilde=state.deff_tilde,
-        diagnostics=diag,
+        kernel=kernel,
+        gamma=gamma,
+        diagnostics=diagnostics.as_dict(),
     )
-    if epsilon is not None and state.dictionary.size:
-        # lambda_max of the sketch is only a lower-bound stand-in for the
-        # full spectrum, so the derived factor is a report value, not a
-        # guarantee.
-        rho_proxy = spectral_norm(result.factor.materialize()) / gamma
-        diag["rho_lower_bound_proxy"] = rho_proxy
-        diag["beta_from_sketch_proxy"] = beta_factor(epsilon, rho_proxy)
-    return result
 
 
 def ink_oracle_run(
@@ -459,15 +433,9 @@ def ink_oracle_run(
     With the default (exact) oracle this is the reference sequential
     algorithm; any object satisfying :class:`ScoreOracle` can be plugged in.
     """
-    if q_bar < 1:
-        raise InputError("q_bar must be at least 1")
-    handle = _as_handle(rng)
     if oracle is None:
         oracle = ExactOracle(dataset, kernel, gamma)
-    return _stream_run(
-        dataset, kernel, gamma, q_bar, oracle, "ink-oracle", None,
-        checkpoint_every, handle, audit,
-    )
+    return _stream_run(dataset, kernel, gamma, q_bar, oracle, checkpoint_every, rng, audit, Diagnostics())
 
 
 def ink_estimate_run(
@@ -483,17 +451,19 @@ def ink_estimate_run(
 ) -> RunResult:
     """Single-pass run: the oracle slot is filled by the incremental
     estimators, so no state beyond the dictionary is kept."""
-    if q_bar < 1:
-        raise InputError("q_bar must be at least 1")
     if not 0.0 < epsilon < 1.0:
         raise InputError("epsilon must lie in (0, 1)")
-    handle = _as_handle(rng)
     diagnostics = Diagnostics()
     oracle = EstimateOracle(gamma, epsilon, diagnostics=diagnostics)
-    return _stream_run(
-        dataset, kernel, gamma, q_bar, oracle, "ink-estimate", epsilon,
-        checkpoint_every, handle, audit, diagnostics,
-    )
+    result = _stream_run(dataset, kernel, gamma, q_bar, oracle, checkpoint_every, rng, audit, diagnostics)
+    if result.dictionary.size:
+        # lambda_max of the sketch is only a lower-bound stand-in for the
+        # full spectrum, so the derived factor is a report value, not a
+        # guarantee.
+        rho_proxy = spectral_norm(result.factor.materialize()) / gamma
+        result.diagnostics["rho_lower_bound_proxy"] = rho_proxy
+        result.diagnostics["beta_from_sketch_proxy"] = beta_factor(epsilon, rho_proxy)
+    return result
 
 
 def batch_exact(
@@ -501,33 +471,29 @@ def batch_exact(
     kernel: KernelSpec,
     gamma: float,
     m: int,
-    rng: RngHandle | int | np.random.Generator = 0,
-    *,
-    profile=None,
+    rng: int = 0,
 ) -> tuple[NystromFactor, Selection]:
     """Reference batch method: exact scores, multinomial column sampling.
 
     Each drawn index enters the selection with weight ``1/sqrt(m p_i)``.
     Needs the dense kernel matrix, so it is desk scale by construction.
-    A precomputed exact leverage profile may be passed to skip recomputing it.
     """
     if m < 1:
         raise InputError("sampling budget m must be at least 1")
     K = gram(dataset, kernel)
-    if profile is None:
-        profile = exact_rls(K, gamma)
-    if isinstance(rng, np.random.Generator):
-        gen = rng
-    else:
-        gen = _as_handle(rng).batch_stream()
-    draws = direct_sample(profile.probabilities, m, gen)
+    selection = _batch_selection(exact_rls(K, gamma).probabilities, m, rng)
+    return nystrom_approx(K, selection, gamma), selection
+
+
+def _batch_selection(probabilities: np.ndarray, m: int, seed: int) -> Selection:
+    """``m`` multinomial draws from ``probabilities`` on seed ``seed``'s
+    batch substream, each drawn index weighted ``1/sqrt(m p_i)``."""
+    draws = direct_sample(probabilities, m, RngHandle(seed=int(seed)).batch_stream())
     weights = {
-        int(i): 1.0 / math.sqrt(m * profile.probabilities[int(i)])
+        int(i): 1.0 / math.sqrt(m * probabilities[int(i)])
         for i in np.unique(draws)
     }
-    selection = build_selection(draws.tolist(), weights, len(dataset))
-    factor = nystrom_approx(K, selection, gamma)
-    return factor, selection
+    return build_selection(draws.tolist(), weights, probabilities.shape[0])
 
 
 def suggest_batch_m(deff: float, epsilon: float, delta: float, n: int) -> int:

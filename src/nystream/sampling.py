@@ -19,11 +19,10 @@ from .errors import InputError
 _PURPOSE_CHAIN = 1
 _PURPOSE_BATCH = 2
 _MASK64 = (1 << 64) - 1
-# Step and index are each stored plus one in a 28-bit field of the key, so
-# both must stay below 2**28 - 1.
+# Mask of the 28 low bits of a substream coordinate that go in the key.
 _KEY_LIMIT = (1 << 28) - 1
 _ONE = np.ones(1, dtype=np.int64)  # entry weight of a new index
-_ZERO4 = np.zeros(4, dtype=np.uint64)  # counter and buffer of a fresh Philox
+_ZERO4 = (0, 0, 0, 0)  # output buffer of a fresh Philox
 
 
 def _chain_pair() -> tuple[np.random.Philox, np.random.Generator]:
@@ -42,28 +41,38 @@ class RngHandle:
         default_factory=_chain_pair, init=False, repr=False, compare=False
     )
 
-    def _key(self, purpose: int, a: int, b: int) -> int:
-        if not (0 <= a < _KEY_LIMIT and 0 <= b < _KEY_LIMIT):
+    def _key(self, purpose: int, a: int, b: int) -> tuple[int, tuple[int, int, int, int]]:
+        """Philox key and starting counter of substream ``(purpose, a, b)``.
+
+        ``a + 1`` and ``b + 1`` each put their low 28 bits in the key and
+        the rest in counter words 2 and 3, which are 0 below _KEY_LIMIT: a
+        substream would draw 2**128 blocks before it carried into them, so
+        no two substreams overlap.
+        """
+        if a < 0 or b < 0:
             raise InputError("substream coordinates out of range")
-        return (
+        a, b = a + 1, b + 1
+        key = (
             (self.seed & _MASK64)
             | (purpose & 0xFF) << 64
-            | (a + 1) << 72
-            | (b + 1) << 100
+            | (a & _KEY_LIMIT) << 72
+            | (b & _KEY_LIMIT) << 100
         )
+        return key, (0, 0, a >> 28, b >> 28)
 
     def chain_stream(self, step: int, index: int) -> np.random.Generator:
         """Substream feeding the Bernoulli chain of one index at one step.
 
-        The draws are those of ``Generator(Philox(key=...))`` for the same
-        key, but the returned generator is the handle's one chain generator,
-        re-keyed: it is valid until the handle's next ``chain_stream`` call.
+        The draws are those of ``Generator(Philox(key=..., counter=...))``
+        for the same key and counter, but the returned generator is the
+        handle's one chain generator, re-keyed: it is valid until the
+        handle's next ``chain_stream`` call.
         """
-        key = self._key(_PURPOSE_CHAIN, step, index)
+        key, counter = self._key(_PURPOSE_CHAIN, step, index)
         bitgen, gen = self._chain
         bitgen.state = {
             "bit_generator": "Philox",
-            "state": {"counter": _ZERO4, "key": np.array([key & _MASK64, key >> 64], dtype=np.uint64)},
+            "state": {"counter": counter, "key": (key & _MASK64, key >> 64)},
             "buffer": _ZERO4,
             "buffer_pos": 4,
             "has_uint32": 0,
@@ -73,7 +82,8 @@ class RngHandle:
 
     def batch_stream(self) -> np.random.Generator:
         """Substream for batch multinomial sampling."""
-        return np.random.Generator(np.random.Philox(key=self._key(_PURPOSE_BATCH, 0, 0)))
+        key, counter = self._key(_PURPOSE_BATCH, 0, 0)
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 @dataclass(frozen=True)

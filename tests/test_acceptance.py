@@ -246,9 +246,7 @@ def test_criterion_06_batch_reconstruction(bench):
     started = time.perf_counter()
     passed = 0
     for seed in range(200):
-        factor, _sel = batch_exact(
-            bench.prob.dataset, bench.kern, GAMMA, m, rng=seed, profile=bench.profile
-        )
+        factor, _sel = batch_exact(bench.prob.dataset, bench.kern, GAMMA, m, rng=seed)
         rep = check_condition(bench.K, factor.materialize(), GAMMA, EPSILON)
         passed += rep.lower_psd_ok and rep.upper_psd_ok
     elapsed = time.perf_counter() - started
@@ -342,7 +340,7 @@ def test_criterion_09_risk_ratio():
         K = gram(prob.dataset, kern)
         profile = exact_rls(K, GAMMA)
         m = suggest_batch_m(profile.deff, EPSILON, DELTA, 100)
-        factor, _ = batch_exact(prob.dataset, kern, GAMMA, m, rng=seed, profile=profile)
+        factor, _ = batch_exact(prob.dataset, kern, GAMMA, m, rng=seed)
         K_tilde = factor.materialize()
         rep = check_condition(K, K_tilde, GAMMA, EPSILON)
         if not (rep.lower_psd_ok and rep.upper_psd_ok):

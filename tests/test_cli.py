@@ -417,3 +417,43 @@ class TestVerifyConfigEcho:
         err = capsys.readouterr().err
         assert str(path) in err and named in err
         assert not (out / "condition_reports.csv").exists()
+
+
+def first_checkpoint(payload):
+    return payload["checkpoints"][0]
+
+
+class TestVerifyCheckpointList:
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda p: first_checkpoint(p).pop("t"), "checkpoints[0].t must be a non-negative integer, got nothing"),
+            (lambda p: first_checkpoint(p).update(Q_t="5"), "checkpoints[0].Q_t"),
+            (lambda p: first_checkpoint(p).update(deff_tilde=None), "checkpoints[0].deff_tilde"),
+            (lambda p: first_checkpoint(p)["dictionary_indices"].__setitem__(0, 0), "holds 0, outside 1..20"),
+            (lambda p: first_checkpoint(p)["dictionary_indices"].append(21), "holds 21, outside 1..20"),
+            (lambda p: first_checkpoint(p)["dictionary_indices"].__setitem__(0, "1"), "checkpoints[0].dictionary_indices"),
+            (lambda p: first_checkpoint(p)["weights"].__setitem__(0, -1.0), "checkpoints[0].weights"),
+            (lambda p: first_checkpoint(p)["weights"].pop(), "weights for"),
+            (lambda p: p["checkpoints"].__setitem__(1, 3), "checkpoints[1] is not an object"),
+            (lambda p: p.update(checkpoints={}), "checkpoints is not a non-empty list"),
+            (lambda p: p.pop("checkpoints"), "checkpoints is not a non-empty list"),
+        ],
+        ids=["missing-t", "str-Q_t", "null-deff", "index-0", "index-past-t", "str-index",
+             "negative-weight", "short-weights", "item-not-object", "not-a-list", "missing-list"],
+    )
+    def test_malformed_checkpoint_exits_1_naming_the_field(self, data_csv, tmp_path, capsys, edit, named):
+        """Each checkpoint field is checked before any verification work; an
+        index is reported as the 1-based value in the file."""
+        out = tmp_path / "out"
+        assert main(run_args(data_csv, out)) == 0
+        path = out / "checkpoints.json"
+        payload = json.loads(path.read_text())
+        assert first_checkpoint(payload)["t"] == 20 and first_checkpoint(payload)["dictionary_indices"]
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err
+        assert not (out / "condition_reports.csv").exists()

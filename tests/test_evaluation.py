@@ -22,12 +22,15 @@ from nystream import (
     risk_ratio_bound,
     verify_checkpoints,
 )
+from nystream import evaluation
 from nystream.evaluation import (
+    CONDITION_TOL,
     CheckpointRecord,
     checkpoint_selection,
     write_records_csv,
     write_records_json,
 )
+from nystream.linalg import DEFAULT_PSD_TOL, psd_order_check, validate_psd
 from nystream.nystrom import build_selection
 from nystream.pipeline import RunCheckpoint, batch_exact
 
@@ -330,6 +333,39 @@ class TestVerifyCheckpoints:
             prob.dataset, kern, 1.0, 0.5, res.checkpoints, "ink-estimate"
         )
         assert all(np.isnan(r.risk_exact) for r in records)
+
+
+class TestPsdRule:
+    """validate_psd, psd_order_check, verify_checkpoints' check on K and
+    check_condition's lower check share one rule,
+    lambda_min >= -tol * max(1, max |lambda|), and so one verdict."""
+
+    @pytest.mark.parametrize("top", [100.0, 0.5])
+    @pytest.mark.parametrize("ratio, inside", [(0.9, True), (1.1, False)])
+    def test_one_verdict_across_checks(self, monkeypatch, top, ratio, inside):
+        def spectrum(tol):
+            return np.diag([top, -ratio * tol * max(1.0, top)])
+
+        K = spectrum(DEFAULT_PSD_TOL)
+        assert psd_order_check(np.zeros((2, 2)), K) is inside
+        try:
+            validate_psd(K)
+            validated = True
+        except InputError:
+            validated = False
+        assert validated is inside
+
+        monkeypatch.setattr(evaluation, "gram", lambda dataset, kernel, t=None: K.copy())
+        cp = RunCheckpoint(step=2, dict_size=1, deff_tilde=1.0, indices=(0,), weights=(1.0,))
+        args = (Dataset(points=np.zeros((2, 1))), KernelSpec.linear_kernel(), 1.0, 0.5, [cp], "ink-oracle")
+        if inside:
+            assert len(verify_checkpoints(*args)) == 1
+        else:
+            with pytest.raises(InputError, match="kernel matrix is not PSD"):
+                verify_checkpoints(*args)
+
+        lower = check_condition(np.zeros((2, 2)), -spectrum(CONDITION_TOL), 1.0, 0.5).lower_psd_ok
+        assert lower is inside
 
 
 class TestWriters:

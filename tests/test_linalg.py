@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtpsv
 
@@ -246,6 +247,23 @@ class TestShiftedCholesky:
     def test_indefinite_shift_raises(self):
         with pytest.raises(NumericalError, match="not positive definite"):
             shifted_cholesky(np.diag([1.0, -0.5, 2.0]), 0.25)
+
+
+class TestOneCholeskyRoute:
+    def test_regularized_solve_names_the_leading_minor(self):
+        """An indefinite shifted matrix fails in shifted_cholesky, whose
+        error names the first leading minor that is not positive."""
+        with pytest.raises(NumericalError, match=r"not positive definite \(leading minor 2\)"):
+            regularized_solve(np.diag([1.0, -3.0, 2.0]), 1.0, np.ones(3))
+
+    def test_solves_bit_equal_to_a_solve_on_the_factor(self, rng):
+        """Both solves run cho_solve on shifted_cholesky's factor of their
+        symmetrized input."""
+        A = random_psd(rng, 7) + 1e-13 * rng.normal(size=(7, 7))
+        B = rng.normal(size=(7, 2))
+        expected = scipy.linalg.cho_solve((shifted_cholesky(symmetrize(A), 0.4), True), B)
+        assert regularized_solve(A, 0.4, B).tobytes() == expected.tobytes()
+        assert solve_shifted_indefinite(A, 0.4, B).tobytes() == expected.tobytes()
 
 
 class TestInverse:

@@ -37,7 +37,7 @@ from nystream import (
     suggest_q_bar,
     update_deff,
 )
-from nystream.evaluation import SyntheticSpec, generate_synthetic
+from nystream.evaluation import SyntheticSpec, checkpoint_selection, generate_synthetic
 from nystream.kernels import KernelColumn, _symmetric_pairwise
 from nystream.leverage import estimate_rls_batch
 from nystream.sketch import CarriedSketch, _restricted_factor
@@ -584,6 +584,27 @@ class TestRuns:
         assert res.checkpoints[-1].indices == (0,)
         assert res.checkpoints[-1].weights == (1.0,)
 
+    @pytest.mark.parametrize("algorithm", ["ink-estimate", "ink-oracle"])
+    def test_result_derives_from_its_final_dictionary(self, algorithm):
+        """A result stores the final dictionary once; deff_tilde, the
+        selection and the weights agree with the final checkpoint."""
+        ds = clustered(90, seed=8)
+        kern = KernelSpec.gaussian_kernel(1.0)
+        if algorithm == "ink-estimate":
+            res = ink_estimate_run(ds, kern, 0.1, 30, 0.5, rng=4, checkpoint_every=40)
+        else:
+            res = ink_oracle_run(ds, kern, 0.1, 30, rng=4, checkpoint_every=40)
+        assert [f.name for f in dataclasses.fields(res)] == [
+            "checkpoints", "dictionary", "dict_points", "kernel", "gamma", "diagnostics",
+        ]
+        last = res.checkpoints[-1]
+        assert last.step == len(ds) and last.dict_size > 1
+        assert res.deff_tilde == last.deff_tilde
+        assert tuple(res.dictionary.indices.tolist()) == last.indices
+        assert tuple(res.dictionary.counts.astype(np.float64).tolist()) == last.weights
+        assert res.selection == checkpoint_selection(last, last.step, algorithm)
+        np.testing.assert_array_equal(res.dict_points, ds.points[res.dictionary.indices])
+
     def test_seeded_runs_are_identical(self):
         ds = clustered(80, seed=6)
         kern = KernelSpec.gaussian_kernel(0.9)
@@ -692,10 +713,10 @@ class TestRuns:
             ink_estimate_run(ds, kern, gamma, 10, 0.5, audit=audit)
         assert audit.points_consumed == []
 
-    def test_stream_of_2_pow_28_points_rejected_before_any_point(self):
-        """Chain keys need step < 2**28 - 1, so a stream of 2**28 points or
-        one fewer fails up front, through both entry points, before a single
-        point is read."""
+    def test_stream_of_2_pow_28_points_or_more_is_not_refused(self):
+        """Chain keys fold step and index past 2**28 - 2 into the Philox
+        counter, so streams of 2**28 points and more pass the prologue of
+        both entry points and go on to read their first point."""
 
         class PointRead(Exception):
             pass
@@ -714,16 +735,11 @@ class TestRuns:
                 raise PointRead
 
         kern = KernelSpec.gaussian_kernel(1.0)
-        audit = AccessAudit()
-        for n in (2**28, 2**28 - 1):
-            with pytest.raises(InputError, match=r"2\*\*28 - 2 = 268435454"):
-                ink_estimate_run(LongStream(n), kern, 1.0, 10, 0.5, audit=audit)
-            with pytest.raises(InputError, match=r"2\*\*28 - 2 = 268435454"):
-                ink_oracle_run(LongStream(n), kern, 1.0, 10, StubOracle(), audit=audit)
-        assert audit.points_consumed == []
-        # 2**28 - 2 points pass the check and go on to read the first point.
-        with pytest.raises(PointRead):
-            ink_estimate_run(LongStream(2**28 - 2), kern, 1.0, 10, 0.5, audit=audit)
+        for n in (2**28 - 1, 2**28, 2**40):
+            with pytest.raises(PointRead):
+                ink_estimate_run(LongStream(n), kern, 1.0, 10, 0.5)
+            with pytest.raises(PointRead):
+                ink_oracle_run(LongStream(n), kern, 1.0, 10, StubOracle())
 
     @pytest.mark.parametrize("algorithm", ["ink-estimate", "ink-oracle"])
     def test_result_factor_sampled_is_exactly_symmetric(self, algorithm):

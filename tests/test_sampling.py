@@ -43,7 +43,8 @@ class TestRngHandle:
         keys = [(1, 0), (1, 5), (2, 5), (0, 2**28 - 2), (2**28 - 2, 3), (1, 0)]
         for step, index in keys:
             gen = h.chain_stream(step, index)
-            fresh = np.random.Generator(np.random.Philox(key=h._key(_PURPOSE_CHAIN, step, index)))
+            key, _counter = h._key(_PURPOSE_CHAIN, step, index)
+            fresh = np.random.Generator(np.random.Philox(key=key))
             for draw in (
                 lambda g: g.random(2),
                 lambda g: g.random(3),
@@ -54,16 +55,31 @@ class TestRngHandle:
             ):
                 assert np.array_equal(draw(gen), draw(fresh))
 
-    def test_key_components_stop_below_2_pow_28_minus_1(self):
-        """Each component is stored plus one in a 28-bit field: 2**28 - 1 is
-        out of range, and at the last step in range neighbouring indices
-        still draw differently."""
+    def test_key_components_past_2_pow_28_fold_into_the_counter(self):
+        """Each component is stored plus one: the low 28 bits in the key, the
+        rest in Philox counter words 2 and 3.  Components from 2**28 - 1 on
+        draw what a fresh Philox with that key and counter draws, and differ
+        from each other and from the in-range substream that shares their
+        key; negative components are rejected."""
         h = RngHandle(seed=5)
-        for step, index in ((2**28 - 1, 0), (0, 2**28 - 1)):
+        for step, index in ((-1, 0), (0, -1)):
             with pytest.raises(InputError, match="out of range"):
                 h._key(_PURPOSE_CHAIN, step, index)
-        a = h.chain_stream(2**28 - 2, 1).random(4)
-        b = h.chain_stream(2**28 - 2, 2).random(4)
+        big = 2**28
+        coords = [(0, 5), (big, 5), (2 * big, 5), (big - 1, 5), (0, big + 5), (big, big + 5), (2**40, 3)]
+        draws = []
+        for step, index in coords:
+            got = h.chain_stream(step, index).random(4)
+            key, counter = h._key(_PURPOSE_CHAIN, step, index)
+            assert counter == (0, 0, (step + 1) >> 28, (index + 1) >> 28)
+            fresh = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            assert np.array_equal(got, fresh.random(4))
+            draws.append(got.tolist())
+        assert h._key(_PURPOSE_CHAIN, big, 5)[0] == h._key(_PURPOSE_CHAIN, 0, 5)[0]
+        assert h._key(_PURPOSE_CHAIN, big, 5) != h._key(_PURPOSE_CHAIN, 0, 5)
+        assert len({tuple(d) for d in draws}) == len(coords)
+        a = h.chain_stream(big - 1, 1).random(4)
+        b = h.chain_stream(big - 1, 2).random(4)
         assert not np.array_equal(a, b)
 
     def test_one_generator_per_handle(self):
