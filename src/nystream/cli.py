@@ -34,6 +34,7 @@ from .evaluation import (
 from .kernels import DESK_SCALE_CAP, Dataset, KernelSpec, gram, load_csv, load_libsvm
 from .leverage import alpha_factor, beta_factor, exact_rls
 from .pipeline import (
+    ALGORITHMS,
     RunCheckpoint,
     _batch_selection,
     ink_estimate_run,
@@ -41,9 +42,9 @@ from .pipeline import (
     suggest_batch_m,
     suggest_q_bar,
 )
+from .sampling import RngHandle
 
 ENV_PREFIX = "NYSTREAM_"
-ALGORITHMS = ("batch-exact", "ink-oracle", "ink-estimate")
 KERNELS = ("gaussian", "linear", "polynomial")
 DATA_FORMATS = ("csv", "libsvm")
 
@@ -89,6 +90,7 @@ class RunConfig:
             raise InputError("budget must be at least 1")
         if self.checkpoint_every < 1:
             raise InputError("checkpoint_every must be at least 1")
+        RngHandle(seed=self.seed)  # rejects a seed outside [0, 2**64)
 
     def kernel_spec(self) -> KernelSpec:
         if self.kernel == "gaussian":
@@ -212,7 +214,7 @@ def _execute_run(cfg: RunConfig) -> tuple[list[RunCheckpoint], dict]:
         if len(dataset) > DESK_SCALE_CAP:
             raise InputError("batch-exact needs the dense matrix: dataset too large")
         profile = exact_rls(gram(dataset, kernel), cfg.gamma)
-        selection = _batch_selection(profile.probabilities, cfg.budget, cfg.seed)
+        selection = _batch_selection(profile.probabilities, cfg.budget, RngHandle(seed=cfg.seed))
         checkpoint = RunCheckpoint(
             step=len(dataset),
             dict_size=len(set(selection.indices)),

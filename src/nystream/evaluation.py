@@ -24,7 +24,7 @@ from .kernels import Dataset, KernelSpec, gram
 from .leverage import deff_increment_exact, exact_rls
 from .linalg import DEFAULT_PSD_TOL, _psd_within, eig_pairs, symmetrize
 from .nystrom import NystromFactor, Selection, build_selection, nystrom_approx
-from .pipeline import RunCheckpoint
+from .pipeline import ALGORITHMS, RunCheckpoint
 
 SCHEMA_VERSION = "1"
 
@@ -361,6 +361,8 @@ def verify_checkpoints(
     risks of the exact and approximate solvers.  Everything derived from K
     comes from one eigendecomposition of it per checkpoint.
     """
+    if algorithm not in ALGORITHMS:
+        raise InputError(f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}")
     return [_verified(dataset, kernel, gamma, epsilon, cp, algorithm, problem) for cp in checkpoints]
 
 

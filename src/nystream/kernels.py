@@ -1,16 +1,17 @@
-"""Kernel evaluation and streaming column production.
+"""Kernel specifications, kernel evaluation and dataset loading.
 
 Pairwise evaluations deliberately avoid BLAS matrix products: every kernel
 value is computed as an elementwise reduction over the feature axis, so the
 same pair of points yields the bit-identical scalar no matter whether it is
-requested through :func:`evaluate`, :func:`stream_column` or :func:`gram`.
+requested through :func:`evaluate`, :func:`pairwise` or :func:`gram` (a
+streaming step evaluates its column with the first two, a verification pass
+the dense matrix with the last).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -46,8 +47,8 @@ class KernelSpec:
             if self.bandwidth is None or not self.bandwidth > 0:
                 raise InputError("gaussian kernel needs bandwidth > 0")
         if self.family == "polynomial":
-            if self.degree is None or int(self.degree) < 1:
-                raise InputError("polynomial kernel needs degree >= 1")
+            if self.degree is None or not float(self.degree).is_integer() or self.degree < 1:
+                raise InputError(f"polynomial kernel needs an integer degree >= 1, got {self.degree!r}")
             if self.offset is None or self.offset < 0:
                 raise InputError("polynomial kernel needs offset >= 0")
 
@@ -62,15 +63,6 @@ class KernelSpec:
     @classmethod
     def polynomial_kernel(cls, degree: int, offset: float = 0.0) -> "KernelSpec":
         return cls(family="polynomial", degree=degree, offset=offset)
-
-
-@dataclass(frozen=True)
-class KernelColumn:
-    """One streamed column: cross terms against a stated index set plus the
-    new point's self evaluation."""
-
-    cross: np.ndarray
-    self_term: float
 
 
 def _as_points(x) -> np.ndarray:
@@ -164,33 +156,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-
-def stream_column(
-    dataset: Dataset,
-    spec: KernelSpec,
-    new_index: int,
-    restrict_to: Iterable[int],
-) -> KernelColumn:
-    """Kernel column of point ``new_index`` against ``restrict_to``.
-
-    ``restrict_to`` must contain indices strictly below ``new_index``; the
-    cross vector is returned in ascending index order.  An empty restriction
-    yields an empty cross vector and just the self term.
-    """
-    n = len(dataset)
-    if not 0 <= new_index < n:
-        raise InputError(f"index {new_index} out of range for {n} points")
-    idx = sorted(int(i) for i in restrict_to)
-    if idx and (idx[0] < 0 or idx[-1] >= new_index):
-        raise InputError("restriction indices must lie in [0, new_index)")
-    x_new = dataset.points[new_index]
-    if idx:
-        cross = pairwise(spec, x_new, dataset.points[idx])[0]
-    else:
-        cross = np.empty(0)
-    self_term = evaluate(spec, x_new, x_new)
-    return KernelColumn(cross=cross, self_term=self_term)
 
 
 def gram(dataset: Dataset, spec: KernelSpec, t: int | None = None) -> np.ndarray:

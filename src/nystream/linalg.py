@@ -117,10 +117,9 @@ def _inverse(L: np.ndarray) -> np.ndarray:
 def solve_shifted_indefinite(A: np.ndarray, shift: float, B: np.ndarray) -> np.ndarray:
     """Solve (A + shift*I) x = B for symmetric but possibly indefinite ``A``.
 
-    Needed by estimators whose bordered matrices are only guaranteed PSD when
-    upstream approximation conditions hold.  Tries the (much faster) Cholesky
-    route first and falls back to a symmetric-indefinite solve, which keeps
-    the pipeline running (and diagnosable) outside the guaranteed regime.
+    No estimator calls it; it stays as a reference solve.  Tries the (much
+    faster) Cholesky route first and falls back to a symmetric-indefinite
+    solve.
     """
     A = symmetrize(A)
     B = np.asarray(B, dtype=np.float64)

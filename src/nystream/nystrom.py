@@ -97,13 +97,12 @@ class NystromFactor:
         L = shifted_cholesky(self.sampled, self.gamma)
         return solve_triangular(L, self.cross.T, lower=True, check_finite=False).T
 
-    def materialize(self, cap: int = DESK_SCALE_CAP) -> np.ndarray:
+    def materialize(self) -> np.ndarray:
         """Dense approximation over the rows present in ``cross``; exactly
         symmetric, because ``F @ F.T`` is computed as one triangle and
         mirrored."""
-        n = self.cross.shape[0]
-        if n > cap:
-            raise InputError(f"dense materialization capped at {cap} rows")
+        if self.cross.shape[0] > DESK_SCALE_CAP:
+            raise InputError(f"dense materialization capped at {DESK_SCALE_CAP} rows")
         F = self.whitened()
         return F @ F.T
 

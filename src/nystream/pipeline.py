@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg.blas import dtpsv
 
 from .errors import InputError, InvariantViolation, NumericalError
-from .kernels import Dataset, KernelColumn, KernelSpec, _symmetric_pairwise, evaluate, gram, pairwise
+from .kernels import Dataset, KernelSpec, _symmetric_pairwise, evaluate, gram, pairwise
 from .leverage import (
     Diagnostics,
     EstimatedProfile,
@@ -49,6 +49,9 @@ from .linalg import spectral_norm
 from .nystrom import NystromFactor, Selection, build_selection, nystrom_approx
 from .sampling import Dictionary, RngHandle, direct_sample, selection_weights, shrink_expand
 from .sketch import CarriedSketch, _restricted_factor
+
+# The three entry points, by the name a run's outputs and verify know them by.
+ALGORITHMS = ("batch-exact", "ink-oracle", "ink-estimate")
 
 
 class ScoreOracle(Protocol):
@@ -265,14 +268,12 @@ class EstimateOracle:
         carried, self._carried = self._carried, None
         d = state.dictionary
         moved = None
-        if carried is not None:
-            sketch, step, rng, column = carried
-            if state.step == step and state.rng is rng:
-                if state.step % self._REFRESH_EVERY:
-                    advanced = sketch.advance(d.indices, d.counts, *column)
-                    if advanced is not None:
-                        return advanced
-                moved = sketch.moved_block(d.indices, *column)
+        if carried is not None and state.step == carried[1] and state.rng is carried[2]:
+            moved = carried[0].moved_block(d.indices, *carried[3])
+        if moved is not None and state.step % self._REFRESH_EVERY:
+            advanced = carried[0].advance(d.indices, d.counts, *moved)
+            if advanced is not None:
+                return advanced
         block = _symmetric_pairwise(state.kernel, state.dict_points) if moved is None else moved[1]
         return CarriedSketch.rebuild(d.indices, d.counts, block, self._gamma, self.alpha * self._gamma)
 
@@ -311,22 +312,21 @@ def ink_step(
     state: SketchState,
     new_index: int,
     point: np.ndarray,
-    column: KernelColumn,
     oracle: ScoreOracle,
 ) -> tuple[SketchState, EstimatedProfile]:
-    """Advance the sketch by one column.
-
-    Asks the oracle once for scores on the dictionary plus the new index,
-    clamps the induced probabilities against the previous step, runs the
-    shrink/expand chains, and keeps the points of the surviving columns.
-    ``column.cross`` must be aligned with the current dictionary order, and
-    ``new_index`` must exceed every dictionary index.
-    """
-    d = state.dictionary
-    if column.cross.shape[0] != d.size:
-        raise InputError("column restriction does not match the dictionary")
+    """Advance the sketch by one point: evaluate its kernel column against
+    the dictionary's points and itself, ask the oracle once for scores on the
+    dictionary plus ``new_index`` (which must exceed every dictionary index),
+    clamp the induced probabilities against the previous step, run the
+    shrink/expand chains, and keep the points of the surviving columns."""
+    d, points = state.dictionary, state.dict_points
+    if point.shape != points.shape[1:] or points.shape[0] != d.size:
+        raise InputError(f"a step takes a point of shape {points.shape[1:]} and one point per dictionary "
+                         f"column; got shape {point.shape}, {points.shape[0]} points for {d.size} columns")
+    cross = pairwise(state.kernel, point, points)[0] if d.size else np.empty(0)
+    self_term = evaluate(state.kernel, point, point)
     step = state.step + 1
-    tau, deff_new = oracle.begin_step(state, new_index, column.cross, column.self_term)
+    tau, deff_new = oracle.begin_step(state, new_index, cross, self_term)
     tau = np.asarray(tau, dtype=np.float64)
     if tau.shape != (d.size + 1,):
         raise InputError(f"score oracle returned scores of shape {tau.shape} for {d.size + 1} columns")
@@ -345,7 +345,7 @@ def ink_step(
     admitted = weights[-1] != 0
     old = keep[:-1] if admitted else keep
     # No retained column was dropped: the next state shares the points.
-    points_block = state.dict_points if old.shape[0] == d.size else state.dict_points[old]
+    points_block = points if old.shape[0] == d.size else points[old]
     if admitted:
         points_block = np.vstack([points_block, point[None, :]])
 
@@ -392,18 +392,11 @@ def _stream_run(
     state = initial_state(q_bar, handle, kernel, dataset.dim)
     checkpoints: list[RunCheckpoint] = []
     for idx in range(n):
-        point = dataset.points[idx]
         if audit is not None:
             audit.record_point(idx)
-        if state.dictionary.size:
-            cross = pairwise(kernel, point, state.dict_points)[0]
-        else:
-            cross = np.empty(0)
-        self_term = evaluate(kernel, point, point)
-        if audit is not None:
             audit.record_pairs(idx, state.dictionary.indices)
             audit.record_pairs(idx, (idx,))
-        state, _ = ink_step(state, idx, point, KernelColumn(cross, self_term), oracle)
+        state, _ = ink_step(state, idx, dataset.points[idx], oracle)
         if checkpoint_every and state.step % checkpoint_every == 0 and state.step != n:
             checkpoints.append(_checkpoint(state))
     checkpoints.append(_checkpoint(state))
@@ -480,15 +473,16 @@ def batch_exact(
     """
     if m < 1:
         raise InputError("sampling budget m must be at least 1")
+    handle = RngHandle(seed=int(rng))
     K = gram(dataset, kernel)
-    selection = _batch_selection(exact_rls(K, gamma).probabilities, m, rng)
+    selection = _batch_selection(exact_rls(K, gamma).probabilities, m, handle)
     return nystrom_approx(K, selection, gamma), selection
 
 
-def _batch_selection(probabilities: np.ndarray, m: int, seed: int) -> Selection:
-    """``m`` multinomial draws from ``probabilities`` on seed ``seed``'s
-    batch substream, each drawn index weighted ``1/sqrt(m p_i)``."""
-    draws = direct_sample(probabilities, m, RngHandle(seed=int(seed)).batch_stream())
+def _batch_selection(probabilities: np.ndarray, m: int, rng: RngHandle) -> Selection:
+    """``m`` multinomial draws from ``probabilities`` on ``rng``'s batch
+    substream, each drawn index weighted ``1/sqrt(m p_i)``."""
+    draws = direct_sample(probabilities, m, rng.batch_stream())
     weights = {
         int(i): 1.0 / math.sqrt(m * probabilities[int(i)])
         for i in np.unique(draws)

@@ -41,6 +41,11 @@ class RngHandle:
         default_factory=_chain_pair, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        # The seed is the Philox key's low word: a wider seed would alias one in range.
+        if not 0 <= self.seed <= _MASK64:
+            raise InputError(f"seed {self.seed} is outside [0, 2**64)")
+
     def _key(self, purpose: int, a: int, b: int) -> tuple[int, tuple[int, int, int, int]]:
         """Philox key and starting counter of substream ``(purpose, a, b)``.
 
@@ -53,7 +58,7 @@ class RngHandle:
             raise InputError("substream coordinates out of range")
         a, b = a + 1, b + 1
         key = (
-            (self.seed & _MASK64)
+            self.seed
             | (purpose & 0xFF) << 64
             | (a & _KEY_LIMIT) << 72
             | (b & _KEY_LIMIT) << 100

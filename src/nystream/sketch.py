@@ -115,15 +115,11 @@ class CarriedSketch:
             gram = _border(gram, cross[pos], self_term)
         return pos, gram
 
-    def advance(self, indices, counts, new_index: int, cross: np.ndarray, self_term: float) -> CarriedSketch | None:
-        """The carried quantities for the dictionary ``(indices, counts)``
-        on the block :meth:`moved_block` gives; None when it is not a
-        successor, or when a Schur complement of the update is not positive
+    def advance(self, indices, counts, pos, gram) -> CarriedSketch | None:
+        """The carried quantities for the successor dictionary ``(indices,
+        counts)`` on the block ``(pos, gram)`` that :meth:`moved_block` gives
+        for it; None when a Schur complement of the update is not positive
         (only a rebuild can tell why)."""
-        moved = self.moved_block(indices, new_index, cross, self_term)
-        if moved is None:
-            return None
-        pos, gram = moved
         q0, m = self.indices.shape[0], pos.shape[0]
         b_new = np.zeros(q0, dtype=np.int64)
         b_new[pos] = counts[:m]

@@ -8,7 +8,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
-from nystream import Dataset, KernelSpec
+from nystream import Dataset, KernelSpec, RngHandle, ink_step, initial_state
 
 
 @pytest.fixture
@@ -45,6 +45,30 @@ def random_gram(rng, n, d=3):
     from nystream import gram
 
     return gram(ds, spec)
+
+
+class RecordingOracle:
+    """Scores every column 1 with effective dimension 1, so a dictionary
+    with room keeps every column at weight one, and records the
+    ``(dictionary indices, cross, self_term)`` each step hands over."""
+
+    def __init__(self):
+        self.columns = []
+
+    def begin_step(self, state, new_index, cross, self_term):
+        self.columns.append((state.dictionary.indices, cross, self_term))
+        return np.ones(state.dictionary.size + 1), 1.0
+
+
+def streamed_columns(points, kernel):
+    """The ``(dictionary indices, cross, self_term)`` that ``ink_step`` hands
+    its oracle at each step of streaming ``points``, keeping every column."""
+    points = np.asarray(points, dtype=np.float64)
+    oracle = RecordingOracle()
+    state = initial_state(len(points), RngHandle(0), kernel, points.shape[1])
+    for t, point in enumerate(points):
+        state, _ = ink_step(state, t, point, oracle)
+    return oracle.columns
 
 
 def border(M, v, corner):

@@ -110,6 +110,13 @@ class TestRun:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_exits_1(self, data_csv, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        assert main(run_args(data_csv, out, **{"--seed": seed})) == 1
+        assert f"error: seed {seed} is outside [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invariant_violation_maps_to_exit_2(self, data_csv, tmp_path, monkeypatch):
         from nystream.errors import InvariantViolation
 
@@ -242,6 +249,14 @@ class TestSweep:
         argv = ["sweep", "--seeds", seeds] + run_args(data_csv, out)[1:]
         assert main(argv) == 1
         assert repr(seeds) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["-1:2", "0,18446744073709551616"])
+    def test_seed_outside_64_bits_rejected_before_any_run(self, data_csv, tmp_path, capsys, seeds):
+        out = tmp_path / "sweep"
+        argv = ["sweep", f"--seeds={seeds}"] + run_args(data_csv, out)[1:]
+        assert main(argv) == 1
+        assert "is outside [0, 2**64)" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])

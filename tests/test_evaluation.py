@@ -323,6 +323,21 @@ class TestVerifyCheckpoints:
         assert record.step == t
         assert peak <= 6 * 8 * t * t
 
+    @pytest.mark.parametrize("algorithm", ["ink-estimat", "INK-ESTIMATE", ""])
+    def test_unknown_algorithm_rejected_before_kernel_work(self, monkeypatch, algorithm):
+        """A misspelt name would otherwise verify as a streaming run."""
+        prob = generate_synthetic(SyntheticSpec(n=30, d=2, n_clusters=2, cluster_std=0.4), rng=12)
+        kern = KernelSpec.gaussian_kernel(1.0)
+        res = ink_estimate_run(prob.dataset, kern, 1.0, 500, 0.5, rng=0)
+
+        def no_kernel_work(*args, **kwargs):
+            raise AssertionError("gram evaluated for an unknown algorithm")
+
+        monkeypatch.setattr(evaluation, "gram", no_kernel_work)
+        with pytest.raises(InputError, match="batch-exact, ink-oracle, ink-estimate") as error:
+            verify_checkpoints(prob.dataset, kern, 1.0, 0.5, res.checkpoints, algorithm)
+        assert repr(algorithm) in str(error.value)
+
     def test_risk_fields_nan_without_targets(self):
         prob = generate_synthetic(
             SyntheticSpec(n=30, d=2, n_clusters=2, cluster_std=0.4), rng=12

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nystream import Dataset, InputError, KernelSpec, evaluate, gram, load_csv, load_libsvm, stream_column
+from nystream import Dataset, InputError, KernelSpec, evaluate, gram, load_csv, load_libsvm
 from nystream.kernels import DESK_SCALE_CAP, _symmetric_pairwise, pairwise
 
-from conftest import random_dataset, random_kernel
+from conftest import random_dataset, random_kernel, streamed_columns
 
 
 class TestEvaluate:
@@ -54,33 +54,39 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             KernelSpec(family="polynomial", degree=0, offset=0.0)
 
+    @pytest.mark.parametrize("degree", [2.5, float("nan"), float("inf")])
+    def test_polynomial_degree_must_be_integral(self, degree):
+        """``pairwise`` raises to ``int(degree)``, so 2.5 would silently be
+        degree 2."""
+        with pytest.raises(InputError, match="integer degree"):
+            KernelSpec.polynomial_kernel(degree, 1.0)
+
+    def test_integral_float_degree_accepted(self):
+        ds = Dataset(points=[[1.0, 2.0], [0.5, -1.0]])
+        as_float = gram(ds, KernelSpec.polynomial_kernel(3.0, 1.0))
+        assert as_float.tobytes() == gram(ds, KernelSpec.polynomial_kernel(3, 1.0)).tobytes()
+
 
 class TestStreamColumn:
+    """The column a streaming step evaluates for its point: cross terms
+    against the dictionary's points and the self term."""
+
     def test_empty_restriction(self):
-        ds = Dataset(points=[[1.0], [2.0]])
-        col = stream_column(ds, KernelSpec.linear_kernel(), 1, [])
-        assert col.cross.shape == (0,)
-        assert col.self_term == 4.0
+        (_, cross, self_term), = streamed_columns([[2.0]], KernelSpec.linear_kernel())
+        assert cross.shape == (0,)
+        assert self_term == 4.0
 
     def test_duplicate_point(self):
-        ds = Dataset(points=[[1.0], [1.0]])
-        col = stream_column(ds, KernelSpec.linear_kernel(), 1, [0])
-        assert col.cross.tolist() == [1.0]
-        assert col.self_term == 1.0
+        _, (_, cross, self_term) = streamed_columns([[1.0], [1.0]], KernelSpec.linear_kernel())
+        assert cross.tolist() == [1.0]
+        assert self_term == 1.0
 
     def test_line_of_three_gaussian_points(self):
         # points at 0, 1, 2 with unit bandwidth; third column against both
-        ds = Dataset(points=[[0.0], [1.0], [2.0]])
-        col = stream_column(ds, KernelSpec.gaussian_kernel(1.0), 2, [0, 1])
-        assert col.cross == pytest.approx([math.exp(-2.0), math.exp(-0.5)], abs=1e-15)
-        assert col.self_term == 1.0
-
-    def test_out_of_range(self):
-        ds = Dataset(points=[[0.0], [1.0]])
-        with pytest.raises(InputError):
-            stream_column(ds, KernelSpec.linear_kernel(), 2, [0])
-        with pytest.raises(InputError):
-            stream_column(ds, KernelSpec.linear_kernel(), 1, [1])
+        *_, (indices, cross, self_term) = streamed_columns([[0.0], [1.0], [2.0]], KernelSpec.gaussian_kernel(1.0))
+        assert indices.tolist() == [0, 1]
+        assert cross == pytest.approx([math.exp(-2.0), math.exp(-0.5)], abs=1e-15)
+        assert self_term == 1.0
 
 
 class TestGram:
@@ -96,19 +102,20 @@ class TestGram:
         assert np.array_equal(K, np.ones((4, 4)))
 
     def test_bordering_consistency_bit_exact(self, rng):
-        """Growing the matrix by one point reproduces the streamed column
-        bit for bit."""
+        """Growing the matrix by one point reproduces the new point's column,
+        as pairwise and evaluate give it, bit for bit."""
         for _ in range(10):
             spec = random_kernel(rng)
             ds = random_dataset(rng, 9, d=2)
             t = int(rng.integers(1, 8))
             K_small = gram(ds, spec, t)
             K_big = gram(ds, spec, t + 1)
-            col = stream_column(ds, spec, t, range(t))
+            x = ds.points[t]
+            cross = pairwise(spec, x, ds.points[:t])[0]
             assert np.array_equal(K_big[:t, :t], K_small)
-            assert np.array_equal(K_big[:t, t], col.cross)
-            assert np.array_equal(K_big[t, :t], col.cross)
-            assert K_big[t, t] == col.self_term
+            assert np.array_equal(K_big[:t, t], cross)
+            assert np.array_equal(K_big[t, :t], cross)
+            assert K_big[t, t] == evaluate(spec, x, x)
 
     @pytest.mark.parametrize("spec", [
         KernelSpec.gaussian_kernel(1.3),
@@ -139,9 +146,9 @@ class TestGram:
             spec = random_kernel(rng)
             ds = random_dataset(rng, 8, d=2)
             K = gram(ds, spec)
-            col = stream_column(ds, spec, 7, range(7))
-            bound = np.sqrt(col.self_term * np.diag(K)[:7])
-            assert np.all(np.abs(col.cross) <= bound + 1e-12)
+            x = ds.points[7]
+            bound = np.sqrt(evaluate(spec, x, x) * np.diag(K)[:7])
+            assert np.all(np.abs(pairwise(spec, x, ds.points[:7])[0]) <= bound + 1e-12)
 
 
 class TestDataset:

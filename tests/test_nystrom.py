@@ -12,6 +12,7 @@ from nystream import (
     psd_order_check,
     spectral_norm,
 )
+from nystream.kernels import DESK_SCALE_CAP
 
 from conftest import random_gram
 
@@ -135,9 +136,9 @@ class TestNystromApprox:
             np.testing.assert_allclose(K_tilde, factor.cross @ inv @ factor.cross.T, rtol=0, atol=1e-10)
 
     def test_materialize_cap(self):
-        factor = NystromFactor(cross=np.ones((4, 1)), sampled=np.ones((1, 1)), gamma=1.0)
-        with pytest.raises(InputError):
-            factor.materialize(cap=2)
+        factor = NystromFactor(cross=np.ones((DESK_SCALE_CAP + 1, 1)), sampled=np.ones((1, 1)), gamma=1.0)
+        with pytest.raises(InputError, match="capped at"):
+            factor.materialize()
 
 
 class TestKrrExact:

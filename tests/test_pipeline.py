@@ -32,17 +32,17 @@ from nystream import (
     initial_state,
     nystrom_approx,
     psd_order_check,
-    stream_column,
     suggest_batch_m,
     suggest_q_bar,
     update_deff,
 )
+from nystream import pipeline
 from nystream.evaluation import SyntheticSpec, checkpoint_selection, generate_synthetic
-from nystream.kernels import KernelColumn, _symmetric_pairwise
+from nystream.kernels import _symmetric_pairwise, evaluate, pairwise
 from nystream.leverage import estimate_rls_batch
 from nystream.sketch import CarriedSketch, _restricted_factor
 
-from conftest import border
+from conftest import RecordingOracle, border
 
 
 def orthogonal_dataset(n):
@@ -79,7 +79,7 @@ def prefix_state(t, dim):
 
 
 def self_term(ds, kern, t):
-    return stream_column(ds, kern, t, ()).self_term
+    return evaluate(kern, ds.points[t], ds.points[t])
 
 
 def arrays(value):
@@ -218,19 +218,63 @@ class TestInkStep:
         state = initial_state(4, RngHandle(3), kern, ds.dim)
         oracle = StubOracle(tau=1.0, deff=1.0)
         for t in range(6):
-            col = stream_column(ds, kern, t, state.dictionary.indices)
-            state, profile = ink_step(
-                state, t, ds.points[t], KernelColumn(col.cross, col.self_term), oracle
-            )
+            state, profile = ink_step(state, t, ds.points[t], oracle)
             assert profile.p_tilde[-1] == 1.0
         assert state.dictionary.weights == {i: 1 for i in range(6)}
 
     def test_misaligned_column_rejected(self):
+        """The step evaluates its column against the state's points, so a
+        state whose points do not match its dictionary is rejected before
+        any kernel work."""
         ds = orthogonal_dataset(3)
         state = initial_state(4, RngHandle(0), KernelSpec.linear_kernel(), ds.dim)
-        bad = KernelColumn(cross=np.ones(2), self_term=1.0)
-        with pytest.raises(InputError):
-            ink_step(state, 0, ds.points[0], bad, StubOracle())
+        state, _ = ink_step(state, 0, ds.points[0], StubOracle())
+        bad = replace(state, dict_points=ds.points[:2])
+        with pytest.raises(InputError, match="2 points for 1 columns"):
+            ink_step(bad, 1, ds.points[1], StubOracle())
+
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_wrong_dimension_point_rejected(self, steps):
+        """Checked on an empty dictionary too, where no cross term is
+        evaluated."""
+        ds = orthogonal_dataset(3)
+        state = initial_state(4, RngHandle(0), KernelSpec.linear_kernel(), ds.dim)
+        for t in range(steps):
+            state, _ = ink_step(state, t, ds.points[t], StubOracle())
+        with pytest.raises(InputError, match=r"point of shape \(3,\) .* got shape \(2,\)"):
+            ink_step(state, steps, np.ones(2), StubOracle())
+
+    @pytest.mark.parametrize("oracle_kind", ["exact", "estimate"])
+    def test_oracle_gets_the_gram_column(self, oracle_kind):
+        """The ``(cross, self_term)`` a step hands its oracle is the new
+        point's column of ``gram``, restricted to the dictionary, bit for bit,
+        on a stream that evicts."""
+
+        class Recording(RecordingOracle):
+            def __init__(self, inner):
+                super().__init__()
+                self.inner = inner
+
+            def begin_step(self, state, new_index, cross, self_term):
+                super().begin_step(state, new_index, cross, self_term)
+                return self.inner.begin_step(state, new_index, cross, self_term)
+
+        ds = clustered(150, seed=3, d=3)
+        kern = KernelSpec.gaussian_kernel(1.0)
+        gamma = 0.05
+        inner = ExactOracle(ds, kern, gamma) if oracle_kind == "exact" else EstimateOracle(gamma, 0.5)
+        oracle = Recording(inner)
+        state = initial_state(10, RngHandle(4), kern, ds.dim)
+        evicted = False
+        for t in range(len(ds)):
+            nxt, _ = ink_step(state, t, ds.points[t], oracle)
+            evicted |= not np.isin(state.dictionary.indices, nxt.dictionary.indices).all()
+            state = nxt
+        assert evicted
+        K = gram(ds, kern)
+        for t, (indices, cross, self_term) in enumerate(oracle.columns):
+            assert cross.tobytes() == K[t, indices].tobytes()
+            assert self_term == K[t, t]
 
     def test_exact_oracle_probabilities_are_one_over_t(self):
         """Orthogonal stream: every column's sampling probability is 1/t,
@@ -241,8 +285,7 @@ class TestInkStep:
         oracle = ExactOracle(ds, kern, gamma)
         state = initial_state(50, RngHandle(5), kern, ds.dim)
         for t in range(15):
-            col = stream_column(ds, kern, t, state.dictionary.indices)
-            state, profile = ink_step(state, t, ds.points[t], col, oracle)
+            state, profile = ink_step(state, t, ds.points[t], oracle)
             for p in profile.p_tilde:
                 assert p == pytest.approx(1.0 / (t + 1), abs=1e-12)
 
@@ -257,9 +300,8 @@ class TestInkStep:
         prev_deff = 0.0
         prev_p: dict[int, float] = {}
         for t in range(60):
-            col = stream_column(ds, kern, t, state.dictionary.indices)
             asked = state
-            state, profile = ink_step(state, t, ds.points[t], col, oracle)
+            state, profile = ink_step(state, t, ds.points[t], oracle)
             q = state.dictionary.size
             np.testing.assert_array_equal(state.dict_points, ds.points[state.dictionary.indices])
             assert state.p_tilde.shape == (q,)
@@ -292,8 +334,7 @@ class TestInkStep:
             d = state.dictionary
             held = (d.indices, d.counts, state.p_tilde, state.dict_points) + (() if block is None else (block,))
             before = [a.tobytes() for a in held]
-            col = stream_column(ds, kern, t, d.indices)
-            nxt, _ = ink_step(state, t, ds.points[t], col, oracle)
+            nxt, _ = ink_step(state, t, ds.points[t], oracle)
             assert [a.tobytes() for a in held] == before
             block = oracle._carried[0].gram if t else None  # step 0 carries nothing
             if shared_block is not None:
@@ -324,9 +365,8 @@ class TestInkStep:
         ds = orthogonal_dataset(3)
         kern = KernelSpec.linear_kernel()
         state = initial_state(4, RngHandle(0), kern, ds.dim)
-        col = stream_column(ds, kern, 0, ())
         with pytest.raises(InputError, match="shape \\(0,\\) for 1 columns"):
-            ink_step(state, 0, ds.points[0], col, ShortOracle())
+            ink_step(state, 0, ds.points[0], ShortOracle())
 
     def test_hard_cap_violation(self):
         ds = orthogonal_dataset(17)
@@ -349,8 +389,7 @@ class TestEstimateOracleAgainstExact:
         state = initial_state(10_000, RngHandle(1), kern, ds.dim)
         K = gram(ds, kern)
         for t in range(35):
-            col = stream_column(ds, kern, t, state.dictionary.indices)
-            state, profile = ink_step(state, t, ds.points[t], col, oracle)
+            state, profile = ink_step(state, t, ds.points[t], oracle)
             prof = exact_rls(K[: t + 1, : t + 1], gamma)
             assert state.dictionary.size == t + 1  # nothing evicted
             for i, tau_t in zip(profile.indices, profile.tau_tilde):
@@ -485,21 +524,23 @@ class TestEstimateOracleCarry:
 
     @classmethod
     def _calls(cls, seed, steps, oracle):
-        """``(state, new_index, column)`` of each step of a seeded stream."""
+        """``(state, new_index, point)`` of each step of a seeded stream."""
         ds = clustered(max(80, steps), seed=5, d=3)
         kern = KernelSpec.gaussian_kernel(1.0)
         state = initial_state(40, RngHandle(seed), kern, ds.dim)
         calls = []
         for t in range(steps):
-            col = stream_column(ds, kern, t, state.dictionary.indices)
-            calls.append((state, t, col))
-            state, _ = ink_step(state, t, ds.points[t], col, oracle)
+            calls.append((state, t, ds.points[t]))
+            state, _ = ink_step(state, t, ds.points[t], oracle)
         return calls
 
     @classmethod
     def _ask(cls, oracle, call):
-        state, t, col = call
-        return oracle.begin_step(state, t, col.cross, col.self_term)
+        """The oracle's answer to ``call``, with the column ink_step
+        evaluates for it."""
+        state, t, point = call
+        cross = pairwise(state.kernel, point, state.dict_points)[0]
+        return oracle.begin_step(state, t, cross, evaluate(state.kernel, point, point))
 
     def test_non_successor_states_get_the_from_scratch_result(self):
         oracle = EstimateOracle(self.GAMMA, self.EPS)
@@ -536,8 +577,7 @@ class TestEstimateOracleCarry:
         state = initial_state(40, RngHandle(1), kern, ds.dim)
         checked = 0
         for t in range(steps):
-            col = stream_column(ds, kern, t, state.dictionary.indices)
-            nxt, _ = ink_step(state, t, ds.points[t], col, oracle)
+            nxt, _ = ink_step(state, t, ds.points[t], oracle)
             if t and state.dictionary.size:
                 expected = gram(Dataset(points=state.dict_points), kern)
                 assert oracle._carried[0].gram.tobytes() == expected.tobytes()
@@ -558,7 +598,7 @@ class TestEstimateOracleCarry:
         second = admitting_successor(first)
         d, d2 = first.dictionary, second.dictionary
         carried = CarriedSketch.rebuild(d.indices, d.counts, np.array([[1.0]]), gamma, shift)
-        assert carried.advance(d2.indices, d2.counts, 1, *MADE_UP_COLUMN) is None
+        assert carried.advance(d2.indices, d2.counts, *carried.moved_block(d2.indices, 1, *MADE_UP_COLUMN)) is None
         oracle = EstimateOracle(gamma, eps)
         oracle.begin_step(first, 1, *MADE_UP_COLUMN)
         with pytest.raises(NumericalError) as carried_error:
@@ -568,8 +608,54 @@ class TestEstimateOracleCarry:
         assert str(carried_error.value) == str(rebuild_error.value)
         assert "not positive definite (leading minor 2)" in str(carried_error.value)
 
+    def test_moved_block_runs_once_per_step(self, monkeypatch):
+        """The oracle matches its carried sketch to the state once a step: on
+        every successor of a seeded stream, across two periodic rebuilds, and
+        on a successor whose carried update fails and falls back to a
+        rebuild."""
+        calls = []
+        moved_block = CarriedSketch.moved_block
+
+        def counted(sketch, *args):
+            calls.append(args)
+            return moved_block(sketch, *args)
+
+        monkeypatch.setattr(CarriedSketch, "moved_block", counted)
+        steps = 2 * EstimateOracle._REFRESH_EVERY + 20
+        self._calls(1, steps, EstimateOracle(self.GAMMA, self.EPS))
+        # Step 0 builds no sketch, and step 1 has none carried in.
+        assert len(calls) == steps - 2
+        calls.clear()
+        oracle = EstimateOracle(0.1, 0.5)
+        first = one_column_state()
+        oracle.begin_step(first, 1, *MADE_UP_COLUMN)
+        with pytest.raises(NumericalError):
+            oracle.begin_step(admitting_successor(first), 2, np.array([0.5, 0.5]), 1.0)
+        assert len(calls) == 1
+
 
 class TestRuns:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+    @pytest.mark.parametrize("algorithm", ["ink-estimate", "ink-oracle", "batch-exact"])
+    def test_seed_outside_64_bits_rejected(self, monkeypatch, algorithm, seed):
+        """Seeds are not reduced modulo 2**64: -1 does not run as 2**64 - 1,
+        nor 2**64 + 3 as 3.  The seed is checked before any kernel work."""
+        ds = clustered(20, seed=1)
+        kern = KernelSpec.gaussian_kernel(1.0)
+
+        def no_kernel_work(*args, **kwargs):
+            raise AssertionError("kernel evaluated before the seed was checked")
+
+        for name in ("gram", "pairwise", "evaluate"):
+            monkeypatch.setattr(pipeline, name, no_kernel_work)
+        with pytest.raises(InputError, match=f"seed {seed} "):
+            if algorithm == "ink-estimate":
+                ink_estimate_run(ds, kern, 0.1, 5, 0.5, rng=seed)
+            elif algorithm == "ink-oracle":
+                ink_oracle_run(ds, kern, 0.1, 5, rng=seed)
+            else:
+                batch_exact(ds, kern, 0.1, 5, seed)
+
     def test_single_point_estimate_run(self):
         ds = Dataset(points=[[2.0]])
         kern = KernelSpec.linear_kernel()
@@ -766,8 +852,7 @@ class TestRuns:
         state = initial_state(q_bar, RngHandle(2), kern, ds.dim)
         largest_q = 0
         for t in range(len(ds)):
-            col = stream_column(ds, kern, t, state.dictionary.indices)
-            state, _ = ink_step(state, t, ds.points[t], col, oracle)
+            state, _ = ink_step(state, t, ds.points[t], oracle)
             q = state.dictionary.size
             assert max(a.size for a in arrays(state)) <= q * ds.dim + q
             largest_q = max(largest_q, q)
@@ -789,8 +874,7 @@ class TestRuns:
             res = ink_oracle_run(ds, kern, gamma, q_bar, rng=2)
         state = initial_state(q_bar, RngHandle(2), kern, ds.dim)
         for t in range(len(ds)):
-            col = stream_column(ds, kern, t, state.dictionary.indices)
-            state, _ = ink_step(state, t, ds.points[t], col, oracle)
+            state, _ = ink_step(state, t, ds.points[t], oracle)
         q = state.dictionary.size
         assert q > ds.dim + 1  # so a Q x Q block breaks the bound
         assert max(a.size for a in arrays(res)) <= q * ds.dim + q

@@ -82,6 +82,18 @@ class TestRngHandle:
         b = h.chain_stream(big - 1, 2).random(4)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**64) + 5, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        """The seed is the Philox key's low word: a negative or wider seed
+        would draw what the seed it equals modulo 2**64 draws."""
+        with pytest.raises(InputError, match=rf"seed {seed} is outside \[0, 2\*\*64\)"):
+            RngHandle(seed=seed)
+
+    def test_extreme_seeds_accepted(self):
+        a = RngHandle(seed=0).chain_stream(1, 1).random(4)
+        b = RngHandle(seed=2**64 - 1).chain_stream(1, 1).random(4)
+        assert not np.array_equal(a, b)
+
     def test_one_generator_per_handle(self):
         """A returned generator is valid until the handle's next call; the
         cached pair takes no part in equality, hashing or repr."""

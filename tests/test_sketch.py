@@ -42,9 +42,9 @@ STEP = st.tuples(
 )
 def test_updates_match_rebuild(seed, size, gamma, steps):
     """Random gaussian-kernel dictionary blocks through random sequences of
-    reweights, evictions and admissions: after every step the carried kernel
+    reweights, evictions and admissions: after every step the moved kernel
     block is the kernel on the new dictionary's points, bit for bit, and the
-    carried quantities match a rebuild on it."""
+    quantities advanced on it match a rebuild on it."""
     rng = np.random.default_rng(seed)
     points = rng.normal(0.0, 1.5, size=(size + len(steps), 2))
     kernel = KernelSpec.gaussian_kernel(float(rng.uniform(0.5, 2.0)))
@@ -66,13 +66,17 @@ def test_updates_match_rebuild(seed, size, gamma, steps):
             indices, counts = np.append(indices, new_index), np.append(counts, admitted)
         cross = pairwise(kernel, points[new_index], points[sketch.indices])[0]
         self_term = evaluate(kernel, points[new_index], points[new_index])
-        sketch = sketch.advance(indices, counts, new_index, cross, self_term)
-        assert sketch is not None
-        assert sketch.gram.tobytes() == _symmetric_pairwise(kernel, points[indices]).tobytes()
+        moved = sketch.moved_block(indices, new_index, cross, self_term)
+        assert moved is not None
+        assert moved[1].tobytes() == _symmetric_pairwise(kernel, points[indices]).tobytes()
+        sketch = sketch.advance(indices, counts, *moved)
+        assert sketch is not None and sketch.gram is moved[1]
         assert_matches_rebuild(sketch)
 
 
 def test_advance_rejects_a_non_successor():
+    """``advance`` takes its block from ``moved_block``, which rejects a
+    dictionary that one step cannot have made from the sketch's."""
     rng = np.random.default_rng(3)
     points = rng.normal(size=(6, 2))
     kernel = KernelSpec.gaussian_kernel(1.0)
@@ -84,10 +88,8 @@ def test_advance_rejects_a_non_successor():
     # The column of index 4 against the sketch's dictionary.
     column = (pairwise(kernel, points[4], points[:4])[0], evaluate(kernel, points[4], points[4]))
     # An index the sketch never held, other than the one the step may admit.
-    assert sketch().advance(np.array([0, 5]), np.array([1, 1]), 4, *column) is None
     assert sketch().moved_block(np.array([0, 5]), 4, *column) is None
     # No old column kept.
-    assert sketch().advance(np.array([4]), np.array([1]), 4, *column) is None
     assert sketch().moved_block(np.array([4]), 4, *column) is None
 
 
