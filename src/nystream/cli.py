@@ -31,7 +31,7 @@ from .evaluation import (
     write_records_csv,
     write_records_json,
 )
-from .kernels import DESK_SCALE_CAP, Dataset, KernelSpec, gram, load_csv, load_libsvm
+from .kernels import DESK_SCALE_CAP, FAMILIES, Dataset, KernelSpec, gram, load_csv, load_libsvm
 from .leverage import alpha_factor, beta_factor, exact_rls
 from .pipeline import (
     ALGORITHMS,
@@ -45,7 +45,6 @@ from .pipeline import (
 from .sampling import RngHandle
 
 ENV_PREFIX = "NYSTREAM_"
-KERNELS = ("gaussian", "linear", "polynomial")
 DATA_FORMATS = ("csv", "libsvm")
 
 
@@ -78,7 +77,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise InputError(f"unknown algorithm {self.algorithm!r}")
-        if self.kernel not in KERNELS:
+        if self.kernel not in FAMILIES:
             raise InputError(f"unknown kernel {self.kernel!r}")
         if self.data_format not in DATA_FORMATS:
             raise InputError(f"unknown data format {self.data_format!r}")
@@ -215,12 +214,13 @@ def _execute_run(cfg: RunConfig) -> tuple[list[RunCheckpoint], dict]:
             raise InputError("batch-exact needs the dense matrix: dataset too large")
         profile = exact_rls(gram(dataset, kernel), cfg.gamma)
         selection = _batch_selection(profile.probabilities, cfg.budget, RngHandle(seed=cfg.seed))
+        indices = tuple(selection.indices.tolist())
         checkpoint = RunCheckpoint(
             step=len(dataset),
-            dict_size=len(set(selection.indices)),
+            dict_size=len(set(indices)),
             deff_tilde=profile.deff,
-            indices=selection.indices,
-            weights=tuple(w for _, w in selection.pairs),
+            indices=indices,
+            weights=tuple(selection.weights.tolist()),
         )
         return [checkpoint], {}
     if cfg.algorithm == "ink-estimate":
@@ -404,7 +404,7 @@ _HELP = {
     "mu": "KRR ridge; recorded in config_echo only",
     "delta": "failure probability; recorded in config_echo only",
 }
-_CHOICES = {"algorithm": ALGORITHMS, "kernel": KERNELS, "data_format": DATA_FORMATS}
+_CHOICES = {"algorithm": ALGORITHMS, "kernel": FAMILIES, "data_format": DATA_FORMATS}
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:

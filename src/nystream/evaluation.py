@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -23,7 +22,7 @@ from .errors import InputError
 from .kernels import Dataset, KernelSpec, gram
 from .leverage import deff_increment_exact, exact_rls
 from .linalg import DEFAULT_PSD_TOL, _psd_within, eig_pairs, symmetrize
-from .nystrom import NystromFactor, Selection, build_selection, nystrom_approx
+from .nystrom import NystromFactor, Selection, nystrom_approx
 from .pipeline import ALGORITHMS, RunCheckpoint
 
 SCHEMA_VERSION = "1"
@@ -166,8 +165,7 @@ def _psi(U: np.ndarray, lam: np.ndarray, selection: Selection, gamma: float) -> 
     if M.size == 0:
         return 0.0
     if selection.size:
-        idx, w = selection.arrays()
-        projected = U[idx].T * np.sqrt(ratios)[:, None] * w
+        projected = U[selection.indices].T * np.sqrt(ratios)[:, None] * selection.weights
         M -= projected @ projected.T
     return float(np.max(np.linalg.eigvalsh(M)))
 
@@ -307,11 +305,8 @@ def checkpoint_selection(
     are their square roots); batch checkpoints store the final real weights
     directly.
     """
-    if algorithm == "batch-exact":
-        pairs = {int(i): float(w) for i, w in zip(checkpoint.indices, checkpoint.weights)}
-        return build_selection(checkpoint.indices, pairs, t)
-    weights = {int(i): math.sqrt(float(b)) for i, b in zip(checkpoint.indices, checkpoint.weights)}
-    return build_selection(checkpoint.indices, weights, t)
+    weights = np.asarray(checkpoint.weights, dtype=np.float64)
+    return Selection(checkpoint.indices, weights if algorithm == "batch-exact" else np.sqrt(weights), t)
 
 
 def rebuild_factor(
@@ -391,7 +386,7 @@ def _verified(
         risk_approx = _factored_risk(F, sub)
         bound = risk_ratio_bound(gamma, problem.mu, epsilon)
     return CheckpointRecord(
-        step=t, dict_size=len(set(selection.indices)), deff_exact=deff_exact,
+        step=t, dict_size=np.unique(selection.indices).size, deff_exact=deff_exact,
         deff_tilde=cp.deff_tilde, spectral_gap=report.spectral_gap, psi_gap=report.psi_gap,
         lower_ok=report.lower_psd_ok, upper_ok=report.upper_psd_ok,
         risk_exact=risk_exact, risk_approx=risk_approx, risk_ratio_bound=bound,

@@ -20,7 +20,7 @@ from .errors import InputError
 # Dense t x t materialization is meant for verification work only.
 DESK_SCALE_CAP = 5000
 
-_FAMILIES = ("gaussian", "linear", "polynomial")
+FAMILIES = ("gaussian", "linear", "polynomial")
 
 # Row-block size for pairwise evaluation; bounds temporary memory at
 # block * n * d floats while keeping the per-pair reduction order fixed.
@@ -41,7 +41,7 @@ class KernelSpec:
     offset: float | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise InputError(f"unknown kernel family {self.family!r}")
         if self.family == "gaussian":
             if self.bandwidth is None or not self.bandwidth > 0:
@@ -185,12 +185,15 @@ def load_csv(
 
     rows: list[list[float]] = []
     labels: list[float] = []
+    header_pending = has_header  # the header is the first non-blank row
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
+        for row in reader:
+            lineno = reader.line_num  # a quoted field may span lines
             if not row or all(not c.strip() for c in row):
                 continue
-            if has_header and lineno == 1:
+            if header_pending:
+                header_pending = False
                 continue
             try:
                 vals = [float(c) for c in row]

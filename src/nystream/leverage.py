@@ -60,12 +60,11 @@ def curvature_coefficient(epsilon: float) -> float:
 
 @dataclass
 class Diagnostics:
-    """Counters for the clamps and floors applied during a run."""
+    """Counters for the clamps applied during a run."""
 
     rls_clamped_low: int = 0
     rls_clamped_high: int = 0
     increment_clamped: int = 0
-    sqrt_eig_floored: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -12,49 +12,50 @@ from scipy.linalg import solve_triangular
 
 from .errors import InputError
 from .kernels import DESK_SCALE_CAP
-from .leverage import Diagnostics
-from .linalg import eig_pairs, regularized_solve, shifted_cholesky, symmetrize
+from .linalg import regularized_solve, shifted_cholesky, symmetrize
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Selection:
-    """A weighted column selection: (index, weight) pairs over ``t`` columns.
+    """A weighted column selection over ``t`` columns: aligned arrays of
+    column ``indices`` (intp) and their positive ``weights`` (float64).
 
-    Pairs may repeat an index (with-replacement batch sampling); streaming
+    Indices may repeat (with-replacement batch sampling); streaming
     dictionaries contribute each index once.  Readers gather the selected
-    columns through :meth:`arrays`; no dense t x Q operator is built.
+    columns through the arrays; no dense t x Q operator is built.  Array
+    fields make ``==`` ambiguous, so selections compare by identity.
     """
 
-    pairs: tuple[tuple[int, float], ...]
+    indices: np.ndarray
+    weights: np.ndarray
     t: int
 
     def __post_init__(self) -> None:
-        for i, w in self.pairs:
-            if not 0 <= i < self.t:
-                raise InputError(f"selection index {i} out of range for t={self.t}")
-            if not w > 0:
-                raise InputError(f"selection weight for index {i} must be positive")
+        indices = np.asarray(self.indices, dtype=np.intp)
+        weights = np.asarray(self.weights, dtype=np.float64)
+        if indices.ndim != 1 or indices.shape != weights.shape:
+            raise InputError(f"selection needs aligned 1-D indices and weights, "
+                             f"got shapes {indices.shape} and {weights.shape}")
+        outside = np.flatnonzero((indices < 0) | (indices >= self.t))
+        if outside.size:
+            raise InputError(f"selection index {indices[outside[0]]} out of range for t={self.t}")
+        bad = np.flatnonzero(~(weights > 0))
+        if bad.size:
+            raise InputError(f"selection weight for index {indices[bad[0]]} must be positive")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def size(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.pairs)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and weights as aligned arrays, one entry per pair."""
-        idx, w = zip(*self.pairs) if self.pairs else ((), ())
-        return np.array(idx, dtype=np.intp), np.array(w, dtype=np.float64)
+        return self.indices.shape[0]
 
 
 def build_selection(
     indices: Iterable[int], weights: Mapping[int, float], t: int
 ) -> Selection:
     """Selection operator from drawn indices and a per-index weight map."""
-    pairs = tuple((int(i), float(weights[int(i)])) for i in indices)
-    return Selection(pairs=pairs, t=int(t))
+    idx = [int(i) for i in indices]
+    return Selection(np.array(idx, dtype=np.intp), np.array([weights[i] for i in idx], dtype=np.float64), int(t))
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ def nystrom_approx(K: np.ndarray, selection: Selection, gamma: float) -> Nystrom
     K = symmetrize(K)
     if K.shape[0] != selection.t:
         raise InputError("selection row count must match the kernel matrix")
-    idx, w = selection.arrays()
+    idx, w = selection.indices, selection.weights
     cross = K[:, idx] * w
     # w_i * w_j is exact in either order, so the block is exactly symmetric.
     sampled = K[np.ix_(idx, idx)] * np.outer(w, w)
@@ -125,35 +126,21 @@ def krr_exact(K: np.ndarray, mu: float, y: np.ndarray) -> np.ndarray:
     return regularized_solve(K, mu, y)
 
 
-def krr_approx(
-    factor: NystromFactor,
-    mu: float,
-    y: np.ndarray,
-    *,
-    diagnostics: Diagnostics | None = None,
-) -> np.ndarray:
+def krr_approx(factor: NystromFactor, mu: float, y: np.ndarray) -> np.ndarray:
     """Approximate ridge weights through the factored form.
 
-    Uses the inversion shortcut ``(C C^T + mu I)^{-1} y =
-    (y - C (C^T C + mu I)^{-1} C^T y) / mu`` with ``C`` the whitened cross
-    block, so only a Q x Q system is ever solved.  ``factor.cross`` must hold
-    all t rows.  An empty selection returns ``y / mu`` exactly.
+    Uses the inversion shortcut ``(F F^T + mu I)^{-1} y =
+    (y - F (F^T F + mu I)^{-1} F^T y) / mu`` with ``F`` the whitened factor
+    (:meth:`NystromFactor.whitened`), so only a Q x Q system is ever solved.
+    ``factor.cross`` must hold all t rows.  An empty selection returns
+    ``y / mu`` exactly.  Raises :class:`NumericalError` when ``sampled +
+    gamma I`` is not positive definite.
     """
     if not mu > 0:
         raise InputError("mu must be positive")
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if factor.cross.shape[0] != y.shape[0]:
         raise InputError("factor rows must match the response length")
-    if factor.size == 0:
-        return y / mu
-    pair = eig_pairs(factor.sampled)
-    lam = pair.eigenvalues.copy()
-    floored = int(np.sum(lam < 0.0))
-    if floored and diagnostics is not None:
-        diagnostics.sqrt_eig_floored += floored
-    np.clip(lam, 0.0, None, out=lam)
-    # Symmetric square root of (sampled + gamma I)^{-1}.
-    root = (pair.eigenvectors / np.sqrt(lam + factor.gamma)[None, :]) @ pair.eigenvectors.T
-    C = factor.cross @ root
-    inner = regularized_solve(C.T @ C, mu, C.T @ y)
-    return (y - C @ inner) / mu
+    F = factor.whitened()
+    inner = regularized_solve(F.T @ F, mu, F.T @ y)
+    return (y - F @ inner) / mu

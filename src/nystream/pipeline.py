@@ -46,9 +46,9 @@ from .leverage import (
     update_deff,
 )
 from .linalg import spectral_norm
-from .nystrom import NystromFactor, Selection, build_selection, nystrom_approx
+from .nystrom import NystromFactor, Selection, nystrom_approx
 from .sampling import Dictionary, RngHandle, direct_sample, selection_weights, shrink_expand
-from .sketch import CarriedSketch, _restricted_factor
+from .sketch import CarriedSketch
 
 # The three entry points, by the name a run's outputs and verify know them by.
 ALGORITHMS = ("batch-exact", "ink-oracle", "ink-estimate")
@@ -76,16 +76,13 @@ class ScoreOracle(Protocol):
 
 @dataclass
 class AccessAudit:
-    """Records every dataset access and kernel evaluation of a streaming run."""
+    """Records every dataset access of a streaming run, once per step and
+    before it."""
 
     points_consumed: list[int] = field(default_factory=list)
-    kernel_pairs: list[tuple[int, int]] = field(default_factory=list)
 
     def record_point(self, index: int) -> None:
         self.points_consumed.append(index)
-
-    def record_pairs(self, new_index: int, partners) -> None:
-        self.kernel_pairs.extend((new_index, int(j)) for j in partners)
 
 
 @dataclass(frozen=True)
@@ -119,14 +116,15 @@ class RunResult:
     @property
     def selection(self) -> Selection:
         d = self.dictionary
-        return build_selection(d.indices.tolist(), selection_weights(d), self.checkpoints[-1].step)
+        return Selection(d.indices, selection_weights(d), self.checkpoints[-1].step)
 
     @property
     def factor(self) -> NystromFactor:
         """The final selection's factored approximation restricted to the
         dictionary rows; the kernel block is re-evaluated on each access."""
-        gram_block = _symmetric_pairwise(self.kernel, self.dict_points)
-        return _restricted_factor(gram_block, self.dictionary.counts, float(self.gamma))
+        q = self.dictionary.size
+        block = Selection(np.arange(q), selection_weights(self.dictionary), q)
+        return nystrom_approx(_symmetric_pairwise(self.kernel, self.dict_points), block, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -394,8 +392,6 @@ def _stream_run(
     for idx in range(n):
         if audit is not None:
             audit.record_point(idx)
-            audit.record_pairs(idx, state.dictionary.indices)
-            audit.record_pairs(idx, (idx,))
         state, _ = ink_step(state, idx, dataset.points[idx], oracle)
         if checkpoint_every and state.step % checkpoint_every == 0 and state.step != n:
             checkpoints.append(_checkpoint(state))
@@ -483,11 +479,7 @@ def _batch_selection(probabilities: np.ndarray, m: int, rng: RngHandle) -> Selec
     """``m`` multinomial draws from ``probabilities`` on ``rng``'s batch
     substream, each drawn index weighted ``1/sqrt(m p_i)``."""
     draws = direct_sample(probabilities, m, rng.batch_stream())
-    weights = {
-        int(i): 1.0 / math.sqrt(m * probabilities[int(i)])
-        for i in np.unique(draws)
-    }
-    return build_selection(draws.tolist(), weights, probabilities.shape[0])
+    return Selection(draws, 1.0 / np.sqrt(m * probabilities[draws]), probabilities.shape[0])
 
 
 def suggest_batch_m(deff: float, epsilon: float, delta: float, n: int) -> int:

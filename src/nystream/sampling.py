@@ -191,6 +191,7 @@ def shrink_expand(
     return b
 
 
-def selection_weights(dictionary: Dictionary) -> dict[int, float]:
-    """Square roots of the integer weights: the selection entries."""
-    return dict(zip(dictionary.indices.tolist(), np.sqrt(dictionary.counts).tolist()))
+def selection_weights(dictionary: Dictionary) -> np.ndarray:
+    """Square roots of the integer weights, aligned with the dictionary's
+    indices: the selection entries."""
+    return np.sqrt(dictionary.counts)

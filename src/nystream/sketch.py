@@ -36,17 +36,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .linalg import _inverse, shifted_cholesky
-from .nystrom import NystromFactor
-
-
-def _restricted_factor(gram: np.ndarray, counts: np.ndarray, gamma: float) -> NystromFactor:
-    # cross = D B^{1/2}, sampled = B^{1/2} D B^{1/2}: the dictionary-row
-    # restriction of the weighted selection applied to the kernel matrix.
-    sqrt_b = np.sqrt(counts)
-    cross = gram * sqrt_b[None, :]
-    # sqrt_b_i * sqrt_b_j is exact in either order, so the block is exactly symmetric.
-    sampled = gram * np.outer(sqrt_b, sqrt_b)
-    return NystromFactor(cross=cross, sampled=sampled, gamma=gamma)
+from .nystrom import Selection, nystrom_approx
 
 
 def _border(M: np.ndarray, v: np.ndarray, corner: float) -> np.ndarray:
@@ -83,13 +73,16 @@ class CarriedSketch:
         Raises :class:`NumericalError` when ``D + Gamma`` is not positive
         definite.
         """
-        factor = _restricted_factor(gram, counts, gamma)
+        # The dictionary-row restriction of the weighted selection applied to
+        # the kernel matrix: cross = D B^{1/2}, sampled = B^{1/2} D B^{1/2}.
+        q = counts.shape[0]
+        sqrt_b = np.sqrt(counts)
+        factor = nystrom_approx(gram, Selection(np.arange(q), sqrt_b, q), gamma)
         # K~ as NystromFactor.materialize computes it, keeping the factor of
         # sampled + gamma I for N = B^{1/2} (sampled + gamma I)^-1 B^{1/2}.
         L_m = shifted_cholesky(factor.sampled, gamma)
         F = solve_triangular(L_m, factor.cross.T, lower=True, check_finite=False).T
         tilde = F @ F.T
-        sqrt_b = np.sqrt(counts)
         inv_m = _inverse(L_m) * np.outer(sqrt_b, sqrt_b)
         L = shifted_cholesky(tilde, shift)
         half = solve_triangular(L, gram, lower=True, check_finite=False)

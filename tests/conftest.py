@@ -8,7 +8,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
-from nystream import Dataset, KernelSpec, RngHandle, ink_step, initial_state
+from nystream import Dataset, KernelSpec, RngHandle, ink_step, initial_state, pipeline
 
 
 @pytest.fixture
@@ -80,3 +80,41 @@ def border(M, v, corner):
     out[:t, t] = out[t, :t] = v
     out[t, t] = corner
     return out
+
+
+class KernelReads:
+    """Records every kernel evaluation a streaming run makes through
+    ``nystream.pipeline`` (``pairwise``, ``evaluate`` and
+    ``_symmetric_pairwise``): the index of the step it ran in, which is the
+    last point ``audit`` saw, and the dataset indices of its row and column
+    points.  The dataset's points must be distinct."""
+
+    def __init__(self, monkeypatch, points, audit):
+        self._where = {p.tobytes(): i for i, p in enumerate(np.asarray(points, dtype=np.float64))}
+        self._audit = audit
+        self.calls = []
+        for name in ("pairwise", "evaluate", "_symmetric_pairwise"):
+            monkeypatch.setattr(pipeline, name, self._recorded(getattr(pipeline, name)))
+
+    def _indices(self, points):
+        return [self._where[p.tobytes()] for p in np.atleast_2d(np.asarray(points, dtype=np.float64))]
+
+    def _recorded(self, fn):
+        def recorded(kernel, *points):
+            # The symmetric form takes one point set, read as rows and columns.
+            rows, cols = self._indices(points[0]), self._indices(points[-1])
+            self.calls.append((self._audit.points_consumed[-1], rows, cols))
+            return fn(kernel, *points)
+
+        return recorded
+
+    def non_live_pairs(self, live) -> int:
+        """Evaluated pairs that read a point other than the step's own point
+        ``i`` and the dictionary ``live[i]`` the step started from."""
+        bad = 0
+        for i, rows, cols in self.calls:
+            allowed = live[i] | {i}
+            ok_rows = sum(r in allowed for r in rows)
+            ok_cols = sum(c in allowed for c in cols)
+            bad += len(rows) * len(cols) - ok_rows * ok_cols
+        return bad

@@ -270,15 +270,15 @@ class TestVerifyCheckpoints:
             assert max(cp.dict_size for cp in checkpoints) < 30
         else:
             _, sel = batch_exact(prob.dataset, kern, gamma, 40, 4)
-            assert len(set(sel.indices)) < sel.size
-            weight_of = dict(sel.pairs)
+            indices = tuple(sel.indices.tolist())
+            assert len(set(indices)) < sel.size
             checkpoints = [
                 RunCheckpoint(
                     step=90,
-                    dict_size=len(set(sel.indices)),
+                    dict_size=len(set(indices)),
                     deff_tilde=1.0,
-                    indices=sel.indices,
-                    weights=tuple(weight_of[i] for i in sel.indices),
+                    indices=indices,
+                    weights=tuple(sel.weights.tolist()),
                 )
             ]
         records = verify_checkpoints(

@@ -204,6 +204,24 @@ class TestLoaders:
         assert ds.points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert ds.labels.tolist() == [7.0, 8.0]
 
+    def test_csv_header_after_blank_lines(self, tmp_path):
+        """The header is the first non-blank row; errors keep the file's
+        line numbers."""
+        path = tmp_path / "d.csv"
+        path.write_text("\n\nx,y,label\n1.0,2.0,0.5\n")
+        ds = load_csv(path, has_header=True)
+        assert ds.points.tolist() == [[1.0, 2.0]]
+        assert ds.labels.tolist() == [0.5]
+        path.write_text("\nx,y,label\n1.0,2.0,0.5\nnope,4.0,1.0\n")
+        with pytest.raises(InputError, match="line 4"):
+            load_csv(path, has_header=True)
+
+    def test_csv_line_numbers_count_quoted_newlines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('1.0,2.0\n"3\n",4.0\nnope,5.0\n')
+        with pytest.raises(InputError, match="line 4"):
+            load_csv(path)
+
     def test_csv_unlabeled(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1.0,2.0\n3.0,4.0\n")

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from nystream import (
-    Diagnostics,
     InputError,
+    NumericalError,
     NystromFactor,
+    Selection,
     build_selection,
     krr_approx,
     krr_exact,
@@ -34,15 +35,16 @@ def random_selection(rng, t, *, multiset=False):
 class TestSelection:
     def test_single_index_operator(self):
         sel = build_selection([1], {1: 1.0}, 3)
-        idx, w = sel.arrays()
-        assert idx.tolist() == [1]
-        assert w.tolist() == [1.0]
-        assert w.dtype == np.float64
+        assert sel.indices.tolist() == [1]
+        assert sel.weights.tolist() == [1.0]
+        assert sel.indices.dtype == np.intp
+        assert sel.weights.dtype == np.float64
 
     def test_multiset_allowed(self):
         sel = build_selection([0, 0, 2], {0: 0.5, 2: 1.5}, 3)
         assert sel.size == 3
-        assert sel.indices == (0, 0, 2)
+        assert sel.indices.tolist() == [0, 0, 2]
+        assert sel.weights.tolist() == [0.5, 0.5, 1.5]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InputError):
@@ -51,6 +53,11 @@ class TestSelection:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(InputError):
             build_selection([0], {0: 0.0}, 2)
+
+    @pytest.mark.parametrize("indices, weights", [([0, 1], [1.0]), ([[0, 1]], [[1.0, 1.0]])])
+    def test_rejects_misaligned_arrays(self, indices, weights):
+        with pytest.raises(InputError, match="aligned 1-D"):
+            Selection(np.array(indices), np.array(weights), 3)
 
 
 class TestNystromApprox:
@@ -111,8 +118,7 @@ class TestNystromApprox:
             sel = random_selection(rng, t, multiset=True)
             repeats += len(set(sel.indices)) < sel.size
             S = np.zeros((t, sel.size))
-            for col, (i, w) in enumerate(sel.pairs):
-                S[i, col] = w
+            S[sel.indices, np.arange(sel.size)] = sel.weights
             factor = nystrom_approx(K, sel, 0.7)
             assert np.array_equal(factor.sampled, factor.sampled.T)
             np.testing.assert_allclose(factor.cross, K @ S, rtol=1e-12, atol=0)
@@ -186,12 +192,22 @@ class TestKrrApprox:
             err = np.linalg.norm(got - dense) / np.linalg.norm(dense)
             assert err <= 1e-8
 
-    def test_floored_eigenvalues_counted(self, rng):
-        diag = Diagnostics()
-        sampled = np.diag([1.0, -1e-13])  # roundoff-negative eigenvalue
+    def test_roundoff_negative_eigenvalue_solves(self, rng):
+        """A sampled block with a roundoff-negative eigenvalue still solves
+        through the whitened factor, matching the dense system."""
+        sampled = np.diag([1.0, -1e-13])
         factor = NystromFactor(cross=rng.normal(size=(5, 2)), sampled=sampled, gamma=1.0)
-        krr_approx(factor, 1.0, rng.normal(size=5), diagnostics=diag)
-        assert diag.sqrt_eig_floored == 1
+        y, mu = rng.normal(size=5), 0.7
+        dense = np.linalg.solve(factor.materialize() + mu * np.eye(5), y)
+        np.testing.assert_allclose(krr_approx(factor, mu, y), dense, rtol=0, atol=1e-8)
+
+    def test_eigenvalue_below_minus_gamma_raises(self, rng):
+        """sampled + gamma I that is not positive definite is refused, not
+        projected."""
+        sampled = np.diag([1.0, -1.5])
+        factor = NystromFactor(cross=rng.normal(size=(5, 2)), sampled=sampled, gamma=1.0)
+        with pytest.raises(NumericalError, match="leading minor 2"):
+            krr_approx(factor, 1.0, rng.normal(size=5))
 
     def test_rejects_bad_mu(self):
         factor = NystromFactor(cross=np.zeros((2, 0)), sampled=np.zeros((0, 0)), gamma=1.0)

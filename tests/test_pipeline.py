@@ -40,9 +40,9 @@ from nystream import pipeline
 from nystream.evaluation import SyntheticSpec, checkpoint_selection, generate_synthetic
 from nystream.kernels import _symmetric_pairwise, evaluate, pairwise
 from nystream.leverage import estimate_rls_batch
-from nystream.sketch import CarriedSketch, _restricted_factor
+from nystream.sketch import CarriedSketch
 
-from conftest import RecordingOracle, border
+from conftest import KernelReads, RecordingOracle, border
 
 
 def orthogonal_dataset(n):
@@ -661,7 +661,7 @@ class TestRuns:
         kern = KernelSpec.linear_kernel()
         res = ink_estimate_run(ds, kern, 1.0, 4, 0.5, rng=0)
         assert res.checkpoints[-1].deff_tilde == pytest.approx(4.0 / 5.0)
-        assert res.selection.indices == (0,)
+        assert res.selection.indices.tolist() == [0]
         assert res.checkpoints[-1].weights == (1.0,)
 
     def test_single_point_oracle_run(self):
@@ -688,7 +688,10 @@ class TestRuns:
         assert res.deff_tilde == last.deff_tilde
         assert tuple(res.dictionary.indices.tolist()) == last.indices
         assert tuple(res.dictionary.counts.astype(np.float64).tolist()) == last.weights
-        assert res.selection == checkpoint_selection(last, last.step, algorithm)
+        rebuilt = checkpoint_selection(last, last.step, algorithm)
+        assert res.selection.t == rebuilt.t
+        np.testing.assert_array_equal(res.selection.indices, rebuilt.indices)
+        np.testing.assert_array_equal(res.selection.weights, rebuilt.weights)
         np.testing.assert_array_equal(res.dict_points, ds.points[res.dictionary.indices])
 
     def test_seeded_runs_are_identical(self):
@@ -760,21 +763,32 @@ class TestRuns:
             dropped |= seen - current
             seen |= current
 
-    def test_single_pass_audit(self):
+    def test_single_pass_audit(self, monkeypatch):
         """Each element is consumed once and kernel evaluations only pair
-        the new point with itself or live dictionary members."""
+        the new point with itself or live dictionary members; the exact
+        oracle, which reads every earlier point, fails the same check."""
         ds = clustered(70, seed=10)
         kern = KernelSpec.gaussian_kernel(1.0)
-        audit = AccessAudit()
-        res = ink_estimate_run(
-            ds, kern, 1.0, 6, 0.5, rng=2, checkpoint_every=1, audit=audit
-        )
-        assert audit.points_consumed == list(range(70))
-        live_before = {0: frozenset()}
-        for cp in res.checkpoints:
-            live_before[cp.step] = frozenset(cp.indices)
-        for i, j in audit.kernel_pairs:
-            assert j == i or j in live_before[i]
+        runs = {
+            "ink-estimate": lambda audit: ink_estimate_run(
+                ds, kern, 1.0, 6, 0.5, rng=2, checkpoint_every=1, audit=audit),
+            "ink-oracle": lambda audit: ink_oracle_run(
+                ds, kern, 1.0, 6, rng=2, checkpoint_every=1, audit=audit),
+        }
+        non_live = {}
+        for algorithm, run in runs.items():
+            audit = AccessAudit()
+            with monkeypatch.context() as patch:
+                reads = KernelReads(patch, ds.points, audit)
+                res = run(audit)
+            assert audit.points_consumed == list(range(70))
+            assert len(reads.calls) >= 70
+            live_before = {0: frozenset()}
+            for cp in res.checkpoints:
+                live_before[cp.step] = frozenset(cp.indices)
+            non_live[algorithm] = reads.non_live_pairs(live_before)
+        assert non_live["ink-estimate"] == 0
+        assert non_live["ink-oracle"] > 0
 
     def test_checkpoint_cadence(self):
         ds = clustered(90, seed=12)
@@ -879,10 +893,11 @@ class TestRuns:
         assert q > ds.dim + 1  # so a Q x Q block breaks the bound
         assert max(a.size for a in arrays(res)) <= q * ds.dim + q
         idx = state.dictionary.indices
-        expected = _restricted_factor(gram(ds, kern)[np.ix_(idx, idx)], state.dictionary.counts, gamma)
-        assert res.factor.cross.tobytes() == expected.cross.tobytes()
-        assert res.factor.sampled.tobytes() == expected.sampled.tobytes()
-        assert res.factor.gamma == expected.gamma
+        # cross = D B^{1/2} and sampled = B^{1/2} D B^{1/2} on the dictionary block D.
+        block, sqrt_b = gram(ds, kern)[np.ix_(idx, idx)], np.sqrt(state.dictionary.counts)
+        assert res.factor.cross.tobytes() == (block * sqrt_b[None, :]).tobytes()
+        assert res.factor.sampled.tobytes() == (block * np.outer(sqrt_b, sqrt_b)).tobytes()
+        assert res.factor.gamma == gamma
 
     def test_estimate_run_diagnostics_labels(self):
         ds = clustered(40, seed=13)
@@ -962,8 +977,7 @@ class TestBatchExact:
         profile = exact_rls(gram(ds, KernelSpec.linear_kernel()), 1.0)
         np.testing.assert_allclose(profile.probabilities, np.full(8, 1 / 8))
         factor, selection = batch_exact(ds, KernelSpec.linear_kernel(), 1.0, 16, rng=0)
-        for i, w in selection.pairs:
-            assert w == pytest.approx(1.0 / math.sqrt(16 * (1 / 8)))
+        np.testing.assert_allclose(selection.weights, 1.0 / math.sqrt(16 * (1 / 8)))
 
     def test_single_draw_keeps_sandwich(self):
         ds = clustered(30, seed=14)
