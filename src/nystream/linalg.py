@@ -96,9 +96,12 @@ def shifted_cholesky(A: np.ndarray, shift: float) -> np.ndarray:
     symmetrized nor checked, and only one of its triangles is read.  Raises :class:`NumericalError` when the
     shifted matrix is not positive definite.
     """
-    # The shifted matrix is symmetric, so its transpose is the same matrix in
-    # the column-major layout LAPACK factors in place, without a copy.
-    factor, info = dpotrf((A + shift * np.eye(A.shape[0])).T, lower=1, clean=0, overwrite_a=1)
+    # One copy of A takes the shift on its diagonal.  The shifted matrix is
+    # symmetric, so its transpose is the same matrix in the column-major
+    # layout LAPACK factors in place, without another copy.
+    shifted = np.array(A, dtype=np.float64, order="C")
+    shifted.ravel()[:: shifted.shape[0] + 1] += shift
+    factor, info = dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)
     if info:
         raise NumericalError(f"shifted matrix is not positive definite (leading minor {info})")
     return factor
@@ -111,7 +114,7 @@ def _inverse(L: np.ndarray) -> np.ndarray:
         return np.zeros((0, 0))  # LAPACK rejects an empty matrix
     lower, _ = dpotri(L, lower=1, overwrite_c=1)
     # dpotri fills one triangle; mirror it into the other.
-    return np.tril(lower) + np.tril(lower, -1).T
+    return np.where(np.tri(lower.shape[0], dtype=bool), lower, lower.T)
 
 
 def solve_shifted_indefinite(A: np.ndarray, shift: float, B: np.ndarray) -> np.ndarray:

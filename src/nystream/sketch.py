@@ -26,6 +26,13 @@ surviving columns and bordered with the admitted one):
 :meth:`CarriedSketch.rebuild` computes the same quantities from scratch,
 with one :func:`shifted_cholesky` of ``D + Gamma`` (scaled as
 :class:`NystromFactor` holds it) and one of ``K~`` at each shift.
+
+Each carried Q x Q array is allocated by the step that produces it and
+filled once: the surviving block is copied into it run by run (one block
+copy per pair of runs of consecutive kept positions), and the step's
+low-rank terms are added in place by BLAS ``dgemm``.  No array is written
+after its sketch is built, so a step that changes nothing shares its
+predecessor's arrays.
 """
 
 from __future__ import annotations
@@ -34,27 +41,20 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dgemm
 
+from .errors import InvariantViolation
 from .linalg import _inverse, shifted_cholesky
 from .nystrom import Selection, nystrom_approx
-
-
-def _border(M: np.ndarray, v: np.ndarray, corner: float) -> np.ndarray:
-    t = M.shape[0]
-    out = np.empty((t + 1, t + 1))
-    out[:t, :t] = M
-    out[:t, t] = v
-    out[t, :t] = v
-    out[t, t] = corner
-    return out
 
 
 @dataclass(frozen=True)
 class CarriedSketch:
     """The kernel block ``gram`` (``D``), ``N``, ``(K~ + shift I)^-1``,
     ``(K~ + gamma I)^-1`` and ``diag(D (K~ + shift I)^-1 D)`` for one
-    dictionary, aligned with its ``indices`` and ``counts``.  No array is
-    written after construction."""
+    dictionary, aligned with its ``indices`` and ``counts``.  Each array is
+    allocated by the step (or rebuild) that made this sketch, filled there
+    once and not written afterwards; a successor never writes it."""
 
     indices: np.ndarray
     counts: np.ndarray
@@ -94,18 +94,23 @@ class CarriedSketch:
     def moved_block(self, indices, new_index: int, cross: np.ndarray, self_term: float):
         """``(pos, gram)`` for the dictionary ``indices`` that one step made
         from this one: the positions here of the columns it kept, and this
-        block restricted to them (shared if all are kept) and bordered with
-        ``new_index``'s column ``(cross, self_term)`` if it was admitted.
-        None when ``indices`` is not such a successor."""
+        block restricted to them (shared if all are kept and none admitted)
+        and bordered with ``new_index``'s column ``(cross, self_term)`` if it
+        was admitted.  None when ``indices`` is not such a successor."""
         q0, q1 = self.indices.shape[0], indices.shape[0]
         admitted = q1 > 0 and indices[-1] == new_index
         m = q1 - admitted
         pos = np.searchsorted(self.indices, indices[:m])
         if m == 0 or pos[-1] >= q0 or not np.array_equal(self.indices[pos], indices[:m]):
             return None
-        gram = self.gram if m == q0 else self.gram[np.ix_(pos, pos)]
+        if m == q0 and not admitted:
+            return pos, self.gram
+        gram = _kept_block(self.gram, _runs(pos), q1)
         if admitted:
-            gram = _border(gram, cross[pos], self_term)
+            border = cross[pos]
+            gram[:m, m] = border
+            gram[m, :m] = border
+            gram[m, m] = self_term
         return pos, gram
 
     def advance(self, indices, counts, pos, gram) -> CarriedSketch | None:
@@ -113,23 +118,29 @@ class CarriedSketch:
         counts)`` on the block ``(pos, gram)`` that :meth:`moved_block` gives
         for it; None when a Schur complement of the update is not positive
         (only a rebuild can tell why)."""
-        q0, m = self.indices.shape[0], pos.shape[0]
+        q0, m, q1 = self.indices.shape[0], pos.shape[0], indices.shape[0]
         b_new = np.zeros(q0, dtype=np.int64)
         b_new[pos] = counts[:m]
         changed = np.flatnonzero(b_new != self.counts)
-        out = (self.inv_m, self.inv_shift, self.inv_gamma, self.quad)
-        if changed.size:
-            out = self._reweighted(changed, b_new[changed], pos if m < q0 else None)
-        if m < indices.shape[0]:
-            out = self._admitted(*out, counts, gram)
-            if out is None:
+        if not changed.size and m == q1:
+            return CarriedSketch(
+                indices, counts, gram, self.inv_m, self.inv_shift, self.inv_gamma, self.quad,
+                self.gamma, self.shift,
+            )
+        runs = _runs(pos)
+        carried = tuple(_kept_block(P, runs, q1) for P in (self.inv_m, self.inv_shift, self.inv_gamma))
+        quad = self._reweight(changed, b_new[changed], pos, *carried) if changed.size else self.quad
+        if m < q1:
+            quad = self._admit(*carried, quad, counts, gram)
+            if quad is None:
                 return None
-        return CarriedSketch(indices, counts, gram, *out, self.gamma, self.shift)
+        return CarriedSketch(indices, counts, gram, *carried, quad, self.gamma, self.shift)
 
-    def _reweighted(self, changed, b1, pos):
+    def _reweight(self, changed, b1, pos, inv_m, inv_shift, inv_gamma):
         """One Woodbury update for every weight change and eviction (new
-        weight 0), restricted to the retained positions ``pos`` (None when
-        nothing is evicted)."""
+        weight 0), added in place to the kept blocks ``inv_m``, ``inv_shift``
+        and ``inv_gamma``; returns the forms restricted to the retained
+        positions ``pos``."""
         b0 = self.counts[changed].astype(np.float64)
         # (D + Gamma + E_S diag(delta) E_S^T)^-1 = N - N_S T^-1 N_S^T with
         # T = diag(1/delta) + N_SS and delta = gamma (1/b1 - 1/b0); an
@@ -148,32 +159,37 @@ class CarriedSketch:
         H[gone, k + np.arange(gone.shape[0])] = 1.0
         middle = np.zeros((H.shape[1], H.shape[1]))
         middle[:k, :k] = -T
-        rows = slice(None) if pos is None else pos
-        inv_m = _plus_low_rank(_kept(self.inv_m, pos), n_s[rows], -np.linalg.inv(T))
+        q1 = inv_m.shape[0]
+        _add_low_rank(inv_m, _padded(n_s[pos], q1), -np.linalg.inv(T))
         updated = []
-        for P in (self.inv_shift, self.inv_gamma):
+        for P, out in ((self.inv_shift, inv_shift), (self.inv_gamma, inv_gamma)):
             V = P @ H
             C = -np.linalg.inv(middle + H.T @ V)
-            updated.append((_plus_low_rank(_kept(P, pos), V[rows], C), V, C))
-        (inv_shift, V, C), (inv_gamma, *_) = updated
+            _add_low_rank(out, _padded(V[pos], q1), C)
+            updated.append((V, C))
+        V, C = updated[0]
         Y = self.gram @ V
         quad = self.quad + np.einsum("ij,ij->i", Y @ C, Y)
-        return inv_m, inv_shift, inv_gamma, quad[rows]
+        return quad[pos]
 
-    def _admitted(self, inv_m, inv_shift, inv_gamma, quad, counts, gram):
-        """Border every carried quantity with the newest column, the last
-        one of ``gram``."""
-        m = inv_m.shape[0]
+    def _admit(self, inv_m, inv_shift, inv_gamma, quad, counts, gram):
+        """Border the carried quantities with the newest column, the last
+        one of ``gram``: in place on ``inv_m``, ``inv_shift`` and
+        ``inv_gamma``, whose top-left blocks hold the predecessor's
+        quantities after this step's reweights and whose last row and column
+        are zero.  Returns the bordered forms, or None when a Schur
+        complement is not positive."""
+        m = quad.shape[0]
         c, k = gram[:m, m], float(gram[m, m])
         gamma_new = self.gamma / float(counts[m])
-        v = inv_m @ c
+        v = inv_m[:m, :m] @ c
         sigma = k + gamma_new - float(c @ v)
         if not sigma > 0:
             return None
         # (D + Gamma)^-1 bordered: N + (v; -1)(v; -1)^T / sigma.  K~ gains
         # (Gamma v)(Gamma v)^T / sigma on the old coordinates and the border
         # column a with corner kappa.
-        inv_m = _plus_low_rank(_border(inv_m, 0.0, 0.0), np.append(v, -1.0)[:, None], np.array([[1.0 / sigma]]))
+        _add_low_rank(inv_m, np.append(v, -1.0)[:, None], np.array([[1.0 / sigma]]))
         h = (self.gamma / counts[:m]) * v
         a = c - (gamma_new / sigma) * h
         kappa = k - gamma_new + gamma_new * gamma_new / sigma
@@ -181,7 +197,7 @@ class CarriedSketch:
         for P, shift in ((inv_shift, self.shift), (inv_gamma, self.gamma)):
             # (P^-1 + h h^T / sigma)^-1 = P - z z^T / rho, then bordered with
             # (a, kappa + shift): + (u; -1)(u; -1)^T / s.
-            Z = P @ np.stack((h, a, c), axis=1)
+            Z = P[:m, :m] @ np.stack((h, a, c), axis=1)
             z = Z[:, 0]
             rho = sigma + float(h @ z)
             u = Z[:, 1] - z * (float(z @ a) / rho)
@@ -190,8 +206,9 @@ class CarriedSketch:
                 return None
             W = np.zeros((m + 1, 2))
             W[:m, 0], W[:m, 1], W[m, 1] = z, u, -1.0
-            bordered.append((_plus_low_rank(_border(P, 0.0, 0.0), W, np.diag([-1.0 / rho, 1.0 / s])), Z, rho, u, s))
-        (inv_shift, Z, rho, u, s), (inv_gamma, *_) = bordered
+            _add_low_rank(P, W, np.diag([-1.0 / rho, 1.0 / s]))
+            bordered.append((Z, rho, u, s))
+        Z, rho, u, s = bordered[0]
         # With x = (D_i, c_i): x^T P' x = D_i^T P D_i - (D_i^T z)^2 / rho
         # + (D_i^T u - c_i)^2 / s.
         z = Z[:, 0]
@@ -200,8 +217,7 @@ class CarriedSketch:
         du = DZ[:, 1] - dz * (float(z @ a) / rho)
         pc = Z[:, 2] - z * (float(z @ c) / rho)
         quad_new = float(c @ pc) + (float(u @ c) - k) ** 2 / s
-        quad = np.append(quad - dz * dz / rho + (du - c) ** 2 / s, quad_new)
-        return inv_m, inv_shift, inv_gamma, quad
+        return np.append(quad - dz * dz / rho + (du - c) ** 2 / s, quad_new)
 
     def query(self, cross: np.ndarray, self_term: float) -> tuple[np.ndarray, float, float, float]:
         """Forms of the sketch bordered with the new column ``(c, k)``:
@@ -218,11 +234,51 @@ class CarriedSketch:
         return forms, quad_c, float(w @ w), s
 
 
-def _kept(P: np.ndarray, pos) -> np.ndarray:
-    """``P`` restricted to the retained positions ``pos`` (None: all)."""
-    return P if pos is None else P[np.ix_(pos, pos)]
+def _runs(pos: np.ndarray) -> list[tuple[int, int, int]]:
+    """The non-empty ascending positions ``pos`` as runs of consecutive
+    positions: ``(start, stop, first)`` for ``pos[start:stop] == first +
+    arange(stop - start)``."""
+    m = pos.shape[0]
+    if pos[-1] - pos[0] == m - 1:  # one run, the common case, without the scan
+        return [(0, m, int(pos[0]))]
+    stops = (np.flatnonzero(pos[1:] - pos[:-1] != 1) + 1).tolist()
+    starts = [0, *stops]
+    return [(start, stop, int(pos[start])) for start, stop in zip(starts, [*stops, m])]
 
 
-def _plus_low_rank(P: np.ndarray, W: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """``P + W C W^T``."""
-    return P + W @ C @ W.T
+def _kept_block(P: np.ndarray, runs: list[tuple[int, int, int]], size: int) -> np.ndarray:
+    """A fresh ``size x size`` array holding ``P``'s rows and columns at the
+    positions ``pos`` that :func:`_runs` split into ``runs`` in its top-left
+    corner, and zeros in the rows and columns after it: one block copy per
+    pair of runs, (g + 1)^2 copies for g gaps in ``pos``."""
+    m = runs[-1][1]
+    out = np.empty((size, size))
+    for start, stop, first in runs:
+        rows = P[first : first + stop - start]
+        for col_start, col_stop, col_first in runs:
+            out[start:stop, col_start:col_stop] = rows[:, col_first : col_first + col_stop - col_start]
+    if size > m:
+        out[m:] = 0.0
+        out[:m, m:] = 0.0
+    return out
+
+
+def _padded(W: np.ndarray, size: int) -> np.ndarray:
+    """``W`` with zero rows appended up to ``size`` rows (``W`` itself when
+    it has that many)."""
+    if W.shape[0] == size:
+        return W
+    out = np.zeros((size, W.shape[1]))
+    out[: W.shape[0]] = W
+    return out
+
+
+def _add_low_rank(out: np.ndarray, W: np.ndarray, C: np.ndarray) -> None:
+    """``out += W C W^T`` in place, as one BLAS ``dgemm`` on ``out^T``: that
+    is ``out`` in the column-major layout BLAS writes, so no copy is made."""
+    # W^T and (W C)^T are F-contiguous views too, so no argument is copied.
+    # f2py would copy a c that is not F-contiguous and return the copy; then
+    # the update would never reach ``out``.
+    target = out.T
+    if dgemm(1.0, W.T, (W @ C).T, beta=1.0, c=target, trans_a=1, overwrite_c=1) is not target:
+        raise InvariantViolation("dgemm returned a copy of the carried matrix instead of updating it")

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtpsv
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from nystream import (
     InputError,
@@ -248,6 +249,16 @@ class TestShiftedCholesky:
         with pytest.raises(NumericalError, match="not positive definite"):
             shifted_cholesky(np.diag([1.0, -0.5, 2.0]), 0.25)
 
+    def test_bit_equal_to_dpotrf_of_the_shifted_matrix(self, rng):
+        """Shifting a copy's diagonal in place gives the same matrix, and so
+        the same factor, as adding ``shift * I``."""
+        for n in (1, 2, 7, 64, 201):
+            A = random_psd(rng, n)
+            for shift in (1e-3, 0.3):
+                reference, info = dpotrf(A + shift * np.eye(n), lower=1)
+                assert info == 0
+                assert np.tril(shifted_cholesky(A, shift)).tobytes() == reference.tobytes()
+
 
 class TestOneCholeskyRoute:
     def test_regularized_solve_names_the_leading_minor(self):
@@ -281,6 +292,17 @@ class TestInverse:
         about the empty matrix."""
         assert _inverse(shifted_cholesky(np.zeros((0, 0)), 0.3)).shape == (0, 0)
         assert capfd.readouterr() == ("", "")
+
+    def test_bit_equal_to_the_summed_triangles(self, rng):
+        """The mirrored triangle equals dpotri's lower triangle plus its
+        strict transpose bit for bit (also for 0 x 0, which skips LAPACK)."""
+        assert _inverse(np.zeros((0, 0))).tobytes() == np.zeros((0, 0)).tobytes()
+        for n in (1, 2, 7, 64, 201):
+            L = shifted_cholesky(random_psd(rng, n), 0.3)
+            lower, info = dpotri(L.copy(order="F"), lower=1)
+            assert info == 0
+            expected = np.tril(lower) + np.tril(lower, -1).T
+            assert _inverse(L).tobytes() == expected.tobytes()
 
 
 class TestPackedTriangularSolve:
