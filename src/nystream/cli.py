@@ -31,12 +31,12 @@ from .evaluation import (
     write_records_csv,
     write_records_json,
 )
-from .kernels import DESK_SCALE_CAP, FAMILIES, Dataset, KernelSpec, gram, load_csv, load_libsvm
-from .leverage import alpha_factor, beta_factor, exact_rls
+from .kernels import FAMILIES, Dataset, KernelSpec, load_csv, load_libsvm
+from .leverage import alpha_factor, beta_factor
 from .pipeline import (
     ALGORITHMS,
     RunCheckpoint,
-    _batch_selection,
+    batch_exact,
     ink_estimate_run,
     ink_oracle_run,
     suggest_batch_m,
@@ -210,15 +210,12 @@ def _execute_run(cfg: RunConfig) -> tuple[list[RunCheckpoint], dict]:
     dataset = _load_dataset(cfg)
     kernel = cfg.kernel_spec()
     if cfg.algorithm == "batch-exact":
-        if len(dataset) > DESK_SCALE_CAP:
-            raise InputError("batch-exact needs the dense matrix: dataset too large")
-        profile = exact_rls(gram(dataset, kernel), cfg.gamma)
-        selection = _batch_selection(profile.probabilities, cfg.budget, RngHandle(seed=cfg.seed))
+        selection, deff = batch_exact(dataset, kernel, cfg.gamma, cfg.budget, rng=cfg.seed)
         indices = tuple(selection.indices.tolist())
         checkpoint = RunCheckpoint(
             step=len(dataset),
             dict_size=len(set(indices)),
-            deff_tilde=profile.deff,
+            deff_tilde=deff,
             indices=indices,
             weights=tuple(selection.weights.tolist()),
         )
@@ -298,10 +295,6 @@ def _verify_directory(rundir: Path, input_override: str | None) -> int:
         given.append(("input", input_override, "flag --input"))
     cfg = _config_from(given)
     dataset = _load_dataset(cfg)
-    if len(dataset) > DESK_SCALE_CAP:
-        raise InputError(
-            f"verification materializes dense matrices and refuses n > {DESK_SCALE_CAP}"
-        )
     checkpoints = _wire_checkpoints(payload.get("checkpoints"), path)
     records = verify_checkpoints(
         dataset,

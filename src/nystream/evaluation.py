@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .kernels import Dataset, KernelSpec, gram
+from .kernels import DESK_SCALE_CAP, Dataset, KernelSpec, gram
 from .leverage import deff_increment_exact, exact_rls
 from .linalg import DEFAULT_PSD_TOL, _psd_within, eig_pairs, symmetrize
 from .nystrom import NystromFactor, Selection, nystrom_approx
@@ -296,17 +296,18 @@ def monotonicity_audit(
     return MonotonicityReport(t_max=t_max, violations=tuple(violations))
 
 
-def checkpoint_selection(
-    checkpoint: RunCheckpoint, t: int, algorithm: str
-) -> Selection:
-    """Rebuild the selection a checkpoint describes.
+def checkpoint_selection(checkpoint: RunCheckpoint, algorithm: str) -> Selection:
+    """Rebuild the selection a checkpoint describes, over its first
+    ``checkpoint.step`` columns.
 
     Streaming checkpoints store integer dictionary weights (selection entries
     are their square roots); batch checkpoints store the final real weights
     directly.
     """
     weights = np.asarray(checkpoint.weights, dtype=np.float64)
-    return Selection(checkpoint.indices, weights if algorithm == "batch-exact" else np.sqrt(weights), t)
+    if algorithm != "batch-exact":
+        weights = np.sqrt(weights)
+    return Selection(checkpoint.indices, weights, checkpoint.step)
 
 
 def rebuild_factor(
@@ -354,10 +355,20 @@ def verify_checkpoints(
     evaluates both PSD inequalities, the spectral and projection gaps, the
     exact effective dimension, and (when targets are known) the closed-form
     risks of the exact and approximate solvers.  Everything derived from K
-    comes from one eigendecomposition of it per checkpoint.
+    comes from one eigendecomposition of it per checkpoint.  Every
+    checkpoint's t must lie in 1..n and within ``DESK_SCALE_CAP``; all are
+    checked before any kernel work.
     """
     if algorithm not in ALGORITHMS:
         raise InputError(f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}")
+    n = len(dataset)
+    top = min(n, DESK_SCALE_CAP)
+    for cp in checkpoints:
+        if not 1 <= cp.step <= top:
+            raise InputError(
+                f"checkpoint t={cp.step} is outside 1..{top}: the dataset has {n} points "
+                f"and verification materializes at most {DESK_SCALE_CAP}"
+            )
     return [_verified(dataset, kernel, gamma, epsilon, cp, algorithm, problem) for cp in checkpoints]
 
 
@@ -369,7 +380,7 @@ def _verified(
     freed on return, before the next checkpoint builds its own."""
     t = cp.step
     K = gram(dataset, kernel, t)
-    selection = checkpoint_selection(cp, t, algorithm)
+    selection = checkpoint_selection(cp, algorithm)
     U, lam = _spectrum(K, require_psd=True)
     # materialize() as F F^T, keeping the rank-Q factor for the risk;
     # K - K~ is formed in K~'s buffer and K is dropped before the checks.

@@ -57,10 +57,6 @@ class EigPair:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        U, lam = self.eigenvectors, self.eigenvalues
-        return (U * lam[None, :]) @ U.T
-
 
 def eig_pairs(A: np.ndarray) -> EigPair:
     """Eigendecomposition of a symmetric matrix, descending order."""

@@ -1,10 +1,11 @@
 """Top-level algorithms.
 
-Three entry points build a weighted column selection and its factored
-kernel approximation:
+Three entry points build a weighted column selection, from which the
+factored kernel approximation is derived:
 
 * :func:`batch_exact` computes exact leverage scores on the full matrix and
   draws columns by multinomial sampling (desk scale; the reference method).
+  It returns the selection and the exact effective dimension, not a factor.
 * :func:`ink_oracle_run` streams the data once, maintaining the dictionary
   with shrink/expand chains fed by a pluggable score oracle.
 * :func:`ink_estimate_run` fills the oracle slot with the incremental
@@ -461,25 +462,22 @@ def batch_exact(
     gamma: float,
     m: int,
     rng: int = 0,
-) -> tuple[NystromFactor, Selection]:
+) -> tuple[Selection, float]:
     """Reference batch method: exact scores, multinomial column sampling.
 
-    Each drawn index enters the selection with weight ``1/sqrt(m p_i)``.
-    Needs the dense kernel matrix, so it is desk scale by construction.
+    Returns the selection of ``m`` draws on the seed's batch substream, each
+    drawn index weighted ``1/sqrt(m p_i)``, and the exact effective
+    dimension.  Builds no factor: :func:`nystream.evaluation.rebuild_factor`
+    assembles it from the selection.  Needs the dense kernel matrix, so it
+    is desk scale by construction.
     """
     if m < 1:
         raise InputError("sampling budget m must be at least 1")
     handle = RngHandle(seed=int(rng))
-    K = gram(dataset, kernel)
-    selection = _batch_selection(exact_rls(K, gamma).probabilities, m, handle)
-    return nystrom_approx(K, selection, gamma), selection
-
-
-def _batch_selection(probabilities: np.ndarray, m: int, rng: RngHandle) -> Selection:
-    """``m`` multinomial draws from ``probabilities`` on ``rng``'s batch
-    substream, each drawn index weighted ``1/sqrt(m p_i)``."""
-    draws = direct_sample(probabilities, m, rng.batch_stream())
-    return Selection(draws, 1.0 / np.sqrt(m * probabilities[draws]), probabilities.shape[0])
+    profile = exact_rls(gram(dataset, kernel), gamma)
+    p = profile.probabilities
+    draws = direct_sample(p, m, handle.batch_stream())
+    return Selection(draws, 1.0 / np.sqrt(m * p[draws]), p.shape[0]), profile.deff
 
 
 def suggest_batch_m(deff: float, epsilon: float, delta: float, n: int) -> int:

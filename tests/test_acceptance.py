@@ -248,8 +248,8 @@ def test_criterion_06_batch_reconstruction(bench):
     started = time.perf_counter()
     passed = 0
     for seed in range(200):
-        factor, _sel = batch_exact(bench.prob.dataset, bench.kern, GAMMA, m, rng=seed)
-        rep = check_condition(bench.K, factor.materialize(), GAMMA, EPSILON)
+        sel, _ = batch_exact(bench.prob.dataset, bench.kern, GAMMA, m, rng=seed)
+        rep = check_condition(bench.K, nystrom_approx(bench.K, sel, GAMMA).materialize(), GAMMA, EPSILON)
         passed += rep.lower_psd_ok and rep.upper_psd_ok
     elapsed = time.perf_counter() - started
     rate = passed / 200
@@ -278,7 +278,7 @@ def test_criterion_07_ink_oracle(bench):
         for cp in res.checkpoints:
             if cp.step not in bench.checkpoint_steps:
                 continue
-            sel = checkpoint_selection(cp, cp.step, "ink-oracle")
+            sel = checkpoint_selection(cp, "ink-oracle")
             K_t = bench.K[: cp.step, : cp.step]
             rep = check_condition(
                 K_t, nystrom_approx(K_t, sel, GAMMA).materialize(), GAMMA, EPSILON
@@ -314,7 +314,7 @@ def test_criterion_08_ink_estimate(bench):
             size_ok = size_ok and cp.dict_size <= 8 * q_bar
             deff_ok = deff_ok and cp.deff_tilde >= bench.prefix_deff[cp.step] - 1e-9
         final = res.checkpoints[-1]
-        sel = checkpoint_selection(final, N, "ink-estimate")
+        sel = checkpoint_selection(final, "ink-estimate")
         gap = spectral_norm(bench.K - nystrom_approx(bench.K, sel, GAMMA).materialize())
         gap_passed += gap <= GAMMA / (1 - EPSILON)
     elapsed = time.perf_counter() - started
@@ -342,8 +342,8 @@ def test_criterion_09_risk_ratio():
         K = gram(prob.dataset, kern)
         profile = exact_rls(K, GAMMA)
         m = suggest_batch_m(profile.deff, EPSILON, DELTA, 100)
-        factor, _ = batch_exact(prob.dataset, kern, GAMMA, m, rng=seed)
-        K_tilde = factor.materialize()
+        sel, _ = batch_exact(prob.dataset, kern, GAMMA, m, rng=seed)
+        K_tilde = nystrom_approx(K, sel, GAMMA).materialize()
         rep = check_condition(K, K_tilde, GAMMA, EPSILON)
         if not (rep.lower_psd_ok and rep.upper_psd_ok):
             continue

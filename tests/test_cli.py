@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nystream import SyntheticSpec, generate_synthetic
+from nystream import KernelSpec, SyntheticSpec, batch_exact, evaluation, generate_synthetic
 from nystream.cli import RunConfig, main
+from nystream.kernels import DESK_SCALE_CAP, load_csv
 import nystream.cli as cli_mod
 
 
@@ -80,6 +81,8 @@ class TestRun:
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
     def test_batch_exact_single_checkpoint(self, data_csv, tmp_path):
+        """The one checkpoint is exactly the library's batch selection and
+        exact effective dimension."""
         out = tmp_path / "out"
         # --m is an accepted alias for the batch budget
         argv = run_args(data_csv, out, **{"--algorithm": "batch-exact"})
@@ -88,9 +91,22 @@ class TestRun:
         argv[i + 1] = "40"
         assert main(argv) == 0
         payload = json.loads((out / "checkpoints.json").read_text())
-        assert len(payload["checkpoints"]) == 1
-        assert payload["checkpoints"][0]["t"] == 60
         assert payload["config_echo"]["budget"] == 40
+        (cp,) = payload["checkpoints"]
+        selection, deff = batch_exact(load_csv(data_csv), KernelSpec.gaussian_kernel(1.0), 1.0, 40, rng=7)
+        assert cp["t"] == selection.t == 60
+        assert cp["dictionary_indices"] == [i + 1 for i in selection.indices.tolist()]
+        assert cp["weights"] == selection.weights.tolist()
+        assert cp["deff_tilde"] == deff
+        assert cp["Q_t"] == np.unique(selection.indices).size
+
+    def test_batch_past_the_cap_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        np.savetxt(path, np.zeros((DESK_SCALE_CAP + 1, 3)), delimiter=",")
+        out = tmp_path / "out"
+        assert main(run_args(path, out, **{"--algorithm": "batch-exact"})) == 1
+        assert f"capped at {DESK_SCALE_CAP} points" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_with_verify_flag(self, data_csv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -154,6 +170,24 @@ class TestVerify:
         first = (out / "condition_reports.csv").read_bytes()
         assert main(["verify", "--run-dir", str(out)]) == 0
         assert (out / "condition_reports.csv").read_bytes() == first
+
+    def test_input_shorter_than_the_run_exits_1_before_kernel_work(self, tmp_path, capsys, monkeypatch):
+        prob = generate_synthetic(SyntheticSpec(n=400, d=2, n_clusters=3, cluster_std=0.4), rng=5)
+        rows = np.column_stack([prob.dataset.points, prob.dataset.labels])
+        full, prefix = tmp_path / "full.csv", tmp_path / "prefix.csv"
+        np.savetxt(full, rows, delimiter=",")
+        np.savetxt(prefix, rows[:300], delimiter=",")
+        out = tmp_path / "out"
+        assert main(run_args(full, out, **{"--budget": "100", "--checkpoint-every": "50"})) == 0
+
+        def no_kernel_work(*args, **kwargs):
+            raise AssertionError("gram evaluated before every checkpoint was checked")
+
+        monkeypatch.setattr(evaluation, "gram", no_kernel_work)
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(out), "--input", str(prefix)]) == 1
+        assert "checkpoint t=350 " in capsys.readouterr().err
+        assert not (out / "condition_reports.csv").exists()
 
     def test_missing_run_dir(self, tmp_path):
         assert main(["verify", "--run-dir", str(tmp_path)]) == 1

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from nystream.evaluation import (
     write_records_csv,
     write_records_json,
 )
+from nystream.kernels import DESK_SCALE_CAP
 from nystream.linalg import DEFAULT_PSD_TOL, psd_order_check, validate_psd
 from nystream.nystrom import build_selection
 from nystream.pipeline import RunCheckpoint, batch_exact
@@ -269,7 +271,7 @@ class TestVerifyCheckpoints:
             checkpoints = res.checkpoints
             assert max(cp.dict_size for cp in checkpoints) < 30
         else:
-            _, sel = batch_exact(prob.dataset, kern, gamma, 40, 4)
+            sel, _ = batch_exact(prob.dataset, kern, gamma, 40, 4)
             indices = tuple(sel.indices.tolist())
             assert len(set(indices)) < sel.size
             checkpoints = [
@@ -288,7 +290,7 @@ class TestVerifyCheckpoints:
         for cp, rec in zip(checkpoints, records):
             t = cp.step
             K = gram(prob.dataset, kern, t)
-            sel = checkpoint_selection(cp, t, algorithm)
+            sel = checkpoint_selection(cp, algorithm)
             K_tilde = nystrom_approx(K, sel, gamma).materialize()
             report = check_condition(K, K_tilde, gamma, eps, step=t, selection=sel)
             sub = prob.prefix(t)
@@ -337,6 +339,39 @@ class TestVerifyCheckpoints:
         with pytest.raises(InputError, match="batch-exact, ink-oracle, ink-estimate") as error:
             verify_checkpoints(prob.dataset, kern, 1.0, 0.5, res.checkpoints, algorithm)
         assert repr(algorithm) in str(error.value)
+
+    @pytest.mark.parametrize("n, t", [(30, 31), (30, 0), (DESK_SCALE_CAP + 1, DESK_SCALE_CAP + 1)])
+    def test_checkpoint_t_out_of_range_rejected_before_kernel_work(self, monkeypatch, n, t):
+        """Each checkpoint's t must lie in 1..n and within the desk-scale
+        cap; every checkpoint is checked before the first gram."""
+        points = np.random.default_rng(3).normal(size=(n, 2))
+        good = RunCheckpoint(step=10, dict_size=1, deff_tilde=1.0, indices=(0,), weights=(1.0,))
+        bad = replace(good, step=t)
+
+        def no_kernel_work(*args, **kwargs):
+            raise AssertionError("gram evaluated before every checkpoint was checked")
+
+        monkeypatch.setattr(evaluation, "gram", no_kernel_work)
+        with pytest.raises(InputError, match=f"checkpoint t={t} ") as error:
+            verify_checkpoints(
+                Dataset(points=points), KernelSpec.gaussian_kernel(1.0), 1.0, 0.5, [good, bad], "ink-estimate"
+            )
+        assert f"{n} points" in str(error.value)
+        assert f"at most {DESK_SCALE_CAP}" in str(error.value)
+
+    def test_dataset_past_the_cap_verifies_checkpoints_within_it(self):
+        """The guard is on each checkpoint's t, not on the dataset's length."""
+        points = np.random.default_rng(4).normal(size=(DESK_SCALE_CAP + 1, 2))
+        kern = KernelSpec.gaussian_kernel(1.0)
+        head = Dataset(points=points[:40])
+        res = ink_estimate_run(head, kern, 1.0, 500, 0.5, rng=0, checkpoint_every=20)
+        args = (kern, 1.0, 0.5, res.checkpoints, "ink-estimate")
+        records = verify_checkpoints(Dataset(points=points), *args)
+        assert [r.step for r in records] == [20, 40]
+        # assert_equal, unlike ==, counts the NaN risk fields as equal
+        np.testing.assert_equal(
+            [r.as_dict() for r in records], [r.as_dict() for r in verify_checkpoints(head, *args)]
+        )
 
     def test_risk_fields_nan_without_targets(self):
         prob = generate_synthetic(

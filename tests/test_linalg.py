@@ -145,7 +145,8 @@ class TestEigPairs:
             A = random_psd(rng, 9)
             pair = eig_pairs(A)
             assert np.all(np.diff(pair.eigenvalues) <= 1e-12)
-            err = spectral_norm(A - pair.reconstruct())
+            U, lam = pair.eigenvectors, pair.eigenvalues
+            err = spectral_norm(A - (U * lam) @ U.T)
             assert err <= 1e-8 * (1.0 + spectral_norm(A))
             gram = pair.eigenvectors.T @ pair.eigenvectors
             np.testing.assert_allclose(gram, np.eye(9), atol=1e-10)

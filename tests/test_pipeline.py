@@ -688,7 +688,7 @@ class TestRuns:
         assert res.deff_tilde == last.deff_tilde
         assert tuple(res.dictionary.indices.tolist()) == last.indices
         assert tuple(res.dictionary.counts.astype(np.float64).tolist()) == last.weights
-        rebuilt = checkpoint_selection(last, last.step, algorithm)
+        rebuilt = checkpoint_selection(last, algorithm)
         assert res.selection.t == rebuilt.t
         np.testing.assert_array_equal(res.selection.indices, rebuilt.indices)
         np.testing.assert_array_equal(res.selection.weights, rebuilt.weights)
@@ -976,16 +976,17 @@ class TestBatchExact:
         ds = orthogonal_dataset(8)
         profile = exact_rls(gram(ds, KernelSpec.linear_kernel()), 1.0)
         np.testing.assert_allclose(profile.probabilities, np.full(8, 1 / 8))
-        factor, selection = batch_exact(ds, KernelSpec.linear_kernel(), 1.0, 16, rng=0)
+        selection, deff = batch_exact(ds, KernelSpec.linear_kernel(), 1.0, 16, rng=0)
         np.testing.assert_allclose(selection.weights, 1.0 / math.sqrt(16 * (1 / 8)))
+        assert deff == profile.deff
 
     def test_single_draw_keeps_sandwich(self):
         ds = clustered(30, seed=14)
         kern = KernelSpec.gaussian_kernel(1.0)
         K = gram(ds, kern)
-        factor, selection = batch_exact(ds, kern, 1.0, 1, rng=5)
+        selection, _ = batch_exact(ds, kern, 1.0, 1, rng=5)
         assert selection.size == 1
-        K_tilde = factor.materialize()
+        K_tilde = nystrom_approx(K, selection, 1.0).materialize()
         assert psd_order_check(np.zeros_like(K), K_tilde, 1e-8)
         assert psd_order_check(K_tilde, K, 1e-8)
 
