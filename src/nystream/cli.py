@@ -233,15 +233,26 @@ def _execute_run(cfg: RunConfig) -> tuple[list[RunCheckpoint], dict]:
     return list(result.checkpoints), result.diagnostics
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def _run_config(cfg: RunConfig) -> tuple[int, list | None]:
+    """Execute ``cfg``, write its outputs and, when ``cfg.verify`` is set,
+    verify them.  Returns the checkpoint count and the condition records
+    (None when unverified)."""
     checkpoints, diagnostics = _execute_run(cfg)
     outdir = Path(cfg.output)
     _write_run_outputs(outdir, cfg, checkpoints, diagnostics)
-    if cfg.verify:
-        code = _verify_directory(outdir, input_override=None)
-        # A failed condition is reported, not fatal, for `run --verify`.
-        print(f"verification {'passed' if code == 0 else 'FAILED'} (reports written)")
+    return len(checkpoints), _verify_directory(outdir, None) if cfg.verify else None
+
+
+def _verdict(records) -> str:
+    # A failed condition is reported, not fatal, for `run` and `sweep`.
+    return f"verification {'passed' if _all_ok(records) else 'FAILED'} (reports written)"
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    _, records = _run_config(_resolve_config(args))
+    if records is not None:
+        _print_records(records)
+        print(_verdict(records))
     return 0
 
 
@@ -281,7 +292,10 @@ def _wire_checkpoints(items, path) -> list[RunCheckpoint]:
     return checkpoints
 
 
-def _verify_directory(rundir: Path, input_override: str | None) -> int:
+def _verify_directory(rundir: Path, input_override: str | None) -> list:
+    """Verify the run in ``rundir`` against its dataset (``input_override``
+    if given) and write the condition reports; returns their records.  Every
+    input error names the run file, and ``--input`` when it is given."""
     path = rundir / "checkpoints.json"
     payload = _read_json_object(path, "run file")
     echo, source = payload.get("config_echo"), f"config_echo in {path}"
@@ -294,34 +308,40 @@ def _verify_directory(rundir: Path, input_override: str | None) -> int:
     if input_override:
         given.append(("input", input_override, "flag --input"))
     cfg = _config_from(given)
-    dataset = _load_dataset(cfg)
     checkpoints = _wire_checkpoints(payload.get("checkpoints"), path)
-    records = verify_checkpoints(
-        dataset,
-        cfg.kernel_spec(),
-        cfg.gamma,
-        cfg.epsilon,
-        checkpoints,
-        cfg.algorithm,
-    )
+    try:
+        records = verify_checkpoints(
+            _load_dataset(cfg), cfg.kernel_spec(), cfg.gamma, cfg.epsilon, checkpoints, cfg.algorithm,
+        )
+    except InputError as exc:
+        run = f"{path} with --input {input_override}" if input_override else str(path)
+        raise InputError(f"{run}: {exc}") from exc
     write_records_csv(records, rundir / "condition_reports.csv")
     write_records_json(
         records,
         rundir / "condition_reports.json",
         meta={"config_echo": asdict(cfg)},
     )
-    all_ok = all(rec.lower_ok and rec.upper_ok for rec in records)
+    return records
+
+
+def _all_ok(records) -> bool:
+    return all(rec.lower_ok and rec.upper_ok for rec in records)
+
+
+def _print_records(records) -> None:
     for rec in records:
         status = "ok" if (rec.lower_ok and rec.upper_ok) else "FAIL"
         print(
             f"t={rec.step} Q_t={rec.dict_size} gap={rec.spectral_gap:.6g} "
             f"psi={rec.psi_gap:.6g} {status}"
         )
-    return 0 if all_ok else 2
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    return _verify_directory(Path(args.run_dir), args.input)
+    records = _verify_directory(Path(args.run_dir), args.input)
+    _print_records(records)
+    return 0 if _all_ok(records) else 2
 
 
 def cmd_suggest(args: argparse.Namespace) -> int:
@@ -357,11 +377,11 @@ def _parse_seed_range(text: str) -> list[int]:
 
 def _sweep_worker(cfg: RunConfig) -> tuple[int, str]:
     try:
-        checkpoints, diagnostics = _execute_run(cfg)
-        _write_run_outputs(Path(cfg.output), cfg, checkpoints, diagnostics)
-        return cfg.seed, f"ok ({len(checkpoints)} checkpoints)"
+        count, records = _run_config(cfg)
     except (InvariantViolation, NumericalError) as exc:
         return cfg.seed, f"FAILED ({exc})"
+    message = f"ok ({count} checkpoints)"
+    return cfg.seed, message if records is None else f"{message}, {_verdict(records)}"
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -197,29 +197,22 @@ def risk_ratio_bound(gamma: float, mu: float, epsilon: float) -> float:
     return (1.0 + (gamma / mu) / (1.0 - epsilon)) ** 2
 
 
-_TARGETS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "sine": lambda X: np.sin(X.sum(axis=1)),
-    "tanh": lambda X: np.tanh(X.sum(axis=1)),
-    "bump": lambda X: np.exp(-0.5 * np.sum(X**2, axis=1)),
-}
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a clustered fixed-design instance.
 
-    Cluster sizes halve geometrically, which concentrates kernel mass on the
-    big clusters and makes uniform column sampling fail first.
+    Cluster centers are drawn with standard deviation 2 and sizes halve
+    geometrically, which concentrates kernel mass on the big clusters and
+    makes uniform column sampling fail first.  The target function is
+    ``sin`` of the coordinate sum.
     """
 
     n: int
     d: int
     n_clusters: int
     cluster_std: float
-    target: str = "sine"
     sigma: float = 0.1
     mu: float = 1.0
-    center_spread: float = 2.0
 
 
 def generate_synthetic(spec: SyntheticSpec, rng) -> FixedDesignProblem:
@@ -227,21 +220,19 @@ def generate_synthetic(spec: SyntheticSpec, rng) -> FixedDesignProblem:
     and seed."""
     if spec.n < 1:
         raise InputError("n must be at least 1")
-    if spec.target not in _TARGETS:
-        raise InputError(f"unknown target {spec.target!r}; options: {sorted(_TARGETS)}")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     shares = np.array([2.0**-j for j in range(spec.n_clusters)])
     sizes = np.maximum(1, np.floor(spec.n * shares / shares.sum()).astype(int))
     while sizes.sum() > spec.n:
         sizes[np.argmax(sizes)] -= 1
     sizes[0] += spec.n - sizes.sum()
-    centers = gen.normal(0.0, spec.center_spread, size=(spec.n_clusters, spec.d))
+    centers = gen.normal(0.0, 2.0, size=(spec.n_clusters, spec.d))
     blocks = [
         centers[j] + spec.cluster_std * gen.normal(size=(sizes[j], spec.d))
         for j in range(spec.n_clusters)
     ]
     points = np.vstack(blocks)
-    f_star = _TARGETS[spec.target](points)
+    f_star = np.sin(points.sum(axis=1))
     labels = f_star + spec.sigma * gen.normal(size=spec.n)
     dataset = Dataset(points=points, labels=labels)
     return FixedDesignProblem(

@@ -251,11 +251,12 @@ def update_deff(
     """Fold an estimated increment into the running effective-dimension
     estimate, scaling by ``alpha`` so the result stays above the exact value.
 
-    Tiny negative increments (roundoff) are clamped to zero to preserve
+    The estimate is 0 only while every self term so far was 0.  Tiny
+    negative increments (roundoff) are clamped to zero to preserve
     monotonicity; anything below ``-1e-10`` is a genuine invariant breach.
     """
-    if not deff_tilde > 0:
-        raise InputError("running effective-dimension estimate must be positive")
+    if not deff_tilde >= 0:
+        raise InputError("running effective-dimension estimate must be non-negative")
     if delta_tilde < -_NEGATIVE_INCREMENT_TOL:
         raise InvariantViolation(
             f"estimated increment {delta_tilde:.6e} is negative beyond tolerance"

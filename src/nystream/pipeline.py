@@ -8,9 +8,9 @@ factored kernel approximation is derived:
   It returns the selection and the exact effective dimension, not a factor.
 * :func:`ink_oracle_run` streams the data once, maintaining the dictionary
   with shrink/expand chains fed by a pluggable score oracle.
-* :func:`ink_estimate_run` fills the oracle slot with the incremental
-  estimators, so the whole run touches each sample exactly once and stores
-  only dictionary-sized state.
+* :func:`ink_estimate_run` is :func:`ink_oracle_run` with the incremental
+  estimators (:class:`EstimateOracle`) in the oracle slot, so the whole run
+  touches each sample exactly once and stores only dictionary-sized state.
 
 The streaming loop keeps position-aligned arrays (the dictionary's ascending
 indices, integer weights and clamped sampling probabilities, and the raw
@@ -64,6 +64,10 @@ class ScoreOracle(Protocol):
     scores for the dictionary columns in the order of
     ``state.dictionary.indices``, then for ``new_index``, and the effective
     dimension of the grown matrix.
+
+    An oracle that counts clamps holds them in an optional ``diagnostics``
+    attribute (a :class:`Diagnostics`), which the run reports; a run with an
+    oracle that has none reports zero counts.
     """
 
     def begin_step(
@@ -230,79 +234,65 @@ class EstimateOracle:
     coordinates and the exact entries of the new column, so the oracle works
     inside the streaming memory contract.  The effective-dimension estimate
     is seeded exactly from the first self term and grown by scaled increment
-    estimates afterwards.
+    estimates afterwards.  The oracle counts its clamps in ``diagnostics``.
 
     The oracle carries the kernel block and inverses of the sketch
     (:class:`CarriedSketch`) and the column it was last asked about from one
-    step to the next, and moves them along with the 1-2 dictionary columns a
-    step changes, in O(k Q^2).  It rebuilds them on the moved block every
-    ``_REFRESH_EVERY`` steps and when an update's Schur complement is not
-    positive, and on the block evaluated from the state's points whenever
-    ``begin_step`` gets a state that is not the successor of the one it saw
-    last: the next step of the same run (same random handle), keeping only
-    columns that call queried.
+    step to the next, and advances them along the 1-2 dictionary columns a
+    step changes, in O(k Q^2), when ``begin_step`` gets the successor of the
+    state it saw last: the next step of the same run (same random handle),
+    keeping only columns that call queried.  It rebuilds them instead every
+    ``_REFRESH_EVERY`` steps and when the update or the query on it meets a
+    Schur complement that is not positive, on the moved block, and for any
+    other state, on the block evaluated from the state's points.
     """
 
     _REFRESH_EVERY = 64
 
-    def __init__(
-        self,
-        gamma: float,
-        epsilon: float,
-        *,
-        diagnostics: Diagnostics | None = None,
-    ):
+    def __init__(self, gamma: float, epsilon: float):
+        if not 0.0 < epsilon < 1.0:
+            raise InputError("epsilon must lie in (0, 1)")
         if not gamma > 0:
             raise InputError("gamma must be positive")
         self.alpha = alpha_factor(epsilon)
+        self.diagnostics = Diagnostics()
         self._gamma = float(gamma)
         self._epsilon = float(epsilon)
-        self._diagnostics = diagnostics
         # (sketch, the step and random handle of the successor state it
         # expects next, and the possibly admitted index with its column)
         self._carried: tuple[CarriedSketch, int, RngHandle, tuple[int, np.ndarray, float]] | None = None
 
-    def _sketch(self, state) -> CarriedSketch:
-        """The carried sketch moved to ``state``, or rebuilt for it."""
-        carried, self._carried = self._carried, None
-        d = state.dictionary
-        moved = None
-        if carried is not None and state.step == carried[1] and state.rng is carried[2]:
-            moved = carried[0].moved_block(d.indices, *carried[3])
-        if moved is not None and state.step % self._REFRESH_EVERY:
-            advanced = carried[0].advance(d.indices, d.counts, *moved)
-            if advanced is not None:
-                return advanced
-        block = _symmetric_pairwise(state.kernel, state.dict_points) if moved is None else moved[1]
-        return CarriedSketch.rebuild(d.indices, d.counts, block, self._gamma, self.alpha * self._gamma)
-
     def begin_step(self, state, new_index, cross, self_term) -> tuple[np.ndarray, float]:
-        gamma, eps = self._gamma, self._epsilon
+        gamma, shift = self._gamma, self.alpha * self._gamma
+        carried, self._carried = self._carried, None
         if state.step == 0:
-            self._carried = None
-            tau_new = self_term / (self_term + self.alpha * gamma) if self_term > 0 else 0.0
+            tau_new = self_term / (self_term + shift) if self_term > 0 else 0.0
             # The very first effective dimension is available exactly.
             deff = self_term / (self_term + gamma) if self_term > 0 else 0.0
             return np.array([tau_new]), deff
-        sketch = self._sketch(state)
-        forms, quad_alpha, quad_sq, schur = sketch.query(cross, self_term)
-        if not schur > 0:
-            d = state.dictionary
-            sketch = CarriedSketch.rebuild(d.indices, d.counts, sketch.gram, gamma, self.alpha * gamma)
-            forms, quad_alpha, quad_sq, schur = sketch.query(cross, self_term)
-            if not schur > 0:
+        d = state.dictionary
+        moved = query = None
+        if carried is not None and state.step == carried[1] and state.rng is carried[2]:
+            moved = carried[0].moved_block(d.indices, *carried[3])
+        if moved is not None and state.step % self._REFRESH_EVERY:
+            sketch = carried[0].advance(d.indices, d.counts, *moved)
+            if sketch is not None:
+                query = sketch.query(cross, self_term)
+        if query is None or not query[3] > 0:
+            block = _symmetric_pairwise(state.kernel, state.dict_points) if moved is None else moved[1]
+            sketch = CarriedSketch.rebuild(d.indices, d.counts, block, gamma, shift)
+            query = sketch.query(cross, self_term)
+            if not query[3] > 0:
                 raise NumericalError(
                     "K~_D + alpha*gamma*I or its bordered Schur complement k + alpha*gamma - c^T "
                     "(K~_D + alpha*gamma*I)^-1 c is not positive: bordered shifted matrix is not "
                     f"positive definite (leading minor {d.size + 1})"
                 )
+        forms, quad_alpha, quad_sq, _ = query
         diagonal = np.append(np.diag(sketch.gram), self_term)
-        tau = _clamped_scores(diagonal, forms, self.alpha * gamma, self._diagnostics)
-        delta = _increment_from_forms(self_term, gamma, eps, quad_alpha, quad_sq)
-        if state.deff_tilde > 0:
-            deff = update_deff(state.deff_tilde, delta, eps, diagnostics=self._diagnostics)
-        else:
-            deff = state.deff_tilde + self.alpha * max(delta, 0.0)
+        tau = _clamped_scores(diagonal, forms, shift, self.diagnostics)
+        delta = _increment_from_forms(self_term, gamma, self._epsilon, quad_alpha, quad_sq)
+        deff = update_deff(state.deff_tilde, delta, self._epsilon, diagnostics=self.diagnostics)
         self._carried = (sketch, state.step + 1, state.rng, (new_index, cross, self_term))
         return tau, deff
 
@@ -369,26 +359,34 @@ def _checkpoint(state: SketchState) -> RunCheckpoint:
     )
 
 
-def _stream_run(
+def ink_oracle_run(
     dataset: Dataset,
     kernel: KernelSpec,
     gamma: float,
     q_bar: int,
-    oracle: ScoreOracle,
-    checkpoint_every: int,
-    rng: RngHandle | int,
-    audit: AccessAudit | None,
-    diagnostics: Diagnostics,
+    oracle: ScoreOracle | None = None,
+    *,
+    checkpoint_every: int = 50,
+    rng: int = 0,
+    audit: AccessAudit | None = None,
 ) -> RunResult:
+    """Stream the dataset through the dictionary sampler with a score oracle:
+    a fold of :func:`ink_step` over the points, on the chain substreams of
+    the seed ``rng``.
+
+    With the default (exact) oracle this is the reference sequential
+    algorithm; any object satisfying :class:`ScoreOracle` can be plugged in.
+    """
+    if oracle is None:
+        oracle = ExactOracle(dataset, kernel, gamma)
     if q_bar < 1:
         raise InputError("q_bar must be at least 1")
     if not gamma > 0:
         raise InputError("gamma must be positive")
     if checkpoint_every < 0:
         raise InputError("checkpoint_every must be non-negative (0 keeps only the final checkpoint)")
-    handle = rng if isinstance(rng, RngHandle) else RngHandle(seed=int(rng))
     n = len(dataset)
-    state = initial_state(q_bar, handle, kernel, dataset.dim)
+    state = initial_state(q_bar, RngHandle(seed=int(rng)), kernel, dataset.dim)
     checkpoints: list[RunCheckpoint] = []
     for idx in range(n):
         if audit is not None:
@@ -403,29 +401,8 @@ def _stream_run(
         dict_points=state.dict_points,
         kernel=kernel,
         gamma=gamma,
-        diagnostics=diagnostics.as_dict(),
+        diagnostics=getattr(oracle, "diagnostics", Diagnostics()).as_dict(),
     )
-
-
-def ink_oracle_run(
-    dataset: Dataset,
-    kernel: KernelSpec,
-    gamma: float,
-    q_bar: int,
-    oracle: ScoreOracle | None = None,
-    *,
-    checkpoint_every: int = 50,
-    rng: RngHandle | int = 0,
-    audit: AccessAudit | None = None,
-) -> RunResult:
-    """Stream the dataset through the dictionary sampler with a score oracle.
-
-    With the default (exact) oracle this is the reference sequential
-    algorithm; any object satisfying :class:`ScoreOracle` can be plugged in.
-    """
-    if oracle is None:
-        oracle = ExactOracle(dataset, kernel, gamma)
-    return _stream_run(dataset, kernel, gamma, q_bar, oracle, checkpoint_every, rng, audit, Diagnostics())
 
 
 def ink_estimate_run(
@@ -436,16 +413,15 @@ def ink_estimate_run(
     epsilon: float,
     *,
     checkpoint_every: int = 50,
-    rng: RngHandle | int = 0,
+    rng: int = 0,
     audit: AccessAudit | None = None,
 ) -> RunResult:
-    """Single-pass run: the oracle slot is filled by the incremental
-    estimators, so no state beyond the dictionary is kept."""
-    if not 0.0 < epsilon < 1.0:
-        raise InputError("epsilon must lie in (0, 1)")
-    diagnostics = Diagnostics()
-    oracle = EstimateOracle(gamma, epsilon, diagnostics=diagnostics)
-    result = _stream_run(dataset, kernel, gamma, q_bar, oracle, checkpoint_every, rng, audit, diagnostics)
+    """Single-pass run: :func:`ink_oracle_run` with an
+    :class:`EstimateOracle`, so no state beyond the dictionary is kept."""
+    result = ink_oracle_run(
+        dataset, kernel, gamma, q_bar, EstimateOracle(gamma, epsilon),
+        checkpoint_every=checkpoint_every, rng=rng, audit=audit,
+    )
     if result.dictionary.size:
         # lambda_max of the sketch is only a lower-bound stand-in for the
         # full spectrum, so the derived factor is a report value, not a

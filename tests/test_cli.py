@@ -186,7 +186,9 @@ class TestVerify:
         monkeypatch.setattr(evaluation, "gram", no_kernel_work)
         capsys.readouterr()
         assert main(["verify", "--run-dir", str(out), "--input", str(prefix)]) == 1
-        assert "checkpoint t=350 " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "checkpoint t=350 " in err
+        assert f"{out / 'checkpoints.json'} with --input {prefix}: " in err
         assert not (out / "condition_reports.csv").exists()
 
     def test_missing_run_dir(self, tmp_path):
@@ -276,6 +278,35 @@ class TestSweep:
         b = json.loads((out / "seed-4" / "checkpoints.json").read_text())
         assert a["config_echo"]["seed"] == 3
         assert b["config_echo"]["seed"] == 4
+
+    def test_verify_flag_verifies_each_seed(self, data_csv, tmp_path, capsys):
+        """``sweep --verify`` writes each seed's condition reports and prints
+        the verdict on that seed's line; a failed condition is not a failed
+        seed, so the sweep exits 0."""
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--seeds", "3:5", "--verify"] + run_args(data_csv, out, **{"--budget": "1"})[1:]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for seed in (3, 4):
+            payload = json.loads((out / f"seed-{seed}" / "condition_reports.json").read_text())
+            assert payload["config_echo"]["seed"] == seed
+            assert f"seed {seed}: ok (3 checkpoints), verification FAILED (reports written)" in lines
+
+    def test_two_jobs_write_what_one_job_writes(self, data_csv, tmp_path):
+        """The worker-process path: each seed's files are byte-identical to
+        a one-job sweep's, apart from the time stamp and the output path."""
+        for jobs in ("1", "2"):
+            argv = ["sweep", "--seeds", "3:5", "--jobs", jobs] + run_args(data_csv, tmp_path / f"jobs-{jobs}")[1:]
+            assert main(argv) == 0
+        for seed in (3, 4):
+            one, two = (tmp_path / f"jobs-{jobs}" / f"seed-{seed}" for jobs in ("1", "2"))
+            assert (one / "metrics.csv").read_bytes() == (two / "metrics.csv").read_bytes()
+            texts = []
+            for run in (one, two):
+                text = strip_timestamp((run / "checkpoints.json").read_text())
+                texts.append(text.replace(json.dumps(str(run)), '"<output>"'))
+            assert texts[0] == texts[1]
+            assert json.loads(texts[0])["config_echo"]["output"] == "<output>"
 
     @pytest.mark.parametrize("seeds", ["1,,2", "a:3", "1:x", "1,1", "0,2,0"])
     def test_bad_seed_list_rejected(self, data_csv, tmp_path, capsys, seeds):

@@ -203,13 +203,9 @@ class TestGenerateSynthetic:
         np.testing.assert_array_equal(a.dataset.points, b.dataset.points)
         np.testing.assert_array_equal(a.dataset.labels, b.dataset.labels)
 
-    def test_sizes_and_unknown_target(self):
+    def test_sizes(self):
         prob = generate_synthetic(SyntheticSpec(n=17, d=1, n_clusters=5, cluster_std=0.1), rng=3)
         assert len(prob.dataset) == 17
-        with pytest.raises(InputError):
-            generate_synthetic(
-                SyntheticSpec(n=5, d=1, n_clusters=1, cluster_std=0.1, target="nope"), rng=0
-            )
 
 
 class TestMonotonicityAudit:

@@ -294,6 +294,14 @@ class TestUpdateDeff:
             beta = beta_factor(0.0, 1.0)
             assert exact <= deff_tilde <= beta * exact
 
+    def test_zero_estimate_grows_by_the_scaled_increment(self):
+        """The estimate is 0 while every self term was 0; the first positive
+        increment is scaled by alpha like any other, and a negative estimate
+        is rejected."""
+        assert update_deff(0.0, 0.5, 0.5) == 1.5
+        with pytest.raises(InputError, match="non-negative"):
+            update_deff(-1.0, 0.5, 0.5)
+
     def test_clamps_roundoff_negative(self):
         diag = Diagnostics()
         assert update_deff(1.0, -1e-12, 0.0, diagnostics=diag) == 1.0

@@ -406,8 +406,8 @@ class PublicPathOracle:
 
     def __init__(self, gamma, epsilon):
         self.gamma, self.epsilon = gamma, epsilon
-        self.diagnostics, self.reference_diagnostics = Diagnostics(), Diagnostics()
-        self.oracle = EstimateOracle(gamma, epsilon, diagnostics=self.diagnostics)
+        self.oracle = EstimateOracle(gamma, epsilon)
+        self.reference_diagnostics = Diagnostics()
         self.steps = []
 
     def begin_step(self, state, new_index, cross, self_term):
@@ -467,7 +467,7 @@ class TestEstimateOracleMatchesEstimators:
         for tau, tau_ref, deff, deff_ref in wrapper.steps:
             np.testing.assert_allclose(tau, tau_ref, rtol=1e-10, atol=1e-10 * np.max(tau_ref))
             assert deff == pytest.approx(deff_ref, rel=1e-10, abs=0.0)
-        assert wrapper.diagnostics == wrapper.reference_diagnostics
+        assert wrapper.oracle.diagnostics == wrapper.reference_diagnostics
 
     def test_indefinite_bordering_raises(self):
         """The bordered matrix is indefinite at shift alpha*gamma while the
@@ -489,13 +489,12 @@ class TestEstimateOracleMatchesEstimators:
             estimate_rls_batch(
                 border(sketch, cross, corner), columns, np.diag(columns), gamma, eps, diagnostics=reference
             )
-        diagnostics = Diagnostics()
-        oracle = EstimateOracle(gamma, eps, diagnostics=diagnostics)
+        oracle = EstimateOracle(gamma, eps)
         with pytest.raises(NumericalError, match="increment denominator"):
             estimate_deff_increment(sketch, cross, corner, gamma, eps)
         with pytest.raises(NumericalError, match="bordered Schur complement .* not positive definite"):
             oracle.begin_step(state, 1, cross, corner)
-        assert diagnostics == Diagnostics() == reference
+        assert oracle.diagnostics == Diagnostics() == reference
 
     def test_numerical_error_on_indefinite_dictionary_block(self):
         """A carried dictionary block whose weighted form plus gamma is not
@@ -905,6 +904,32 @@ class TestRuns:
         assert "rho_lower_bound_proxy" in res.diagnostics
         assert "beta_from_sketch_proxy" in res.diagnostics
         assert res.diagnostics["beta_from_sketch_proxy"] >= 1.0
+
+    def test_plugged_estimate_oracle_reports_its_counters(self, monkeypatch):
+        """A run reports the clamp counters of the oracle plugged into it.
+        Every increment is made a roundoff-sized negative, which update_deff
+        clamps and counts once per step after the first; the plugged run
+        reports what ink_estimate_run reports, and an oracle without
+        counters reports zeros."""
+        monkeypatch.setattr(pipeline, "_increment_from_forms", lambda *args: -1e-12)
+        ds = clustered(40, seed=13)
+        kern = KernelSpec.gaussian_kernel(1.0)
+        oracle = EstimateOracle(0.1, 0.5)
+        plugged = ink_oracle_run(ds, kern, 0.1, 20, oracle, rng=3)
+        assert plugged.diagnostics == oracle.diagnostics.as_dict()
+        assert plugged.diagnostics["increment_clamped"] == len(ds) - 1
+        estimated = ink_estimate_run(ds, kern, 0.1, 20, 0.5, rng=3)
+        assert {k: estimated.diagnostics[k] for k in plugged.diagnostics} == plugged.diagnostics
+        assert plugged.checkpoints == estimated.checkpoints
+        exact = ink_oracle_run(ds, kern, 0.1, 20, rng=3)
+        assert exact.diagnostics == Diagnostics().as_dict()
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5])
+    def test_epsilon_outside_the_open_interval_rejected_before_gamma(self, epsilon):
+        with pytest.raises(InputError, match=r"epsilon must lie in \(0, 1\)"):
+            EstimateOracle(-1.0, epsilon)
+        with pytest.raises(InputError, match=r"epsilon must lie in \(0, 1\)"):
+            ink_estimate_run(clustered(5, seed=1), KernelSpec.linear_kernel(), 1.0, 3, epsilon)
 
 
 class TestGoldenRuns:
