@@ -46,6 +46,7 @@ from .sampling import RngHandle
 
 ENV_PREFIX = "NYSTREAM_"
 DATA_FORMATS = ("csv", "libsvm")
+REPORT_CSV, REPORT_JSON = "condition_reports.csv", "condition_reports.json"
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -190,6 +191,8 @@ def _checkpoint_payload(cp: RunCheckpoint) -> dict:
 
 def _write_run_outputs(outdir: Path, cfg: RunConfig, checkpoints, diagnostics: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
+    for stale in (REPORT_CSV, REPORT_JSON):  # reports on the checkpoints this run replaces
+        (outdir / stale).unlink(missing_ok=True)
     payload = {
         "spec_version": SCHEMA_VERSION,
         "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -211,12 +214,10 @@ def _execute_run(cfg: RunConfig) -> tuple[list[RunCheckpoint], dict]:
     kernel = cfg.kernel_spec()
     if cfg.algorithm == "batch-exact":
         selection, deff = batch_exact(dataset, kernel, cfg.gamma, cfg.budget, rng=cfg.seed)
-        indices = tuple(selection.indices.tolist())
         checkpoint = RunCheckpoint(
             step=len(dataset),
-            dict_size=len(set(indices)),
             deff_tilde=deff,
-            indices=indices,
+            indices=tuple(selection.indices.tolist()),
             weights=tuple(selection.weights.tolist()),
         )
         return [checkpoint], {}
@@ -287,8 +288,10 @@ def _wire_checkpoints(items, path) -> list[RunCheckpoint]:
                 raise InputError(f"{where}.dictionary_indices holds {i}, outside 1..{t}")
         if len(weights) != len(wire_indices):
             raise InputError(f"{where} has {len(weights)} weights for {len(wire_indices)} dictionary indices")
-        indices = tuple(i - 1 for i in wire_indices)
-        checkpoints.append(RunCheckpoint(t, item["Q_t"], item["deff_tilde"], indices, tuple(weights)))
+        cp = RunCheckpoint(t, item["deff_tilde"], tuple(i - 1 for i in wire_indices), tuple(weights))
+        if item["Q_t"] != cp.dict_size:
+            raise InputError(f"{where}.Q_t is {item['Q_t']}, but it has {cp.dict_size} distinct dictionary_indices")
+        checkpoints.append(cp)
     return checkpoints
 
 
@@ -316,12 +319,8 @@ def _verify_directory(rundir: Path, input_override: str | None) -> list:
     except InputError as exc:
         run = f"{path} with --input {input_override}" if input_override else str(path)
         raise InputError(f"{run}: {exc}") from exc
-    write_records_csv(records, rundir / "condition_reports.csv")
-    write_records_json(
-        records,
-        rundir / "condition_reports.json",
-        meta={"config_echo": asdict(cfg)},
-    )
+    write_records_csv(records, rundir / REPORT_CSV)
+    write_records_json(records, rundir / REPORT_JSON, meta={"config_echo": asdict(cfg)})
     return records
 
 
@@ -394,10 +393,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     configs = [
         replace(base, seed=seed, output=str(Path(base.output) / f"seed-{seed}")) for seed in seeds
     ]
-    if args.jobs > 1:
+    # A pool starts all its workers at the first task: none beyond the seeds.
+    workers = min(args.jobs, len(seeds))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_worker, configs))
     else:
         outcomes = [_sweep_worker(cfg) for cfg in configs]

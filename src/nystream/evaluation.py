@@ -90,6 +90,7 @@ def check_condition(
     When a selection is supplied its projection-gap certificate is computed
     as well (see :func:`psi_gap`); otherwise that field is NaN.
     """
+    _check_condition_args(gamma, epsilon)
     K = symmetrize(K)
     K_tilde = symmetrize(K_tilde)
     if K.shape != K_tilde.shape:
@@ -131,14 +132,17 @@ def _spectrum(K: np.ndarray, *, require_psd: bool = False) -> tuple[np.ndarray, 
     return pair.eigenvectors, np.clip(lam, 0.0, None)
 
 
-def _condition(
-    U: np.ndarray, lam: np.ndarray, diff: np.ndarray, gamma: float, epsilon: float,
-    step: int, selection: Selection | None,
-) -> ConditionReport:
+def _check_condition_args(gamma: float, epsilon: float) -> None:
     if not gamma > 0:
         raise InputError("gamma must be positive")
     if not 0.0 <= epsilon < 1.0:
         raise InputError("epsilon must lie in [0, 1)")
+
+
+def _condition(
+    U: np.ndarray, lam: np.ndarray, diff: np.ndarray, gamma: float, epsilon: float,
+    step: int, selection: Selection | None,
+) -> ConditionReport:
     # One eigvalsh gives the lower check and the gap.
     gaps = np.linalg.eigvalsh(diff) if diff.size else np.zeros(1)
     gap = float(np.max(np.abs(gaps)))
@@ -220,7 +224,7 @@ def generate_synthetic(spec: SyntheticSpec, rng) -> FixedDesignProblem:
     and seed."""
     if spec.n < 1:
         raise InputError("n must be at least 1")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)
     shares = np.array([2.0**-j for j in range(spec.n_clusters)])
     sizes = np.maximum(1, np.floor(spec.n * shares / shares.sum()).astype(int))
     while sizes.sum() > spec.n:
@@ -347,11 +351,12 @@ def verify_checkpoints(
     exact effective dimension, and (when targets are known) the closed-form
     risks of the exact and approximate solvers.  Everything derived from K
     comes from one eigendecomposition of it per checkpoint.  Every
-    checkpoint's t must lie in 1..n and within ``DESK_SCALE_CAP``; all are
-    checked before any kernel work.
+    checkpoint's t must lie in 1..n and within ``DESK_SCALE_CAP``; these,
+    gamma, epsilon and the algorithm are all checked before any kernel work.
     """
     if algorithm not in ALGORITHMS:
         raise InputError(f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}")
+    _check_condition_args(gamma, epsilon)
     n = len(dataset)
     top = min(n, DESK_SCALE_CAP)
     for cp in checkpoints:
@@ -388,7 +393,7 @@ def _verified(
         risk_approx = _factored_risk(F, sub)
         bound = risk_ratio_bound(gamma, problem.mu, epsilon)
     return CheckpointRecord(
-        step=t, dict_size=np.unique(selection.indices).size, deff_exact=deff_exact,
+        step=t, dict_size=cp.dict_size, deff_exact=deff_exact,
         deff_tilde=cp.deff_tilde, spectral_gap=report.spectral_gap, psi_gap=report.psi_gap,
         lower_ok=report.lower_psd_ok, upper_ok=report.upper_psd_ok,
         risk_exact=risk_exact, risk_approx=risk_approx, risk_ratio_bound=bound,

@@ -235,12 +235,14 @@ def load_libsvm(path) -> Dataset:
             parts = line.split()
             try:
                 label = float(parts[0])
-                feats: dict[int, float] = {}
-                for item in parts[1:]:
-                    key, val = item.split(":")
-                    feats[int(key)] = float(val)
+                items = [(int(key), float(val)) for key, val in (item.split(":") for item in parts[1:])]
             except ValueError as exc:
                 raise InputError(f"{path}: malformed libsvm line {lineno}: {exc}")
+            feats: dict[int, float] = {}
+            for key, val in items:
+                if key in feats:
+                    raise InputError(f"{path}: feature index {key} repeats at line {lineno}")
+                feats[key] = val
             if not all(math.isfinite(v) for v in (label, *feats.values())):
                 raise InputError(f"{path}: non-finite value at line {lineno}")
             if feats and min(feats) < 1:

@@ -95,10 +95,14 @@ class RunCheckpoint:
     """Snapshot emitted during a run; enough to rebuild the approximation."""
 
     step: int
-    dict_size: int
     deff_tilde: float
     indices: tuple[int, ...]
     weights: tuple[float, ...]
+
+    @property
+    def dict_size(self) -> int:
+        """Q_t: the number of distinct indices (a batch draw may repeat one)."""
+        return len(set(self.indices))
 
 
 @dataclass(frozen=True)
@@ -312,7 +316,7 @@ def ink_step(
     if point.shape != points.shape[1:] or points.shape[0] != d.size:
         raise InputError(f"a step takes a point of shape {points.shape[1:]} and one point per dictionary "
                          f"column; got shape {point.shape}, {points.shape[0]} points for {d.size} columns")
-    cross = pairwise(state.kernel, point, points)[0] if d.size else np.empty(0)
+    cross = pairwise(state.kernel, point, points)[0]
     self_term = evaluate(state.kernel, point, point)
     step = state.step + 1
     tau, deff_new = oracle.begin_step(state, new_index, cross, self_term)
@@ -352,7 +356,6 @@ def ink_step(
 def _checkpoint(state: SketchState) -> RunCheckpoint:
     return RunCheckpoint(
         step=state.step,
-        dict_size=state.dictionary.size,
         deff_tilde=state.deff_tilde,
         indices=tuple(state.dictionary.indices.tolist()),
         weights=tuple(state.dictionary.counts.astype(np.float64).tolist()),
@@ -379,12 +382,10 @@ def ink_oracle_run(
     """
     if oracle is None:
         oracle = ExactOracle(dataset, kernel, gamma)
-    if q_bar < 1:
-        raise InputError("q_bar must be at least 1")
     if not gamma > 0:
         raise InputError("gamma must be positive")
-    if checkpoint_every < 0:
-        raise InputError("checkpoint_every must be non-negative (0 keeps only the final checkpoint)")
+    if checkpoint_every < 1:
+        raise InputError("checkpoint_every must be at least 1")
     n = len(dataset)
     state = initial_state(q_bar, RngHandle(seed=int(rng)), kernel, dataset.dim)
     checkpoints: list[RunCheckpoint] = []
@@ -392,7 +393,7 @@ def ink_oracle_run(
         if audit is not None:
             audit.record_point(idx)
         state, _ = ink_step(state, idx, dataset.points[idx], oracle)
-        if checkpoint_every and state.step % checkpoint_every == 0 and state.step != n:
+        if state.step % checkpoint_every == 0 and state.step != n:
             checkpoints.append(_checkpoint(state))
     checkpoints.append(_checkpoint(state))
     return RunResult(

@@ -194,6 +194,17 @@ class TestVerify:
     def test_missing_run_dir(self, tmp_path):
         assert main(["verify", "--run-dir", str(tmp_path)]) == 1
 
+    def test_rerun_clears_the_earlier_run_reports(self, data_csv, tmp_path):
+        """Reports left by verifying an earlier run describe checkpoints the
+        rerun replaces, so the rerun removes them."""
+        out = tmp_path / "out"
+        assert main(run_args(data_csv, out) + ["--verify"]) == 0
+        assert (out / "condition_reports.csv").exists() and (out / "condition_reports.json").exists()
+        assert main(run_args(data_csv, out, **{"--seed": "8"})) == 0
+        assert json.loads((out / "checkpoints.json").read_text())["config_echo"]["seed"] == 8
+        assert not (out / "condition_reports.csv").exists()
+        assert not (out / "condition_reports.json").exists()
+
 
 class TestSuggestBudget:
     def test_estimate_formula(self, capsys):
@@ -323,6 +334,36 @@ class TestSweep:
         assert main(argv) == 1
         assert "is outside [0, 2**64)" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_no_more_workers_than_seeds(self, data_csv, tmp_path, monkeypatch):
+        """A pool starts all its workers at the first task, so ``--jobs 8``
+        over two seeds asks for two; the pool here is an in-process recorder
+        that starts no process."""
+        import concurrent.futures
+
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        argv = ["sweep", "--seeds", "0:2", "--jobs", "8"] + run_args(data_csv, tmp_path / "two")[1:]
+        assert main(argv) == 0
+        assert pools == [2]
+        argv = ["sweep", "--seeds", "5", "--jobs", "8"] + run_args(data_csv, tmp_path / "one")[1:]
+        assert main(argv) == 0
+        assert pools == [2]  # one seed runs in this process
+        assert (tmp_path / "one" / "seed-5" / "checkpoints.json").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, data_csv, tmp_path, capsys, jobs):
@@ -509,6 +550,8 @@ class TestVerifyCheckpointList:
         [
             (lambda p: first_checkpoint(p).pop("t"), "checkpoints[0].t must be a non-negative integer, got nothing"),
             (lambda p: first_checkpoint(p).update(Q_t="5"), "checkpoints[0].Q_t"),
+            (lambda p: first_checkpoint(p).update(Q_t=first_checkpoint(p)["Q_t"] + 1),
+             "checkpoints[0].Q_t is"),
             (lambda p: first_checkpoint(p).update(deff_tilde=None), "checkpoints[0].deff_tilde"),
             (lambda p: first_checkpoint(p)["dictionary_indices"].__setitem__(0, 0), "holds 0, outside 1..20"),
             (lambda p: first_checkpoint(p)["dictionary_indices"].append(21), "holds 21, outside 1..20"),
@@ -519,7 +562,7 @@ class TestVerifyCheckpointList:
             (lambda p: p.update(checkpoints={}), "checkpoints is not a non-empty list"),
             (lambda p: p.pop("checkpoints"), "checkpoints is not a non-empty list"),
         ],
-        ids=["missing-t", "str-Q_t", "null-deff", "index-0", "index-past-t", "str-index",
+        ids=["missing-t", "str-Q_t", "wrong-Q_t", "null-deff", "index-0", "index-past-t", "str-index",
              "negative-weight", "short-weights", "item-not-object", "not-a-list", "missing-list"],
     )
     def test_malformed_checkpoint_exits_1_naming_the_field(self, data_csv, tmp_path, capsys, edit, named):

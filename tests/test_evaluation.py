@@ -203,6 +203,13 @@ class TestGenerateSynthetic:
         np.testing.assert_array_equal(a.dataset.points, b.dataset.points)
         np.testing.assert_array_equal(a.dataset.labels, b.dataset.labels)
 
+    def test_generator_and_its_seed_give_the_same_problem(self):
+        spec = SyntheticSpec(n=25, d=3, n_clusters=4, cluster_std=0.3)
+        a = generate_synthetic(spec, rng=np.random.default_rng(7))
+        b = generate_synthetic(spec, rng=7)
+        np.testing.assert_array_equal(a.dataset.points, b.dataset.points)
+        np.testing.assert_array_equal(a.dataset.labels, b.dataset.labels)
+
     def test_sizes(self):
         prob = generate_synthetic(SyntheticSpec(n=17, d=1, n_clusters=5, cluster_std=0.1), rng=3)
         assert len(prob.dataset) == 17
@@ -273,7 +280,6 @@ class TestVerifyCheckpoints:
             checkpoints = [
                 RunCheckpoint(
                     step=90,
-                    dict_size=len(set(indices)),
                     deff_tilde=1.0,
                     indices=indices,
                     weights=tuple(sel.weights.tolist()),
@@ -308,7 +314,7 @@ class TestVerifyCheckpoints:
         t = 300
         prob = generate_synthetic(SyntheticSpec(n=t, d=3, n_clusters=4, cluster_std=0.5), rng=5)
         kern = KernelSpec.gaussian_kernel(2.0)
-        res = ink_estimate_run(prob.dataset, kern, 0.1, 200, 0.5, rng=5, checkpoint_every=0)
+        res = ink_estimate_run(prob.dataset, kern, 0.1, 200, 0.5, rng=5, checkpoint_every=t)
         args = (prob.dataset, kern, 0.1, 0.5, res.checkpoints, "ink-estimate")
         verify_checkpoints(*args, problem=prob)  # first-call set-up is not counted
         tracemalloc.start()
@@ -341,7 +347,7 @@ class TestVerifyCheckpoints:
         """Each checkpoint's t must lie in 1..n and within the desk-scale
         cap; every checkpoint is checked before the first gram."""
         points = np.random.default_rng(3).normal(size=(n, 2))
-        good = RunCheckpoint(step=10, dict_size=1, deff_tilde=1.0, indices=(0,), weights=(1.0,))
+        good = RunCheckpoint(step=10, deff_tilde=1.0, indices=(0,), weights=(1.0,))
         bad = replace(good, step=t)
 
         def no_kernel_work(*args, **kwargs):
@@ -354,6 +360,25 @@ class TestVerifyCheckpoints:
             )
         assert f"{n} points" in str(error.value)
         assert f"at most {DESK_SCALE_CAP}" in str(error.value)
+
+    @pytest.mark.parametrize("gamma, epsilon, message", [
+        (0.0, 0.5, "gamma must be positive"),
+        (float("nan"), 0.5, "gamma must be positive"),
+        (1.0, 1.0, r"epsilon must lie in \[0, 1\)"),
+        (1.0, -0.1, r"epsilon must lie in \[0, 1\)"),
+    ])
+    def test_bad_gamma_or_epsilon_rejected_before_kernel_work(self, monkeypatch, gamma, epsilon, message):
+        cp = RunCheckpoint(step=10, deff_tilde=1.0, indices=(0,), weights=(1.0,))
+
+        def no_kernel_work(*args, **kwargs):
+            raise AssertionError("gram evaluated before gamma and epsilon were checked")
+
+        monkeypatch.setattr(evaluation, "gram", no_kernel_work)
+        with pytest.raises(InputError, match=message):
+            verify_checkpoints(
+                Dataset(points=np.zeros((10, 2))), KernelSpec.gaussian_kernel(1.0), gamma, epsilon,
+                [cp], "ink-estimate",
+            )
 
     def test_dataset_past_the_cap_verifies_checkpoints_within_it(self):
         """The guard is on each checkpoint's t, not on the dataset's length."""
@@ -402,7 +427,7 @@ class TestPsdRule:
         assert validated is inside
 
         monkeypatch.setattr(evaluation, "gram", lambda dataset, kernel, t=None: K.copy())
-        cp = RunCheckpoint(step=2, dict_size=1, deff_tilde=1.0, indices=(0,), weights=(1.0,))
+        cp = RunCheckpoint(step=2, deff_tilde=1.0, indices=(0,), weights=(1.0,))
         args = (Dataset(points=np.zeros((2, 1))), KernelSpec.linear_kernel(), 1.0, 0.5, [cp], "ink-oracle")
         if inside:
             assert len(verify_checkpoints(*args)) == 1

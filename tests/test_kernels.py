@@ -258,6 +258,13 @@ class TestLoaders:
         with pytest.raises(InputError, match=r"d\.svm: feature index -?\d below 1 at line 2"):
             load_libsvm(path)
 
+    def test_libsvm_repeated_index_reports_file_line_and_index(self, tmp_path):
+        """A repeated index is not resolved by keeping either value."""
+        path = tmp_path / "d.svm"
+        path.write_text("1.0 1:0.5 2:1.0\n1 3:2.0 3:7.0\n")
+        with pytest.raises(InputError, match=r"d\.svm: feature index 3 repeats at line 2"):
+            load_libsvm(path)
+
     def test_libsvm_densified(self, tmp_path):
         path = tmp_path / "d.svm"
         path.write_text("1.0 1:0.5 3:2.0\n-1.0 2:1.5\n")

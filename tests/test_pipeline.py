@@ -20,6 +20,7 @@ from nystream import (
     KernelSpec,
     NumericalError,
     RngHandle,
+    RunCheckpoint,
     alpha_factor,
     batch_exact,
     build_selection,
@@ -800,6 +801,29 @@ class TestRuns:
         ds = clustered(20, seed=12)
         with pytest.raises(InputError, match="checkpoint_every"):
             ink_estimate_run(ds, KernelSpec.gaussian_kernel(1.0), 1.0, 10, 0.5, checkpoint_every=-1)
+
+    def test_zero_checkpoint_every_rejected(self):
+        """Any cadence of at least n keeps only the final checkpoint; 0 is
+        not a spelling of it."""
+        ds = clustered(20, seed=12)
+        with pytest.raises(InputError, match="checkpoint_every must be at least 1"):
+            ink_oracle_run(ds, KernelSpec.gaussian_kernel(1.0), 1.0, 10, StubOracle(), checkpoint_every=0)
+        res = ink_oracle_run(ds, KernelSpec.gaussian_kernel(1.0), 1.0, 10, StubOracle(), checkpoint_every=20)
+        assert [cp.step for cp in res.checkpoints] == [20]
+
+    def test_checkpoint_size_is_read_off_its_indices(self):
+        """Q_t counts distinct indices; a batch draw may repeat one."""
+        cp = RunCheckpoint(step=5, deff_tilde=1.0, indices=(0, 3, 3), weights=(1.0, 0.5, 0.5))
+        assert cp.dict_size == 2
+        assert "dict_size" not in {f.name for f in dataclasses.fields(RunCheckpoint)}
+
+    @pytest.mark.parametrize("q_bar", [0, -3])
+    def test_nonpositive_q_bar_rejected_before_any_step(self, q_bar):
+        ds = clustered(20, seed=12)
+        audit = AccessAudit()
+        with pytest.raises(InputError, match="q_bar must be a positive integer"):
+            ink_oracle_run(ds, KernelSpec.gaussian_kernel(1.0), 1.0, q_bar, StubOracle(), audit=audit)
+        assert audit.points_consumed == []
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0])
     def test_nonpositive_gamma_rejected_before_any_step(self, gamma):
