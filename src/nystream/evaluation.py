@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, half_open_unit, non_negative, positive, positive_int
 from .kernels import DESK_SCALE_CAP, Dataset, KernelSpec, gram
 from .leverage import deff_increment_exact, exact_rls
 from .linalg import DEFAULT_PSD_TOL, _psd_within, eig_pairs, symmetrize
@@ -43,10 +43,8 @@ class FixedDesignProblem:
         f = np.asarray(self.f_star, dtype=np.float64).reshape(-1)
         if f.shape[0] != len(self.dataset):
             raise InputError("target vector length must match the dataset")
-        if self.noise_std < 0:
-            raise InputError("noise_std must be nonnegative")
-        if not self.mu > 0:
-            raise InputError("mu must be positive")
+        non_negative("noise_std", self.noise_std)
+        positive("mu", self.mu)
         object.__setattr__(self, "f_star", f)
 
     def prefix(self, t: int) -> "FixedDesignProblem":
@@ -69,10 +67,6 @@ class ConditionReport:
     spectral_gap: float
     psi_gap: float
 
-    @property
-    def ok(self) -> bool:
-        return self.lower_psd_ok and self.upper_psd_ok
-
 
 def check_condition(
     K: np.ndarray,
@@ -90,7 +84,8 @@ def check_condition(
     When a selection is supplied its projection-gap certificate is computed
     as well (see :func:`psi_gap`); otherwise that field is NaN.
     """
-    _check_condition_args(gamma, epsilon)
+    positive("gamma", gamma)
+    half_open_unit("epsilon", epsilon)
     K = symmetrize(K)
     K_tilde = symmetrize(K_tilde)
     if K.shape != K_tilde.shape:
@@ -106,6 +101,7 @@ def psi_gap(K: np.ndarray, selection: Selection, gamma: float) -> float:
     cover.  A value of at most ``eps`` certifies the two-sided PSD condition
     at that accuracy.
     """
+    positive("gamma", gamma)
     return _psi(*_spectrum(K), selection, gamma)
 
 
@@ -130,13 +126,6 @@ def _spectrum(K: np.ndarray, *, require_psd: bool = False) -> tuple[np.ndarray, 
     if require_psd and lam.size and not _psd_within(lam, DEFAULT_PSD_TOL):
         raise InputError(f"kernel matrix is not PSD (min eigenvalue {lam[-1]:.3e})")
     return pair.eigenvectors, np.clip(lam, 0.0, None)
-
-
-def _check_condition_args(gamma: float, epsilon: float) -> None:
-    if not gamma > 0:
-        raise InputError("gamma must be positive")
-    if not 0.0 <= epsilon < 1.0:
-        raise InputError("epsilon must lie in [0, 1)")
 
 
 def _condition(
@@ -196,8 +185,9 @@ def _factored_risk(F: np.ndarray, problem: FixedDesignProblem) -> float:
 
 def risk_ratio_bound(gamma: float, mu: float, epsilon: float) -> float:
     """Multiplicative factor relating approximate and exact risk."""
-    if not 0.0 <= epsilon < 1.0:
-        raise InputError("epsilon must lie in [0, 1)")
+    positive("gamma", gamma)
+    positive("mu", mu)
+    half_open_unit("epsilon", epsilon)
     return (1.0 + (gamma / mu) / (1.0 - epsilon)) ** 2
 
 
@@ -222,8 +212,7 @@ class SyntheticSpec:
 def generate_synthetic(spec: SyntheticSpec, rng) -> FixedDesignProblem:
     """Sample a clustered gaussian problem; deterministic for a given spec
     and seed."""
-    if spec.n < 1:
-        raise InputError("n must be at least 1")
+    positive_int("n", spec.n)
     gen = np.random.default_rng(rng)
     shares = np.array([2.0**-j for j in range(spec.n_clusters)])
     sizes = np.maximum(1, np.floor(spec.n * shares / shares.sum()).astype(int))
@@ -264,6 +253,7 @@ def monotonicity_audit(
     never decreases, its increment matches the bordering formula, and the
     Schur complement stays above gamma.
     """
+    positive("gamma", gamma)
     t_max = min(int(t_max), len(dataset))
     if t_max < 2:
         return MonotonicityReport(t_max=t_max, violations=())
@@ -309,6 +299,7 @@ def rebuild_factor(
     dataset: Dataset, kernel: KernelSpec, selection: Selection, gamma: float
 ) -> NystromFactor:
     """Second pass: assemble the full-row factor for a stored selection."""
+    positive("gamma", gamma)
     K = gram(dataset, kernel, selection.t)
     return nystrom_approx(K, selection, gamma)
 
@@ -328,6 +319,10 @@ class CheckpointRecord:
     risk_exact: float = float("nan")
     risk_approx: float = float("nan")
     risk_ratio_bound: float = float("nan")
+
+    @property
+    def ok(self) -> bool:
+        return self.lower_ok and self.upper_ok
 
     def as_dict(self) -> dict:
         fields = asdict(self)
@@ -356,7 +351,8 @@ def verify_checkpoints(
     """
     if algorithm not in ALGORITHMS:
         raise InputError(f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}")
-    _check_condition_args(gamma, epsilon)
+    positive("gamma", gamma)
+    half_open_unit("epsilon", epsilon)
     n = len(dataset)
     top = min(n, DESK_SCALE_CAP)
     for cp in checkpoints:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, non_negative, positive, positive_int
 
 # Dense t x t materialization is meant for verification work only.
 DESK_SCALE_CAP = 5000
@@ -31,8 +31,9 @@ _BLOCK_ROWS = 256
 class KernelSpec:
     """A positive definite kernel: family name plus hyperparameters.
 
-    Supported families: ``gaussian`` (needs ``bandwidth > 0``), ``linear``
-    and ``polynomial`` (needs integer ``degree >= 1`` and ``offset >= 0``).
+    Supported families: ``gaussian`` (needs a positive finite
+    ``bandwidth``), ``linear`` and ``polynomial`` (needs a positive integer
+    ``degree`` and a non-negative finite ``offset``).
     """
 
     family: str
@@ -44,13 +45,10 @@ class KernelSpec:
         if self.family not in FAMILIES:
             raise InputError(f"unknown kernel family {self.family!r}")
         if self.family == "gaussian":
-            if self.bandwidth is None or not self.bandwidth > 0:
-                raise InputError("gaussian kernel needs bandwidth > 0")
+            positive("bandwidth", self.bandwidth)
         if self.family == "polynomial":
-            if self.degree is None or not float(self.degree).is_integer() or self.degree < 1:
-                raise InputError(f"polynomial kernel needs an integer degree >= 1, got {self.degree!r}")
-            if self.offset is None or self.offset < 0:
-                raise InputError("polynomial kernel needs offset >= 0")
+            positive_int("degree", self.degree)
+            non_negative("offset", self.offset)
 
     @classmethod
     def gaussian_kernel(cls, bandwidth: float) -> "KernelSpec":
@@ -125,7 +123,8 @@ class Dataset:
 
     Points and labels are copied and frozen at construction, so downstream
     state may hold views into them safely while the caller's arrays stay
-    writable.  Non-finite values are rejected here, naming the first bad row.
+    writable.  A dataset has at least one point and one feature; non-finite
+    values are rejected here, naming the first bad row.
     """
 
     points: np.ndarray
@@ -133,8 +132,8 @@ class Dataset:
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=np.float64, order="C")
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise InputError("dataset needs a non-empty 2-D (n, d) point array")
+        if pts.ndim != 2 or 0 in pts.shape:
+            raise InputError(f"dataset needs a 2-D (n, d) point array with n, d >= 1, got shape {pts.shape}")
         bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
         if bad.size:
             raise InputError(f"dataset row {bad[0]} has a non-finite point coordinate")
@@ -217,9 +216,10 @@ def load_csv(
     for r, vals in enumerate(rows, start=1):
         if len(vals) != width:
             raise InputError(f"{path}: inconsistent row width at data row {r}")
-    return Dataset(
-        points=np.asarray(rows), labels=np.asarray(labels) if label_column is not None else None
-    )
+    try:
+        return Dataset(points=np.asarray(rows), labels=np.asarray(labels) if label_column is not None else None)
+    except InputError as exc:  # a file whose only column is the label has no features
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def load_libsvm(path) -> Dataset:

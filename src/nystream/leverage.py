@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .errors import InputError, InvariantViolation, NumericalError
+from .errors import InputError, InvariantViolation, NumericalError, half_open_unit, non_negative, positive
 from .linalg import (
     regularized_solve,
     shifted_cholesky,
@@ -30,8 +30,7 @@ _NEGATIVE_INCREMENT_TOL = 1e-10
 
 def alpha_factor(epsilon: float) -> float:
     """Leverage-score approximation factor (2 - eps) / (1 - eps)."""
-    if not 0.0 <= epsilon < 1.0:
-        raise InputError("epsilon must lie in [0, 1)")
+    half_open_unit("epsilon", epsilon)
     return (2.0 - epsilon) / (1.0 - epsilon)
 
 
@@ -42,8 +41,7 @@ def beta_factor(epsilon: float, rho: float) -> float:
     regularizer.  At runtime only the sketch spectrum is visible, so callers
     report a lower-bound proxy; the factor never enters the algorithm itself.
     """
-    if rho < 0:
-        raise InputError("rho must be nonnegative")
+    non_negative("rho", rho)
     a = alpha_factor(epsilon)
     return a * a * (1.0 + rho)
 
@@ -101,8 +99,7 @@ def exact_rls(K: np.ndarray, gamma: float) -> LeverageProfile:
     distribution.  Computed through a regularized solve so the spectral-form
     identity stays available as an independent check.
     """
-    if not gamma > 0:
-        raise InputError("gamma must be positive")
+    positive("gamma", gamma)
     K = validate_psd(K, what="kernel matrix")
     t = K.shape[0]
     if t == 0:
@@ -110,8 +107,7 @@ def exact_rls(K: np.ndarray, gamma: float) -> LeverageProfile:
     X = regularized_solve(K, gamma, K)
     tau = np.clip(np.diag(X).copy(), 0.0, 1.0)
     deff = float(tau.sum())
-    with np.errstate(invalid="ignore", divide="ignore"):
-        probabilities = tau / deff if deff > 0 else np.full(t, np.nan)
+    probabilities = tau / deff if deff > 0 else np.full(t, np.nan)
     return LeverageProfile(tau=tau, deff=deff, probabilities=probabilities)
 
 
@@ -135,8 +131,7 @@ def estimate_rls_batch(
     :class:`NumericalError` when ``K_bar + alpha*gamma*I`` is not positive
     definite, as the carried sketch does.
     """
-    if not gamma > 0:
-        raise InputError("gamma must be positive")
+    positive("gamma", gamma)
     alpha = alpha_factor(epsilon)
     columns = np.asarray(columns, dtype=np.float64)
     if columns.ndim == 1:
@@ -173,19 +168,13 @@ def deff_increment_exact(
     the effective dimension of the bordered matrix equals the old one plus
     ``delta``.
     """
-    if not gamma > 0:
-        raise InputError("gamma must be positive")
+    positive("gamma", gamma)
     K_t = validate_psd(K_t, what="kernel matrix")
     k_bar = np.asarray(k_bar, dtype=np.float64).reshape(-1)
     if k_bar.shape[0] != K_t.shape[0]:
         raise InputError("cross vector length must match the matrix size")
-    if K_t.shape[0] == 0:
-        quad1 = 0.0
-        quad2 = 0.0
-    else:
-        u = regularized_solve(K_t, gamma, k_bar)
-        quad1 = float(k_bar @ u)
-        quad2 = float(u @ u)
+    u = regularized_solve(K_t, gamma, k_bar)  # empty for an empty K_t: both forms are 0.0
+    quad1, quad2 = float(k_bar @ u), float(u @ u)
     xi = k_self + gamma - quad1
     if xi < gamma - 1e-8:
         raise InputError(
@@ -210,8 +199,7 @@ def estimate_deff_increment(
     ``gamma``, the latter damped by the curvature coefficient.  A sketch that
     is indefinite beyond either shift raises :class:`NumericalError`.
     """
-    if not gamma > 0:
-        raise InputError("gamma must be positive")
+    positive("gamma", gamma)
     K_tilde = symmetrize(K_tilde)
     k_bar = np.asarray(k_bar, dtype=np.float64).reshape(-1)
     if k_bar.shape[0] != K_tilde.shape[0]:
@@ -255,8 +243,7 @@ def update_deff(
     negative increments (roundoff) are clamped to zero to preserve
     monotonicity; anything below ``-1e-10`` is a genuine invariant breach.
     """
-    if not deff_tilde >= 0:
-        raise InputError("running effective-dimension estimate must be non-negative")
+    non_negative("running estimate deff_tilde", deff_tilde)
     if delta_tilde < -_NEGATIVE_INCREMENT_TOL:
         raise InvariantViolation(
             f"estimated increment {delta_tilde:.6e} is negative beyond tolerance"

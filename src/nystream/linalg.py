@@ -19,7 +19,7 @@ import scipy.linalg
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, positive
 
 SYMMETRY_TOL = 1e-10
 DEFAULT_PSD_TOL = 1e-8
@@ -67,13 +67,12 @@ def eig_pairs(A: np.ndarray) -> EigPair:
 
 
 def regularized_solve(A: np.ndarray, ridge: float, B: np.ndarray) -> np.ndarray:
-    """Solve (A + ridge*I) x = B for symmetric PSD ``A`` and ``ridge > 0``.
+    """Solve (A + ridge*I) x = B for symmetric PSD ``A`` and finite ``ridge > 0``.
 
     Uses :func:`shifted_cholesky` (the shift makes the matrix positive
     definite).  The result has the same shape as ``B``.
     """
-    if not ridge > 0:
-        raise InputError("ridge must be positive")
+    positive("ridge", ridge)
     A = symmetrize(A)
     B = np.asarray(B, dtype=np.float64)
     expected = A.shape[0]

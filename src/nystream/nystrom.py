@@ -10,7 +10,7 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import InputError
+from .errors import InputError, positive
 from .kernels import DESK_SCALE_CAP
 from .linalg import regularized_solve, shifted_cholesky, symmetrize
 
@@ -74,8 +74,7 @@ class NystromFactor:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise InputError("gamma must be positive")
+        positive("gamma", self.gamma)
         q = self.sampled.shape[0]
         if self.sampled.shape != (q, q):
             raise InputError("sampled block must be square")
@@ -136,8 +135,7 @@ def krr_approx(factor: NystromFactor, mu: float, y: np.ndarray) -> np.ndarray:
     ``y / mu`` exactly.  Raises :class:`NumericalError` when ``sampled +
     gamma I`` is not positive definite.
     """
-    if not mu > 0:
-        raise InputError("mu must be positive")
+    positive("mu", mu)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if factor.cross.shape[0] != y.shape[0]:
         raise InputError("factor rows must match the response length")

@@ -33,7 +33,7 @@ from typing import Protocol
 import numpy as np
 from scipy.linalg.blas import dtpsv
 
-from .errors import InputError, InvariantViolation, NumericalError
+from .errors import InputError, InvariantViolation, NumericalError, open_unit, positive, positive_int
 from .kernels import Dataset, KernelSpec, _symmetric_pairwise, evaluate, gram, pairwise
 from .leverage import (
     Diagnostics,
@@ -181,8 +181,7 @@ class ExactOracle:
     """
 
     def __init__(self, dataset: Dataset, kernel: KernelSpec, gamma: float):
-        if not gamma > 0:
-            raise InputError("gamma must be positive")
+        positive("gamma", gamma)
         self._points = dataset.points
         self._kernel = kernel
         self._gamma = float(gamma)
@@ -254,10 +253,8 @@ class EstimateOracle:
     _REFRESH_EVERY = 64
 
     def __init__(self, gamma: float, epsilon: float):
-        if not 0.0 < epsilon < 1.0:
-            raise InputError("epsilon must lie in (0, 1)")
-        if not gamma > 0:
-            raise InputError("gamma must be positive")
+        open_unit("epsilon", epsilon)
+        positive("gamma", gamma)
         self.alpha = alpha_factor(epsilon)
         self.diagnostics = Diagnostics()
         self._gamma = float(gamma)
@@ -270,10 +267,8 @@ class EstimateOracle:
         gamma, shift = self._gamma, self.alpha * self._gamma
         carried, self._carried = self._carried, None
         if state.step == 0:
-            tau_new = self_term / (self_term + shift) if self_term > 0 else 0.0
-            # The very first effective dimension is available exactly.
-            deff = self_term / (self_term + gamma) if self_term > 0 else 0.0
-            return np.array([tau_new]), deff
+            # The first score and effective dimension are exact (0.0 for a self term of 0).
+            return np.array([self_term / (self_term + shift)]), self_term / (self_term + gamma)
         d = state.dictionary
         moved = query = None
         if carried is not None and state.step == carried[1] and state.rng is carried[2]:
@@ -311,7 +306,9 @@ def ink_step(
     the dictionary's points and itself, ask the oracle once for scores on the
     dictionary plus ``new_index`` (which must exceed every dictionary index),
     clamp the induced probabilities against the previous step, run the
-    shrink/expand chains, and keep the points of the surviving columns."""
+    shrink/expand chains, and keep the points of the surviving columns.
+    Raises :class:`NumericalError` when a retained column's probability is
+    not positive (its score estimate was clamped to 0)."""
     d, points = state.dictionary, state.dict_points
     if point.shape != points.shape[1:] or points.shape[0] != d.size:
         raise InputError(f"a step takes a point of shape {points.shape[1:]} and one point per dictionary "
@@ -325,6 +322,10 @@ def ink_step(
         raise InputError(f"score oracle returned scores of shape {tau.shape} for {d.size + 1} columns")
     raw_p = tau / deff_new if deff_new > 0 else np.zeros_like(tau)
     p_new = clamp_probabilities(raw_p, state.p_tilde)
+    if not p_new[:-1].min(initial=1.0) > 0:  # a kept column's chain needs a positive probability (NaN fails)
+        pos = int(np.argmin(p_new[:-1] > 0))
+        raise NumericalError(f"step {step}: retained index {d.indices[pos]} got leverage score {tau[pos]} (clamped "
+                             f"at 0), so sampling probability {p_new[pos]}; a kept column needs a positive one")
     weights = shrink_expand(d, p_new, new_index, state.rng, step)
     keep = np.flatnonzero(weights)
     cap = 8 * d.q_bar
@@ -382,10 +383,8 @@ def ink_oracle_run(
     """
     if oracle is None:
         oracle = ExactOracle(dataset, kernel, gamma)
-    if not gamma > 0:
-        raise InputError("gamma must be positive")
-    if checkpoint_every < 1:
-        raise InputError("checkpoint_every must be at least 1")
+    positive("gamma", gamma)
+    positive_int("checkpoint_every", checkpoint_every)
     n = len(dataset)
     state = initial_state(q_bar, RngHandle(seed=int(rng)), kernel, dataset.dim)
     checkpoints: list[RunCheckpoint] = []
@@ -423,13 +422,11 @@ def ink_estimate_run(
         dataset, kernel, gamma, q_bar, EstimateOracle(gamma, epsilon),
         checkpoint_every=checkpoint_every, rng=rng, audit=audit,
     )
-    if result.dictionary.size:
-        # lambda_max of the sketch is only a lower-bound stand-in for the
-        # full spectrum, so the derived factor is a report value, not a
-        # guarantee.
-        rho_proxy = spectral_norm(result.factor.materialize()) / gamma
-        result.diagnostics["rho_lower_bound_proxy"] = rho_proxy
-        result.diagnostics["beta_from_sketch_proxy"] = beta_factor(epsilon, rho_proxy)
+    # lambda_max of the sketch (0 for Q = 0) is only a lower-bound stand-in for
+    # the full spectrum, so the derived factor is a report value, not a guarantee.
+    rho_proxy = spectral_norm(result.factor.materialize()) / gamma
+    result.diagnostics["rho_lower_bound_proxy"] = rho_proxy
+    result.diagnostics["beta_from_sketch_proxy"] = beta_factor(epsilon, rho_proxy)
     return result
 
 
@@ -446,12 +443,15 @@ def batch_exact(
     drawn index weighted ``1/sqrt(m p_i)``, and the exact effective
     dimension.  Builds no factor: :func:`nystream.evaluation.rebuild_factor`
     assembles it from the selection.  Needs the dense kernel matrix, so it
-    is desk scale by construction.
+    is desk scale by construction.  A kernel matrix of effective dimension
+    0 (no kernel mass) has nothing to sample and raises :class:`InputError`.
     """
-    if m < 1:
-        raise InputError("sampling budget m must be at least 1")
+    positive("gamma", gamma)
+    positive_int("m", m)
     handle = RngHandle(seed=int(rng))
     profile = exact_rls(gram(dataset, kernel), gamma)
+    if not profile.deff > 0:
+        raise InputError("the kernel matrix has effective dimension 0 (no kernel mass): nothing to sample")
     p = profile.probabilities
     draws = direct_sample(p, m, handle.batch_stream())
     return Selection(draws, 1.0 / np.sqrt(m * p[draws]), p.shape[0]), profile.deff
@@ -459,7 +459,10 @@ def batch_exact(
 
 def suggest_batch_m(deff: float, epsilon: float, delta: float, n: int) -> int:
     """Multinomial sampling budget sufficient for the reconstruction bound."""
-    _validate_budget_args(deff, epsilon, delta, n)
+    positive("deff", deff)
+    open_unit("epsilon", epsilon)
+    open_unit("delta", delta)
+    positive_int("n", n)
     return math.ceil((2.0 * deff / epsilon**2) * math.log(n / delta))
 
 
@@ -477,18 +480,11 @@ def suggest_q_bar(
     the exact oracle, and derivable from ``epsilon`` and a spectrum ratio for
     the estimator oracle (see :func:`nystream.leverage.beta_factor`).
     """
-    _validate_budget_args(deff, epsilon, delta, n)
-    if alpha < 1.0 or beta < 1.0:
-        raise InputError("approximation factors must be at least 1")
+    positive("deff", deff)
+    open_unit("epsilon", epsilon)
+    open_unit("delta", delta)
+    positive_int("n", n)
+    if not (1.0 <= alpha < math.inf and 1.0 <= beta < math.inf):
+        raise InputError(f"approximation factors must be finite and at least 1, got alpha={alpha}, beta={beta}")
     return math.ceil((28.0 * alpha * beta * deff / epsilon**2) * math.log(4.0 * n / delta))
 
-
-def _validate_budget_args(deff: float, epsilon: float, delta: float, n: int) -> None:
-    if not deff > 0:
-        raise InputError("deff must be positive")
-    if not 0.0 < epsilon < 1.0:
-        raise InputError("epsilon must lie in (0, 1)")
-    if not 0.0 < delta < 1.0:
-        raise InputError("delta must lie in (0, 1)")
-    if n < 1:
-        raise InputError("n must be at least 1")

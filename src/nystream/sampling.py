@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, positive_int, probability_vector
 
 _PURPOSE_CHAIN = 1
 _PURPOSE_BATCH = 2
@@ -107,8 +107,7 @@ class Dictionary:
 
     @classmethod
     def from_weights(cls, weights: Mapping[int, int], q_bar: int) -> "Dictionary":
-        if int(q_bar) < 1:
-            raise InputError("q_bar must be a positive integer")
+        positive_int("q_bar", q_bar)
         for i, b in weights.items():
             if not (b >= 1 and float(b).is_integer()):
                 raise InputError(f"index {i} needs a positive integer weight, got {b}")
@@ -129,16 +128,10 @@ class Dictionary:
 def direct_sample(p, m: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``m`` i.i.d. indices (with replacement) from distribution ``p``."""
     p = np.asarray(p, dtype=np.float64).reshape(-1)
-    if np.any(p < 0):
-        raise InputError("probabilities must be nonnegative")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise InputError(f"probabilities sum to {total!r}, expected 1")
+    probability_vector("probabilities", p)
     if m < 0:
         raise InputError("sample size must be nonnegative")
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    return rng.choice(p.shape[0], size=m, replace=True, p=p / total).astype(np.int64)
+    return rng.choice(p.shape[0], size=m, replace=True, p=p / p.sum()).astype(np.int64)
 
 
 def _weight_chain(b: int, p: float, inv_budget: float, gen: np.random.Generator) -> int:

@@ -370,7 +370,7 @@ class TestSweep:
         out = tmp_path / "sweep"
         argv = ["sweep", "--seeds", "3:5", "--jobs", jobs] + run_args(data_csv, out)[1:]
         assert main(argv) == 1
-        assert f"--jobs {jobs} " in capsys.readouterr().err
+        assert f"error: --jobs must be a positive integer, got {jobs}\n" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -580,3 +580,67 @@ class TestVerifyCheckpointList:
         err = capsys.readouterr().err
         assert str(path) in err and named in err
         assert not (out / "condition_reports.csv").exists()
+
+
+class TestNumericInputFailsWhereItEnters:
+    """inf, NaN and the degenerate datasets exit 1 with one ``error:`` line
+    and write nothing."""
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"--gamma": "inf"}, "gamma must be positive and finite, got inf"),
+            ({"--kernel": "polynomial", "--offset": "nan"}, "offset must be non-negative and finite, got nan"),
+            ({"--kernel": "polynomial", "--offset": "inf"}, "offset must be non-negative and finite, got inf"),
+            ({"--bandwidth": "inf"}, "bandwidth must be positive and finite, got inf"),
+        ],
+        ids=["gamma-inf", "offset-nan", "offset-inf", "bandwidth-inf"],
+    )
+    def test_run(self, data_csv, tmp_path, capsys, overrides, message):
+        out = tmp_path / "out"
+        assert main(run_args(data_csv, out, **overrides)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--deff", "inf"], "deff must be positive and finite, got inf"),
+            (["--deff", "5", "--rho", "inf"], "rho must be non-negative and finite, got inf"),
+            (["--deff", "5", "--rho", "nan"], "rho must be non-negative and finite, got nan"),
+        ],
+        ids=["deff-inf", "rho-inf", "rho-nan"],
+    )
+    def test_suggest_budget(self, capsys, argv, message):
+        assert main(["suggest-budget", "--n", "100"] + argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_verify_of_a_run_file_whose_gamma_overflows(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(run_args(data_csv, out)) == 0
+        path = out / "checkpoints.json"
+        text = path.read_text()
+        assert text.count('"gamma": 1.0,') == 1
+        path.write_text(text.replace('"gamma": 1.0,', '"gamma": 1e400,'))
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: gamma must be positive and finite, got inf\n"
+        assert not (out / "condition_reports.csv").exists()
+
+    def test_label_only_csv(self, tmp_path, capsys):
+        data, out = tmp_path / "labels.csv", tmp_path / "out"
+        data.write_text("0.1\n0.2\n0.3\n0.4\n")
+        assert main(run_args(data, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: dataset needs ") and "got shape (4, 0)" in err
+        assert not out.exists()
+
+    def test_batch_exact_without_kernel_mass(self, tmp_path, capsys):
+        data = tmp_path / "zeros.csv"
+        np.savetxt(data, np.column_stack([np.zeros((5, 2)), np.arange(5.0)]), delimiter=",")
+        for algorithm, code in (("ink-oracle", 0), ("ink-estimate", 0), ("batch-exact", 1)):
+            out = tmp_path / algorithm
+            assert main(run_args(data, out, **{"--algorithm": algorithm, "--kernel": "linear"})) == code
+        assert "effective dimension 0" in capsys.readouterr().err
+        assert json.loads((tmp_path / "ink-oracle" / "checkpoints.json").read_text())["checkpoints"][-1]["Q_t"] == 0
+        assert not (tmp_path / "batch-exact").exists()

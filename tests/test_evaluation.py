@@ -475,3 +475,8 @@ class TestWriters:
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(InputError):
             write_records_csv([], tmp_path / "r.csv")
+
+    def test_ok_needs_both_bounds_and_is_not_written(self):
+        record = self._record()
+        assert not record.ok and replace(record, upper_ok=True).ok
+        assert "ok" not in record.as_dict()

@@ -58,7 +58,7 @@ class TestSpecValidation:
     def test_polynomial_degree_must_be_integral(self, degree):
         """``pairwise`` raises to ``int(degree)``, so 2.5 would silently be
         degree 2."""
-        with pytest.raises(InputError, match="integer degree"):
+        with pytest.raises(InputError, match=f"degree must be a positive integer, got {degree}"):
             KernelSpec.polynomial_kernel(degree, 1.0)
 
     def test_integral_float_degree_accepted(self):

@@ -732,11 +732,14 @@ class TestRuns:
         assert sizes[-1] < 100  # chains dropped columns
 
     def test_zero_kernel_stream_degenerates_gracefully(self):
-        """A stream with no kernel mass keeps nothing and estimates zero."""
+        """A stream with no kernel mass keeps nothing and estimates zero; it
+        reports the same proxy keys as any run: rho 0 and beta alpha^2."""
         ds = Dataset(points=np.zeros((15, 2)))
         res = ink_estimate_run(ds, KernelSpec.linear_kernel(), 1.0, 4, 0.5, rng=0)
         assert res.checkpoints[-1].dict_size == 0
         assert res.deff_tilde == 0.0
+        assert res.diagnostics["rho_lower_bound_proxy"] == 0.0
+        assert res.diagnostics["beta_from_sketch_proxy"] == alpha_factor(0.5) ** 2
 
     def test_space_bound_under_eviction_pressure(self):
         """Small budgets force constant churn; the dictionary still respects
@@ -806,7 +809,7 @@ class TestRuns:
         """Any cadence of at least n keeps only the final checkpoint; 0 is
         not a spelling of it."""
         ds = clustered(20, seed=12)
-        with pytest.raises(InputError, match="checkpoint_every must be at least 1"):
+        with pytest.raises(InputError, match="checkpoint_every must be a positive integer, got 0"):
             ink_oracle_run(ds, KernelSpec.gaussian_kernel(1.0), 1.0, 10, StubOracle(), checkpoint_every=0)
         res = ink_oracle_run(ds, KernelSpec.gaussian_kernel(1.0), 1.0, 10, StubOracle(), checkpoint_every=20)
         assert [cp.step for cp in res.checkpoints] == [20]
