@@ -309,9 +309,9 @@ def _verify_directory(rundir: Path, input_override: str | None) -> list:
     given = [(key, value, source) for key, value in echo.items()]
     if input_override:
         given.append(("input", input_override, "flag --input"))
-    cfg = _config_from(given)
     checkpoints = _wire_checkpoints(payload.get("checkpoints"), path)
     try:
+        cfg = _config_from(given)
         records = verify_checkpoints(
             _load_dataset(cfg), cfg.kernel_spec(), cfg.gamma, cfg.epsilon, checkpoints, cfg.algorithm,
         )

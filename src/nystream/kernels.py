@@ -3,9 +3,9 @@
 Pairwise evaluations deliberately avoid BLAS matrix products: every kernel
 value is computed as an elementwise reduction over the feature axis, so the
 same pair of points yields the bit-identical scalar no matter whether it is
-requested through :func:`evaluate`, :func:`pairwise` or :func:`gram` (a
-streaming step evaluates its column with the first two, a verification pass
-the dense matrix with the last).
+requested through :func:`column`, :func:`evaluate`, :func:`pairwise` or
+:func:`gram` (a streaming step evaluates its column with the first, a
+verification pass the dense matrix with the last).
 """
 
 from __future__ import annotations
@@ -110,6 +110,20 @@ def _symmetric_pairwise(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
         stop = min(start + _BLOCK_ROWS, n)
         out[start:stop, stop:] = out[stop:, start:stop].T
     return out
+
+
+def column(spec: KernelSpec, point: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(cross, self_term)``: ``pairwise(spec, point, points)[0]`` and
+    ``evaluate(spec, point, point)`` bit for bit, as one row reduction over
+    ``points`` with ``point`` appended."""
+    rows = np.concatenate((points, point[None, :]))
+    if spec.family == "gaussian":
+        vals = np.exp(-((point - rows) ** 2).sum(axis=1) / (2.0 * spec.bandwidth**2))
+    else:
+        vals = (point * rows).sum(axis=1)
+        if spec.family == "polynomial":
+            vals = (vals + spec.offset) ** int(spec.degree)
+    return vals[:-1], float(vals[-1])
 
 
 def evaluate(spec: KernelSpec, x, y) -> float:

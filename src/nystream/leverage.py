@@ -149,10 +149,12 @@ def estimate_rls_batch(
 
 def _clamped_scores(diagonal, quad, shift: float, diagnostics: Diagnostics | None) -> np.ndarray:
     raw = (diagonal - quad) / shift
-    if diagnostics is not None:
-        diagnostics.rls_clamped_low += int(np.sum(raw < 0.0))
-        diagnostics.rls_clamped_high += int(np.sum(raw > 1.0))
-    return np.clip(raw, 0.0, 1.0)
+    scores = np.minimum(np.maximum(raw, 0.0), 1.0)
+    # Counted only when the clamp changed something (NaN never equals itself).
+    if diagnostics is not None and not (scores == raw).all():
+        diagnostics.rls_clamped_low += np.count_nonzero(raw < 0.0)
+        diagnostics.rls_clamped_high += np.count_nonzero(raw > 1.0)
+    return scores
 
 
 def deff_increment_exact(

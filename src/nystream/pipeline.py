@@ -27,14 +27,14 @@ matrix; the step turns them into sampling probabilities and resamples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 from scipy.linalg.blas import dtpsv
 
 from .errors import InputError, InvariantViolation, NumericalError, open_unit, positive, positive_int
-from .kernels import Dataset, KernelSpec, _symmetric_pairwise, evaluate, gram, pairwise
+from .kernels import Dataset, KernelSpec, _symmetric_pairwise, column, gram
 from .leverage import (
     Diagnostics,
     EstimatedProfile,
@@ -201,7 +201,7 @@ class ExactOracle:
         if t + 1 > self._diag.shape[0]:
             self._diag = _grown(self._diag, t, t + 1)
         if t:
-            k_bar = pairwise(self._kernel, self._points[t], self._points[:t])[0]
+            k_bar, _ = column(self._kernel, self._points[t], self._points[:t])
             y = dtpsv(t, self._packed, k_bar, trans=1)  # L^-1 k_bar
             u = dtpsv(t, self._packed, y)  # (K_t + gamma I)^-1 k_bar
         else:
@@ -288,7 +288,9 @@ class EstimateOracle:
                     f"positive definite (leading minor {d.size + 1})"
                 )
         forms, quad_alpha, quad_sq, _ = query
-        diagonal = np.append(np.diag(sketch.gram), self_term)
+        diagonal = np.empty(d.size + 1)
+        diagonal[:-1] = sketch.gram.diagonal()
+        diagonal[-1] = self_term
         tau = _clamped_scores(diagonal, forms, shift, self.diagnostics)
         delta = _increment_from_forms(self_term, gamma, self._epsilon, quad_alpha, quad_sq)
         deff = update_deff(state.deff_tilde, delta, self._epsilon, diagnostics=self.diagnostics)
@@ -307,15 +309,19 @@ def ink_step(
     dictionary plus ``new_index`` (which must exceed every dictionary index),
     clamp the induced probabilities against the previous step, run the
     shrink/expand chains, and keep the points of the surviving columns.
-    Raises :class:`NumericalError` when a retained column's probability is
-    not positive (its score estimate was clamped to 0)."""
+    Raises :class:`InputError`, before the oracle call, when a kernel value
+    of the point is not finite, and :class:`NumericalError` when a retained
+    column's probability is not positive (its score estimate was clamped to
+    0)."""
     d, points = state.dictionary, state.dict_points
     if point.shape != points.shape[1:] or points.shape[0] != d.size:
         raise InputError(f"a step takes a point of shape {points.shape[1:]} and one point per dictionary "
                          f"column; got shape {point.shape}, {points.shape[0]} points for {d.size} columns")
-    cross = pairwise(state.kernel, point, points)[0]
-    self_term = evaluate(state.kernel, point, point)
+    cross, self_term = column(state.kernel, point, points)
     step = state.step + 1
+    if not (math.isfinite(self_term) and np.isfinite(cross).all()):
+        raise InputError(f"step {step}: point {new_index} has a non-finite kernel value (self term "
+                         f"{self_term}): the kernel's arithmetic overflows on this input")
     tau, deff_new = oracle.begin_step(state, new_index, cross, self_term)
     tau = np.asarray(tau, dtype=np.float64)
     if tau.shape != (d.size + 1,):
@@ -335,21 +341,24 @@ def ink_step(
             f"beyond the hard cap {cap}"
         )
 
-    queried = np.append(d.indices, new_index)
+    queried = np.empty(d.size + 1, dtype=np.int64)
+    queried[:-1] = d.indices
+    queried[-1] = new_index
     admitted = weights[-1] != 0
     old = keep[:-1] if admitted else keep
     # No retained column was dropped: the next state shares the points.
     points_block = points if old.shape[0] == d.size else points[old]
     if admitted:
-        points_block = np.vstack([points_block, point[None, :]])
+        points_block = np.concatenate((points_block, point[None, :]))
 
-    next_state = replace(
-        state,
+    next_state = SketchState(
         step=step,
         dictionary=Dictionary(queried[keep], weights[keep], d.q_bar),
         p_tilde=p_new[keep],
         deff_tilde=deff_new,
+        kernel=state.kernel,
         dict_points=points_block,
+        rng=state.rng,
     )
     return next_state, EstimatedProfile(queried, tau, deff_new, p_new)
 
@@ -463,7 +472,7 @@ def suggest_batch_m(deff: float, epsilon: float, delta: float, n: int) -> int:
     open_unit("epsilon", epsilon)
     open_unit("delta", delta)
     positive_int("n", n)
-    return math.ceil((2.0 * deff / epsilon**2) * math.log(n / delta))
+    return _ceil_budget("m", lambda: (2.0 * deff / epsilon**2) * math.log(n / delta))
 
 
 def suggest_q_bar(
@@ -486,5 +495,13 @@ def suggest_q_bar(
     positive_int("n", n)
     if not (1.0 <= alpha < math.inf and 1.0 <= beta < math.inf):
         raise InputError(f"approximation factors must be finite and at least 1, got alpha={alpha}, beta={beta}")
-    return math.ceil((28.0 * alpha * beta * deff / epsilon**2) * math.log(4.0 * n / delta))
+    return _ceil_budget("q_bar", lambda: (28.0 * alpha * beta * deff / epsilon**2) * math.log(4.0 * n / delta))
+
+
+def _ceil_budget(name: str, formula) -> int:
+    """``ceil(formula())``; an InputError naming the budget if it overflows."""
+    try:
+        return math.ceil(formula())
+    except (OverflowError, ZeroDivisionError):
+        raise InputError(f"the {name} budget overflows a float for these inputs") from None
 

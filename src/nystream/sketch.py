@@ -101,7 +101,7 @@ class CarriedSketch:
         admitted = q1 > 0 and indices[-1] == new_index
         m = q1 - admitted
         pos = np.searchsorted(self.indices, indices[:m])
-        if m == 0 or pos[-1] >= q0 or not np.array_equal(self.indices[pos], indices[:m]):
+        if m == 0 or pos[-1] >= q0 or not (self.indices[pos] == indices[:m]).all():
             return None
         if m == q0 and not admitted:
             return pos, self.gram
@@ -140,7 +140,8 @@ class CarriedSketch:
         """One Woodbury update for every weight change and eviction (new
         weight 0), added in place to the kept blocks ``inv_m``, ``inv_shift``
         and ``inv_gamma``; returns the forms restricted to the retained
-        positions ``pos``."""
+        positions ``pos``.  A one-weight step's 1 x 1 capacitance matrices
+        are inverted as scalars (:func:`_capacitance_inverse`)."""
         b0 = self.counts[changed].astype(np.float64)
         # (D + Gamma + E_S diag(delta) E_S^T)^-1 = N - N_S T^-1 N_S^T with
         # T = diag(1/delta) + N_SS and delta = gamma (1/b1 - 1/b0); an
@@ -160,11 +161,11 @@ class CarriedSketch:
         middle = np.zeros((H.shape[1], H.shape[1]))
         middle[:k, :k] = -T
         q1 = inv_m.shape[0]
-        _add_low_rank(inv_m, _padded(n_s[pos], q1), -np.linalg.inv(T))
+        _add_low_rank(inv_m, _padded(n_s[pos], q1), -_capacitance_inverse(T))
         updated = []
         for P, out in ((self.inv_shift, inv_shift), (self.inv_gamma, inv_gamma)):
             V = P @ H
-            C = -np.linalg.inv(middle + H.T @ V)
+            C = -_capacitance_inverse(middle + H.T @ V)
             _add_low_rank(out, _padded(V[pos], q1), C)
             updated.append((V, C))
         V, C = updated[0]
@@ -230,8 +231,16 @@ class CarriedSketch:
         quad_c = float(cross @ u)
         s = self_term + self.shift - quad_c
         w = self.inv_gamma @ cross
-        forms = np.append(self.quad + (self.gram @ u - cross) ** 2 / s, quad_c + (quad_c - self_term) ** 2 / s)
+        forms = np.empty(self.quad.shape[0] + 1)
+        np.add(self.quad, (self.gram @ u - cross) ** 2 / s, out=forms[:-1])
+        forms[-1] = quad_c + (quad_c - self_term) ** 2 / s
         return forms, quad_c, float(w @ w), s
+
+
+def _capacitance_inverse(T: np.ndarray) -> np.ndarray:
+    """``T^-1``; for a 1 x 1 ``T`` the reciprocal ``1 / T``, which is the
+    bit-identical value LAPACK's LU solve gives, without the call."""
+    return 1.0 / T if T.shape[0] == 1 else np.linalg.inv(T)
 
 
 def _runs(pos: np.ndarray) -> list[tuple[int, int, int]]:

@@ -84,16 +84,16 @@ def border(M, v, corner):
 
 class KernelReads:
     """Records every kernel evaluation a streaming run makes through
-    ``nystream.pipeline`` (``pairwise``, ``evaluate`` and
-    ``_symmetric_pairwise``): the index of the step it ran in, which is the
-    last point ``audit`` saw, and the dataset indices of its row and column
-    points.  The dataset's points must be distinct."""
+    ``nystream.pipeline`` (``column`` and ``_symmetric_pairwise``): the index
+    of the step it ran in, which is the last point ``audit`` saw, and the
+    dataset indices of its row and column points.  The dataset's points must
+    be distinct."""
 
     def __init__(self, monkeypatch, points, audit):
         self._where = {p.tobytes(): i for i, p in enumerate(np.asarray(points, dtype=np.float64))}
         self._audit = audit
         self.calls = []
-        for name in ("pairwise", "evaluate", "_symmetric_pairwise"):
+        for name in ("column", "_symmetric_pairwise"):
             monkeypatch.setattr(pipeline, name, self._recorded(getattr(pipeline, name)))
 
     def _indices(self, points):

@@ -608,8 +608,10 @@ class TestNumericInputFailsWhereItEnters:
             (["--deff", "inf"], "deff must be positive and finite, got inf"),
             (["--deff", "5", "--rho", "inf"], "rho must be non-negative and finite, got inf"),
             (["--deff", "5", "--rho", "nan"], "rho must be non-negative and finite, got nan"),
+            (["--deff", "1e308"], "the q_bar budget overflows a float for these inputs"),
+            (["--deff", "1e308", "--algorithm", "batch-exact"], "the m budget overflows a float for these inputs"),
         ],
-        ids=["deff-inf", "rho-inf", "rho-nan"],
+        ids=["deff-inf", "rho-inf", "rho-nan", "q_bar-overflow", "m-overflow"],
     )
     def test_suggest_budget(self, capsys, argv, message):
         assert main(["suggest-budget", "--n", "100"] + argv) == 1
@@ -624,7 +626,7 @@ class TestNumericInputFailsWhereItEnters:
         path.write_text(text.replace('"gamma": 1.0,', '"gamma": 1e400,'))
         capsys.readouterr()
         assert main(["verify", "--run-dir", str(out)]) == 1
-        assert capsys.readouterr().err == "error: gamma must be positive and finite, got inf\n"
+        assert capsys.readouterr().err == f"error: {path}: gamma must be positive and finite, got inf\n"
         assert not (out / "condition_reports.csv").exists()
 
     def test_label_only_csv(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nystream import Dataset, InputError, KernelSpec, evaluate, gram, load_csv, load_libsvm
-from nystream.kernels import DESK_SCALE_CAP, _symmetric_pairwise, pairwise
+from nystream.kernels import DESK_SCALE_CAP, _symmetric_pairwise, column, pairwise
 
 from conftest import random_dataset, random_kernel, streamed_columns
 
@@ -283,3 +283,22 @@ class TestPairwiseConsistency:
         for i in (0, 123, 299):
             for j in range(5):
                 assert full[i, j] == evaluate(spec, X[i], X[j])
+
+
+class TestColumn:
+    @pytest.mark.parametrize("d", [1, 3, 8, 16])
+    @pytest.mark.parametrize("m", [0, 1, 9, 300])
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec.gaussian_kernel(0.9), KernelSpec.linear_kernel(), KernelSpec.polynomial_kernel(3, 0.4)],
+        ids=["gaussian", "linear", "polynomial"],
+    )
+    def test_matches_pairwise_and_evaluate_bit_for_bit(self, rng, spec, d, m):
+        """Past 8 features numpy's reduction sums pairwise; the row reduction
+        is the same one, at every width and for an empty point set."""
+        points, point = rng.normal(0.0, 2.0, size=(m, d)), rng.normal(0.0, 2.0, size=d)
+        cross, self_term = column(spec, point, points)
+        assert cross.shape == (m,)
+        assert cross.tobytes() == pairwise(spec, point, points)[0].tobytes()
+        assert type(self_term) is float
+        assert np.float64(self_term).tobytes() == np.float64(evaluate(spec, point, point)).tobytes()

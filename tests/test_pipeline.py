@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -646,7 +648,7 @@ class TestRuns:
         def no_kernel_work(*args, **kwargs):
             raise AssertionError("kernel evaluated before the seed was checked")
 
-        for name in ("gram", "pairwise", "evaluate"):
+        for name in ("gram", "column", "_symmetric_pairwise"):
             monkeypatch.setattr(pipeline, name, no_kernel_work)
         with pytest.raises(InputError, match=f"seed {seed} "):
             if algorithm == "ink-estimate":
@@ -957,6 +959,59 @@ class TestRuns:
             EstimateOracle(-1.0, epsilon)
         with pytest.raises(InputError, match=r"epsilon must lie in \(0, 1\)"):
             ink_estimate_run(clustered(5, seed=1), KernelSpec.linear_kernel(), 1.0, 3, epsilon)
+
+
+class TestKernelOverflow:
+    """A kernel value that overflows from finite points is an InputError at
+    the step that evaluates it, before the oracle sees it."""
+
+    @pytest.mark.parametrize("algorithm", ["ink-estimate", "ink-oracle"])
+    def test_overflowing_self_term(self, algorithm):
+        """Was a deff_tilde of NaN (ink-estimate) or a Schur complement of
+        NaN (ink-oracle) steps later."""
+        ds, kern = Dataset(points=[[1e200], [2e200], [3e200]]), KernelSpec.linear_kernel()
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+            InputError, match=r"^step 1: point 0 has a non-finite kernel value \(self term inf\)"
+        ):
+            if algorithm == "ink-estimate":
+                ink_estimate_run(ds, kern, 1.0, 5, 0.5)
+            else:
+                ink_oracle_run(ds, kern, 1.0, 5)
+
+    def test_overflowing_cross_term(self):
+        state, _ = ink_step(initial_state(4, RngHandle(0), KernelSpec.linear_kernel(), 1), 0,
+                            np.array([1.0]), StubOracle())
+        state = replace(state, dict_points=np.array([[1e300]]))
+        oracle = RecordingOracle()
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+            InputError, match=r"^step 2: point 1 has a non-finite kernel value \(self term 1e\+20\)"
+        ):
+            ink_step(state, 1, np.array([1e10]), oracle)
+        assert oracle.columns == []
+
+
+def test_step_call_budget():
+    """The Python-level calls that nystream's own code makes, over the first
+    500 steps of a small-budget stream (Q about 30), counted with a profile
+    hook: the per-step interpreter floor does not creep back.  The figure
+    counts calls into nystream and into numpy's Python-level wrappers, so a
+    numpy release that moves a wrapper between Python and C moves it."""
+    root = os.path.dirname(pipeline.__file__) + os.sep
+    ds = clustered(500, seed=1, d=3, clusters=4, std=0.5)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_back is not None and frame.f_back.f_code.co_filename.startswith(root):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        res = ink_estimate_run(ds, KernelSpec.gaussian_kernel(2.0), 0.1, 200, 0.5, rng=1)
+    finally:
+        sys.setprofile(None)
+    assert res.dictionary.size == 26
+    assert calls <= 34004  # 43478 before the floor was cut
 
 
 class TestGoldenRuns:

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nystream import InvariantViolation, KernelSpec
+from nystream import InvariantViolation, KernelSpec, ink_estimate_run
+from nystream.evaluation import SyntheticSpec, generate_synthetic
 from nystream.kernels import _symmetric_pairwise, evaluate, pairwise
 from nystream.leverage import alpha_factor
-from nystream.sketch import CarriedSketch, _add_low_rank, _kept_block, _runs
+from nystream.sketch import CarriedSketch, _add_low_rank, _capacitance_inverse, _kept_block, _runs
 
 CARRIED = ("inv_m", "inv_shift", "inv_gamma", "quad")
 
@@ -194,3 +195,21 @@ def test_empty_dictionary(capfd):
     forms, quad_c, quad_sq, schur = sketch.query(np.zeros(0), 2.0)
     assert forms.tolist() == [2.0 * 2.0 / 2.3] and (quad_c, quad_sq, schur) == (0.0, 0.0, 2.3)
     assert capfd.readouterr() == ("", "")
+
+
+def test_scalar_capacitance_inverse_is_lapacks(monkeypatch):
+    """A one-weight step's 1 x 1 capacitance matrices, collected from a
+    small-budget run, invert to LAPACK's bits through the reciprocal."""
+    seen = []
+
+    def recorded(T):
+        seen.append(T.copy())
+        return _capacitance_inverse(T)
+
+    monkeypatch.setattr("nystream.sketch._capacitance_inverse", recorded)
+    problem = generate_synthetic(SyntheticSpec(n=1000, d=3, n_clusters=4, cluster_std=0.5), rng=1)
+    ink_estimate_run(problem.dataset, KernelSpec.gaussian_kernel(2.0), 0.1, 200, 0.5, rng=1)
+    scalars = [T for T in seen if T.shape == (1, 1)]
+    assert len(scalars) > 100
+    for T in scalars:
+        assert _capacitance_inverse(T).tobytes() == np.linalg.inv(T).tobytes()
