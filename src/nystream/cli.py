@@ -26,10 +26,7 @@ from pathlib import Path
 
 from .errors import InputError, InvariantViolation, NumericalError, open_unit, positive, positive_int
 from .evaluation import (
-    SCHEMA_VERSION,
-    verify_checkpoints,
-    write_records_csv,
-    write_records_json,
+    SCHEMA_VERSION, field_text, verify_checkpoints, write_json, write_records_csv, write_records_json,
 )
 from .kernels import FAMILIES, Dataset, KernelSpec, load_csv, load_libsvm
 from .leverage import alpha_factor, beta_factor
@@ -199,13 +196,11 @@ def _write_run_outputs(outdir: Path, cfg: RunConfig, checkpoints, diagnostics: d
         "diagnostics": diagnostics,
         "checkpoints": [_checkpoint_payload(cp) for cp in checkpoints],
     }
-    with open(outdir / "checkpoints.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, outdir / "checkpoints.json")
     with open(outdir / "metrics.csv", "w", newline="") as fh:
         fh.write("t,Q_t,deff_tilde\n")
         for cp in checkpoints:
-            fh.write(f"{cp.step},{cp.dict_size},{format(cp.deff_tilde, '.17g')}\n")
+            fh.write(f"{cp.step},{cp.dict_size},{field_text(cp.deff_tilde)}\n")
 
 
 def _execute_run(cfg: RunConfig) -> tuple[list[RunCheckpoint], dict]:
@@ -475,8 +470,8 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (InputError, NumericalError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, NumericalError, OSError, MemoryError) as exc:  # numpy's MemoryError names the allocation
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -38,6 +38,9 @@ def _rule(what: str, holds):
 
 positive = _rule("be positive and finite", lambda v: 0.0 < v < math.inf)
 non_negative = _rule("be non-negative and finite", lambda v: 0.0 <= v < math.inf)
+# The range of the gaussian formula (kernels._values), which divides by 2.0 * bandwidth**2.
+gaussian_bandwidth = _rule("make 2 * bandwidth**2 a positive finite float (about 1.6e-162 to 9.5e153)",
+                           lambda v: 0.0 < 2.0 * v**2 < math.inf)
 # A run's epsilon and delta lie in (0, 1); the approximation factors, the
 # condition checks and the risk bound also take epsilon = 0 (exact scores).
 open_unit = _rule("lie in (0, 1)", lambda v: 0.0 < v < 1.0)

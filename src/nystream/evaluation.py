@@ -24,6 +24,7 @@ from .leverage import deff_increment_exact, exact_rls
 from .linalg import DEFAULT_PSD_TOL, _psd_within, eig_pairs, symmetrize
 from .nystrom import NystromFactor, Selection, nystrom_approx
 from .pipeline import ALGORITHMS, RunCheckpoint
+from .sampling import selection_weights
 
 SCHEMA_VERSION = "1"
 
@@ -291,7 +292,7 @@ def checkpoint_selection(checkpoint: RunCheckpoint, algorithm: str) -> Selection
     """
     weights = np.asarray(checkpoint.weights, dtype=np.float64)
     if algorithm != "batch-exact":
-        weights = np.sqrt(weights)
+        weights = selection_weights(weights)
     return Selection(checkpoint.indices, weights, checkpoint.step)
 
 
@@ -396,12 +397,20 @@ def _verified(
     )
 
 
-def _fmt(value) -> str:
+def field_text(value) -> str:
+    """An output CSV field: 1/0 for a bool, 17 significant digits for a float."""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
+
+
+def write_json(payload: dict, path) -> None:
+    """An output file's byte-stable JSON: two-space indent, sorted keys, final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_records_csv(records: Sequence[CheckpointRecord], path) -> None:
@@ -413,7 +422,7 @@ def write_records_csv(records: Sequence[CheckpointRecord], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(fields)
         for rec in records:
-            writer.writerow([_fmt(v) for v in rec.as_dict().values()])
+            writer.writerow([field_text(v) for v in rec.as_dict().values()])
 
 
 def write_records_json(records: Sequence[CheckpointRecord], path, *, meta: dict | None = None) -> None:
@@ -423,6 +432,4 @@ def write_records_json(records: Sequence[CheckpointRecord], path, *, meta: dict 
     }
     if meta:
         payload.update(meta)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)

@@ -1,11 +1,11 @@
 """Kernel specifications, kernel evaluation and dataset loading.
 
-Pairwise evaluations deliberately avoid BLAS matrix products: every kernel
-value is computed as an elementwise reduction over the feature axis, so the
-same pair of points yields the bit-identical scalar no matter whether it is
-requested through :func:`column`, :func:`evaluate`, :func:`pairwise` or
-:func:`gram` (a streaming step evaluates its column with the first, a
-verification pass the dense matrix with the last).
+Each family's formula is written once, in :func:`_values`, as an
+elementwise reduction over the feature axis (no BLAS matrix product).  Every
+route (:func:`column`, :func:`evaluate`, :func:`pairwise`, :func:`gram`)
+evaluates a pair through it, so the same pair of points yields the
+bit-identical scalar on every route: a streaming step evaluates its column
+with the first, a verification pass the dense matrix with the last.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, non_negative, positive, positive_int
+from .errors import InputError, gaussian_bandwidth, non_negative, positive, positive_int
 
 # Dense t x t materialization is meant for verification work only.
 DESK_SCALE_CAP = 5000
@@ -31,9 +31,9 @@ _BLOCK_ROWS = 256
 class KernelSpec:
     """A positive definite kernel: family name plus hyperparameters.
 
-    Supported families: ``gaussian`` (needs a positive finite
-    ``bandwidth``), ``linear`` and ``polynomial`` (needs a positive integer
-    ``degree`` and a non-negative finite ``offset``).
+    Supported families: ``gaussian`` (needs a ``bandwidth`` in its formula's
+    range, about 1.6e-162 to 9.5e153), ``linear`` and ``polynomial`` (needs
+    a positive integer ``degree`` and a non-negative finite ``offset``).
     """
 
     family: str
@@ -46,6 +46,7 @@ class KernelSpec:
             raise InputError(f"unknown kernel family {self.family!r}")
         if self.family == "gaussian":
             positive("bandwidth", self.bandwidth)
+            gaussian_bandwidth("bandwidth", self.bandwidth)
         if self.family == "polynomial":
             positive_int("degree", self.degree)
             non_negative("offset", self.offset)
@@ -72,6 +73,17 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
+def _values(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The kernel on the points ``a`` and ``b``, broadcast against each
+    other and reduced over the last (feature) axis: each family's formula."""
+    if spec.family == "gaussian":
+        return np.exp(-((a - b) ** 2).sum(axis=-1) / (2.0 * spec.bandwidth**2))
+    dots = (a * b).sum(axis=-1)
+    if spec.family == "linear":
+        return dots
+    return (dots + spec.offset) ** int(spec.degree)
+
+
 def pairwise(spec: KernelSpec, rows, cols) -> np.ndarray:
     """Kernel matrix between two point sets, shape (len(rows), len(cols))."""
     A = _as_points(rows)
@@ -81,15 +93,7 @@ def pairwise(spec: KernelSpec, rows, cols) -> np.ndarray:
     out = np.empty((A.shape[0], B.shape[0]))
     for start in range(0, A.shape[0], _BLOCK_ROWS):
         blk = A[start : start + _BLOCK_ROWS]
-        if spec.family == "gaussian":
-            d2 = np.sum((blk[:, None, :] - B[None, :, :]) ** 2, axis=-1)
-            vals = np.exp(-d2 / (2.0 * spec.bandwidth**2))
-        elif spec.family == "linear":
-            vals = np.sum(blk[:, None, :] * B[None, :, :], axis=-1)
-        else:
-            dots = np.sum(blk[:, None, :] * B[None, :, :], axis=-1)
-            vals = (dots + spec.offset) ** int(spec.degree)
-        out[start : start + blk.shape[0]] = vals
+        out[start : start + blk.shape[0]] = _values(spec, blk[:, None, :], B)
     return out
 
 
@@ -116,13 +120,7 @@ def column(spec: KernelSpec, point: np.ndarray, points: np.ndarray) -> tuple[np.
     """``(cross, self_term)``: ``pairwise(spec, point, points)[0]`` and
     ``evaluate(spec, point, point)`` bit for bit, as one row reduction over
     ``points`` with ``point`` appended."""
-    rows = np.concatenate((points, point[None, :]))
-    if spec.family == "gaussian":
-        vals = np.exp(-((point - rows) ** 2).sum(axis=1) / (2.0 * spec.bandwidth**2))
-    else:
-        vals = (point * rows).sum(axis=1)
-        if spec.family == "polynomial":
-            vals = (vals + spec.offset) ** int(spec.degree)
+    vals = _values(spec, point, np.concatenate((points, point[None, :])))
     return vals[:-1], float(vals[-1])
 
 

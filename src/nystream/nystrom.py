@@ -119,12 +119,6 @@ def nystrom_approx(K: np.ndarray, selection: Selection, gamma: float) -> Nystrom
     return NystromFactor(cross=cross, sampled=sampled, gamma=float(gamma))
 
 
-def krr_exact(K: np.ndarray, mu: float, y: np.ndarray) -> np.ndarray:
-    """Exact kernel ridge regression weights ``(K + mu I)^{-1} y``."""
-    y = np.asarray(y, dtype=np.float64)
-    return regularized_solve(K, mu, y)
-
-
 def krr_approx(factor: NystromFactor, mu: float, y: np.ndarray) -> np.ndarray:
     """Approximate ridge weights through the factored form.
 

@@ -125,14 +125,14 @@ class RunResult:
     @property
     def selection(self) -> Selection:
         d = self.dictionary
-        return Selection(d.indices, selection_weights(d), self.checkpoints[-1].step)
+        return Selection(d.indices, selection_weights(d.counts), self.checkpoints[-1].step)
 
     @property
     def factor(self) -> NystromFactor:
         """The final selection's factored approximation restricted to the
         dictionary rows; the kernel block is re-evaluated on each access."""
         q = self.dictionary.size
-        block = Selection(np.arange(q), selection_weights(self.dictionary), q)
+        block = Selection(np.arange(q), selection_weights(self.dictionary.counts), q)
         return nystrom_approx(_symmetric_pairwise(self.kernel, self.dict_points), block, self.gamma)
 
 
@@ -288,7 +288,7 @@ class EstimateOracle:
                     f"positive definite (leading minor {d.size + 1})"
                 )
         forms, quad_alpha, quad_sq, _ = query
-        diagonal = np.empty(d.size + 1)
+        diagonal = np.empty(cross.shape[0] + 1)
         diagonal[:-1] = sketch.gram.diagonal()
         diagonal[-1] = self_term
         tau = _clamped_scores(diagonal, forms, shift, self.diagnostics)
@@ -314,9 +314,10 @@ def ink_step(
     column's probability is not positive (its score estimate was clamped to
     0)."""
     d, points = state.dictionary, state.dict_points
-    if point.shape != points.shape[1:] or points.shape[0] != d.size:
+    q = d.size
+    if point.shape != points.shape[1:] or points.shape[0] != q:
         raise InputError(f"a step takes a point of shape {points.shape[1:]} and one point per dictionary "
-                         f"column; got shape {point.shape}, {points.shape[0]} points for {d.size} columns")
+                         f"column; got shape {point.shape}, {points.shape[0]} points for {q} columns")
     cross, self_term = column(state.kernel, point, points)
     step = state.step + 1
     if not (math.isfinite(self_term) and np.isfinite(cross).all()):
@@ -324,8 +325,8 @@ def ink_step(
                          f"{self_term}): the kernel's arithmetic overflows on this input")
     tau, deff_new = oracle.begin_step(state, new_index, cross, self_term)
     tau = np.asarray(tau, dtype=np.float64)
-    if tau.shape != (d.size + 1,):
-        raise InputError(f"score oracle returned scores of shape {tau.shape} for {d.size + 1} columns")
+    if tau.shape != (q + 1,):
+        raise InputError(f"score oracle returned scores of shape {tau.shape} for {q + 1} columns")
     raw_p = tau / deff_new if deff_new > 0 else np.zeros_like(tau)
     p_new = clamp_probabilities(raw_p, state.p_tilde)
     if not p_new[:-1].min(initial=1.0) > 0:  # a kept column's chain needs a positive probability (NaN fails)
@@ -341,13 +342,13 @@ def ink_step(
             f"beyond the hard cap {cap}"
         )
 
-    queried = np.empty(d.size + 1, dtype=np.int64)
+    queried = np.empty(q + 1, dtype=np.int64)
     queried[:-1] = d.indices
     queried[-1] = new_index
     admitted = weights[-1] != 0
     old = keep[:-1] if admitted else keep
     # No retained column was dropped: the next state shares the points.
-    points_block = points if old.shape[0] == d.size else points[old]
+    points_block = points if old.shape[0] == q else points[old]
     if admitted:
         points_block = np.concatenate((points_block, point[None, :]))
 

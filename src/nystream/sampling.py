@@ -184,7 +184,7 @@ def shrink_expand(
     return b
 
 
-def selection_weights(dictionary: Dictionary) -> np.ndarray:
-    """Square roots of the integer weights, aligned with the dictionary's
-    indices: the selection entries."""
-    return np.sqrt(dictionary.counts)
+def selection_weights(counts) -> np.ndarray:
+    """The selection entries of a stream's integer weights (a dictionary's
+    ``counts`` or a checkpoint's ``weights``): their square roots, in order."""
+    return np.sqrt(counts)

@@ -46,6 +46,7 @@ from scipy.linalg.blas import dgemm
 from .errors import InvariantViolation
 from .linalg import _inverse, shifted_cholesky
 from .nystrom import Selection, nystrom_approx
+from .sampling import selection_weights
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class CarriedSketch:
         # The dictionary-row restriction of the weighted selection applied to
         # the kernel matrix: cross = D B^{1/2}, sampled = B^{1/2} D B^{1/2}.
         q = counts.shape[0]
-        sqrt_b = np.sqrt(counts)
+        sqrt_b = selection_weights(counts)
         factor = nystrom_approx(gram, Selection(np.arange(q), sqrt_b, q), gamma)
         # K~ as NystromFactor.materialize computes it, keeping the factor of
         # sampled + gamma I for N = B^{1/2} (sampled + gamma I)^-1 B^{1/2}.

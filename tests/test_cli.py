@@ -142,6 +142,29 @@ class TestRun:
         monkeypatch.setattr(cli_mod, "_execute_run", boom)
         assert main(run_args(data_csv, tmp_path / "out")) == 2
 
+    @pytest.mark.parametrize(
+        "raised, message",
+        [
+            (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"),
+             "error: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)\n"),
+            (MemoryError(), "error: MemoryError\n"),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    def test_failed_allocation_exits_1_and_writes_nothing(self, data_csv, tmp_path, capsys, monkeypatch,
+                                                          raised, message):
+        """A budget whose allocation fails (batch-exact's m draws) is an
+        error line and exit 1, not a traceback."""
+
+        def no_memory(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(cli_mod, "batch_exact", no_memory)
+        out = tmp_path / "out"
+        assert main(run_args(data_csv, out, **{"--algorithm": "batch-exact"})) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
 
 class TestVerify:
     def test_healthy_run_passes(self, data_csv, tmp_path):
@@ -582,6 +605,9 @@ class TestVerifyCheckpointList:
         assert not (out / "condition_reports.csv").exists()
 
 
+BANDWIDTH_RANGE = "make 2 * bandwidth**2 a positive finite float (about 1.6e-162 to 9.5e153)"
+
+
 class TestNumericInputFailsWhereItEnters:
     """inf, NaN and the degenerate datasets exit 1 with one ``error:`` line
     and write nothing."""
@@ -593,8 +619,10 @@ class TestNumericInputFailsWhereItEnters:
             ({"--kernel": "polynomial", "--offset": "nan"}, "offset must be non-negative and finite, got nan"),
             ({"--kernel": "polynomial", "--offset": "inf"}, "offset must be non-negative and finite, got inf"),
             ({"--bandwidth": "inf"}, "bandwidth must be positive and finite, got inf"),
+            ({"--bandwidth": "1e200"}, f"bandwidth must {BANDWIDTH_RANGE}, got 1e+200"),
+            ({"--bandwidth": "1e-170"}, f"bandwidth must {BANDWIDTH_RANGE}, got 1e-170"),
         ],
-        ids=["gamma-inf", "offset-nan", "offset-inf", "bandwidth-inf"],
+        ids=["gamma-inf", "offset-nan", "offset-inf", "bandwidth-inf", "bandwidth-1e200", "bandwidth-1e-170"],
     )
     def test_run(self, data_csv, tmp_path, capsys, overrides, message):
         out = tmp_path / "out"

@@ -4,6 +4,7 @@ each rule's boundary raise ``InputError`` naming the parameter, before any
 kernel evaluation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from nystream import (
     initial_state,
     kernels,
     krr_approx,
-    krr_exact,
     load_csv,
     monotonicity_audit,
     nystrom_approx,
@@ -62,8 +62,13 @@ REJECTED = {
     "open_unit": (INF, -INF, NAN, 0.0, 1.0),
     "half_open_unit": (INF, -INF, NAN, -5e-324, 1.0),
     "positive_int": (INF, -INF, NAN, 0, 2.5),
+    # positive's values, then the bandwidths where 2.0 * bandwidth**2 overflows or is 0
+    "gaussian_bandwidth": (INF, -INF, NAN, 0.0, 1e200, 1e-170),
 }
-ACCEPTED = {"positive": 0.5, "non_negative": 0.0, "open_unit": 0.5, "half_open_unit": 0.0, "positive_int": 2}
+ACCEPTED = {
+    "positive": 0.5, "non_negative": 0.0, "open_unit": 0.5, "half_open_unit": 0.0, "positive_int": 2,
+    "gaussian_bandwidth": 0.5,
+}
 
 DS = Dataset(points=[[0.0, 1.0], [1.0, 0.5], [0.3, -0.2], [1.2, 0.4]])
 GAUSS = KernelSpec.gaussian_kernel(1.0)
@@ -75,7 +80,7 @@ PROBLEM = FixedDesignProblem(dataset=DS, f_star=np.zeros(4), noise_std=0.1, mu=1
 
 # (entry point, parameter name in the message, rule, call with the value)
 ENTRY_POINTS = [
-    ("KernelSpec.gaussian_kernel", "bandwidth", "positive", lambda v: KernelSpec.gaussian_kernel(v)),
+    ("KernelSpec.gaussian_kernel", "bandwidth", "gaussian_bandwidth", lambda v: KernelSpec.gaussian_kernel(v)),
     ("KernelSpec.polynomial_kernel", "degree", "positive_int", lambda v: KernelSpec.polynomial_kernel(v, 1.0)),
     ("KernelSpec.polynomial_kernel", "offset", "non_negative", lambda v: KernelSpec.polynomial_kernel(2, v)),
     ("alpha_factor", "epsilon", "half_open_unit", lambda v: alpha_factor(v)),
@@ -93,7 +98,6 @@ ENTRY_POINTS = [
     ("regularized_solve", "ridge", "positive", lambda v: regularized_solve(K, v, np.ones(2))),
     ("NystromFactor", "gamma", "positive", lambda v: NystromFactor(cross=K, sampled=K, gamma=v)),
     ("nystrom_approx", "gamma", "positive", lambda v: nystrom_approx(K, SEL, v)),
-    ("krr_exact", "ridge", "positive", lambda v: krr_exact(K, v, np.ones(2))),
     ("krr_approx", "mu", "positive", lambda v: krr_approx(FACTOR, v, np.ones(2))),
     ("Dictionary.from_weights", "q_bar", "positive_int", lambda v: Dictionary.from_weights({}, v)),
     ("initial_state", "q_bar", "positive_int", lambda v: initial_state(v, RngHandle(0), GAUSS, 2)),
@@ -158,7 +162,7 @@ def no_kernel_work(monkeypatch):
 
 @pytest.mark.parametrize("call, name, value", CASES)
 def test_rule_rejects_non_finite_and_boundary_values(no_kernel_work, call, name, value):
-    with pytest.raises(InputError, match=rf"^{name} must .*, got {value}$"):
+    with pytest.raises(InputError, match=rf"^{name} must .*, got {re.escape(str(value))}$"):
         call(value)
 
 

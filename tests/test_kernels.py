@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,37 @@ class TestSpecValidation:
     def test_gaussian_needs_bandwidth(self):
         with pytest.raises(InputError):
             KernelSpec(family="gaussian", bandwidth=0.0)
+
+    # The bandwidths at the ends of the gaussian formula's range: 2.0 *
+    # bandwidth**2 is the largest finite float at the first, the smallest
+    # positive one at the second.
+    WIDEST, NARROWEST = 9.480751908109176e153, 1.5717277847026288e-162
+
+    @pytest.mark.parametrize(
+        "bandwidth", [1e200, 1e-170, math.nextafter(WIDEST, math.inf), math.nextafter(NARROWEST, 0.0)]
+    )
+    def test_gaussian_bandwidth_outside_the_formulas_range(self, bandwidth):
+        """2.0 * bandwidth**2 overflows (1e200 raises OverflowError) or is 0
+        (every self term would be NaN): the spec names the bandwidth."""
+        message = ("bandwidth must make 2 * bandwidth**2 a positive finite float "
+                   f"(about 1.6e-162 to 9.5e153), got {bandwidth}")
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            KernelSpec.gaussian_kernel(bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", [WIDEST, NARROWEST])
+    def test_gaussian_bandwidth_range_ends_accepted(self, bandwidth):
+        point = np.array([0.3, -1.2])
+        cross, self_term = column(KernelSpec.gaussian_kernel(bandwidth), point, np.empty((0, 2)))
+        assert cross.shape == (0,) and self_term == 1.0
+
+    @pytest.mark.parametrize("bandwidth", [1e150, 1e-150])
+    def test_gaussian_bandwidth_far_inside_the_range_evaluates(self, bandwidth):
+        ds = Dataset(points=[[0.0, 1.0], [1.0, 0.5], [0.3, -0.2]])
+        spec = KernelSpec.gaussian_kernel(bandwidth)
+        K = gram(ds, spec)
+        assert np.isfinite(K).all() and (np.diag(K) == 1.0).all()
+        cross, self_term = column(spec, ds.points[2], ds.points[:2])
+        assert cross.tobytes() == K[2, :2].tobytes() and self_term == 1.0
 
     def test_polynomial_needs_degree(self):
         with pytest.raises(InputError):

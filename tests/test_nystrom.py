@@ -8,7 +8,6 @@ from nystream import (
     Selection,
     build_selection,
     krr_approx,
-    krr_exact,
     nystrom_approx,
     psd_order_check,
     spectral_norm,
@@ -145,24 +144,6 @@ class TestNystromApprox:
         factor = NystromFactor(cross=np.ones((DESK_SCALE_CAP + 1, 1)), sampled=np.ones((1, 1)), gamma=1.0)
         with pytest.raises(InputError, match="capped at"):
             factor.materialize()
-
-
-class TestKrrExact:
-    def test_zero_matrix(self, rng):
-        y = rng.normal(size=5)
-        np.testing.assert_allclose(krr_exact(np.zeros((5, 5)), 2.0, y), y / 2.0)
-
-    def test_identity(self, rng):
-        y = rng.normal(size=5)
-        np.testing.assert_allclose(krr_exact(np.eye(5), 1.0, y), y / 2.0)
-
-    def test_matches_explicit_inverse(self, rng):
-        for _ in range(10):
-            K = random_gram(rng, 7)
-            y = rng.normal(size=7)
-            mu = float(rng.uniform(0.2, 2.0))
-            expected = np.linalg.inv(K + mu * np.eye(7)) @ y
-            np.testing.assert_allclose(krr_exact(K, mu, y), expected, atol=1e-8)
 
 
 class TestKrrApprox:

@@ -308,15 +308,22 @@ class TestShrinkExpandMultiColumn:
 class TestSelectionWeights:
     def test_unit_weights(self):
         d = Dictionary.from_weights({0: 1, 4: 1}, q_bar=2)
-        assert selection_weights(d).tolist() == [1.0, 1.0]
+        assert selection_weights(d.counts).tolist() == [1.0, 1.0]
 
     def test_square_root(self):
         d = Dictionary.from_weights({2: 4}, q_bar=2)
-        assert selection_weights(d).tolist() == [2.0]
+        assert selection_weights(d.counts).tolist() == [2.0]
 
     def test_matches_recomputation(self):
         d = Dictionary.from_weights({0: 3, 1: 7, 9: 2}, q_bar=5)
-        got = selection_weights(d)
+        got = selection_weights(d.counts)
         assert got.dtype == np.float64
         for pos, b in enumerate(d.counts.tolist()):
             assert got[pos] == math.sqrt(b)
+
+    def test_checkpoint_weights_give_the_dictionarys_entries(self):
+        """A checkpoint stores the counts as floats; verify's selection from
+        them is the stream's, bit for bit."""
+        counts = np.array([1, 2, 3, 7, 10**6, 2**40 + 1], dtype=np.int64)
+        as_stored = np.asarray(tuple(counts.astype(np.float64).tolist()), dtype=np.float64)
+        assert selection_weights(as_stored).tobytes() == selection_weights(counts).tobytes()
