@@ -261,8 +261,11 @@ def clamp_probabilities(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     """Element-wise minimum of ``new`` and ``old`` at ``old``'s positions.
 
     ``new`` is aligned with ``old`` and may run longer: entries past ``old``
-    (a brand-new index has no previous value) pass through unclamped.
+    (a brand-new index has no previous value) pass through unclamped.  An
+    ``old`` longer than ``new`` is an :class:`InputError`.
     """
     out = np.array(new, dtype=np.float64)
+    if len(old) > len(out):
+        raise InputError(f"{len(old)} previous probabilities cannot clamp {len(out)} new ones")
     np.minimum(out[: len(old)], old, out=out[: len(old)])
     return out

@@ -240,14 +240,17 @@ class EstimateOracle:
     estimates afterwards.  The oracle counts its clamps in ``diagnostics``.
 
     The oracle carries the kernel block and inverses of the sketch
-    (:class:`CarriedSketch`) and the column it was last asked about from one
-    step to the next, and advances them along the 1-2 dictionary columns a
-    step changes, in O(k Q^2), when ``begin_step`` gets the successor of the
-    state it saw last: the next step of the same run (same random handle),
-    keeping only columns that call queried.  It rebuilds them instead every
-    ``_REFRESH_EVERY`` steps and when the update or the query on it meets a
-    Schur complement that is not positive, on the moved block, and for any
-    other state, on the block evaluated from the state's points.
+    (:class:`CarriedSketch`), the block's diagonal and the column it was
+    last asked about from one step to the next, and advances them along the
+    1-2 dictionary columns a step changes, in O(k Q^2), when ``begin_step``
+    gets the successor of the state it saw last: the next step of the same
+    run (same random handle), keeping only columns that call queried.  A
+    successor whose dictionary arrays are the carried sketch's own (the step
+    changed nothing) queries that sketch as it is.  The oracle rebuilds the
+    sketch instead every ``_REFRESH_EVERY`` steps and when the update or the
+    query on it meets a Schur complement that is not positive, on the carried
+    or moved block, and for any other state, on the block evaluated from the
+    state's points.
     """
 
     _REFRESH_EVERY = 64
@@ -260,8 +263,11 @@ class EstimateOracle:
         self._gamma = float(gamma)
         self._epsilon = float(epsilon)
         # (sketch, the step and random handle of the successor state it
-        # expects next, and the possibly admitted index with its column)
-        self._carried: tuple[CarriedSketch, int, RngHandle, tuple[int, np.ndarray, float]] | None = None
+        # expects next, the possibly admitted index with its column, and the
+        # sketch block's diagonal with a free last slot)
+        self._carried: (
+            tuple[CarriedSketch, int, RngHandle, tuple[int, np.ndarray, float], np.ndarray] | None
+        ) = None
 
     def begin_step(self, state, new_index, cross, self_term) -> tuple[np.ndarray, float]:
         gamma, shift = self._gamma, self.alpha * self._gamma
@@ -270,15 +276,22 @@ class EstimateOracle:
             # The first score and effective dimension are exact (0.0 for a self term of 0).
             return np.array([self_term / (self_term + shift)]), self_term / (self_term + gamma)
         d = state.dictionary
-        moved = query = None
+        block = sketch = query = None
         if carried is not None and state.step == carried[1] and state.rng is carried[2]:
-            moved = carried[0].moved_block(d.indices, *carried[3])
-        if moved is not None and state.step % self._REFRESH_EVERY:
-            sketch = carried[0].advance(d.indices, d.counts, *moved)
-            if sketch is not None:
-                query = sketch.query(cross, self_term)
+            previous, refresh = carried[0], not state.step % self._REFRESH_EVERY
+            if d.indices is previous.indices and d.counts is previous.counts:
+                # The step changed no column: the carried sketch is this dictionary's.
+                block, sketch = previous.gram, None if refresh else previous
+            else:
+                moved = previous.moved_block(d.indices, *carried[3])
+                if moved is not None:
+                    block = moved[1]
+                    sketch = None if refresh else previous.advance(d.indices, d.counts, *moved)
+        if sketch is not None:
+            query = sketch.query(cross, self_term)
         if query is None or not query[3] > 0:
-            block = _symmetric_pairwise(state.kernel, state.dict_points) if moved is None else moved[1]
+            if block is None:
+                block = _symmetric_pairwise(state.kernel, state.dict_points)
             sketch = CarriedSketch.rebuild(d.indices, d.counts, block, gamma, shift)
             query = sketch.query(cross, self_term)
             if not query[3] > 0:
@@ -288,13 +301,16 @@ class EstimateOracle:
                     f"positive definite (leading minor {d.size + 1})"
                 )
         forms, quad_alpha, quad_sq, _ = query
-        diagonal = np.empty(cross.shape[0] + 1)
-        diagonal[:-1] = sketch.gram.diagonal()
+        if carried is not None and sketch.gram is carried[0].gram:
+            diagonal = carried[4]
+        else:
+            diagonal = np.empty(cross.shape[0] + 1)
+            diagonal[:-1] = sketch.gram.diagonal()
         diagonal[-1] = self_term
         tau = _clamped_scores(diagonal, forms, shift, self.diagnostics)
         delta = _increment_from_forms(self_term, gamma, self._epsilon, quad_alpha, quad_sq)
         deff = update_deff(state.deff_tilde, delta, self._epsilon, diagnostics=self.diagnostics)
-        self._carried = (sketch, state.step + 1, state.rng, (new_index, cross, self_term))
+        self._carried = (sketch, state.step + 1, state.rng, (new_index, cross, self_term), diagonal)
         return tau, deff
 
 
@@ -308,16 +324,19 @@ def ink_step(
     the dictionary's points and itself, ask the oracle once for scores on the
     dictionary plus ``new_index`` (which must exceed every dictionary index),
     clamp the induced probabilities against the previous step, run the
-    shrink/expand chains, and keep the points of the surviving columns.
-    Raises :class:`InputError`, before the oracle call, when a kernel value
-    of the point is not finite, and :class:`NumericalError` when a retained
-    column's probability is not positive (its score estimate was clamped to
-    0)."""
+    shrink/expand chains, and keep the points of the surviving columns; a
+    step whose chains change nothing passes the dictionary and its points on
+    as they are.  Raises :class:`InputError`, before any kernel work, when
+    the state's points or ``p_tilde`` do not match its dictionary, and
+    before the oracle call when a kernel value of the point is not finite;
+    and :class:`NumericalError` when a retained column's probability is not
+    positive (its score estimate was clamped to 0)."""
     d, points = state.dictionary, state.dict_points
     q = d.size
-    if point.shape != points.shape[1:] or points.shape[0] != q:
-        raise InputError(f"a step takes a point of shape {points.shape[1:]} and one point per dictionary "
-                         f"column; got shape {point.shape}, {points.shape[0]} points for {q} columns")
+    if point.shape != points.shape[1:] or points.shape[0] != q or state.p_tilde.shape != (q,):
+        raise InputError(f"a step takes a point of shape {points.shape[1:]} and one point and one probability "
+                         f"per dictionary column; got shape {point.shape}, {points.shape[0]} points for {q} "
+                         f"columns and p_tilde of shape {state.p_tilde.shape}")
     cross, self_term = column(state.kernel, point, points)
     step = state.step + 1
     if not (math.isfinite(self_term) and np.isfinite(cross).all()):
@@ -347,14 +366,16 @@ def ink_step(
     queried[-1] = new_index
     admitted = weights[-1] != 0
     old = keep[:-1] if admitted else keep
-    # No retained column was dropped: the next state shares the points.
+    # No retained column was dropped: the next state shares the points, and
+    # the dictionary too when no weight changed either.
     points_block = points if old.shape[0] == q else points[old]
     if admitted:
         points_block = np.concatenate((points_block, point[None, :]))
+    unchanged = not admitted and old.shape[0] == q and weights[:-1].tolist() == d.counts.tolist()
 
     next_state = SketchState(
         step=step,
-        dictionary=Dictionary(queried[keep], weights[keep], d.q_bar),
+        dictionary=d if unchanged else Dictionary(queried[keep], weights[keep], d.q_bar),
         p_tilde=p_new[keep],
         deff_tilde=deff_new,
         kernel=state.kernel,

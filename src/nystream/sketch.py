@@ -18,7 +18,8 @@ surviving columns and bordered with the admitted one):
 * a weight change ``b -> b'`` adds ``gamma (1/b' - 1/b)`` to one diagonal
   entry of ``D + Gamma``: a rank-one change of ``N`` and of ``K~``; an
   eviction is its ``b' -> 0`` limit followed by deleting the coordinate.
-  All of a step's reweights and evictions go through one Woodbury update;
+  All of a step's reweights and evictions go through one Woodbury update,
+  which for a single reweight and no eviction is that rank-one update;
 * an admission borders ``D`` with the new column ``(c, k)`` and ``D + Gamma``
   with ``(c, k + gamma / b)``, which is a rank-one change of ``K~`` on the old
   coordinates followed by a bordering.
@@ -31,8 +32,10 @@ Each carried Q x Q array is allocated by the step that produces it and
 filled once: the surviving block is copied into it run by run (one block
 copy per pair of runs of consecutive kept positions), and the step's
 low-rank terms are added in place by BLAS ``dgemm``.  No array is written
-after its sketch is built, so a step that changes nothing shares its
-predecessor's arrays.
+after its sketch is built, so a step that only reweights shares its
+predecessor's kernel block, and a step that changes nothing keeps its
+predecessor's sketch itself: the streaming step passes such a dictionary on
+as the same object, and the oracle queries the sketch built for it.
 """
 
 from __future__ import annotations
@@ -123,11 +126,6 @@ class CarriedSketch:
         b_new = np.zeros(q0, dtype=np.int64)
         b_new[pos] = counts[:m]
         changed = np.flatnonzero(b_new != self.counts)
-        if not changed.size and m == q1:
-            return CarriedSketch(
-                indices, counts, gram, self.inv_m, self.inv_shift, self.inv_gamma, self.quad,
-                self.gamma, self.shift,
-            )
         runs = _runs(pos)
         carried = tuple(_kept_block(P, runs, q1) for P in (self.inv_m, self.inv_shift, self.inv_gamma))
         quad = self._reweight(changed, b_new[changed], pos, *carried) if changed.size else self.quad
@@ -141,26 +139,36 @@ class CarriedSketch:
         """One Woodbury update for every weight change and eviction (new
         weight 0), added in place to the kept blocks ``inv_m``, ``inv_shift``
         and ``inv_gamma``; returns the forms restricted to the retained
-        positions ``pos``.  A one-weight step's 1 x 1 capacitance matrices
-        are inverted as scalars (:func:`_capacitance_inverse`)."""
-        b0 = self.counts[changed].astype(np.float64)
+        positions ``pos``.  A step that changes one weight and evicts nothing
+        makes it a rank-one update on 1-column arrays, whose 1 x 1
+        capacitance matrices are inverted as scalars
+        (:func:`_capacitance_inverse`)."""
         # (D + Gamma + E_S diag(delta) E_S^T)^-1 = N - N_S T^-1 N_S^T with
         # T = diag(1/delta) + N_SS and delta = gamma (1/b1 - 1/b0); an
         # eviction (b1 = 0) has 1/delta = 0.
         n_s = self.inv_m[:, changed]
-        T = n_s[changed] + np.diag(b0 * b1 / (self.gamma * (b0 - b1)))
-        # K~ changes by -H T^-1 H^T with H = D N_S = E_S - Gamma N_S.  Deleting
-        # a coordinate is the limit of adding t e_j e_j^T to K~ + shift I as
-        # t -> infinity, so each evicted coordinate joins H as a unit column
-        # whose block of the capacitance inverse is 0.
-        k = changed.shape[0]
-        gone = changed[b1 == 0]
-        H = np.zeros((n_s.shape[0], k + gone.shape[0]))
-        H[:, :k] = n_s * (-self.gamma / self.counts)[:, None]
-        H[changed, np.arange(k)] += 1.0
-        H[gone, k + np.arange(gone.shape[0])] = 1.0
-        middle = np.zeros((H.shape[1], H.shape[1]))
-        middle[:k, :k] = -T
+        # K~ changes by -H T^-1 H^T with H = D N_S = E_S - Gamma N_S.
+        H = n_s * (-self.gamma / self.counts)[:, None]
+        if changed.shape[0] == 1 and b1[0]:
+            b0, b = float(self.counts[changed[0]]), float(b1[0])
+            T = n_s[changed] + b0 * b / (self.gamma * (b0 - b))
+            H[changed[0], 0] += 1.0
+            middle = -T
+        else:
+            b0 = self.counts[changed].astype(np.float64)
+            T = n_s[changed] + np.diag(b0 * b1 / (self.gamma * (b0 - b1)))
+            # Deleting a coordinate is the limit of adding t e_j e_j^T to
+            # K~ + shift I as t -> infinity, so each evicted coordinate joins H
+            # as a unit column whose block of the capacitance inverse is 0.
+            k = changed.shape[0]
+            gone = changed[b1 == 0]
+            wide = np.zeros((H.shape[0], k + gone.shape[0]))
+            wide[:, :k] = H
+            H = wide
+            H[changed, np.arange(k)] += 1.0
+            H[gone, k + np.arange(gone.shape[0])] = 1.0
+            middle = np.zeros((H.shape[1], H.shape[1]))
+            middle[:k, :k] = -T
         q1 = inv_m.shape[0]
         _add_low_rank(inv_m, _padded(n_s[pos], q1), -_capacitance_inverse(T))
         updated = []

@@ -335,6 +335,11 @@ class TestClampProbabilities:
     def test_unseen_key_passes_through(self):
         assert clamp_probabilities(np.array([0.7]), np.empty(0)).tolist() == [0.7]
 
+    def test_old_longer_than_new_rejected(self):
+        """Was a bare numpy broadcasting error."""
+        with pytest.raises(InputError, match="3 previous probabilities cannot clamp 2 new ones"):
+            clamp_probabilities(np.ones(2), np.ones(3))
+
 
 class TestMonotoneLaws:
     def test_tau_and_probability_decrease_on_random_streams(self, rng):

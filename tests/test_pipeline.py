@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import os
 import sys
@@ -236,6 +237,23 @@ class TestInkStep:
         with pytest.raises(InputError, match="2 points for 1 columns"):
             ink_step(bad, 1, ds.points[1], StubOracle())
 
+    @pytest.mark.parametrize("extra", [1, -1, 2])
+    def test_misaligned_probabilities_rejected(self, extra):
+        """A state whose ``p_tilde`` runs one entry long, one short or two
+        long is rejected before any kernel work.  Was: the new column's
+        probability clamped to the stray entry, the last retained column left
+        unclamped, and a bare numpy error."""
+        ds = orthogonal_dataset(6)
+        state = initial_state(4, RngHandle(0), KernelSpec.linear_kernel(), ds.dim)
+        for t in range(5):
+            state, _ = ink_step(state, t, ds.points[t], StubOracle())
+        p = state.p_tilde
+        bad = replace(state, p_tilde=np.append(p, np.full(extra, 1e-9)) if extra > 0 else p[:extra])
+        oracle = RecordingOracle()
+        with pytest.raises(InputError, match=rf"5 points for 5 columns and p_tilde of shape \({5 + extra},\)"):
+            ink_step(bad, 5, ds.points[5], oracle)
+        assert oracle.columns == []
+
     @pytest.mark.parametrize("steps", [0, 2])
     def test_wrong_dimension_point_rejected(self, steps):
         """Checked on an empty dictionary too, where no cross term is
@@ -354,6 +372,7 @@ class TestInkStep:
             seen.update(kind for kind, happened in kinds.items() if happened)
             if not any(kinds.values()):
                 seen.add("nothing")
+                assert nxt.dictionary is state.dictionary
             if not (kinds["admit"] or kinds["evict"]):
                 assert nxt.dict_points is state.dict_points
                 shared_block = block
@@ -377,6 +396,30 @@ class TestInkStep:
         # cap = 8 * q_bar = 16; the stub keeps everything, so step 17 breaks it
         with pytest.raises(InvariantViolation, match="grew to 17 columns .* beyond the hard cap 16"):
             ink_oracle_run(ds, kern, 1.0, 2, StubOracle(), rng=0)
+
+    def test_hard_cap_holds_on_a_step_that_changes_nothing(self):
+        """A hand-built state already past the cap, whose chains keep every
+        weight and drop the new column, still fails the cap check; under a
+        cap it does not exceed, the same step passes its dictionary on."""
+
+        class DropsTheNewColumn:
+            def begin_step(self, state, new_index, cross, self_term):
+                return np.append(np.ones(state.dictionary.size), 0.0), 1.0
+
+        ds = orthogonal_dataset(10)
+
+        def state(q_bar):
+            # Weight 2 at probability 1 fires no chain (2 > 1 / q_bar), and
+            # the new column's probability 0 drops it.
+            start = initial_state(q_bar, RngHandle(0), KernelSpec.linear_kernel(), ds.dim)
+            dictionary = Dictionary.from_weights({i: 2 for i in range(9)}, q_bar)
+            return replace(start, step=9, dictionary=dictionary, p_tilde=np.ones(9), dict_points=ds.points[:9])
+
+        with pytest.raises(InvariantViolation, match="grew to 9 columns at step 10, beyond the hard cap 8"):
+            ink_step(state(1), 9, ds.points[9], DropsTheNewColumn())
+        under_cap = state(2)
+        nxt, _ = ink_step(under_cap, 9, ds.points[9], DropsTheNewColumn())
+        assert nxt.dictionary is under_cap.dictionary
 
 
 class TestEstimateOracleAgainstExact:
@@ -525,10 +568,9 @@ class TestEstimateOracleCarry:
     GAMMA, EPS = 0.05, 0.5
 
     @classmethod
-    def _calls(cls, seed, steps, oracle):
+    def _calls(cls, seed, steps, oracle, kern=KernelSpec.gaussian_kernel(1.0)):
         """``(state, new_index, point)`` of each step of a seeded stream."""
         ds = clustered(max(80, steps), seed=5, d=3)
-        kern = KernelSpec.gaussian_kernel(1.0)
         state = initial_state(40, RngHandle(seed), kern, ds.dim)
         calls = []
         for t in range(steps):
@@ -556,12 +598,15 @@ class TestEstimateOracleCarry:
             assert tau.tobytes() == ref_tau.tobytes()
             assert deff == ref_deff
 
-    def test_successors_match_the_one_shot_step(self):
+    @pytest.mark.parametrize("kern", [KernelSpec.gaussian_kernel(1.0), KernelSpec.linear_kernel()])
+    def test_successors_match_the_one_shot_step(self, kern):
         """Each successor against a fresh oracle, which computes the step from
         scratch; over more than one refresh period, so steps both right after
-        a rebuild and far from one are checked."""
+        a rebuild and far from one are checked.  The linear kernel's self
+        terms differ from point to point (the gaussian's are all 1), which
+        the diagonal a carried block keeps for its steps must follow."""
         oracle = EstimateOracle(self.GAMMA, self.EPS)
-        calls = self._calls(1, 2 * EstimateOracle._REFRESH_EVERY + 20, oracle)
+        calls = self._calls(1, 2 * EstimateOracle._REFRESH_EVERY + 20, oracle, kern)
         for call in calls[1:]:
             tau, deff = self._ask(oracle, call)
             ref_tau, ref_deff = self._ask(EstimateOracle(self.GAMMA, self.EPS), call)
@@ -610,11 +655,13 @@ class TestEstimateOracleCarry:
         assert str(carried_error.value) == str(rebuild_error.value)
         assert "not positive definite (leading minor 2)" in str(carried_error.value)
 
-    def test_moved_block_runs_once_per_step(self, monkeypatch):
-        """The oracle matches its carried sketch to the state once a step: on
-        every successor of a seeded stream, across two periodic rebuilds, and
-        on a successor whose carried update fails and falls back to a
-        rebuild."""
+    def test_moved_block_runs_once_per_changed_dictionary(self, monkeypatch):
+        """The oracle matches its carried sketch to the state exactly once on
+        each successor whose dictionary the step before changed, and never on
+        one whose dictionary it passed on as it was (that state queries the
+        carried sketch itself): on a seeded stream across two periodic
+        rebuilds, and on a successor whose carried update fails and falls
+        back to a rebuild."""
         calls = []
         moved_block = CarriedSketch.moved_block
 
@@ -624,9 +671,13 @@ class TestEstimateOracleCarry:
 
         monkeypatch.setattr(CarriedSketch, "moved_block", counted)
         steps = 2 * EstimateOracle._REFRESH_EVERY + 20
-        self._calls(1, steps, EstimateOracle(self.GAMMA, self.EPS))
-        # Step 0 builds no sketch, and step 1 has none carried in.
-        assert len(calls) == steps - 2
+        states = [state for state, _, _ in self._calls(1, steps, EstimateOracle(self.GAMMA, self.EPS))]
+        # Each call names the index the step before asked about; step 0
+        # builds no sketch, and step 1 has none carried in.
+        asking = [new_index + 1 for _, new_index, _, _ in calls]
+        changed = [t for t in range(2, steps) if states[t].dictionary is not states[t - 1].dictionary]
+        assert asking == changed
+        assert 0 < len(changed) < steps - 2
         calls.clear()
         oracle = EstimateOracle(0.1, 0.5)
         first = one_column_state()
@@ -634,6 +685,33 @@ class TestEstimateOracleCarry:
         with pytest.raises(NumericalError):
             oracle.begin_step(admitting_successor(first), 2, np.array([0.5, 0.5]), 1.0)
         assert len(calls) == 1
+
+    def test_a_copied_dictionary_takes_the_update_path_to_the_same_bits(self):
+        """A twin oracle asked about each state with its dictionary arrays
+        freshly copied cannot share the carried sketch, so it moves and
+        advances it on every step; on a seeded Q ~ 30 stream whose steps
+        often change nothing, its scores and effective dimension match the
+        shared path's bit for bit at every step."""
+        shared, twin = EstimateOracle(0.1, 0.5), EstimateOracle(0.1, 0.5)
+        unchanged = []
+
+        class Twins:
+            previous = None
+
+            def begin_step(self, state, new_index, cross, self_term):
+                d = state.dictionary
+                unchanged.append(d is self.previous)
+                self.previous = d
+                copied = replace(state, dictionary=replace(d, indices=d.indices.copy(), counts=d.counts.copy()))
+                tau, deff = shared.begin_step(state, new_index, cross, self_term)
+                twin_tau, twin_deff = twin.begin_step(copied, new_index, cross, self_term)
+                assert (twin_tau.tobytes(), twin_deff) == (tau.tobytes(), deff), new_index
+                return tau, deff
+
+        ds = clustered(600, seed=1, d=3, clusters=4, std=0.5)
+        res = ink_oracle_run(ds, KernelSpec.gaussian_kernel(2.0), 0.1, 200, Twins(), rng=1)
+        assert 20 <= res.dictionary.size <= 40
+        assert sum(unchanged) > 200
 
 
 class TestRuns:
@@ -1005,13 +1083,19 @@ def test_step_call_budget():
         if event == "call" and frame.f_back is not None and frame.f_back.f_code.co_filename.startswith(root):
             calls += 1
 
+    # Earlier tests' garbage is collected first: a collection inside the
+    # profiled run would count the finalizers it calls against the nystream
+    # frame that happened to be running.
+    gc.collect()
     sys.setprofile(count)
     try:
         res = ink_estimate_run(ds, KernelSpec.gaussian_kernel(2.0), 0.1, 200, 0.5, rng=1)
     finally:
         sys.setprofile(None)
     assert res.dictionary.size == 26
-    assert calls <= 32515  # 43478 before the floor was cut, 34004 before one kernel formula
+    # 43478 before the floor was cut, 34004 before one kernel formula, 32515
+    # before a step that changes nothing kept its dictionary and sketch.
+    assert calls <= 30720
 
 
 class TestGoldenRuns:
