@@ -4,9 +4,23 @@ Everything here is allowed a second pass over the data (rebuilding dense
 prefix matrices is how streaming claims get audited), so none of it is part
 of the single-pass pipeline proper.  The upper PSD bound, psi_gap, the exact
 effective dimension and the risks are functions of K's spectrum: one private
-implementation each, which the public checks feed their own decomposition
-and :func:`verify_checkpoints` one ``eig_pairs(K)`` per checkpoint.  The
-approximate risk comes from the rank-Q factor of ``K~`` instead.
+construction each of the upper-bound gap matrix and psi's matrix, which the
+public checks feed their own decomposition and :func:`verify_checkpoints`
+one eigendecomposition of K per checkpoint.  The approximate risk comes from
+the rank-Q factor of ``K~`` instead.
+
+:func:`verify_checkpoints` uses two threads, its caller's and one helper
+that each call starts and joins, and runs a checkpoint's independent dense
+eigenproblems two at a time: K's eigendecomposition beside the eigenvalues
+of ``K - K~``, then the eigenvalues of the upper-bound gap beside psi's.
+Each thread's LAPACK call uses the process's BLAS threads, one each when the
+BLAS is pinned to one thread.  A multi-threaded BLAS competes with the
+overlap for the cores, and so does ``sweep --jobs N``, which runs up to 2N
+threads; a BLAS that is not thread-safe must not be shared by numpy and
+scipy, which call it from both threads at once.  A checkpoint holds at most
+four t x t arrays at once (K, ``K - K~`` and the two-array workspace of K's
+eigenvectors), besides numpy's copy of the matrix whose eigenvalues it
+takes.
 """
 
 from __future__ import annotations
@@ -17,12 +31,13 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
-from .errors import InputError, half_open_unit, non_negative, positive, positive_int
+from .errors import InputError, NumericalError, half_open_unit, non_negative, positive, positive_int
 from .kernels import DESK_SCALE_CAP, Dataset, KernelSpec, gram
 from .leverage import deff_increment_exact, exact_rls
-from .linalg import DEFAULT_PSD_TOL, _psd_within, eig_pairs, symmetrize
-from .nystrom import NystromFactor, Selection, nystrom_approx
+from .linalg import DEFAULT_PSD_TOL, _descending, _finite_bounds, _psd_within, symmetrize
+from .nystrom import NystromFactor, Selection, _gathered, nystrom_approx
 from .pipeline import ALGORITHMS, RunCheckpoint
 from .sampling import selection_weights
 
@@ -91,7 +106,12 @@ def check_condition(
     K_tilde = symmetrize(K_tilde)
     if K.shape != K_tilde.shape:
         raise InputError("matrices must share a shape")
-    return _condition(*_spectrum(K), K - K_tilde, gamma, epsilon, step, selection)
+    U, lam = _spectrum(*np.linalg.eigh(K))
+    diff = K - K_tilde
+    gaps = _eigenvalues(diff)
+    margins = _eigenvalues(_upper_gap(U, lam, diff, gamma, epsilon))
+    psi = None if selection is None else _eigenvalues(_psi_matrix(U, lam, selection, gamma))
+    return _report(step, gaps, margins, psi)
 
 
 def psi_gap(K: np.ndarray, selection: Selection, gamma: float) -> float:
@@ -103,7 +123,8 @@ def psi_gap(K: np.ndarray, selection: Selection, gamma: float) -> float:
     at that accuracy.
     """
     positive("gamma", gamma)
-    return _psi(*_spectrum(K), selection, gamma)
+    U, lam = _spectrum(*np.linalg.eigh(symmetrize(K)))
+    return float(np.max(_eigenvalues(_psi_matrix(U, lam, selection, gamma))))
 
 
 def fixed_design_risk(K_effective: np.ndarray, problem: FixedDesignProblem) -> float:
@@ -116,52 +137,60 @@ def fixed_design_risk(K_effective: np.ndarray, problem: FixedDesignProblem) -> f
     K_effective = symmetrize(K_effective)
     if K_effective.shape[0] != len(problem.dataset):
         raise InputError("matrix size must match the problem")
-    return _risk(*_spectrum(K_effective), problem)
+    return _risk(*_spectrum(*np.linalg.eigh(K_effective)), problem)
 
 
-def _spectrum(K: np.ndarray, *, require_psd: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors and eigenvalues clipped at zero, in eig_pairs' order;
-    with ``require_psd``, ``K`` is first checked by validate_psd's rule."""
-    pair = eig_pairs(K)
-    lam = pair.eigenvalues
-    if require_psd and lam.size and not _psd_within(lam, DEFAULT_PSD_TOL):
-        raise InputError(f"kernel matrix is not PSD (min eigenvalue {lam[-1]:.3e})")
-    return pair.eigenvectors, np.clip(lam, 0.0, None)
+def _spectrum(lam: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors and eigenvalues clipped at zero, in eig_pairs' order and
+    layout, from the ascending eigensolution ``(lam, V)`` of an exactly
+    symmetric matrix."""
+    pair = _descending(lam, V)
+    return pair.eigenvectors, np.clip(pair.eigenvalues, 0.0, None)
 
 
-def _condition(
-    U: np.ndarray, lam: np.ndarray, diff: np.ndarray, gamma: float, epsilon: float,
-    step: int, selection: Selection | None,
-) -> ConditionReport:
-    # One eigvalsh gives the lower check and the gap.
-    gaps = np.linalg.eigvalsh(diff) if diff.size else np.zeros(1)
-    gap = float(np.max(np.abs(gaps)))
-    lower_ok = _psd_within(gaps, CONDITION_TOL)
-    # The upper bound gamma/(1-eps) K (K + gamma I)^{-1} is root @ root.T.
-    # It and ``diff`` are exactly symmetric, so their difference is too and
-    # goes to eigvalsh as it is.
+def _require_psd(lam: np.ndarray) -> None:
+    """validate_psd's rule on the eigenvalues of a kernel matrix."""
+    if lam.size and not _psd_within(lam, DEFAULT_PSD_TOL):
+        raise InputError(f"kernel matrix is not PSD (min eigenvalue {lam.min():.3e})")
+
+
+def _eigenvalues(A: np.ndarray) -> np.ndarray:
+    """numpy's eigenvalues of a symmetric ``A``; ``[0.0]`` for an empty one."""
+    return np.linalg.eigvalsh(A) if A.size else np.zeros(1)
+
+
+def _upper_gap(U: np.ndarray, lam: np.ndarray, diff: np.ndarray, gamma: float, epsilon: float) -> np.ndarray:
+    """The upper bound ``gamma/(1-eps) K (K + gamma I)^{-1}`` minus ``diff``
+    (``K - K~``): the matrix whose PSD-ness is the upper check."""
+    # The bound is root @ root.T.  It and ``diff`` are exactly symmetric, so
+    # their difference is too and goes to the eigensolvers as it is.
     root = U * np.sqrt(gamma / (1.0 - epsilon) * lam / (lam + gamma))
-    slack = root @ root.T
+    gap = root @ root.T
     del root
-    slack -= diff
-    margins = np.linalg.eigvalsh(slack) if slack.size else np.zeros(1)
-    del slack
-    upper_ok = _psd_within(margins, CONDITION_TOL)
-    psi = _psi(U, lam, selection, gamma) if selection is not None else float("nan")
-    return ConditionReport(step, lower_ok, upper_ok, gap, psi)
+    gap -= diff
+    return gap
 
 
-def _psi(U: np.ndarray, lam: np.ndarray, selection: Selection, gamma: float) -> float:
+def _psi_matrix(U: np.ndarray, lam: np.ndarray, selection: Selection, gamma: float) -> np.ndarray:
+    """The whitened projection gap whose largest eigenvalue is psi_gap."""
     if selection.t != lam.shape[0]:
         raise InputError("selection row count must match the kernel matrix")
     ratios = lam / (lam + gamma)
     M = np.diag(ratios)
-    if M.size == 0:
-        return 0.0
     if selection.size:
         projected = U[selection.indices].T * np.sqrt(ratios)[:, None] * selection.weights
         M -= projected @ projected.T
-    return float(np.max(np.linalg.eigvalsh(M)))
+    return M
+
+
+def _report(step: int, gaps: np.ndarray, margins: np.ndarray, psi: np.ndarray | None) -> ConditionReport:
+    """The report from the eigenvalues of ``K - K~`` (the lower check and
+    the gap), of the upper-bound gap and, when a selection was given, of
+    psi's matrix."""
+    return ConditionReport(
+        step, _psd_within(gaps, CONDITION_TOL), _psd_within(margins, CONDITION_TOL),
+        float(np.max(np.abs(gaps))), float("nan") if psi is None else float(np.max(psi)),
+    )
 
 
 def _risk(U: np.ndarray, lam: np.ndarray, problem: FixedDesignProblem) -> float:
@@ -177,7 +206,7 @@ def _factored_risk(F: np.ndarray, problem: FixedDesignProblem) -> float:
     matrix ``F^T F``, whose spectrum is the nonzero spectrum of ``F F^T``;
     the bias ``||f - F (F^T F + mu I)^{-1} F^T f||^2`` is Woodbury's form of
     ``mu^2 ||(F F^T + mu I)^{-1} f||^2``."""
-    V, s = _spectrum(F.T @ F)
+    V, s = _spectrum(*np.linalg.eigh(F.T @ F))
     mu, f = problem.mu, problem.f_star
     residual = f - F @ (V @ ((V.T @ (F.T @ f)) / (s + mu)))
     variance = problem.noise_std**2 * float(np.sum((s / (s + mu)) ** 2))
@@ -346,9 +375,12 @@ def verify_checkpoints(
     evaluates both PSD inequalities, the spectral and projection gaps, the
     exact effective dimension, and (when targets are known) the closed-form
     risks of the exact and approximate solvers.  Everything derived from K
-    comes from one eigendecomposition of it per checkpoint.  Every
-    checkpoint's t must lie in 1..n and within ``DESK_SCALE_CAP``; these,
-    gamma, epsilon and the algorithm are all checked before any kernel work.
+    comes from one eigendecomposition of it per checkpoint, which runs on a
+    helper thread beside the eigenvalues of ``K - K~`` (see the module
+    docstring); the call starts that thread and joins it before it returns
+    or raises.  Every checkpoint's t must lie in 1..n and within
+    ``DESK_SCALE_CAP``; these, gamma, epsilon and the algorithm are all
+    checked before any kernel work.
     """
     if algorithm not in ALGORITHMS:
         raise InputError(f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}")
@@ -362,26 +394,59 @@ def verify_checkpoints(
                 f"checkpoint t={cp.step} is outside 1..{top}: the dataset has {n} points "
                 f"and verification materializes at most {DESK_SCALE_CAP}"
             )
-    return [_verified(dataset, kernel, gamma, epsilon, cp, algorithm, problem) for cp in checkpoints]
+    # Imported here, not at module level: only verify pays for it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        # Start the thread now, so that each task wakes an idle thread (see
+        # _verified): a thread started by its first task runs it at once.
+        helper.submit(int).result()
+        return [_verified(dataset, kernel, gamma, epsilon, cp, algorithm, problem, helper) for cp in checkpoints]
 
 
 def _verified(
     dataset: Dataset, kernel: KernelSpec, gamma: float, epsilon: float,
-    cp: RunCheckpoint, algorithm: str, problem: FixedDesignProblem | None,
+    cp: RunCheckpoint, algorithm: str, problem: FixedDesignProblem | None, helper,
 ) -> CheckpointRecord:
-    """One checkpoint of :func:`verify_checkpoints`; its t x t arrays are
-    freed on return, before the next checkpoint builds its own."""
+    """One checkpoint of :func:`verify_checkpoints`, with ``helper`` an
+    executor whose one thread runs :func:`_evd`; the checkpoint's t x t
+    arrays are freed on return, before the next checkpoint builds its own."""
     t = cp.step
     K = gram(dataset, kernel, t)
+    _finite_bounds(K)  # gram builds K exactly symmetric, so this is its one check
     selection = checkpoint_selection(cp, algorithm)
-    U, lam = _spectrum(K, require_psd=True)
     # materialize() as F F^T, keeping the rank-Q factor for the risk;
-    # K - K~ is formed in K~'s buffer and K is dropped before the checks.
-    F = nystrom_approx(K, selection, gamma).whitened()
+    # K - K~ is formed in K~'s buffer, and K's buffer then takes K's
+    # eigenvectors.
+    try:
+        F = _gathered(K, selection, gamma).whitened()
+    except NumericalError:
+        _require_psd(np.linalg.eigvalsh(K))  # a K that is not PSD fails as such
+        raise
     diff = F @ F.T
     np.subtract(K, diff, out=diff)
+    # The helper thread runs only scipy's in-place eigh (_evd); this thread
+    # builds every t x t array and runs numpy's eigvalsh.  numpy copies its
+    # input and runs LAPACK with the GIL released, while scipy's f2py
+    # wrapper holds the GIL for its whole LAPACK call.  So each task is
+    # submitted just before the numpy call beside it: the woken helper needs
+    # the GIL, which this thread gives up microseconds later on entering
+    # numpy's LAPACK call (long before the interpreter's switch interval
+    # would force it), and the two then run at once; had scipy taken the GIL
+    # first, numpy could not start until scipy returned.  Keeping numpy's
+    # copies on this thread also keeps them out of the helper's malloc
+    # arena.
+    evd, gaps = _beside(helper.submit(_evd, K, False), np.linalg.eigvalsh, diff)
     del K
-    report = _condition(U, lam, diff, gamma, epsilon, t, selection)
+    _require_psd(evd[0])
+    U, lam = _spectrum(*evd)
+    del evd
+    upper = _upper_gap(U, lam, diff, gamma, epsilon)
+    del diff
+    psi_matrix = _psi_matrix(U, lam, selection, gamma)
+    margins, psi = _beside(helper.submit(_evd, upper, True), np.linalg.eigvalsh, psi_matrix)
+    del upper, psi_matrix
+    report = _report(t, gaps, margins, psi)
     deff_exact = float(np.sum(lam / (lam + gamma)))
     risk_exact = risk_approx = bound = float("nan")
     if problem is not None:
@@ -395,6 +460,24 @@ def _verified(
         lower_ok=report.lower_psd_ok, upper_ok=report.upper_psd_ok,
         risk_exact=risk_exact, risk_approx=risk_approx, risk_ratio_bound=bound,
     )
+
+
+def _evd(A: np.ndarray, eigvals_only: bool):
+    """scipy's divide-and-conquer ``eigh`` of the exactly symmetric ``A``,
+    computed in ``A``'s buffer, which it overwrites (with the eigenvectors,
+    unless ``eigvals_only``): ``A.T`` is the column-major array LAPACK works
+    on in place, and for a symmetric ``A`` it is the same matrix."""
+    return scipy.linalg.eigh(A.T, eigvals_only=eigvals_only, overwrite_a=True, driver="evd", check_finite=False)
+
+
+def _beside(future, own, arg):
+    """``(future.result(), own(arg))``, with ``own`` run on this thread while
+    the future's task runs on the helper.  An error from ``own`` is raised
+    at once; the helper's task is joined when the executor shuts down.  The
+    future is dropped on return, and with it the reference its result
+    holds."""
+    mine = own(arg)
+    return future.result(), mine
 
 
 def field_text(value) -> str:

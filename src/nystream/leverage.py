@@ -245,6 +245,14 @@ def update_deff(
     negative increments (roundoff) are clamped to zero to preserve
     monotonicity; anything below ``-1e-10`` is a genuine invariant breach.
     """
+    return _fold_increment(deff_tilde, delta_tilde, alpha_factor(epsilon), diagnostics)
+
+
+def _fold_increment(
+    deff_tilde: float, delta_tilde: float, alpha: float, diagnostics: Diagnostics | None
+) -> float:
+    """:func:`update_deff` with ``alpha = alpha_factor(epsilon)`` given, as
+    the estimate oracle holds it, so a step computes no factor."""
     non_negative("running estimate deff_tilde", deff_tilde)
     if delta_tilde < -_NEGATIVE_INCREMENT_TOL:
         raise InvariantViolation(
@@ -254,7 +262,7 @@ def update_deff(
         if diagnostics is not None:
             diagnostics.increment_clamped += 1
         delta_tilde = 0.0
-    return deff_tilde + alpha_factor(epsilon) * delta_tilde
+    return deff_tilde + alpha * delta_tilde
 
 
 def clamp_probabilities(new: np.ndarray, old: np.ndarray) -> np.ndarray:

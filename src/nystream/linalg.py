@@ -34,9 +34,7 @@ def symmetrize(A: np.ndarray) -> np.ndarray:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
     if A.size == 0:
         return A
-    top, bottom = float(A.max()), float(A.min())
-    if not (np.isfinite(top) and np.isfinite(bottom)):
-        raise InputError("matrix has a non-finite entry")
+    top, bottom = _finite_bounds(A)
     scale = max(1.0, top, -bottom)
     with np.errstate(over="ignore"):
         work = np.subtract(A, A.T)
@@ -50,6 +48,15 @@ def symmetrize(A: np.ndarray) -> np.ndarray:
     return work
 
 
+def _finite_bounds(A: np.ndarray) -> tuple[float, float]:
+    """The largest and smallest entry of a non-empty ``A``; a NaN or
+    infinite entry raises :class:`InputError`."""
+    top, bottom = float(A.max()), float(A.min())
+    if not (np.isfinite(top) and np.isfinite(bottom)):
+        raise InputError("matrix has a non-finite entry")
+    return top, bottom
+
+
 @dataclass(frozen=True)
 class EigPair:
     """Symmetric eigendecomposition with eigenvalues sorted descending."""
@@ -60,10 +67,15 @@ class EigPair:
 
 def eig_pairs(A: np.ndarray) -> EigPair:
     """Eigendecomposition of a symmetric matrix, descending order."""
-    A = symmetrize(A)
-    lam, U = np.linalg.eigh(A)
+    return _descending(*np.linalg.eigh(symmetrize(A)))
+
+
+def _descending(lam: np.ndarray, U: np.ndarray) -> EigPair:
+    """The :class:`EigPair` of an ascending symmetric eigensolution
+    ``(lam, U)``, whose eigenvectors ``U`` may be in either memory order;
+    the pair's eigenvectors are a new C-contiguous array."""
     order = np.argsort(lam)[::-1]
-    return EigPair(eigenvalues=lam[order], eigenvectors=np.ascontiguousarray(U[:, order]))
+    return EigPair(eigenvalues=lam[order], eigenvectors=np.take(U, order, axis=1))
 
 
 def regularized_solve(A: np.ndarray, ridge: float, B: np.ndarray) -> np.ndarray:

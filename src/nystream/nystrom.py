@@ -109,7 +109,13 @@ class NystromFactor:
 
 def nystrom_approx(K: np.ndarray, selection: Selection, gamma: float) -> NystromFactor:
     """Build the factored approximation of a dense kernel matrix."""
-    K = symmetrize(K)
+    return _gathered(symmetrize(K), selection, gamma)
+
+
+def _gathered(K: np.ndarray, selection: Selection, gamma: float) -> NystromFactor:
+    """:func:`nystrom_approx` of a ``K`` that is already exactly symmetric
+    and finite, as gram builds it and symmetrize returns it: the blocks are
+    gathered from ``K`` as it is."""
     if K.shape[0] != selection.t:
         raise InputError("selection row count must match the kernel matrix")
     idx, w = selection.indices, selection.weights

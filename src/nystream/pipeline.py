@@ -39,12 +39,12 @@ from .leverage import (
     Diagnostics,
     EstimatedProfile,
     _clamped_scores,
+    _fold_increment,
     _increment_from_forms,
     alpha_factor,
     beta_factor,
     clamp_probabilities,
     exact_rls,
-    update_deff,
 )
 from .linalg import spectral_norm
 from .nystrom import NystromFactor, Selection, nystrom_approx
@@ -309,7 +309,7 @@ class EstimateOracle:
         diagonal[-1] = self_term
         tau = _clamped_scores(diagonal, forms, shift, self.diagnostics)
         delta = _increment_from_forms(self_term, gamma, self._epsilon, quad_alpha, quad_sq)
-        deff = update_deff(state.deff_tilde, delta, self._epsilon, diagnostics=self.diagnostics)
+        deff = _fold_increment(state.deff_tilde, delta, self.alpha, self.diagnostics)
         self._carried = (sketch, state.step + 1, state.rng, (new_index, cross, self_term), diagonal)
         return tau, deff
 
@@ -339,7 +339,9 @@ def ink_step(
                          f"columns and p_tilde of shape {state.p_tilde.shape}")
     cross, self_term = column(state.kernel, point, points)
     step = state.step + 1
-    if not (math.isfinite(self_term) and np.isfinite(cross).all()):
+    # The step's reductions are ufunc reductions and C methods, not numpy's
+    # Python-level wrappers (ndarray.all/min, flatnonzero): they run every step.
+    if not (math.isfinite(self_term) and np.logical_and.reduce(np.isfinite(cross))):
         raise InputError(f"step {step}: point {new_index} has a non-finite kernel value (self term "
                          f"{self_term}): the kernel's arithmetic overflows on this input")
     tau, deff_new = oracle.begin_step(state, new_index, cross, self_term)
@@ -348,12 +350,12 @@ def ink_step(
         raise InputError(f"score oracle returned scores of shape {tau.shape} for {q + 1} columns")
     raw_p = tau / deff_new if deff_new > 0 else np.zeros_like(tau)
     p_new = clamp_probabilities(raw_p, state.p_tilde)
-    if not p_new[:-1].min(initial=1.0) > 0:  # a kept column's chain needs a positive probability (NaN fails)
+    if not np.minimum.reduce(p_new[:-1], initial=1.0) > 0:  # a kept column's chain needs a positive probability (NaN fails)
         pos = int(np.argmin(p_new[:-1] > 0))
         raise NumericalError(f"step {step}: retained index {d.indices[pos]} got leverage score {tau[pos]} (clamped "
                              f"at 0), so sampling probability {p_new[pos]}; a kept column needs a positive one")
     weights = shrink_expand(d, p_new, new_index, state.rng, step)
-    keep = np.flatnonzero(weights)
+    keep = weights.nonzero()[0]
     cap = 8 * d.q_bar
     if keep.shape[0] > cap:
         raise InvariantViolation(

@@ -1,9 +1,13 @@
 import json
+import os
+import threading
 import tracemalloc
-from dataclasses import replace
+from concurrent.futures import Future
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nystream import (
     Dataset,
@@ -23,7 +27,7 @@ from nystream import (
     risk_ratio_bound,
     verify_checkpoints,
 )
-from nystream import evaluation
+from nystream import evaluation, nystrom
 from nystream.evaluation import (
     CONDITION_TOL,
     CheckpointRecord,
@@ -404,6 +408,117 @@ class TestVerifyCheckpoints:
             prob.dataset, kern, 1.0, 0.5, res.checkpoints, "ink-estimate"
         )
         assert all(np.isnan(r.risk_exact) for r in records)
+
+
+class InlineHelper:
+    """An executor that runs each task when it is submitted, on the calling
+    thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def record_bits(record):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in asdict(record).items()}
+
+
+class TestVerifyOverlap:
+    """verify_checkpoints runs scipy's in-place eigh on one helper thread
+    beside numpy's eigvalsh on the calling thread."""
+
+    @staticmethod
+    def _run():
+        prob = generate_synthetic(SyntheticSpec(n=150, d=3, n_clusters=4, cluster_std=0.5), rng=5)
+        kern = KernelSpec.gaussian_kernel(2.0)
+        res = ink_estimate_run(prob.dataset, kern, 0.1, 200, 0.5, rng=5, checkpoint_every=50)
+        return prob, (prob.dataset, kern, 0.1, 0.5, res.checkpoints, "ink-estimate")
+
+    @pytest.mark.parametrize("with_problem", [True, False])
+    def test_records_equal_inline_bit_for_bit(self, with_problem):
+        prob, args = self._run()
+        problem = prob if with_problem else None
+        threaded = verify_checkpoints(*args, problem=problem)
+        dataset, kern, gamma, eps, checkpoints, algorithm = args
+        inline = [
+            evaluation._verified(dataset, kern, gamma, eps, cp, algorithm, problem, InlineHelper())
+            for cp in checkpoints
+        ]
+        assert len(threaded) == 3
+        assert [record_bits(r) for r in threaded] == [record_bits(r) for r in inline]
+
+    def test_helper_thread_calls_only_scipy_eigh(self):
+        """perfbench's tracer keeps a single-threaded span stack around
+        nystream's public functions; the helper runs none of them, only
+        _evd and scipy below it."""
+        _, args = self._run()
+        calls = {}
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.setdefault(threading.get_ident(), set()).add(
+                    (frame.f_code.co_filename, frame.f_code.co_name))
+
+        threading.setprofile(profile)  # threads started from now on
+        try:
+            verify_checkpoints(*args)
+        finally:
+            threading.setprofile(None)
+        (helper_calls,) = calls.values()
+        package = os.path.dirname(evaluation.__file__) + os.sep
+        assert {name for path, name in helper_calls if path.startswith(package)} == {"_evd"}
+        assert "eigh" in {name for path, name in helper_calls if os.sep + "scipy" + os.sep in path}
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_lapack_failure_keeps_its_type_and_joins_the_helper(self, monkeypatch, where):
+        """A failed eigensolver raises numpy's LinAlgError (scipy's is the
+        same class) from either thread, and the helper is gone after it."""
+        _, args = self._run()
+
+        def fail(*a, **k):
+            raise scipy.linalg.LinAlgError(f"failed on the {where} thread")
+
+        monkeypatch.setattr(*((scipy.linalg, "eigh") if where == "helper" else (np.linalg, "eigvalsh")), fail)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match=f"failed on the {where} thread"):
+            verify_checkpoints(*args)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("lowest", [-0.5, -5.0])
+    def test_non_psd_kernel_matrix_is_an_input_error(self, monkeypatch, lowest):
+        """At -0.5 the checkpoint's block plus gamma I is still positive
+        definite and the PSD check on K's eigenvalues fails; at -5.0 the
+        factor fails first, and K's verdict is still the error."""
+        K = np.diag([2.0, lowest])
+        monkeypatch.setattr(evaluation, "gram", lambda dataset, kernel, t=None: K.copy())
+        cp = RunCheckpoint(step=2, deff_tilde=1.0, indices=(1,), weights=(1.0,))
+        before = threading.active_count()
+        with pytest.raises(InputError, match=r"kernel matrix is not PSD \(min eigenvalue -"):
+            verify_checkpoints(Dataset(points=np.zeros((2, 1))), KernelSpec.linear_kernel(), 1.0, 0.5, [cp],
+                               "ink-oracle")
+        assert threading.active_count() == before
+
+    def test_non_finite_kernel_matrix_rejected_before_lapack(self, monkeypatch):
+        """gram builds K exactly symmetric and verify checks it once: a
+        polynomial kernel that overflows to inf is an InputError before any
+        factorization or eigensolver runs."""
+        def no_lapack(*a, **k):
+            raise AssertionError("LAPACK called on a non-finite K")
+
+        monkeypatch.setattr(nystrom, "shifted_cholesky", no_lapack)
+        monkeypatch.setattr(scipy.linalg, "eigh", no_lapack)
+        monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+        dataset = Dataset(points=[[1.0], [2.0], [1e100]])  # (1e100 * 1e100) ** 2 overflows
+        cp = RunCheckpoint(step=3, deff_tilde=1.0, indices=(0,), weights=(1.0,))
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+            InputError, match="matrix has a non-finite entry"
+        ):
+            verify_checkpoints(dataset, KernelSpec.polynomial_kernel(2), 1.0, 0.5, [cp], "ink-oracle")
 
 
 class TestPsdRule:

@@ -1094,8 +1094,10 @@ def test_step_call_budget():
         sys.setprofile(None)
     assert res.dictionary.size == 26
     # 43478 before the floor was cut, 34004 before one kernel formula, 32515
-    # before a step that changes nothing kept its dictionary and sketch.
-    assert calls <= 30720
+    # before a step that changes nothing kept its dictionary and sketch,
+    # 30720 before the step's reductions left numpy's Python-level wrappers
+    # and the step stopped computing alpha_factor.
+    assert calls <= 27242
 
 
 class TestGoldenRuns:
