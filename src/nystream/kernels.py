@@ -22,9 +22,13 @@ DESK_SCALE_CAP = 5000
 
 FAMILIES = ("gaussian", "linear", "polynomial")
 
-# Row-block size for pairwise evaluation; bounds temporary memory at
-# block * n * d floats while keeping the per-pair reduction order fixed.
+# Rows per block of the one-triangle evaluation in _symmetric_pairwise.
 _BLOCK_ROWS = 256
+# Floats in each (rows, n, d) broadcast temporary of a block of pairwise
+# evaluation (512 KiB): the block's row count follows from it, so the
+# temporaries stay this size whatever n and d are.  The per-pair reduction
+# order does not depend on the block.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,8 @@ def _values(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The kernel on the points ``a`` and ``b``, broadcast against each
     other and reduced over the last (feature) axis: each family's formula."""
     if spec.family == "gaussian":
-        return np.exp(-((a - b) ** 2).sum(axis=-1) / (2.0 * spec.bandwidth**2))
-    dots = (a * b).sum(axis=-1)
+        return np.exp(-np.add.reduce((a - b) ** 2, axis=-1) / (2.0 * spec.bandwidth**2))
+    dots = np.add.reduce(a * b, axis=-1)
     if spec.family == "linear":
         return dots
     return (dots + spec.offset) ** int(spec.degree)
@@ -91,25 +95,33 @@ def pairwise(spec: KernelSpec, rows, cols) -> np.ndarray:
     if A.shape[1] != B.shape[1]:
         raise InputError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     out = np.empty((A.shape[0], B.shape[0]))
-    for start in range(0, A.shape[0], _BLOCK_ROWS):
-        blk = A[start : start + _BLOCK_ROWS]
-        out[start : start + blk.shape[0]] = _values(spec, blk[:, None, :], B)
+    _pairwise_into(spec, A, B, out)
     return out
+
+
+def _pairwise_into(spec: KernelSpec, A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
+    """Write the kernel between the rows of ``A`` and of ``B`` into ``out``,
+    a block of rows at a time, each block's broadcast temporaries holding at
+    most about ``_BLOCK_ELEMENTS`` floats."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, B.size))
+    for start in range(0, A.shape[0], step):
+        blk = A[start : start + step]
+        out[start : start + blk.shape[0]] = _values(spec, blk[:, None, :], B)
 
 
 def _symmetric_pairwise(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     """``pairwise(spec, points, points)``, evaluating each pair once.
 
-    Each row block is evaluated against the points up to its end, and the
-    rest is mirrored from the blocks below; every family's value is exactly
-    symmetric in its two points, so the result equals the full evaluation
-    bit for bit.
+    Each row block is evaluated against the points up to its end, straight
+    into the result, and the rest is mirrored from the blocks below; every
+    family's value is exactly symmetric in its two points, so the result
+    equals the full evaluation bit for bit.
     """
     n = points.shape[0]
     out = np.empty((n, n))
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        out[start:stop, :stop] = pairwise(spec, points[start:stop], points[:stop])
+        _pairwise_into(spec, points[start:stop], points[:stop], out[start:stop, :stop])
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         out[start:stop, stop:] = out[stop:, start:stop].T

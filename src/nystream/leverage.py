@@ -151,7 +151,7 @@ def _clamped_scores(diagonal, quad, shift: float, diagnostics: Diagnostics | Non
     raw = (diagonal - quad) / shift
     scores = np.minimum(np.maximum(raw, 0.0), 1.0)
     # Counted only when the clamp changed something (NaN never equals itself).
-    if diagnostics is not None and not (scores == raw).all():
+    if diagnostics is not None and not np.logical_and.reduce(scores == raw):
         diagnostics.rls_clamped_low += np.count_nonzero(raw < 0.0)
         diagnostics.rls_clamped_high += np.count_nonzero(raw > 1.0)
     return scores
@@ -215,19 +215,23 @@ def estimate_deff_increment(
         quad_alpha = float(half @ half)
         u = cho_solve((shifted_cholesky(K_tilde, gamma), True), k_bar, check_finite=False)
         quad_sq = float(u @ u)
-    return _increment_from_forms(k_self, gamma, epsilon, quad_alpha, quad_sq)
+    return _increment_from_forms(k_self, gamma, curvature_coefficient(epsilon), quad_alpha, quad_sq)
 
 
-def _increment_from_forms(k_self: float, gamma: float, epsilon: float, quad_alpha: float, quad_sq: float) -> float:
+def _increment_from_forms(
+    k_self: float, gamma: float, curvature: float, quad_alpha: float, quad_sq: float
+) -> float:
     """The increment from its two quadratic forms of the new column ``c``:
-    ``c^T (K~ + alpha gamma I)^-1 c`` and ``|(K~ + gamma I)^-1 c|^2``."""
+    ``c^T (K~ + alpha gamma I)^-1 c`` and ``|(K~ + gamma I)^-1 c|^2``, the
+    latter weighted by ``curvature = curvature_coefficient(epsilon)``, which
+    the estimate oracle holds, so a step computes no coefficient."""
     denominator = k_self + gamma - quad_alpha
     if denominator <= 0:
         raise NumericalError(
             f"increment denominator {denominator:.6e} is not positive; "
             "the sketch violates its approximation precondition"
         )
-    numerator = k_self - quad_alpha - curvature_coefficient(epsilon) * gamma * quad_sq
+    numerator = k_self - quad_alpha - curvature * gamma * quad_sq
     return numerator / denominator
 
 

@@ -44,6 +44,7 @@ from .leverage import (
     alpha_factor,
     beta_factor,
     clamp_probabilities,
+    curvature_coefficient,
     exact_rls,
 )
 from .linalg import spectral_norm
@@ -239,18 +240,17 @@ class EstimateOracle:
     is seeded exactly from the first self term and grown by scaled increment
     estimates afterwards.  The oracle counts its clamps in ``diagnostics``.
 
-    The oracle carries the kernel block and inverses of the sketch
-    (:class:`CarriedSketch`), the block's diagonal and the column it was
-    last asked about from one step to the next, and advances them along the
-    1-2 dictionary columns a step changes, in O(k Q^2), when ``begin_step``
-    gets the successor of the state it saw last: the next step of the same
-    run (same random handle), keeping only columns that call queried.  A
-    successor whose dictionary arrays are the carried sketch's own (the step
-    changed nothing) queries that sketch as it is.  The oracle rebuilds the
-    sketch instead every ``_REFRESH_EVERY`` steps and when the update or the
-    query on it meets a Schur complement that is not positive, on the carried
-    or moved block, and for any other state, on the block evaluated from the
-    state's points.
+    The oracle holds one :class:`CarriedSketch`, whose buffers it moves in
+    place along the 1-2 dictionary columns a step changes, in O(k Q^2),
+    when ``begin_step`` gets the successor of the state it saw last: the
+    next step of the same run (same random handle), keeping only columns
+    that call queried; for that it keeps the column it was last asked
+    about.  A successor whose dictionary arrays are the sketch's own (the
+    step changed nothing) queries the sketch as it is.  The oracle rebuilds
+    the sketch instead every ``_REFRESH_EVERY`` steps and when the update
+    or the query on it meets a Schur complement that is not positive, on
+    the moved block, and for any other state, on the block evaluated from
+    the state's points.
     """
 
     _REFRESH_EVERY = 64
@@ -259,40 +259,40 @@ class EstimateOracle:
         open_unit("epsilon", epsilon)
         positive("gamma", gamma)
         self.alpha = alpha_factor(epsilon)
+        self.curvature = curvature_coefficient(epsilon)
         self.diagnostics = Diagnostics()
         self._gamma = float(gamma)
-        self._epsilon = float(epsilon)
-        # (sketch, the step and random handle of the successor state it
-        # expects next, the possibly admitted index with its column, and the
-        # sketch block's diagonal with a free last slot)
-        self._carried: (
-            tuple[CarriedSketch, int, RngHandle, tuple[int, np.ndarray, float], np.ndarray] | None
-        ) = None
+        self._sketch = CarriedSketch(self._gamma, self.alpha * self._gamma)
+        # The step and random handle of the successor state the sketch can
+        # move to next, and the column (index, cross terms, self term) that
+        # its step may have admitted.
+        self._expects: tuple[int, RngHandle, int, np.ndarray, float] | None = None
 
     def begin_step(self, state, new_index, cross, self_term) -> tuple[np.ndarray, float]:
-        gamma, shift = self._gamma, self.alpha * self._gamma
-        carried, self._carried = self._carried, None
+        gamma, sketch = self._gamma, self._sketch
+        shift = sketch.shift
+        expects, self._expects = self._expects, None
         if state.step == 0:
             # The first score and effective dimension are exact (0.0 for a self term of 0).
             return np.array([self_term / (self_term + shift)]), self_term / (self_term + gamma)
         d = state.dictionary
-        block = sketch = query = None
-        if carried is not None and state.step == carried[1] and state.rng is carried[2]:
-            previous, refresh = carried[0], not state.step % self._REFRESH_EVERY
-            if d.indices is previous.indices and d.counts is previous.counts:
-                # The step changed no column: the carried sketch is this dictionary's.
-                block, sketch = previous.gram, None if refresh else previous
+        # Whether the sketch's D is this dictionary's block, and whether the
+        # rest of the sketch is this dictionary's too.
+        moved = current = False
+        if expects is not None and state.step == expects[0] and state.rng is expects[1]:
+            update = bool(state.step % self._REFRESH_EVERY)
+            if d.indices is sketch.indices and d.counts is sketch.counts:
+                # The step changed no column: the sketch is this dictionary's.
+                moved, current = True, update
             else:
-                moved = previous.moved_block(d.indices, *carried[3])
-                if moved is not None:
-                    block = moved[1]
-                    sketch = None if refresh else previous.advance(d.indices, d.counts, *moved)
-        if sketch is not None:
-            query = sketch.query(cross, self_term)
+                pos = sketch.successor(d.indices, expects[2])
+                if pos is not None:
+                    moved = True
+                    current = sketch.advance(d.indices, d.counts, pos, *expects[3:], update)
+        query = sketch.query(cross, self_term) if current else None
         if query is None or not query[3] > 0:
-            if block is None:
-                block = _symmetric_pairwise(state.kernel, state.dict_points)
-            sketch = CarriedSketch.rebuild(d.indices, d.counts, block, gamma, shift)
+            block = None if moved else _symmetric_pairwise(state.kernel, state.dict_points)
+            sketch.rebuild(d.indices, d.counts, block)
             query = sketch.query(cross, self_term)
             if not query[3] > 0:
                 raise NumericalError(
@@ -301,16 +301,14 @@ class EstimateOracle:
                     f"positive definite (leading minor {d.size + 1})"
                 )
         forms, quad_alpha, quad_sq, _ = query
-        if carried is not None and sketch.gram is carried[0].gram:
-            diagonal = carried[4]
-        else:
-            diagonal = np.empty(cross.shape[0] + 1)
-            diagonal[:-1] = sketch.gram.diagonal()
-        diagonal[-1] = self_term
+        q = cross.shape[0]
+        diagonal = np.empty(q + 1)
+        diagonal[:q] = sketch.diagonal[:q]
+        diagonal[q] = self_term
         tau = _clamped_scores(diagonal, forms, shift, self.diagnostics)
-        delta = _increment_from_forms(self_term, gamma, self._epsilon, quad_alpha, quad_sq)
+        delta = _increment_from_forms(self_term, gamma, self.curvature, quad_alpha, quad_sq)
         deff = _fold_increment(state.deff_tilde, delta, self.alpha, self.diagnostics)
-        self._carried = (sketch, state.step + 1, state.rng, (new_index, cross, self_term), diagonal)
+        self._expects = (state.step + 1, state.rng, new_index, cross, self_term)
         return tau, deff
 
 

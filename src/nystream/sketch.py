@@ -28,19 +28,23 @@ surviving columns and bordered with the admitted one):
 with one :func:`shifted_cholesky` of ``D + Gamma`` (scaled as
 :class:`NystromFactor` holds it) and one of ``K~`` at each shift.
 
-Each carried Q x Q array is allocated by the step that produces it and
-filled once: the surviving block is copied into it run by run (one block
-copy per pair of runs of consecutive kept positions), and the step's
-low-rank terms are added in place by BLAS ``dgemm``.  No array is written
-after its sketch is built, so a step that only reweights shares its
-predecessor's kernel block, and a step that changes nothing keeps its
-predecessor's sketch itself: the streaming step passes such a dictionary on
-as the same object, and the oracle queries the sketch built for it.
+The sketch owns one buffer per carried matrix (``D``, ``N`` and the two
+inverses), each a C-contiguous array with ``_SLACK`` = 8 rows and columns to
+spare when it is allocated; the matrix is its leading Q x Q block, and the
+rest of the buffer is zero.  A step updates the buffers where they lie: a
+reweight adds its Woodbury term by BLAS ``dgemm`` on the buffer itself; an
+admission writes the new kernel column into ``D``'s zero border and borders
+the other three on theirs; an eviction first forms the Woodbury terms that
+read the old layout, then compacts the kept rows and columns inside each
+buffer.  A buffer is reallocated only when Q outgrows it, and a rebuild
+refills the same buffers.  So :meth:`CarriedSketch.advance` consumes the
+sketch it moves: the oracle that holds it is its only reader.  A step that
+changes nothing leaves it untouched (the streaming step passes such a
+dictionary on as the same object, and the oracle queries the sketch as it
+is), and a step that only reweights leaves ``D`` untouched.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -51,95 +55,156 @@ from .linalg import _inverse, shifted_cholesky
 from .nystrom import Selection, nystrom_approx
 from .sampling import selection_weights
 
+# Rows and columns a buffer holds past Q when it is (re)allocated, so that
+# admissions border the matrices in place until Q outgrows them.
+_SLACK = 8
 
-@dataclass(frozen=True)
+
 class CarriedSketch:
-    """The kernel block ``gram`` (``D``), ``N``, ``(K~ + shift I)^-1``,
-    ``(K~ + gamma I)^-1`` and ``diag(D (K~ + shift I)^-1 D)`` for one
-    dictionary, aligned with its ``indices`` and ``counts``.  Each array is
-    allocated by the step (or rebuild) that made this sketch, filled there
-    once and not written afterwards; a successor never writes it."""
+    """The kernel block ``gram`` (``D``), ``N``, ``inv_shift`` = ``(K~ +
+    shift I)^-1``, ``inv_gamma`` = ``(K~ + gamma I)^-1`` and ``quad`` =
+    ``diag(D (K~ + shift I)^-1 D)`` for one dictionary, aligned with its
+    ``indices`` and ``counts``.
 
-    indices: np.ndarray
-    counts: np.ndarray
-    gram: np.ndarray
-    inv_m: np.ndarray
-    inv_shift: np.ndarray
-    inv_gamma: np.ndarray
-    quad: np.ndarray
-    gamma: float
-    shift: float
+    The four Q x Q matrices are views of the leading blocks of four
+    C-contiguous buffers of ``Q + _SLACK`` rows and columns (as of their last
+    allocation), whose entries past the leading block are zero; ``diagonal``
+    views ``D``'s diagonal through the whole buffer.  :meth:`advance` and
+    :meth:`rebuild` write the buffers in place, so a sketch stands for one
+    dictionary at a time: moving it to a successor consumes it.
+    """
 
-    @classmethod
-    def rebuild(cls, indices, counts, gram, gamma: float, shift: float) -> CarriedSketch:
-        """The carried quantities from scratch.
+    def __init__(self, gamma: float, shift: float):
+        """The sketch of the empty dictionary."""
+        self.gamma, self.shift = gamma, shift
+        self.indices = self.counts = np.zeros(0, dtype=np.int64)
+        self.quad = np.zeros(0)
+        self._buffers = np.zeros((4, 0, 0))
+        self.diagonal = self._buffers[0].reshape(-1)
+        self._sized(0)
+
+    def _sized(self, q: int) -> None:
+        """Point ``gram``, ``inv_m``, ``inv_shift`` and ``inv_gamma`` at the
+        buffers' leading q x q blocks."""
+        self.size = q
+        self.gram, self.inv_m, self.inv_shift, self.inv_gamma = self._buffers[:, :q, :q]
+
+    def _reserve(self, q: int) -> None:
+        """Buffers with room for a q x q block: reallocated, with the current
+        blocks copied in, only when q outgrows them."""
+        if q > self._buffers.shape[1]:
+            size, cap = self.size, q + _SLACK
+            buffers = np.zeros((4, cap, cap))
+            buffers[:, :size, :size] = self._buffers[:, :size, :size]
+            self._buffers = buffers
+            self.diagonal = buffers[0].reshape(-1)[:: cap + 1]
+            self._sized(size)
+
+    def rebuild(self, indices, counts, gram: np.ndarray | None = None) -> None:
+        """The carried quantities from scratch, for the dictionary ``(indices,
+        counts)`` on its kernel block ``gram``, or on the block ``D`` holds
+        already when ``gram`` is None.
 
         Raises :class:`NumericalError` when ``D + Gamma`` is not positive
-        definite.
+        definite; the buffers are then as they were.
         """
         # The dictionary-row restriction of the weighted selection applied to
         # the kernel matrix: cross = D B^{1/2}, sampled = B^{1/2} D B^{1/2}.
         q = counts.shape[0]
+        block = self.gram if gram is None else gram
         sqrt_b = selection_weights(counts)
-        factor = nystrom_approx(gram, Selection(np.arange(q), sqrt_b, q), gamma)
+        factor = nystrom_approx(block, Selection(np.arange(q), sqrt_b, q), self.gamma)
         # K~ as NystromFactor.materialize computes it, keeping the factor of
         # sampled + gamma I for N = B^{1/2} (sampled + gamma I)^-1 B^{1/2}.
-        L_m = shifted_cholesky(factor.sampled, gamma)
+        L_m = shifted_cholesky(factor.sampled, self.gamma)
         F = solve_triangular(L_m, factor.cross.T, lower=True, check_finite=False).T
         tilde = F @ F.T
         inv_m = _inverse(L_m) * np.outer(sqrt_b, sqrt_b)
-        L = shifted_cholesky(tilde, shift)
-        half = solve_triangular(L, gram, lower=True, check_finite=False)
-        return cls(
-            indices, counts, gram, inv_m, _inverse(L), _inverse(shifted_cholesky(tilde, gamma)),
-            np.einsum("ij,ij->j", half, half), gamma, shift,
-        )
+        L = shifted_cholesky(tilde, self.shift)
+        half = solve_triangular(L, block, lower=True, check_finite=False)
+        inv_shift = _inverse(L)
+        inv_gamma = _inverse(shifted_cholesky(tilde, self.gamma))
+        if gram is not None:
+            self._reserve(q)
+            size = self.size
+            self._buffers[:, q:size] = 0.0
+            self._buffers[:, :q, q:size] = 0.0
+            self._sized(q)
+            self.gram[...] = gram
+        self.inv_m[...] = inv_m
+        self.inv_shift[...] = inv_shift
+        self.inv_gamma[...] = inv_gamma
+        self.indices, self.counts = indices, counts
+        self.quad = np.einsum("ij,ij->j", half, half)
 
-    def moved_block(self, indices, new_index: int, cross: np.ndarray, self_term: float):
-        """``(pos, gram)`` for the dictionary ``indices`` that one step made
-        from this one: the positions here of the columns it kept, and this
-        block restricted to them (shared if all are kept and none admitted)
-        and bordered with ``new_index``'s column ``(cross, self_term)`` if it
-        was admitted.  None when ``indices`` is not such a successor."""
-        q0, q1 = self.indices.shape[0], indices.shape[0]
-        admitted = q1 > 0 and indices[-1] == new_index
-        m = q1 - admitted
-        pos = np.searchsorted(self.indices, indices[:m])
-        if m == 0 or pos[-1] >= q0 or not (self.indices[pos] == indices[:m]).all():
+    def successor(self, indices, new_index: int) -> np.ndarray | None:
+        """The positions here of the columns that the dictionary ``indices``
+        kept, when one step made it from this sketch's dictionary (keeping
+        at least one column and admitting at most ``new_index``, last); None
+        otherwise."""
+        q1 = indices.shape[0]
+        m = q1 - (q1 > 0 and indices[-1] == new_index)
+        if m == 0:
             return None
-        if m == q0 and not admitted:
-            return pos, self.gram
-        gram = _kept_block(self.gram, _runs(pos), q1)
-        if admitted:
-            border = cross[pos]
-            gram[:m, m] = border
-            gram[m, :m] = border
-            gram[m, m] = self_term
-        return pos, gram
+        kept = indices[:m]
+        pos = self.indices.searchsorted(kept)
+        if pos[-1] < self.size and np.logical_and.reduce(self.indices[pos] == kept):
+            return pos
+        return None
 
-    def advance(self, indices, counts, pos, gram) -> CarriedSketch | None:
-        """The carried quantities for the successor dictionary ``(indices,
-        counts)`` on the block ``(pos, gram)`` that :meth:`moved_block` gives
-        for it; None when a Schur complement of the update is not positive
-        (only a rebuild can tell why)."""
-        q0, m, q1 = self.indices.shape[0], pos.shape[0], indices.shape[0]
+    def advance(self, indices, counts, pos, cross, self_term: float, update: bool = True) -> bool:
+        """Move the sketch in place to the successor dictionary ``(indices,
+        counts)`` for which :meth:`successor` gave ``pos``, bordering ``D``
+        with the column ``(cross, self_term)`` of the step's new index if the
+        step admitted it.  True when the carried quantities are the
+        successor's; False when ``update`` is False or a Schur complement of
+        the update is not positive.  ``D`` is the successor's block either
+        way, and :meth:`rebuild` on it makes the rest (and tells why an
+        update failed)."""
+        q0, m, q1 = self.size, pos.shape[0], indices.shape[0]
+        self._reserve(q1)
         b_new = np.zeros(q0, dtype=np.int64)
         b_new[pos] = counts[:m]
-        changed = np.flatnonzero(b_new != self.counts)
-        runs = _runs(pos)
-        carried = tuple(_kept_block(P, runs, q1) for P in (self.inv_m, self.inv_shift, self.inv_gamma))
-        quad = self._reweight(changed, b_new[changed], pos, *carried) if changed.size else self.quad
+        changed = (b_new != self.counts).nonzero()[0]
+        b1 = b_new[changed]
+        # The Woodbury terms read the layout before the step's evictions.
+        reweight = self._reweight(changed, b1) if update and changed.shape[0] else None
+        gone = changed[b1 == 0].tolist()
+        if gone:
+            for P in self._buffers:
+                _compact(P, gone, q0)
         if m < q1:
-            quad = self._admit(*carried, quad, counts, gram)
+            D, border = self._buffers[0], cross[pos]
+            D[:m, m] = border
+            D[m, :m] = border
+            D[m, m] = self_term
+        self.indices, self.counts = indices, counts
+        self._sized(q1)
+        if not update:
+            return False
+        quad = self.quad
+        if reweight is not None:
+            terms, quad = reweight
+            cap = self._buffers.shape[1]
+            for P, (W, C) in zip(self._buffers[1:], terms):
+                kept = np.zeros((cap, W.shape[1]))
+                kept[:m] = W[pos]
+                _add_low_rank(P, kept, C, m)
+            quad = quad[pos]
+        if m < q1:
+            quad = self._admit(quad, counts, m)
             if quad is None:
-                return None
-        return CarriedSketch(indices, counts, gram, *carried, quad, self.gamma, self.shift)
+                return False
+        self.quad = quad
+        return True
 
-    def _reweight(self, changed, b1, pos, inv_m, inv_shift, inv_gamma):
+    def _reweight(self, changed, b1):
         """One Woodbury update for every weight change and eviction (new
-        weight 0), added in place to the kept blocks ``inv_m``, ``inv_shift``
-        and ``inv_gamma``; returns the forms restricted to the retained
-        positions ``pos``.  A step that changes one weight and evicts nothing
+        weight 0), formed on the layout before the step: for ``N``,
+        ``inv_shift`` and ``inv_gamma`` in turn a factor ``W`` on the old
+        positions and a capacitance inverse ``C``, to be added as ``W C
+        W^T`` once the buffers are compacted, and the updated forms on the
+        old positions.  A step that changes one weight and evicts nothing
         makes it a rank-one update on 1-column arrays, whose 1 x 1
         capacitance matrices are inverted as scalars
         (:func:`_capacitance_inverse`)."""
@@ -169,42 +234,44 @@ class CarriedSketch:
             H[gone, k + np.arange(gone.shape[0])] = 1.0
             middle = np.zeros((H.shape[1], H.shape[1]))
             middle[:k, :k] = -T
-        q1 = inv_m.shape[0]
-        _add_low_rank(inv_m, _padded(n_s[pos], q1), -_capacitance_inverse(T))
-        updated = []
-        for P, out in ((self.inv_shift, inv_shift), (self.inv_gamma, inv_gamma)):
+        terms = [(n_s, -_capacitance_inverse(T))]
+        for P in (self.inv_shift, self.inv_gamma):
             V = P @ H
-            C = -_capacitance_inverse(middle + H.T @ V)
-            _add_low_rank(out, _padded(V[pos], q1), C)
-            updated.append((V, C))
-        V, C = updated[0]
+            terms.append((V, -_capacitance_inverse(middle + H.T @ V)))
+        V, C = terms[1]
         Y = self.gram @ V
-        quad = self.quad + np.einsum("ij,ij->i", Y @ C, Y)
-        return quad[pos]
+        # Row sums of (Y C) * Y: a sum of one or two products rounds the same
+        # in any order, so a ufunc reduction gives einsum's bits; a longer
+        # one keeps einsum's order.
+        if V.shape[1] <= 2:
+            return terms, self.quad + np.add.reduce(Y @ C * Y, axis=1)
+        return terms, self.quad + np.einsum("ij,ij->i", Y @ C, Y)
 
-    def _admit(self, inv_m, inv_shift, inv_gamma, quad, counts, gram):
-        """Border the carried quantities with the newest column, the last
-        one of ``gram``: in place on ``inv_m``, ``inv_shift`` and
-        ``inv_gamma``, whose top-left blocks hold the predecessor's
-        quantities after this step's reweights and whose last row and column
-        are zero.  Returns the bordered forms, or None when a Schur
-        complement is not positive."""
-        m = quad.shape[0]
-        c, k = gram[:m, m], float(gram[m, m])
+    def _admit(self, quad, counts, m: int):
+        """Border ``N``, ``inv_shift`` and ``inv_gamma`` in place with the
+        newest column, which ``D``'s row and column ``m`` hold: their leading
+        m x m blocks hold the predecessor's quantities after this step's
+        reweights, and their row and column ``m`` are zero.  Returns the
+        bordered forms, or None when a Schur complement is not positive."""
+        D, N = self._buffers[0], self._buffers[1]
+        cap = D.shape[0]
+        c, k = D[:m, m], float(D[m, m])
         gamma_new = self.gamma / float(counts[m])
-        v = inv_m[:m, :m] @ c
+        v = N[:m, :m] @ c
         sigma = k + gamma_new - float(c @ v)
         if not sigma > 0:
             return None
         # (D + Gamma)^-1 bordered: N + (v; -1)(v; -1)^T / sigma.  K~ gains
         # (Gamma v)(Gamma v)^T / sigma on the old coordinates and the border
         # column a with corner kappa.
-        _add_low_rank(inv_m, np.append(v, -1.0)[:, None], np.array([[1.0 / sigma]]))
+        W = np.zeros((cap, 1))
+        W[:m, 0], W[m, 0] = v, -1.0
+        _add_low_rank(N, W, np.array([[1.0 / sigma]]), m + 1)
         h = (self.gamma / counts[:m]) * v
         a = c - (gamma_new / sigma) * h
         kappa = k - gamma_new + gamma_new * gamma_new / sigma
         bordered = []
-        for P, shift in ((inv_shift, self.shift), (inv_gamma, self.gamma)):
+        for P, shift in ((self._buffers[2], self.shift), (self._buffers[3], self.gamma)):
             # (P^-1 + h h^T / sigma)^-1 = P - z z^T / rho, then bordered with
             # (a, kappa + shift): + (u; -1)(u; -1)^T / s.
             Z = P[:m, :m] @ np.stack((h, a, c), axis=1)
@@ -214,15 +281,15 @@ class CarriedSketch:
             s = kappa + shift - float(a @ u)
             if not s > 0:
                 return None
-            W = np.zeros((m + 1, 2))
+            W = np.zeros((cap, 2))
             W[:m, 0], W[:m, 1], W[m, 1] = z, u, -1.0
-            _add_low_rank(P, W, np.diag([-1.0 / rho, 1.0 / s]))
+            _add_low_rank(P, W, np.diag([-1.0 / rho, 1.0 / s]), m + 1)
             bordered.append((Z, rho, u, s))
         Z, rho, u, s = bordered[0]
         # With x = (D_i, c_i): x^T P' x = D_i^T P D_i - (D_i^T z)^2 / rho
         # + (D_i^T u - c_i)^2 / s.
         z = Z[:, 0]
-        DZ = gram[:m, :m] @ Z[:, :2]
+        DZ = D[:m, :m] @ Z[:, :2]
         dz = DZ[:, 0]
         du = DZ[:, 1] - dz * (float(z @ a) / rho)
         pc = Z[:, 2] - z * (float(z @ c) / rho)
@@ -252,51 +319,37 @@ def _capacitance_inverse(T: np.ndarray) -> np.ndarray:
     return 1.0 / T if T.shape[0] == 1 else np.linalg.inv(T)
 
 
-def _runs(pos: np.ndarray) -> list[tuple[int, int, int]]:
-    """The non-empty ascending positions ``pos`` as runs of consecutive
-    positions: ``(start, stop, first)`` for ``pos[start:stop] == first +
-    arange(stop - start)``."""
-    m = pos.shape[0]
-    if pos[-1] - pos[0] == m - 1:  # one run, the common case, without the scan
-        return [(0, m, int(pos[0]))]
-    stops = (np.flatnonzero(pos[1:] - pos[:-1] != 1) + 1).tolist()
-    starts = [0, *stops]
-    return [(start, stop, int(pos[start])) for start, stop in zip(starts, [*stops, m])]
+def _compact(P: np.ndarray, gone: list[int], size: int) -> None:
+    """Delete the rows and columns at the ascending positions ``gone`` from
+    the leading ``size x size`` block of the C-contiguous buffer ``P``, in
+    place, and zero what the kept block leaves behind.  The kept rows move
+    up as whole rows, each run of them one forward shift of ``P``'s flat
+    memory (a 1-D move that numpy makes without a temporary); then the kept
+    columns move left a run at a time."""
+    cap = P.shape[1]
+    flat = P.reshape(-1)
+    bounds = [*gone, size]
+    # The run after the j-th gone position moves up (then left) by j.
+    for j in range(1, len(bounds)):
+        lo, hi = bounds[j - 1] + 1, bounds[j]
+        flat[(lo - j) * cap : (hi - j) * cap] = flat[lo * cap : hi * cap]
+    m = size - len(gone)
+    for j in range(1, len(bounds)):
+        lo, hi = bounds[j - 1] + 1, bounds[j]
+        P[:m, lo - j : hi - j] = P[:m, lo:hi]
+    P[m:size] = 0.0
+    P[:m, m:size] = 0.0
 
 
-def _kept_block(P: np.ndarray, runs: list[tuple[int, int, int]], size: int) -> np.ndarray:
-    """A fresh ``size x size`` array holding ``P``'s rows and columns at the
-    positions ``pos`` that :func:`_runs` split into ``runs`` in its top-left
-    corner, and zeros in the rows and columns after it: one block copy per
-    pair of runs, (g + 1)^2 copies for g gaps in ``pos``."""
-    m = runs[-1][1]
-    out = np.empty((size, size))
-    for start, stop, first in runs:
-        rows = P[first : first + stop - start]
-        for col_start, col_stop, col_first in runs:
-            out[start:stop, col_start:col_stop] = rows[:, col_first : col_first + col_stop - col_start]
-    if size > m:
-        out[m:] = 0.0
-        out[:m, m:] = 0.0
-    return out
-
-
-def _padded(W: np.ndarray, size: int) -> np.ndarray:
-    """``W`` with zero rows appended up to ``size`` rows (``W`` itself when
-    it has that many)."""
-    if W.shape[0] == size:
-        return W
-    out = np.zeros((size, W.shape[1]))
-    out[: W.shape[0]] = W
-    return out
-
-
-def _add_low_rank(out: np.ndarray, W: np.ndarray, C: np.ndarray) -> None:
-    """``out += W C W^T`` in place, as one BLAS ``dgemm`` on ``out^T``: that
-    is ``out`` in the column-major layout BLAS writes, so no copy is made."""
-    # W^T and (W C)^T are F-contiguous views too, so no argument is copied.
-    # f2py would copy a c that is not F-contiguous and return the copy; then
-    # the update would never reach ``out``.
-    target = out.T
-    if dgemm(1.0, W.T, (W @ C).T, beta=1.0, c=target, trans_a=1, overwrite_c=1) is not target:
+def _add_low_rank(P: np.ndarray, W: np.ndarray, C: np.ndarray, n: int) -> None:
+    """Add ``W C W^T`` to the leading ``n x n`` block of the C-contiguous
+    buffer ``P``, in place, where ``W`` has a row per row of ``P`` and its
+    rows past ``n`` are zero: one BLAS ``dgemm`` on ``P[:n]^T``, which is
+    ``P``'s first n rows in the column-major layout BLAS writes, so no copy
+    is made.  The columns of those rows past ``n`` gain zero."""
+    # W^T and (W[:n] C)^T are F-contiguous views too, so no argument is
+    # copied.  f2py would copy a c that is not F-contiguous and return the
+    # copy; then the update would never reach P.
+    target = P[:n].T
+    if dgemm(1.0, W.T, (W[:n] @ C).T, beta=1.0, c=target, trans_a=1, overwrite_c=1) is not target:
         raise InvariantViolation("dgemm returned a copy of the carried matrix instead of updating it")

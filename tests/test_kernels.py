@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,22 @@ class TestGram:
         for n in (1, 7, 600):
             X = random_dataset(rng, n, d=3).points
             assert np.array_equal(_symmetric_pairwise(spec, X), pairwise(spec, X, X))
+
+    def test_gram_allocates_little_beyond_its_result(self, rng):
+        """At t = 1024 the evaluation's broadcast temporaries and row blocks
+        add little to K's own 8 MB: the traced peak stays within 1.5 times
+        K."""
+        ds = random_dataset(rng, 1024, d=3)
+        spec = KernelSpec.gaussian_kernel(2.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            K = gram(ds, spec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert K.nbytes == 8 * 1024 * 1024
+        assert peak <= 1.5 * K.nbytes
 
     def test_psd_within_tolerance(self, rng):
         for _ in range(10):

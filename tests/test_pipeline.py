@@ -336,31 +336,31 @@ class TestInkStep:
             # the carried block is exactly the kernel on the points asked about
             if asked.dictionary.size:
                 K_dict = gram(Dataset(points=asked.dict_points), kern)
-                np.testing.assert_array_equal(oracle._carried[0].gram, K_dict)
+                np.testing.assert_array_equal(oracle._sketch.gram, K_dict)
 
     def test_steps_leave_their_input_state_unchanged(self):
         """States share arrays (a step that drops no column passes the points
-        on as they are, and the oracle its kernel block), so neither the
-        oracle nor the step may write into the state they are given, nor the
-        oracle into a block it carried: checked bit for bit on steps that
-        admit, evict, reweight and change nothing."""
+        on as they are), so neither the oracle nor the step may write into
+        the state they are given; and the oracle moves its kernel block in
+        place only on a step that admits or evicts: checked bit for bit on
+        steps that admit, evict, reweight and change nothing."""
         spec = SyntheticSpec(n=300, d=3, n_clusters=4, cluster_std=0.5)
         ds = generate_synthetic(spec, rng=7).dataset
         kern = KernelSpec.gaussian_kernel(2.0)
         oracle = EstimateOracle(0.01, 0.5)
         state = initial_state(200, RngHandle(7), kern, ds.dim)
         seen = set()
-        shared_block = block = None
+        kept_block = None
         for t in range(len(ds)):
             d = state.dictionary
-            held = (d.indices, d.counts, state.p_tilde, state.dict_points) + (() if block is None else (block,))
+            held = (d.indices, d.counts, state.p_tilde, state.dict_points)
             before = [a.tobytes() for a in held]
             nxt, _ = ink_step(state, t, ds.points[t], oracle)
             assert [a.tobytes() for a in held] == before
-            block = oracle._carried[0].gram if t else None  # step 0 carries nothing
-            if shared_block is not None:
-                assert block is shared_block
-            shared_block = None
+            block = oracle._sketch.gram.tobytes() if t else None  # step 0 builds no sketch
+            if kept_block is not None:
+                assert block == kept_block
+            kept_block = None
             new = nxt.dictionary
             admitted = bool(new.size) and new.indices[-1] == t
             retained = np.isin(d.indices, new.indices)
@@ -375,7 +375,7 @@ class TestInkStep:
                 assert nxt.dictionary is state.dictionary
             if not (kinds["admit"] or kinds["evict"]):
                 assert nxt.dict_points is state.dict_points
-                shared_block = block
+                kept_block = block
             state = nxt
         assert seen == {"admit", "evict", "reweight", "nothing"}
 
@@ -627,7 +627,7 @@ class TestEstimateOracleCarry:
             nxt, _ = ink_step(state, t, ds.points[t], oracle)
             if t and state.dictionary.size:
                 expected = gram(Dataset(points=state.dict_points), kern)
-                assert oracle._carried[0].gram.tobytes() == expected.tobytes()
+                assert oracle._sketch.gram.tobytes() == expected.tobytes()
                 checked += 1
             state = nxt
         assert checked > 2 * EstimateOracle._REFRESH_EVERY
@@ -644,18 +644,62 @@ class TestEstimateOracleCarry:
         # The step admits index 1; its block with index 0 is indefinite.
         second = admitting_successor(first)
         d, d2 = first.dictionary, second.dictionary
-        carried = CarriedSketch.rebuild(d.indices, d.counts, np.array([[1.0]]), gamma, shift)
-        assert carried.advance(d2.indices, d2.counts, *carried.moved_block(d2.indices, 1, *MADE_UP_COLUMN)) is None
+        carried = CarriedSketch(gamma, shift)
+        carried.rebuild(d.indices, d.counts, np.array([[1.0]]))
+        assert not carried.advance(d2.indices, d2.counts, carried.successor(d2.indices, 1), *MADE_UP_COLUMN)
         oracle = EstimateOracle(gamma, eps)
         oracle.begin_step(first, 1, *MADE_UP_COLUMN)
         with pytest.raises(NumericalError) as carried_error:
             oracle.begin_step(second, 2, np.array([0.5, 0.5]), 1.0)
         with pytest.raises(NumericalError) as rebuild_error:
-            CarriedSketch.rebuild(d2.indices, d2.counts, border(np.array([[1.0]]), *MADE_UP_COLUMN), gamma, shift)
+            CarriedSketch(gamma, shift).rebuild(d2.indices, d2.counts, border(np.array([[1.0]]), *MADE_UP_COLUMN))
         assert str(carried_error.value) == str(rebuild_error.value)
         assert "not positive definite (leading minor 2)" in str(carried_error.value)
 
-    def test_moved_block_runs_once_per_changed_dictionary(self, monkeypatch):
+    @pytest.mark.parametrize("written", ["N", "all"])
+    def test_a_failed_admission_after_partial_writes_rebuilds_from_scratch(self, monkeypatch, written):
+        """An admission that meets a Schur complement that is not positive
+        after the step has written the buffers in place (the step's
+        reweights and evictions and N's bordering, or every bordering too)
+        leaves them to the rebuild on the moved block, which gives the
+        scores and effective dimension of a fresh oracle's rebuild from the
+        state's points, bit for bit.  The failure is forced: with a shift of
+        -inf the first bordered Schur complement after N's is -inf; with
+        "all" the real admission runs to its end and is then reported
+        failed."""
+        admit = CarriedSketch._admit
+        outcomes = []
+
+        def failing(sketch, *args):
+            shift = sketch.shift
+            if written == "N":
+                sketch.shift = -math.inf
+            try:
+                outcomes.append(admit(sketch, *args) is None)
+            finally:
+                sketch.shift = shift
+            return None
+
+        monkeypatch.setattr(CarriedSketch, "_admit", failing)
+        gamma, eps = self.GAMMA, self.EPS
+        oracle = EstimateOracle(gamma, eps)
+
+        class Twins:
+            def begin_step(self, state, new_index, cross, self_term):
+                failed = len(outcomes)
+                tau, deff = oracle.begin_step(state, new_index, cross, self_term)
+                if len(outcomes) > failed:
+                    fresh = EstimateOracle(gamma, eps)
+                    ref_tau, ref_deff = fresh.begin_step(state, new_index, cross, self_term)
+                    assert (tau.tobytes(), deff) == (ref_tau.tobytes(), ref_deff), new_index
+                return tau, deff
+
+        ds = clustered(150, seed=5, d=3)
+        ink_oracle_run(ds, KernelSpec.gaussian_kernel(1.0), gamma, 40, Twins(), rng=1)
+        assert len(outcomes) > 10
+        assert all(outcomes) if written == "N" else not any(outcomes)
+
+    def test_successor_match_runs_once_per_changed_dictionary(self, monkeypatch):
         """The oracle matches its carried sketch to the state exactly once on
         each successor whose dictionary the step before changed, and never on
         one whose dictionary it passed on as it was (that state queries the
@@ -663,18 +707,18 @@ class TestEstimateOracleCarry:
         rebuilds, and on a successor whose carried update fails and falls
         back to a rebuild."""
         calls = []
-        moved_block = CarriedSketch.moved_block
+        successor = CarriedSketch.successor
 
         def counted(sketch, *args):
             calls.append(args)
-            return moved_block(sketch, *args)
+            return successor(sketch, *args)
 
-        monkeypatch.setattr(CarriedSketch, "moved_block", counted)
+        monkeypatch.setattr(CarriedSketch, "successor", counted)
         steps = 2 * EstimateOracle._REFRESH_EVERY + 20
         states = [state for state, _, _ in self._calls(1, steps, EstimateOracle(self.GAMMA, self.EPS))]
         # Each call names the index the step before asked about; step 0
         # builds no sketch, and step 1 has none carried in.
-        asking = [new_index + 1 for _, new_index, _, _ in calls]
+        asking = [new_index + 1 for _, new_index in calls]
         changed = [t for t in range(2, steps) if states[t].dictionary is not states[t - 1].dictionary]
         assert asking == changed
         assert 0 < len(changed) < steps - 2
@@ -1096,8 +1140,10 @@ def test_step_call_budget():
     # 43478 before the floor was cut, 34004 before one kernel formula, 32515
     # before a step that changes nothing kept its dictionary and sketch,
     # 30720 before the step's reductions left numpy's Python-level wrappers
-    # and the step stopped computing alpha_factor.
-    assert calls <= 27242
+    # and the step stopped computing alpha_factor, 27242 before the sketch
+    # moved in place and the score clamp, the increment's coefficient, the
+    # kernel's feature sum and the short Woodbury row sums left them too.
+    assert calls <= 19446
 
 
 class TestGoldenRuns:

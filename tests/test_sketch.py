@@ -12,15 +12,20 @@ from nystream import InvariantViolation, KernelSpec, ink_estimate_run
 from nystream.evaluation import SyntheticSpec, generate_synthetic
 from nystream.kernels import _symmetric_pairwise, evaluate, pairwise
 from nystream.leverage import alpha_factor
-from nystream.sketch import CarriedSketch, _add_low_rank, _capacitance_inverse, _kept_block, _runs
+from nystream.sketch import CarriedSketch, _add_low_rank, _capacitance_inverse, _compact
 
 CARRIED = ("inv_m", "inv_shift", "inv_gamma", "quad")
 
 
+def built(indices, counts, gram, gamma, shift):
+    """A sketch rebuilt for the dictionary ``(indices, counts)`` on ``gram``."""
+    sketch = CarriedSketch(gamma, shift)
+    sketch.rebuild(indices, counts, gram)
+    return sketch
+
+
 def assert_matches_rebuild(sketch, rtol=1e-9):
-    reference = CarriedSketch.rebuild(
-        sketch.indices, sketch.counts, sketch.gram, sketch.gamma, sketch.shift
-    )
+    reference = built(sketch.indices, sketch.counts, sketch.gram.copy(), sketch.gamma, sketch.shift)
     for name in CARRIED:
         got, want = getattr(sketch, name), getattr(reference, name)
         assert got.shape == want.shape, name
@@ -37,26 +42,33 @@ STEP = st.tuples(
 )
 
 
+def assert_zero_past_the_block(sketch):
+    """Every buffer entry outside the leading Q x Q blocks is zero."""
+    q, buffers = sketch.size, sketch._buffers
+    assert not buffers[:, q:].any() and not buffers[:, :, q:].any()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     size=st.integers(1, 12),
     gamma=st.floats(0.02, 1.0),
-    steps=st.lists(STEP, min_size=1, max_size=8),
+    steps=st.lists(STEP, min_size=1, max_size=12),
 )
+@example(seed=7, size=2, gamma=0.1, steps=[([(0, 3)], [], 2)] * 6 + [([], [1], 1)] + [([], [], 3)] * 5)
 def test_updates_match_rebuild(seed, size, gamma, steps):
     """Random gaussian-kernel dictionary blocks through random sequences of
-    reweights, evictions and admissions: after every step the moved kernel
-    block is the kernel on the new dictionary's points, bit for bit, and the
-    quantities advanced on it match a rebuild on it."""
+    reweights, evictions and admissions, one of them long enough to outgrow
+    the buffers: ``advance`` consumes the sketch it moves, which after every
+    step holds the new dictionary, the kernel on its points as the block,
+    bit for bit, and quantities that match a rebuild on that block; its
+    buffers stay zero past the block."""
     rng = np.random.default_rng(seed)
     points = rng.normal(0.0, 1.5, size=(size + len(steps), 2))
     kernel = KernelSpec.gaussian_kernel(float(rng.uniform(0.5, 2.0)))
     shift = alpha_factor(0.5) * gamma
     indices, counts = np.arange(size), rng.integers(1, 10, size=size)
-    sketch = CarriedSketch.rebuild(
-        indices, counts, _symmetric_pairwise(kernel, points[indices]), gamma, shift
-    )
+    sketch = built(indices, counts, _symmetric_pairwise(kernel, points[indices]), gamma, shift)
     for new_index, (reweights, evictions, admitted) in enumerate(steps, start=size):
         counts = counts.copy()
         for draw, weight in reweights:
@@ -70,40 +82,40 @@ def test_updates_match_rebuild(seed, size, gamma, steps):
             indices, counts = np.append(indices, new_index), np.append(counts, admitted)
         cross = pairwise(kernel, points[new_index], points[sketch.indices])[0]
         self_term = evaluate(kernel, points[new_index], points[new_index])
-        before = {name: getattr(sketch, name).tobytes() for name in ("gram", *CARRIED)}
-        moved = sketch.moved_block(indices, new_index, cross, self_term)
-        assert moved is not None
-        assert moved[1].tobytes() == _symmetric_pairwise(kernel, points[indices]).tobytes()
-        successor = sketch.advance(indices, counts, *moved)
-        # The successor's arrays are filled in place, never the predecessor's.
-        assert {name: getattr(sketch, name).tobytes() for name in before} == before
-        sketch = successor
-        assert sketch is not None and sketch.gram is moved[1]
+        pos = sketch.successor(indices, new_index)
+        assert pos is not None
+        assert sketch.advance(indices, counts, pos, cross, self_term)
+        assert sketch.indices is indices and sketch.counts is counts and sketch.size == indices.shape[0]
+        assert sketch.gram.tobytes() == _symmetric_pairwise(kernel, points[indices]).tobytes()
+        assert sketch.diagonal[: sketch.size].tobytes() == sketch.gram.diagonal().tobytes()
+        assert_zero_past_the_block(sketch)
         assert_matches_rebuild(sketch)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    keep=st.lists(st.booleans(), min_size=1, max_size=40).filter(any),
-    border=st.booleans(),
+    keep=st.lists(st.booleans(), min_size=1, max_size=40),
+    slack=st.integers(0, 3),
 )
-@example(seed=0, keep=[False, True, True, True], border=False)  # drops the first
-@example(seed=1, keep=[True, True, True, False], border=True)  # drops the last
-@example(seed=2, keep=[True, False, False, True, True, False, True], border=True)  # adjacent
-@example(seed=3, keep=[True] * 6, border=False)  # drops none
-@example(seed=4, keep=[True] * 6, border=True)
-def test_kept_block_is_the_fancy_indexed_block(seed, keep, border):
-    """The run-by-run copy of the kept rows and columns equals numpy's
-    fancy-indexed block bit for bit, with zeros in the bordered row and
-    column."""
-    P = np.random.default_rng(seed).normal(size=(len(keep), len(keep)))
+@example(seed=0, keep=[False, True, True, True], slack=0)  # drops the first
+@example(seed=1, keep=[True, True, True, False], slack=2)  # drops the last
+@example(seed=2, keep=[True, False, False, True, True, False, True], slack=1)  # adjacent
+@example(seed=3, keep=[True] * 6, slack=0)  # drops none
+@example(seed=4, keep=[False] * 3, slack=1)  # drops all
+def test_compaction_is_the_fancy_indexed_block(seed, keep, slack):
+    """Compacting a buffer in place leaves numpy's fancy-indexed block of
+    the kept rows and columns in its top-left corner, bit for bit, and
+    zeros everywhere else."""
+    size = len(keep)
+    P = np.zeros((size + slack, size + slack))
+    P[:size, :size] = np.random.default_rng(seed).normal(size=(size, size))
     pos = np.flatnonzero(keep)
+    expected = P[np.ix_(pos, pos)]
+    _compact(P, np.flatnonzero(np.logical_not(keep)).tolist(), size)
     m = pos.shape[0]
-    block = _kept_block(P, _runs(pos), m + border)
-    assert block.shape == (m + border, m + border)
-    assert block[:m, :m].tobytes() == P[np.ix_(pos, pos)].tobytes()
-    assert not block[m:].any() and not block[:, m:].any()
+    assert P[:m, :m].tobytes() == expected.tobytes()
+    assert not P[m:].any() and not P[:, m:].any()
 
 
 def peak_bytes(call):
@@ -119,42 +131,51 @@ def peak_bytes(call):
     return peak, result
 
 
-def test_a_step_allocates_one_array_per_carried_matrix():
+def test_rows_move_without_a_temporary():
+    """Dropping the first of 200 positions from a buffer with 40 columns to
+    spare moves 199 whole rows and 199 columns.  The rows move as 1-D
+    shifts, which numpy makes in place; only the overlapping 2-D column
+    move takes a temporary (199 x 199), smaller than a copy of the moved
+    rows (199 x 240) would be."""
+    size, cap = 200, 240
+    P = np.zeros((cap, cap))
+    P[:size, :size] = np.random.default_rng(5).normal(size=(size, size))
+    expected = P[1:size, 1:size].copy()
+    peak, _ = peak_bytes(lambda: _compact(P, [0], size))
+    assert P[: size - 1, : size - 1].tobytes() == expected.tobytes()
+    assert peak < 8 * (size - 1) * (size - 1) + 4096
+
+
+def test_a_step_allocates_little_beside_the_buffers():
     """On a Q = 180 dictionary, a step that evicts, reweights and admits
-    allocates little beyond the successor's own arrays: about one
-    (Q + 1)^2 array for the moved kernel block and three for the carried
-    inverses, each filled in place rather than summed from temporaries."""
+    moves the sketch inside its buffers: the only sizeable allocations are
+    the temporaries of the column moves that compact the buffers, well
+    under one (Q + 1)^2 array in all."""
     q = 180
     rng = np.random.default_rng(11)
     points = rng.normal(0.0, 1.5, size=(q + 1, 3))
     kernel = KernelSpec.gaussian_kernel(2.0)
     indices, counts = np.arange(q), rng.integers(1, 10, size=q)
     gamma = 0.01
-    sketch = CarriedSketch.rebuild(
-        indices, counts, _symmetric_pairwise(kernel, points[:q]), gamma, alpha_factor(0.5) * gamma
-    )
+    block = _symmetric_pairwise(kernel, points[:q])
     keep = np.ones(q, dtype=bool)
     keep[[17, 90]] = False
     new_counts = counts[keep]
     new_counts[[5, 120]] += 3
     successor = np.append(indices[keep], q), np.append(new_counts, 2)
     column = pairwise(kernel, points[q], points[:q])[0], evaluate(kernel, points[q], points[q])
-    square = 8 * (q + 1) ** 2
 
-    def move():
-        return sketch.moved_block(successor[0], q, *column)
+    def step(sketch):
+        return sketch.advance(*successor, sketch.successor(successor[0], q), *column)
 
-    def advance():
-        return sketch.advance(*successor, *moved)
-
-    moved = move()  # first-call set-up is not counted
-    peak, moved = peak_bytes(move)
-    assert peak <= 1.2 * square
-    assert advance() is not None
-    peak, advanced = peak_bytes(advance)
-    assert advanced is not None
-    assert peak <= 3.5 * square
-    assert_matches_rebuild(advanced)
+    # The first step's set-up is not counted; each step consumes its sketch.
+    assert step(built(indices, counts, block, gamma, alpha_factor(0.5) * gamma))
+    sketch = built(indices, counts, block, gamma, alpha_factor(0.5) * gamma)
+    buffers = sketch._buffers
+    peak, advanced = peak_bytes(lambda: step(sketch))
+    assert advanced and sketch._buffers is buffers
+    assert peak <= 0.65 * 8 * (q + 1) ** 2
+    assert_matches_rebuild(sketch)
 
 
 def test_a_lost_update_is_an_error():
@@ -163,11 +184,11 @@ def test_a_lost_update_is_an_error():
     that is an error, not a silently unchanged array."""
     out = np.asfortranarray(np.arange(9.0).reshape(3, 3))
     with pytest.raises(InvariantViolation, match="copy"):
-        _add_low_rank(out, np.ones((3, 1)), np.eye(1))
+        _add_low_rank(out, np.ones((3, 1)), np.eye(1), 3)
 
 
 def test_advance_rejects_a_non_successor():
-    """``advance`` takes its block from ``moved_block``, which rejects a
+    """``advance`` takes its positions from ``successor``, which rejects a
     dictionary that one step cannot have made from the sketch's."""
     rng = np.random.default_rng(3)
     points = rng.normal(size=(6, 2))
@@ -175,14 +196,13 @@ def test_advance_rejects_a_non_successor():
     indices, counts = np.arange(4), np.array([1, 2, 3, 4])
 
     def sketch():
-        return CarriedSketch.rebuild(indices, counts, _symmetric_pairwise(kernel, points[:4]), 0.1, 0.3)
+        return built(indices, counts, _symmetric_pairwise(kernel, points[:4]), 0.1, 0.3)
 
-    # The column of index 4 against the sketch's dictionary.
-    column = (pairwise(kernel, points[4], points[:4])[0], evaluate(kernel, points[4], points[4]))
     # An index the sketch never held, other than the one the step may admit.
-    assert sketch().moved_block(np.array([0, 5]), 4, *column) is None
+    assert sketch().successor(np.array([0, 5]), 4) is None
     # No old column kept.
-    assert sketch().moved_block(np.array([4]), 4, *column) is None
+    assert sketch().successor(np.array([4]), 4) is None
+    assert sketch().successor(np.array([1, 3, 4]), 4).tolist() == [1, 3]
 
 
 def test_empty_dictionary(capfd):
@@ -190,7 +210,7 @@ def test_empty_dictionary(capfd):
     (without LAPACK complaining about a 0 x 0 matrix), and the new column is
     scored alone."""
     empty = np.zeros(0, dtype=np.int64)
-    sketch = CarriedSketch.rebuild(empty, empty, np.zeros((0, 0)), 0.1, 0.3)
+    sketch = built(empty, empty, np.zeros((0, 0)), 0.1, 0.3)
     assert sketch.inv_m.shape == sketch.inv_shift.shape == sketch.inv_gamma.shape == (0, 0)
     forms, quad_c, quad_sq, schur = sketch.query(np.zeros(0), 2.0)
     assert forms.tolist() == [2.0 * 2.0 / 2.3] and (quad_c, quad_sq, schur) == (0.0, 0.0, 2.3)
