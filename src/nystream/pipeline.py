@@ -245,12 +245,15 @@ class EstimateOracle:
     when ``begin_step`` gets the successor of the state it saw last: the
     next step of the same run (same random handle), keeping only columns
     that call queried; for that it keeps the column it was last asked
-    about.  A successor whose dictionary arrays are the sketch's own (the
-    step changed nothing) queries the sketch as it is.  The oracle rebuilds
-    the sketch instead every ``_REFRESH_EVERY`` steps and when the update
-    or the query on it meets a Schur complement that is not positive, on
-    the moved block, and for any other state, on the block evaluated from
-    the state's points.
+    about.  A successor whose dictionary keeps the sketch's ``indices``
+    array (:func:`ink_step` passes it on when the step admitted and evicted
+    nothing) moves the sketch on the positions it has: with its new weights
+    when they changed, as it is when the dictionary is the sketch's own.
+    Any other successor is matched to the sketch's positions first.  The
+    oracle rebuilds the sketch instead every ``_REFRESH_EVERY`` steps and
+    when the update or the query on it meets a Schur complement that is not
+    positive, on the moved block, and for any other state, on the block
+    evaluated from the state's points.
     """
 
     _REFRESH_EVERY = 64
@@ -281,9 +284,12 @@ class EstimateOracle:
         moved = current = False
         if expects is not None and state.step == expects[0] and state.rng is expects[1]:
             update = bool(state.step % self._REFRESH_EVERY)
-            if d.indices is sketch.indices and d.counts is sketch.counts:
-                # The step changed no column: the sketch is this dictionary's.
+            if d.indices is sketch.indices:
+                # The step admitted and evicted nothing: the sketch keeps its
+                # positions, and is this dictionary's once its weights are.
                 moved, current = True, update
+                if update and d.counts is not sketch.counts:
+                    sketch.reweight(d.counts)
             else:
                 pos = sketch.successor(d.indices, expects[2])
                 if pos is not None:
@@ -324,11 +330,13 @@ def ink_step(
     clamp the induced probabilities against the previous step, run the
     shrink/expand chains, and keep the points of the surviving columns; a
     step whose chains change nothing passes the dictionary and its points on
-    as they are.  Raises :class:`InputError`, before any kernel work, when
-    the state's points or ``p_tilde`` do not match its dictionary, and
-    before the oracle call when a kernel value of the point is not finite;
-    and :class:`NumericalError` when a retained column's probability is not
-    positive (its score estimate was clamped to 0)."""
+    as they are, and one that only changes weights builds the next
+    dictionary on the same ``indices`` array.  Raises :class:`InputError`,
+    before any kernel work, when the state's points or ``p_tilde`` do not
+    match its dictionary, and before the oracle call when a kernel value of
+    the point is not finite; and :class:`NumericalError` when a retained
+    column's probability is not positive (its score estimate was clamped
+    to 0)."""
     d, points = state.dictionary, state.dict_points
     q = d.size
     if point.shape != points.shape[1:] or points.shape[0] != q or state.p_tilde.shape != (q,):
@@ -366,16 +374,23 @@ def ink_step(
     queried[-1] = new_index
     admitted = weights[-1] != 0
     old = keep[:-1] if admitted else keep
-    # No retained column was dropped: the next state shares the points, and
-    # the dictionary too when no weight changed either.
+    # A step that drops no retained column passes the points on.  One that
+    # also admits nothing keeps the indices array, which tells a carried
+    # sketch that no position moved, and the whole dictionary when no weight
+    # changed either.
     points_block = points if old.shape[0] == q else points[old]
     if admitted:
         points_block = np.concatenate((points_block, point[None, :]))
-    unchanged = not admitted and old.shape[0] == q and weights[:-1].tolist() == d.counts.tolist()
+    if admitted or old.shape[0] < q:
+        dictionary = Dictionary(queried[keep], weights[keep], d.q_bar)
+    elif weights[:-1].tolist() == d.counts.tolist():
+        dictionary = d
+    else:
+        dictionary = Dictionary(d.indices, weights[:-1], d.q_bar)
 
     next_state = SketchState(
         step=step,
-        dictionary=d if unchanged else Dictionary(queried[keep], weights[keep], d.q_bar),
+        dictionary=dictionary,
         p_tilde=p_new[keep],
         deff_tilde=deff_new,
         kernel=state.kernel,

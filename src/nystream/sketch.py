@@ -32,23 +32,29 @@ The sketch owns one buffer per carried matrix (``D``, ``N`` and the two
 inverses), each a C-contiguous array with ``_SLACK`` = 8 rows and columns to
 spare when it is allocated; the matrix is its leading Q x Q block, and the
 rest of the buffer is zero.  A step updates the buffers where they lie: a
-reweight adds its Woodbury term by BLAS ``dgemm`` on the buffer itself; an
-admission writes the new kernel column into ``D``'s zero border and borders
-the other three on theirs; an eviction first forms the Woodbury terms that
-read the old layout, then compacts the kept rows and columns inside each
-buffer.  A buffer is reallocated only when Q outgrows it, and a rebuild
-refills the same buffers.  So :meth:`CarriedSketch.advance` consumes the
-sketch it moves: the oracle that holds it is its only reader.  A step that
-changes nothing leaves it untouched (the streaming step passes such a
-dictionary on as the same object, and the oracle queries the sketch as it
-is), and a step that only reweights leaves ``D`` untouched.
+step's reweights and evictions add their Woodbury term to each buffer by one
+BLAS call (``dger`` for a rank-one term, ``dgemm`` otherwise) on the layout
+before the step, and an eviction then compacts the kept rows and columns
+inside each buffer; an admission writes the new kernel column into ``D``'s
+zero border and borders the other three on theirs.  A buffer is reallocated
+only when Q outgrows it, and a rebuild refills the same buffers.  So moving
+the sketch consumes it: the oracle that holds it is its only reader.  The
+streaming step tells the oracle what moved by the dictionary it passes on:
+the same object when nothing changed (the oracle queries the sketch as it
+is), a new one on the same ``indices`` array when only weights changed
+(:meth:`CarriedSketch.reweight` moves the sketch on the positions it has,
+leaving ``D`` untouched), and new arrays when the step admitted or evicted
+(:meth:`CarriedSketch.successor` matches the positions, and
+:meth:`CarriedSketch.advance` moves the sketch along them).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dger
 
 from .errors import InvariantViolation
 from .linalg import _inverse, shifted_cholesky
@@ -69,9 +75,11 @@ class CarriedSketch:
     The four Q x Q matrices are views of the leading blocks of four
     C-contiguous buffers of ``Q + _SLACK`` rows and columns (as of their last
     allocation), whose entries past the leading block are zero; ``diagonal``
-    views ``D``'s diagonal through the whole buffer.  :meth:`advance` and
-    :meth:`rebuild` write the buffers in place, so a sketch stands for one
-    dictionary at a time: moving it to a successor consumes it.
+    views ``D``'s diagonal through the whole buffer.  :meth:`reweight`,
+    :meth:`advance` and :meth:`rebuild` write the buffers in place, so a
+    sketch stands for one dictionary at a time: moving it to a successor
+    consumes it.  The factors of an update are formed in one scratch array
+    the sketch keeps beside the buffers.
     """
 
     def __init__(self, gamma: float, shift: float):
@@ -81,6 +89,7 @@ class CarriedSketch:
         self.quad = np.zeros(0)
         self._buffers = np.zeros((4, 0, 0))
         self.diagonal = self._buffers[0].reshape(-1)
+        self._spare = np.empty(0)
         self._sized(0)
 
     def _sized(self, q: int) -> None:
@@ -152,6 +161,79 @@ class CarriedSketch:
             return pos
         return None
 
+    def reweight(self, counts) -> None:
+        """Move the sketch in place to the weights ``counts`` on the positions
+        it has, where 0 marks a column that :meth:`advance` deletes next: one
+        Woodbury update for every weight change and eviction, added to ``N``,
+        ``inv_shift`` and ``inv_gamma`` where they lie, with the forms
+        updated to match; ``D`` is untouched.  The successor of a step that
+        admitted and evicted nothing keeps this sketch's ``indices`` array
+        and moves by this call alone: no position match and no gathers.
+
+        The three factors are formed in the sketch's scratch array, padded
+        with zero rows to the buffers' height; the two shifted inverses'
+        products, capacitance matrices and inverses are formed together on
+        the stacked buffers.  A step that changes one weight and evicts
+        nothing makes it a rank-one update on vectors and scalars."""
+        # (D + Gamma + E_S diag(delta) E_S^T)^-1 = N - N_S T^-1 N_S^T with
+        # T = diag(1/delta) + N_SS and delta = gamma (1/b1 - 1/b0); an
+        # eviction (b1 = 0) has 1/delta = 0.  K~ changes by -H T^-1 H^T with
+        # H = D N_S = E_S - Gamma N_S, so (K~ + s I)^-1 gains V (T - H^T V)^-1
+        # V^T with V = (K~ + s I)^-1 H.  Rows of the buffers past Q are zero,
+        # so N's columns and the products over whole buffer rows are padded
+        # already.
+        q, gamma, b_old = self.size, self.gamma, self.counts
+        changed = (counts != b_old).nonzero()[0]
+        self.counts = counts
+        if not changed.shape[0]:
+            return
+        b1 = counts[changed]
+        N, cap = self._buffers[1], self._buffers.shape[1]
+        shifted = self._buffers[2:, :, :q]
+        if changed.shape[0] == 1 and b1[0]:
+            j = int(changed[0])
+            b0, b = float(b_old[j]), float(b1[0])
+            W = self._workspace(3, cap)
+            W[0] = N[:, j]
+            h = W[0, :q] * (-gamma / b_old)
+            h[j] += 1.0
+            np.matmul(shifted, h, out=W[1:])
+            T = float(W[0, j]) + b0 * b / (gamma * (b0 - b))
+            c_shift, c_gamma = (-1.0 / (W[1:, :q] @ h - T)).tolist()
+            C = (-1.0 / T, c_shift, c_gamma)
+            Y = self.gram @ W[1, :q]
+            quad = self.quad + Y * c_shift * Y
+        else:
+            # Deleting a coordinate is the limit of adding t e_j e_j^T to
+            # K~ + shift I as t -> infinity, so each evicted coordinate joins H
+            # as a unit column whose block of T is 0.  N's factor is zero in
+            # those columns, and an identity block keeps its capacitance
+            # matrix invertible.
+            k, gone = changed.shape[0], changed[b1 == 0]
+            r = k + gone.shape[0]
+            cols = np.arange(r)
+            W = self._workspace(3, cap, r)
+            W[0, :, :k] = N[:, changed]
+            W[0, :, k:] = 0.0
+            b0 = b_old[changed].astype(np.float64)
+            T = W[0, changed, :k]
+            T[cols[:k], cols[:k]] += b0 * b1 / (gamma * (b0 - b1))
+            H = W[0, :q] * (-gamma / b_old)[:, None]
+            H[changed, cols[:k]] += 1.0
+            H[gone, cols[k:]] = 1.0
+            np.matmul(shifted, H, out=W[1:])
+            C = np.zeros((3, r, r))
+            C[0, :k, :k] = T
+            C[0, cols[k:], cols[k:]] = 1.0
+            np.matmul(H.T, W[1:, :q], out=C[1:])
+            C[1:, :k, :k] -= T
+            C = -np.linalg.inv(C)
+            Y = self.gram @ W[1, :q]
+            quad = self.quad + np.add.reduce(Y @ C[1] * Y, axis=1)
+        for P, w, c in zip(self._buffers[1:], W, C):
+            _add_low_rank(P, w, c, q)
+        self.quad = quad
+
     def advance(self, indices, counts, pos, cross, self_term: float, update: bool = True) -> bool:
         """Move the sketch in place to the successor dictionary ``(indices,
         counts)`` for which :meth:`successor` gave ``pos``, bordering ``D``
@@ -165,14 +247,16 @@ class CarriedSketch:
         self._reserve(q1)
         b_new = np.zeros(q0, dtype=np.int64)
         b_new[pos] = counts[:m]
-        changed = (b_new != self.counts).nonzero()[0]
-        b1 = b_new[changed]
-        # The Woodbury terms read the layout before the step's evictions.
-        reweight = self._reweight(changed, b1) if update and changed.shape[0] else None
-        gone = changed[b1 == 0].tolist()
-        if gone:
+        if update:
+            # The step's reweights and evictions (weight 0) on the layout
+            # before it; compacting then deletes the evicted coordinates.
+            self.reweight(b_new)
+        quad = self.quad
+        if m < q0:
+            gone = (b_new == 0).nonzero()[0].tolist()
             for P in self._buffers:
                 _compact(P, gone, q0)
+            quad = quad[pos]
         if m < q1:
             D, border = self._buffers[0], cross[pos]
             D[:m, m] = border
@@ -182,15 +266,6 @@ class CarriedSketch:
         self._sized(q1)
         if not update:
             return False
-        quad = self.quad
-        if reweight is not None:
-            terms, quad = reweight
-            cap = self._buffers.shape[1]
-            for P, (W, C) in zip(self._buffers[1:], terms):
-                kept = np.zeros((cap, W.shape[1]))
-                kept[:m] = W[pos]
-                _add_low_rank(P, kept, C, m)
-            quad = quad[pos]
         if m < q1:
             quad = self._admit(quad, counts, m)
             if quad is None:
@@ -198,54 +273,14 @@ class CarriedSketch:
         self.quad = quad
         return True
 
-    def _reweight(self, changed, b1):
-        """One Woodbury update for every weight change and eviction (new
-        weight 0), formed on the layout before the step: for ``N``,
-        ``inv_shift`` and ``inv_gamma`` in turn a factor ``W`` on the old
-        positions and a capacitance inverse ``C``, to be added as ``W C
-        W^T`` once the buffers are compacted, and the updated forms on the
-        old positions.  A step that changes one weight and evicts nothing
-        makes it a rank-one update on 1-column arrays, whose 1 x 1
-        capacitance matrices are inverted as scalars
-        (:func:`_capacitance_inverse`)."""
-        # (D + Gamma + E_S diag(delta) E_S^T)^-1 = N - N_S T^-1 N_S^T with
-        # T = diag(1/delta) + N_SS and delta = gamma (1/b1 - 1/b0); an
-        # eviction (b1 = 0) has 1/delta = 0.
-        n_s = self.inv_m[:, changed]
-        # K~ changes by -H T^-1 H^T with H = D N_S = E_S - Gamma N_S.
-        H = n_s * (-self.gamma / self.counts)[:, None]
-        if changed.shape[0] == 1 and b1[0]:
-            b0, b = float(self.counts[changed[0]]), float(b1[0])
-            T = n_s[changed] + b0 * b / (self.gamma * (b0 - b))
-            H[changed[0], 0] += 1.0
-            middle = -T
-        else:
-            b0 = self.counts[changed].astype(np.float64)
-            T = n_s[changed] + np.diag(b0 * b1 / (self.gamma * (b0 - b1)))
-            # Deleting a coordinate is the limit of adding t e_j e_j^T to
-            # K~ + shift I as t -> infinity, so each evicted coordinate joins H
-            # as a unit column whose block of the capacitance inverse is 0.
-            k = changed.shape[0]
-            gone = changed[b1 == 0]
-            wide = np.zeros((H.shape[0], k + gone.shape[0]))
-            wide[:, :k] = H
-            H = wide
-            H[changed, np.arange(k)] += 1.0
-            H[gone, k + np.arange(gone.shape[0])] = 1.0
-            middle = np.zeros((H.shape[1], H.shape[1]))
-            middle[:k, :k] = -T
-        terms = [(n_s, -_capacitance_inverse(T))]
-        for P in (self.inv_shift, self.inv_gamma):
-            V = P @ H
-            terms.append((V, -_capacitance_inverse(middle + H.T @ V)))
-        V, C = terms[1]
-        Y = self.gram @ V
-        # Row sums of (Y C) * Y: a sum of one or two products rounds the same
-        # in any order, so a ufunc reduction gives einsum's bits; a longer
-        # one keeps einsum's order.
-        if V.shape[1] <= 2:
-            return terms, self.quad + np.add.reduce(Y @ C * Y, axis=1)
-        return terms, self.quad + np.einsum("ij,ij->i", Y @ C, Y)
+    def _workspace(self, *shape) -> np.ndarray:
+        """A C-contiguous scratch array of ``shape``, a view of one buffer the
+        sketch keeps for its update factors (grown, never shrunk), whose
+        entries the caller writes before reading."""
+        size = math.prod(shape)
+        if self._spare.shape[0] < size:
+            self._spare = np.empty(size)
+        return self._spare[:size].reshape(shape)
 
     def _admit(self, quad, counts, m: int):
         """Border ``N``, ``inv_shift`` and ``inv_gamma`` in place with the
@@ -313,12 +348,6 @@ class CarriedSketch:
         return forms, quad_c, float(w @ w), s
 
 
-def _capacitance_inverse(T: np.ndarray) -> np.ndarray:
-    """``T^-1``; for a 1 x 1 ``T`` the reciprocal ``1 / T``, which is the
-    bit-identical value LAPACK's LU solve gives, without the call."""
-    return 1.0 / T if T.shape[0] == 1 else np.linalg.inv(T)
-
-
 def _compact(P: np.ndarray, gone: list[int], size: int) -> None:
     """Delete the rows and columns at the ascending positions ``gone`` from
     the leading ``size x size`` block of the C-contiguous buffer ``P``, in
@@ -341,15 +370,21 @@ def _compact(P: np.ndarray, gone: list[int], size: int) -> None:
     P[:m, m:size] = 0.0
 
 
-def _add_low_rank(P: np.ndarray, W: np.ndarray, C: np.ndarray, n: int) -> None:
+def _add_low_rank(P: np.ndarray, W: np.ndarray, C, n: int) -> None:
     """Add ``W C W^T`` to the leading ``n x n`` block of the C-contiguous
     buffer ``P``, in place, where ``W`` has a row per row of ``P`` and its
-    rows past ``n`` are zero: one BLAS ``dgemm`` on ``P[:n]^T``, which is
-    ``P``'s first n rows in the column-major layout BLAS writes, so no copy
-    is made.  The columns of those rows past ``n`` gain zero."""
+    rows past ``n`` are zero: one BLAS call on ``P[:n]^T``, which is ``P``'s
+    first n rows in the column-major layout BLAS writes, so no copy is made.
+    A vector ``W`` with a scalar ``C`` is a rank-one ``dger``; a matrix ``W``
+    with a matrix ``C`` one ``dgemm``.  The columns of those rows past ``n``
+    gain zero."""
     # W^T and (W[:n] C)^T are F-contiguous views too, so no argument is
-    # copied.  f2py would copy a c that is not F-contiguous and return the
-    # copy; then the update would never reach P.
+    # copied.  f2py would copy an a or c that is not F-contiguous and return
+    # the copy; then the update would never reach P.
     target = P[:n].T
-    if dgemm(1.0, W.T, (W[:n] @ C).T, beta=1.0, c=target, trans_a=1, overwrite_c=1) is not target:
-        raise InvariantViolation("dgemm returned a copy of the carried matrix instead of updating it")
+    if W.ndim == 1:
+        out = dger(C, W, W[:n], a=target, overwrite_a=1)
+    else:
+        out = dgemm(1.0, W.T, (W[:n] @ C).T, beta=1.0, c=target, trans_a=1, overwrite_c=1)
+    if out is not target:
+        raise InvariantViolation("BLAS returned a copy of the carried matrix instead of updating it")

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nystream import InvariantViolation, KernelSpec, ink_estimate_run
-from nystream.evaluation import SyntheticSpec, generate_synthetic
+from nystream import InvariantViolation, KernelSpec
 from nystream.kernels import _symmetric_pairwise, evaluate, pairwise
 from nystream.leverage import alpha_factor
-from nystream.sketch import CarriedSketch, _add_low_rank, _capacitance_inverse, _compact
+from nystream.sketch import CarriedSketch, _add_low_rank, _compact
 
 CARRIED = ("inv_m", "inv_shift", "inv_gamma", "quad")
 
@@ -59,10 +58,11 @@ def assert_zero_past_the_block(sketch):
 def test_updates_match_rebuild(seed, size, gamma, steps):
     """Random gaussian-kernel dictionary blocks through random sequences of
     reweights, evictions and admissions, one of them long enough to outgrow
-    the buffers: ``advance`` consumes the sketch it moves, which after every
-    step holds the new dictionary, the kernel on its points as the block,
-    bit for bit, and quantities that match a rebuild on that block; its
-    buffers stay zero past the block."""
+    the buffers: ``advance`` (or, for a step that keeps every column and
+    admits none, ``reweight``) consumes the sketch it moves, which after
+    every step holds the new dictionary, the kernel on its points as the
+    block, bit for bit, and quantities that match a rebuild on that block;
+    its buffers stay zero past the block."""
     rng = np.random.default_rng(seed)
     points = rng.normal(0.0, 1.5, size=(size + len(steps), 2))
     kernel = KernelSpec.gaussian_kernel(float(rng.uniform(0.5, 2.0)))
@@ -77,14 +77,18 @@ def test_updates_match_rebuild(seed, size, gamma, steps):
         for draw in evictions:
             keep[draw % keep.shape[0]] = False
         keep[-1] |= not keep.any()  # a successor keeps at least one old column
-        indices, counts = indices[keep], counts[keep]
-        if admitted is not None:
-            indices, counts = np.append(indices, new_index), np.append(counts, admitted)
-        cross = pairwise(kernel, points[new_index], points[sketch.indices])[0]
-        self_term = evaluate(kernel, points[new_index], points[new_index])
-        pos = sketch.successor(indices, new_index)
-        assert pos is not None
-        assert sketch.advance(indices, counts, pos, cross, self_term)
+        if keep.all() and admitted is None:
+            # The columns stay: the sketch moves on the same indices array.
+            sketch.reweight(counts)
+        else:
+            indices, counts = indices[keep], counts[keep]
+            if admitted is not None:
+                indices, counts = np.append(indices, new_index), np.append(counts, admitted)
+            cross = pairwise(kernel, points[new_index], points[sketch.indices])[0]
+            self_term = evaluate(kernel, points[new_index], points[new_index])
+            pos = sketch.successor(indices, new_index)
+            assert pos is not None
+            assert sketch.advance(indices, counts, pos, cross, self_term)
         assert sketch.indices is indices and sketch.counts is counts and sketch.size == indices.shape[0]
         assert sketch.gram.tobytes() == _symmetric_pairwise(kernel, points[indices]).tobytes()
         assert sketch.diagonal[: sketch.size].tobytes() == sketch.gram.diagonal().tobytes()
@@ -180,11 +184,14 @@ def test_a_step_allocates_little_beside_the_buffers():
 
 def test_a_lost_update_is_an_error():
     """An array whose transpose BLAS cannot update in place (here a
-    column-major one) would have its low-rank term written into a copy;
-    that is an error, not a silently unchanged array."""
+    column-major one) would have its low-rank term written into a copy, by
+    ``dgemm`` or, for a rank-one term, ``dger``; that is an error, not a
+    silently unchanged array."""
     out = np.asfortranarray(np.arange(9.0).reshape(3, 3))
     with pytest.raises(InvariantViolation, match="copy"):
         _add_low_rank(out, np.ones((3, 1)), np.eye(1), 3)
+    with pytest.raises(InvariantViolation, match="copy"):
+        _add_low_rank(out, np.ones(3), 1.0, 3)
 
 
 def test_advance_rejects_a_non_successor():
@@ -215,21 +222,3 @@ def test_empty_dictionary(capfd):
     forms, quad_c, quad_sq, schur = sketch.query(np.zeros(0), 2.0)
     assert forms.tolist() == [2.0 * 2.0 / 2.3] and (quad_c, quad_sq, schur) == (0.0, 0.0, 2.3)
     assert capfd.readouterr() == ("", "")
-
-
-def test_scalar_capacitance_inverse_is_lapacks(monkeypatch):
-    """A one-weight step's 1 x 1 capacitance matrices, collected from a
-    small-budget run, invert to LAPACK's bits through the reciprocal."""
-    seen = []
-
-    def recorded(T):
-        seen.append(T.copy())
-        return _capacitance_inverse(T)
-
-    monkeypatch.setattr("nystream.sketch._capacitance_inverse", recorded)
-    problem = generate_synthetic(SyntheticSpec(n=1000, d=3, n_clusters=4, cluster_std=0.5), rng=1)
-    ink_estimate_run(problem.dataset, KernelSpec.gaussian_kernel(2.0), 0.1, 200, 0.5, rng=1)
-    scalars = [T for T in seen if T.shape == (1, 1)]
-    assert len(scalars) > 100
-    for T in scalars:
-        assert _capacitance_inverse(T).tobytes() == np.linalg.inv(T).tobytes()
