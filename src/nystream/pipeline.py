@@ -250,13 +250,15 @@ class EstimateOracle:
     nothing) moves the sketch on the positions it has: with its new weights
     when they changed, as it is when the dictionary is the sketch's own.
     Any other successor is matched to the sketch's positions first.  The
-    oracle rebuilds the sketch instead every ``_REFRESH_EVERY`` steps and
-    when the update or the query on it meets a Schur complement that is not
-    positive, on the moved block, and for any other state, on the block
+    oracle rebuilds the sketch instead, on the moved block, when it carries
+    ``_REFRESH_AFTER`` updates since its last rebuild and the step changed
+    something (a step that changes nothing adds no rounding drift, so it
+    never rebuilds), and when the update or the query on it meets a Schur
+    complement that is not positive; and for any other state, on the block
     evaluated from the state's points.
     """
 
-    _REFRESH_EVERY = 64
+    _REFRESH_AFTER = 64
 
     def __init__(self, gamma: float, epsilon: float):
         open_unit("epsilon", epsilon)
@@ -283,13 +285,12 @@ class EstimateOracle:
         # rest of the sketch is this dictionary's too.
         moved = current = False
         if expects is not None and state.step == expects[0] and state.rng is expects[1]:
-            update = bool(state.step % self._REFRESH_EVERY)
+            update = sketch.updates < self._REFRESH_AFTER
             if d.indices is sketch.indices:
                 # The step admitted and evicted nothing: the sketch keeps its
                 # positions, and is this dictionary's once its weights are.
-                moved, current = True, update
-                if update and d.counts is not sketch.counts:
-                    sketch.reweight(d.counts)
+                moved = True
+                current = d.counts is sketch.counts or sketch.reweight(d.counts, update)
             else:
                 pos = sketch.successor(d.indices, expects[2])
                 if pos is not None:

@@ -26,20 +26,26 @@ surviving columns and bordered with the admitted one):
 
 :meth:`CarriedSketch.rebuild` computes the same quantities from scratch,
 with one :func:`shifted_cholesky` of ``D + Gamma`` (scaled as
-:class:`NystromFactor` holds it) and one of ``K~`` at each shift.
+:class:`NystromFactor` holds it), whose inverse ``N`` gives ``K~ = D -
+Gamma + Gamma N Gamma``, one of ``K~`` at each shift, and one product
+``(K~ + alpha gamma I)^-1 D`` for the forms.  Each update adds rounding
+drift, so the sketch counts the updates that changed something since its
+last rebuild, and its holder refreshes it by a rebuild after a fixed number
+of them.
 
 The sketch owns one buffer per carried matrix (``D``, ``N`` and the two
-inverses), each a C-contiguous array with ``_SLACK`` = 8 rows and columns to
-spare when it is allocated; the matrix is its leading Q x Q block, and the
-rest of the buffer is zero.  A step updates the buffers where they lie: a
-step's reweights and evictions add their Woodbury term to each buffer by one
-BLAS call (``dger`` for a rank-one term, ``dgemm`` otherwise) on the layout
-before the step, and an eviction then compacts the kept rows and columns
-inside each buffer; an admission writes the new kernel column into ``D``'s
-zero border and borders the other three on theirs.  A buffer is reallocated
-only when Q outgrows it, and a rebuild refills the same buffers.  So moving
-the sketch consumes it: the oracle that holds it is its only reader.  The
-streaming step tells the oracle what moved by the dictionary it passes on:
+inverses), each a C-contiguous array with ``max(_SLACK, Q // 4)`` rows and
+columns to spare when it is allocated (``_SLACK`` = 8); the matrix is its
+leading Q x Q block, and the rest of the buffer is zero.  A step updates the
+buffers where they lie: a step's reweights and evictions add their Woodbury
+term to each buffer by one BLAS call (``dger`` for a rank-one term,
+``dgemm`` otherwise) on the layout before the step, and an eviction then
+compacts the kept rows and columns inside each buffer; an admission writes
+the new kernel column into ``D``'s zero border and borders the other three
+on theirs (``dger`` for ``N``, one ``dgemm`` for each shifted inverse).  A
+buffer is reallocated only when Q outgrows it, and a rebuild refills the
+same buffers.  So moving the sketch consumes it: the oracle that holds it is
+its only reader.  The streaming step tells the oracle what moved by the dictionary it passes on:
 the same object when nothing changed (the oracle queries the sketch as it
 is), a new one on the same ``indices`` array when only weights changed
 (:meth:`CarriedSketch.reweight` moves the sketch on the positions it has,
@@ -53,16 +59,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dgemm, dger
 
 from .errors import InvariantViolation
 from .linalg import _inverse, shifted_cholesky
-from .nystrom import Selection, nystrom_approx
 from .sampling import selection_weights
 
-# Rows and columns a buffer holds past Q when it is (re)allocated, so that
-# admissions border the matrices in place until Q outgrows them.
+# Rows and columns a buffer holds past Q when it is (re)allocated, at least
+# _SLACK and a quarter of Q, so that admissions border the matrices in place
+# until Q outgrows them, and a dictionary that grows reallocates a number of
+# times logarithmic in its size.
 _SLACK = 8
 
 
@@ -73,13 +79,15 @@ class CarriedSketch:
     ``indices`` and ``counts``.
 
     The four Q x Q matrices are views of the leading blocks of four
-    C-contiguous buffers of ``Q + _SLACK`` rows and columns (as of their last
-    allocation), whose entries past the leading block are zero; ``diagonal``
-    views ``D``'s diagonal through the whole buffer.  :meth:`reweight`,
-    :meth:`advance` and :meth:`rebuild` write the buffers in place, so a
-    sketch stands for one dictionary at a time: moving it to a successor
-    consumes it.  The factors of an update are formed in one scratch array
-    the sketch keeps beside the buffers.
+    C-contiguous buffers of ``Q + max(_SLACK, Q // 4)`` rows and columns (as
+    of their last allocation), whose entries past the leading block are
+    zero; ``diagonal`` views ``D``'s diagonal through the whole buffer.
+    :meth:`reweight`, :meth:`advance` and :meth:`rebuild` write the buffers
+    in place, so a sketch stands for one dictionary at a time: moving it to a
+    successor consumes it.  The factors of an update are formed in one scratch array
+    the sketch keeps beside the buffers.  ``updates`` counts the updates that
+    changed something (a weight, an eviction or an admission: one per step)
+    since the last rebuild.
     """
 
     def __init__(self, gamma: float, shift: float):
@@ -90,6 +98,7 @@ class CarriedSketch:
         self._buffers = np.zeros((4, 0, 0))
         self.diagonal = self._buffers[0].reshape(-1)
         self._spare = np.empty(0)
+        self.updates = 0
         self._sized(0)
 
     def _sized(self, q: int) -> None:
@@ -102,7 +111,7 @@ class CarriedSketch:
         """Buffers with room for a q x q block: reallocated, with the current
         blocks copied in, only when q outgrows them."""
         if q > self._buffers.shape[1]:
-            size, cap = self.size, q + _SLACK
+            size, cap = self.size, q + max(_SLACK, q // 4)
             buffers = np.zeros((4, cap, cap))
             buffers[:, :size, :size] = self._buffers[:, :size, :size]
             self._buffers = buffers
@@ -112,26 +121,23 @@ class CarriedSketch:
     def rebuild(self, indices, counts, gram: np.ndarray | None = None) -> None:
         """The carried quantities from scratch, for the dictionary ``(indices,
         counts)`` on its kernel block ``gram``, or on the block ``D`` holds
-        already when ``gram`` is None.
+        already when ``gram`` is None; the sketch then carries no update.
 
         Raises :class:`NumericalError` when ``D + Gamma`` is not positive
         definite; the buffers are then as they were.
         """
-        # The dictionary-row restriction of the weighted selection applied to
-        # the kernel matrix: cross = D B^{1/2}, sampled = B^{1/2} D B^{1/2}.
         q = counts.shape[0]
         block = self.gram if gram is None else gram
+        # N = (D + Gamma)^-1 = B^{1/2} (B^{1/2} D B^{1/2} + gamma I)^-1 B^{1/2},
+        # factored at the scale NystromFactor holds its sampled block in.
         sqrt_b = selection_weights(counts)
-        factor = nystrom_approx(block, Selection(np.arange(q), sqrt_b, q), self.gamma)
-        # K~ as NystromFactor.materialize computes it, keeping the factor of
-        # sampled + gamma I for N = B^{1/2} (sampled + gamma I)^-1 B^{1/2}.
-        L_m = shifted_cholesky(factor.sampled, self.gamma)
-        F = solve_triangular(L_m, factor.cross.T, lower=True, check_finite=False).T
-        tilde = F @ F.T
-        inv_m = _inverse(L_m) * np.outer(sqrt_b, sqrt_b)
-        L = shifted_cholesky(tilde, self.shift)
-        half = solve_triangular(L, block, lower=True, check_finite=False)
-        inv_shift = _inverse(L)
+        scale = np.outer(sqrt_b, sqrt_b)
+        inv_m = _inverse(shifted_cholesky(block * scale, self.gamma)) * scale
+        # K~ = D - Gamma + Gamma N Gamma, exactly symmetric as D and N are.
+        g = self.gamma / counts
+        tilde = block + inv_m * np.outer(g, g)
+        tilde.reshape(-1)[:: q + 1] -= g
+        inv_shift = _inverse(shifted_cholesky(tilde, self.shift))
         inv_gamma = _inverse(shifted_cholesky(tilde, self.gamma))
         if gram is not None:
             self._reserve(q)
@@ -144,7 +150,8 @@ class CarriedSketch:
         self.inv_shift[...] = inv_shift
         self.inv_gamma[...] = inv_gamma
         self.indices, self.counts = indices, counts
-        self.quad = np.einsum("ij,ij->j", half, half)
+        self.quad = np.einsum("ij,ij->j", inv_shift @ block, block)
+        self.updates = 0
 
     def successor(self, indices, new_index: int) -> np.ndarray | None:
         """The positions here of the columns that the dictionary ``indices``
@@ -161,7 +168,7 @@ class CarriedSketch:
             return pos
         return None
 
-    def reweight(self, counts) -> None:
+    def reweight(self, counts, update: bool = True) -> bool:
         """Move the sketch in place to the weights ``counts`` on the positions
         it has, where 0 marks a column that :meth:`advance` deletes next: one
         Woodbury update for every weight change and eviction, added to ``N``,
@@ -169,6 +176,9 @@ class CarriedSketch:
         updated to match; ``D`` is untouched.  The successor of a step that
         admitted and evicted nothing keeps this sketch's ``indices`` array
         and moves by this call alone: no position match and no gathers.
+        True when the carried quantities are those of ``counts``; False when
+        a weight changed and ``update`` is False, which leaves the sketch
+        holding ``counts`` for :meth:`rebuild` to make the rest.
 
         The three factors are formed in the sketch's scratch array, padded
         with zero rows to the buffers' height; the two shifted inverses'
@@ -186,7 +196,9 @@ class CarriedSketch:
         changed = (counts != b_old).nonzero()[0]
         self.counts = counts
         if not changed.shape[0]:
-            return
+            return True
+        if not update:
+            return False
         b1 = counts[changed]
         N, cap = self._buffers[1], self._buffers.shape[1]
         shifted = self._buffers[2:, :, :q]
@@ -233,24 +245,26 @@ class CarriedSketch:
         for P, w, c in zip(self._buffers[1:], W, C):
             _add_low_rank(P, w, c, q)
         self.quad = quad
+        self.updates += 1
+        return True
 
     def advance(self, indices, counts, pos, cross, self_term: float, update: bool = True) -> bool:
         """Move the sketch in place to the successor dictionary ``(indices,
         counts)`` for which :meth:`successor` gave ``pos``, bordering ``D``
         with the column ``(cross, self_term)`` of the step's new index if the
         step admitted it.  True when the carried quantities are the
-        successor's; False when ``update`` is False or a Schur complement of
-        the update is not positive.  ``D`` is the successor's block either
-        way, and :meth:`rebuild` on it makes the rest (and tells why an
-        update failed)."""
+        successor's; False when the step changed something and ``update`` is
+        False, or a Schur complement of the update is not positive.  ``D`` is
+        the successor's block either way, and :meth:`rebuild` on it makes the
+        rest (and tells why an update failed)."""
         q0, m, q1 = self.size, pos.shape[0], indices.shape[0]
         self._reserve(q1)
         b_new = np.zeros(q0, dtype=np.int64)
         b_new[pos] = counts[:m]
-        if update:
-            # The step's reweights and evictions (weight 0) on the layout
-            # before it; compacting then deletes the evicted coordinates.
-            self.reweight(b_new)
+        updates = self.updates
+        # The step's reweights and evictions (weight 0) on the layout before
+        # it; compacting then deletes the evicted coordinates.
+        current = self.reweight(b_new, update)
         quad = self.quad
         if m < q0:
             gone = (b_new == 0).nonzero()[0].tolist()
@@ -264,14 +278,14 @@ class CarriedSketch:
             D[m, m] = self_term
         self.indices, self.counts = indices, counts
         self._sized(q1)
-        if not update:
-            return False
         if m < q1:
-            quad = self._admit(quad, counts, m)
+            quad = self._admit(quad, counts, m) if update else None
             if quad is None:
                 return False
+            # One update for the step, whether or not it also reweighted.
+            self.updates = updates + 1
         self.quad = quad
-        return True
+        return current
 
     def _workspace(self, *shape) -> np.ndarray:
         """A C-contiguous scratch array of ``shape``, a view of one buffer the
@@ -287,49 +301,64 @@ class CarriedSketch:
         newest column, which ``D``'s row and column ``m`` hold: their leading
         m x m blocks hold the predecessor's quantities after this step's
         reweights, and their row and column ``m`` are zero.  Returns the
-        bordered forms, or None when a Schur complement is not positive."""
+        bordered forms, or None when a Schur complement is not positive;
+        ``N`` is bordered by then, and the shifted inverses are bordered only
+        when both of theirs are positive.
+
+        The factors are formed in the sketch's scratch array, padded with
+        zero rows to the buffers' height; the two shifted inverses' products
+        with ``h`` and ``c`` are one stacked product, and their factors are
+        those products, turned in place into the bordering's columns."""
         D, N = self._buffers[0], self._buffers[1]
-        cap = D.shape[0]
-        c, k = D[:m, m], float(D[m, m])
-        gamma_new = self.gamma / float(counts[m])
-        v = N[:m, :m] @ c
+        cap, gamma = D.shape[0], self.gamma
+        c, k = D[m, :m], float(D[m, m])
+        gamma_new = gamma / float(counts[m])
+        W = self._workspace(7, cap)
+        w = W[0]
+        np.matmul(N[:, :m], c, out=w)
+        v = w[:m]
         sigma = k + gamma_new - float(c @ v)
         if not sigma > 0:
             return None
         # (D + Gamma)^-1 bordered: N + (v; -1)(v; -1)^T / sigma.  K~ gains
-        # (Gamma v)(Gamma v)^T / sigma on the old coordinates and the border
+        # h h^T / sigma with h = Gamma v on the old coordinates and the border
         # column a with corner kappa.
-        W = np.zeros((cap, 1))
-        W[:m, 0], W[m, 0] = v, -1.0
-        _add_low_rank(N, W, np.array([[1.0 / sigma]]), m + 1)
-        h = (self.gamma / counts[:m]) * v
+        w[m] = -1.0
+        _add_low_rank(N, w, 1.0 / sigma, m + 1)
+        X = W[1:3, :m]
+        h = np.multiply(gamma / counts[:m], v, out=X[0])
+        X[1] = c
         a = c - (gamma_new / sigma) * h
         kappa = k - gamma_new + gamma_new * gamma_new / sigma
-        bordered = []
-        for P, shift in ((self._buffers[2], self.shift), (self._buffers[3], self.gamma)):
-            # (P^-1 + h h^T / sigma)^-1 = P - z z^T / rho, then bordered with
-            # (a, kappa + shift): + (u; -1)(u; -1)^T / s.
-            Z = P[:m, :m] @ np.stack((h, a, c), axis=1)
-            z = Z[:, 0]
-            rho = sigma + float(h @ z)
-            u = Z[:, 1] - z * (float(z @ a) / rho)
-            s = kappa + shift - float(a @ u)
-            if not s > 0:
-                return None
-            W = np.zeros((cap, 2))
-            W[:m, 0], W[:m, 1], W[m, 1] = z, u, -1.0
-            _add_low_rank(P, W, np.diag([-1.0 / rho, 1.0 / s]), m + 1)
-            bordered.append((Z, rho, u, s))
-        Z, rho, u, s = bordered[0]
-        # With x = (D_i, c_i): x^T P' x = D_i^T P D_i - (D_i^T z)^2 / rho
-        # + (D_i^T u - c_i)^2 / s.
-        z = Z[:, 0]
-        DZ = D[:m, :m] @ Z[:, :2]
-        dz = DZ[:, 0]
-        du = DZ[:, 1] - dz * (float(z @ a) / rho)
-        pc = Z[:, 2] - z * (float(z @ c) / rho)
-        quad_new = float(c @ pc) + (float(u @ c) - k) ** 2 / s
-        return np.append(quad - dz * dz / rho + (du - c) ** 2 / s, quad_new)
+        # For P = (K~ + shift I)^-1 at each shift: (P^-1 + h h^T / sigma)^-1 =
+        # P - z z^T / rho with z = P h, then bordered with (a, kappa + shift):
+        # + (u; -1)(u; -1)^T / s, where u = (P - z z^T / rho) a, which is
+        # P c - z (gamma_new / sigma + z^T a / rho).  Z's columns go from
+        # (P h, P c) to (z, u).
+        Z = W[3:].reshape(2, cap, 2)
+        np.matmul(self._buffers[2:, :, :m], X.T, out=Z)
+        zs = Z[:, :m, 0]
+        rho = sigma + zs @ h
+        quad_c = float(c @ Z[0, :m, 1])
+        Z[:, :, 1] -= Z[:, :, 0] * (gamma_new / sigma + (zs @ a) / rho)[:, None]
+        s = kappa - Z[:, :m, 1] @ a
+        s += (self.shift, gamma)
+        if not (s[0] > 0 and s[1] > 0):
+            return None
+        Z[:, m, 1] = -1.0
+        C = np.zeros((2, 2, 2))
+        C[:, 0, 0] = -1.0 / rho
+        C[:, 1, 1] = 1.0 / s
+        for P, f, c_p in zip(self._buffers[2:], Z, C):
+            _add_low_rank(P, f, c_p, m + 1)
+        # D's rows 0..m are the bordered columns x_i = (D_i, c_i) and x = (c, k);
+        # x^T P' x = x^T P x - (x^T (z; 0))^2 / rho + (x^T (u; -1))^2 / s.
+        DF = D[: m + 1] @ Z[0]
+        forms = np.empty(m + 1)
+        forms[:m] = quad
+        forms[m] = quad_c
+        forms += DF[:, 1] * DF[:, 1] / s[0] - DF[:, 0] * DF[:, 0] / rho[0]
+        return forms
 
     def query(self, cross: np.ndarray, self_term: float) -> tuple[np.ndarray, float, float, float]:
         """Forms of the sketch bordered with the new column ``(c, k)``:

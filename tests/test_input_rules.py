@@ -224,10 +224,11 @@ class TestZeroKernelMass:
 
 def test_kept_column_with_zero_score_estimate_names_step_index_and_score():
     """At a ridge of 1e-10 the estimator clamps a kept column's score to 0
-    at step 28; the exact oracle runs the same stream to the end."""
+    at step 35; the exact oracle runs the same stream to the end.  Where the
+    clamp first hits depends on rounding in the sketch."""
     problem = generate_synthetic(SyntheticSpec(n=400, d=3, n_clusters=4, cluster_std=0.5), 1)
     kernel = KernelSpec.gaussian_kernel(2.0)
-    with pytest.raises(NumericalError, match=r"^step 28: retained index 26 got leverage score 0\.0 \(clamped at 0\), so sampling probability 0\.0;"):
+    with pytest.raises(NumericalError, match=r"^step 35: retained index 2 got leverage score 0\.0 \(clamped at 0\), so sampling probability 0\.0;"):
         ink_estimate_run(problem.dataset, kernel, 1e-10, 200, 0.5, rng=1)
     assert ink_oracle_run(problem.dataset, kernel, 1e-10, 200, rng=1).checkpoints[-1].step == 400
 

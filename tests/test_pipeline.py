@@ -64,6 +64,22 @@ def clustered(n, seed=0, d=2, clusters=3, std=0.4):
     ).dataset
 
 
+@pytest.fixture
+def refreshes(monkeypatch):
+    """The number of updates each sketch carried when it was rebuilt, one
+    entry per :meth:`CarriedSketch.rebuild` call, in call order: a periodic
+    refresh is an entry of ``EstimateOracle._REFRESH_AFTER``."""
+    carried = []
+    rebuild = CarriedSketch.rebuild
+
+    def counted(sketch, *args):
+        carried.append(sketch.updates)
+        return rebuild(sketch, *args)
+
+    monkeypatch.setattr(CarriedSketch, "rebuild", counted)
+    return carried
+
+
 class StubOracle:
     """Constant answers; exercises the plumbing without any math."""
 
@@ -542,14 +558,16 @@ class TestEstimateOracleMatchesEstimators:
             oracle.begin_step(state, 1, cross, corner)
         assert oracle.diagnostics == Diagnostics() == reference
 
-    def test_numerical_error_on_indefinite_dictionary_block(self):
+    def test_numerical_error_on_indefinite_dictionary_block(self, refreshes):
         """A carried dictionary block whose weighted form plus gamma is not
         positive definite cannot be factored: the periodic rebuild raises
         NumericalError, as the public materialize() does on that block.  The
         block comes from the made-up column the oracle was asked about on the
-        step before."""
+        step before; the sketch carries ``_REFRESH_AFTER`` updates by then,
+        so the step that admits the column refreshes it instead of
+        bordering it."""
         gamma, eps = 0.1, 0.5
-        first = one_column_state(EstimateOracle._REFRESH_EVERY - 1)
+        first = one_column_state()
         second = admitting_successor(first)
         block = border(np.array([[1.0]]), *MADE_UP_COLUMN)
         selection = build_selection([0, 1], {0: 1.0, 1: 1.0}, 2)
@@ -557,8 +575,10 @@ class TestEstimateOracleMatchesEstimators:
             nystrom_approx(block, selection, gamma).materialize()
         oracle = EstimateOracle(gamma, eps)
         oracle.begin_step(first, 1, *MADE_UP_COLUMN)
+        oracle._sketch.updates = EstimateOracle._REFRESH_AFTER
         with pytest.raises(NumericalError, match="not positive definite"):
             oracle.begin_step(second, 2, np.array([0.5, 0.5]), 1.0)
+        assert refreshes == [0, EstimateOracle._REFRESH_AFTER]
 
 
 class TestEstimateOracleCarry:
@@ -566,6 +586,9 @@ class TestEstimateOracleCarry:
     and rebuilds them for any other state."""
 
     GAMMA, EPS = 0.05, 0.5
+    # Long enough for every stream these tests run to cross two periodic
+    # refreshes, each after _REFRESH_AFTER updates that changed something.
+    STEPS = 7 * EstimateOracle._REFRESH_AFTER
 
     @classmethod
     def _calls(cls, seed, steps, oracle, kern=KernelSpec.gaussian_kernel(1.0)):
@@ -599,25 +622,26 @@ class TestEstimateOracleCarry:
             assert deff == ref_deff
 
     @pytest.mark.parametrize("kern", [KernelSpec.gaussian_kernel(1.0), KernelSpec.linear_kernel()])
-    def test_successors_match_the_one_shot_step(self, kern):
+    def test_successors_match_the_one_shot_step(self, kern, refreshes):
         """Each successor against a fresh oracle, which computes the step from
         scratch; over more than one refresh period, so steps both right after
         a rebuild and far from one are checked.  The linear kernel's self
         terms differ from point to point (the gaussian's are all 1), which
         the diagonal a carried block keeps for its steps must follow."""
         oracle = EstimateOracle(self.GAMMA, self.EPS)
-        calls = self._calls(1, 2 * EstimateOracle._REFRESH_EVERY + 20, oracle, kern)
+        calls = self._calls(1, self.STEPS, oracle, kern)
+        assert refreshes.count(EstimateOracle._REFRESH_AFTER) >= 2
         for call in calls[1:]:
             tau, deff = self._ask(oracle, call)
             ref_tau, ref_deff = self._ask(EstimateOracle(self.GAMMA, self.EPS), call)
             np.testing.assert_allclose(tau, ref_tau, rtol=1e-10, atol=1e-12)
             assert deff == pytest.approx(ref_deff, rel=1e-12)
 
-    def test_carried_block_is_the_kernel_on_the_points(self):
+    def test_carried_block_is_the_kernel_on_the_points(self, refreshes):
         """After every step, across two periodic rebuilds, the kernel block
         the oracle carries for the state it was asked about is the kernel on
         that state's points, bit for bit."""
-        steps = 2 * EstimateOracle._REFRESH_EVERY + 20
+        steps = self.STEPS
         ds = clustered(steps, seed=5, d=3)
         kern = KernelSpec.gaussian_kernel(1.0)
         oracle = EstimateOracle(self.GAMMA, self.EPS)
@@ -630,7 +654,8 @@ class TestEstimateOracleCarry:
                 assert oracle._sketch.gram.tobytes() == expected.tobytes()
                 checked += 1
             state = nxt
-        assert checked > 2 * EstimateOracle._REFRESH_EVERY
+        assert checked > 2 * EstimateOracle._REFRESH_AFTER
+        assert refreshes.count(EstimateOracle._REFRESH_AFTER) >= 2
 
     def test_failed_admission_rebuilds(self):
         """An admission whose Schur complement of ``D + Gamma`` is not
@@ -699,7 +724,7 @@ class TestEstimateOracleCarry:
         assert len(outcomes) > 10
         assert all(outcomes) if written == "N" else not any(outcomes)
 
-    def test_successor_match_runs_once_per_admitting_or_evicting_step(self, monkeypatch):
+    def test_successor_match_runs_once_per_admitting_or_evicting_step(self, monkeypatch, refreshes):
         """The oracle matches its carried sketch to the state exactly once on
         each successor whose step admitted or evicted a column, and never on
         one whose step only reweighted or changed nothing (that state keeps
@@ -714,8 +739,9 @@ class TestEstimateOracleCarry:
             return successor(sketch, *args)
 
         monkeypatch.setattr(CarriedSketch, "successor", counted)
-        steps = 2 * EstimateOracle._REFRESH_EVERY + 20
+        steps = self.STEPS
         states = [state for state, _, _ in self._calls(1, steps, EstimateOracle(self.GAMMA, self.EPS))]
+        assert refreshes.count(EstimateOracle._REFRESH_AFTER) >= 2
         # Each call names the index the step before asked about; step 0
         # builds no sketch, and step 1 has none carried in.
         asking = [new_index + 1 for _, new_index in calls]
@@ -791,6 +817,47 @@ class TestEstimateOracleCarry:
         res = ink_oracle_run(ds, KernelSpec.gaussian_kernel(2.0), gamma, q_bar, Twins(), rng=1)
         assert q_range[0] <= res.dictionary.size <= q_range[1]
         assert min(kinds.count(kind) for kind in ("unchanged", "reweighted", "moved")) >= 20
+
+    def test_a_refresh_comes_after_exactly_its_updates(self, refreshes):
+        """The oracle rebuilds its sketch on the step after the one that made
+        the sketch's ``_REFRESH_AFTER``-th update since its last rebuild,
+        counting only steps that changed something, never on a step that
+        changes nothing, and no sketch carries more updates than that.  A
+        twin oracle asked about each state with its dictionary arrays freshly
+        copied (so it moves its sketch by ``advance`` on every step) rebuilds
+        on the same steps after the same counts: on a seeded Q ~ 30 stream,
+        across several refreshes."""
+        limit = EstimateOracle._REFRESH_AFTER
+        shared, twin = EstimateOracle(0.1, 0.5), EstimateOracle(0.1, 0.5)
+        changed, rebuilt = [], ([], [])
+
+        class Twins:
+            previous = None
+
+            def begin_step(self, state, new_index, cross, self_term):
+                d = state.dictionary
+                changed.append(d is not self.previous)
+                self.previous = d
+                copied = replace(state, dictionary=replace(d, indices=d.indices.copy(), counts=d.counts.copy()))
+                answers = []
+                for oracle, asked, log in ((shared, state, rebuilt[0]), (twin, copied, rebuilt[1])):
+                    before = len(refreshes)
+                    answers.append(oracle.begin_step(asked, new_index, cross, self_term))
+                    log.append(refreshes[before:])
+                    assert oracle._sketch.updates <= limit
+                return answers[0]
+
+        ds = clustered(800, seed=1, d=3, clusters=4, std=0.5)
+        ink_oracle_run(ds, KernelSpec.gaussian_kernel(2.0), 0.1, 200, Twins(), rng=1)
+        assert rebuilt[0] == rebuilt[1]
+        # Step 0 scores exactly and step 1 builds the first sketch; after
+        # that every rebuild is a refresh.
+        steps = [t for t, carried in enumerate(rebuilt[0]) if carried]
+        assert steps[0] == 1 and rebuilt[0][1] == [0]
+        assert all(rebuilt[0][t] == [limit] and changed[t] for t in steps[1:])
+        assert len(steps) >= 4
+        for start, end in zip(steps, steps[1:]):
+            assert sum(changed[start + 1 : end]) == limit
 
 
 class TestRuns:
@@ -1180,8 +1247,10 @@ def test_step_call_budget():
     # kernel's feature sum and the short Woodbury row sums left them too,
     # 19446 before a step that only reweights kept its indices (no position
     # match, no gathers) and the Woodbury update dropped np.diag, np.eye,
-    # np.einsum and the per-matrix capacitance inverses.
-    assert calls <= 16902
+    # np.einsum and the per-matrix capacitance inverses, 16902 before the
+    # sketch was refreshed after 64 updates instead of every 64 steps and an
+    # admission formed both shifted inverses' products in one call.
+    assert calls <= 15740
 
 
 class TestGoldenRuns:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from nystream import InvariantViolation, KernelSpec
 from nystream.kernels import _symmetric_pairwise, evaluate, pairwise
 from nystream.leverage import alpha_factor
+from nystream.nystrom import Selection, nystrom_approx
+from nystream.sampling import selection_weights
 from nystream.sketch import CarriedSketch, _add_low_rank, _compact
 
 CARRIED = ("inv_m", "inv_shift", "inv_gamma", "quad")
@@ -94,6 +96,42 @@ def test_updates_match_rebuild(seed, size, gamma, steps):
         assert sketch.diagonal[: sketch.size].tobytes() == sketch.gram.diagonal().tobytes()
         assert_zero_past_the_block(sketch)
         assert_matches_rebuild(sketch)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 30),
+    gamma=st.floats(1e-3, 1.0),
+    max_weight=st.integers(1, 40),
+)
+@example(seed=0, size=30, gamma=1e-3, max_weight=40)
+@example(seed=1, size=12, gamma=1e-3, max_weight=1)
+def test_rebuild_matches_dense_solves(seed, size, gamma, max_weight):
+    """A rebuild's ``N``, shifted inverses and forms against dense inverses
+    of ``D + Gamma`` and of ``K~ + s I`` at both shifts, with ``K~`` the
+    public ``NystromFactor.materialize`` of the weighted selection on ``D``,
+    to 1e-10 relative: on gaussian-kernel blocks of random points, down to
+    gamma = 1e-3 and with weights up to 40."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(0.0, 1.5, size=(size, 2))
+    block = _symmetric_pairwise(KernelSpec.gaussian_kernel(float(rng.uniform(0.5, 2.0))), points)
+    counts = rng.integers(1, max_weight + 1, size=size)
+    shift = alpha_factor(0.5) * gamma
+    sketch = built(np.arange(size), counts, block, gamma, shift)
+    selection = Selection(np.arange(size), selection_weights(counts), size)
+    tilde = nystrom_approx(block, selection, gamma).materialize()
+    inv_shift = np.linalg.inv(tilde + shift * np.eye(size))
+    expected = {
+        "inv_m": np.linalg.inv(block + np.diag(gamma / counts)),
+        "inv_shift": inv_shift,
+        "inv_gamma": np.linalg.inv(tilde + gamma * np.eye(size)),
+        "quad": np.einsum("ij,ji->i", block, inv_shift @ block),
+    }
+    for name, want in expected.items():
+        got = getattr(sketch, name)
+        assert got.shape == want.shape, name
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), name
 
 
 @settings(max_examples=100, deadline=None)
