@@ -240,25 +240,15 @@ class EstimateOracle:
     is seeded exactly from the first self term and grown by scaled increment
     estimates afterwards.  The oracle counts its clamps in ``diagnostics``.
 
-    The oracle holds one :class:`CarriedSketch`, whose buffers it moves in
-    place along the 1-2 dictionary columns a step changes, in O(k Q^2),
-    when ``begin_step`` gets the successor of the state it saw last: the
-    next step of the same run (same random handle), keeping only columns
-    that call queried; for that it keeps the column it was last asked
-    about.  A successor whose dictionary keeps the sketch's ``indices``
-    array (:func:`ink_step` passes it on when the step admitted and evicted
-    nothing) moves the sketch on the positions it has: with its new weights
-    when they changed, as it is when the dictionary is the sketch's own.
-    Any other successor is matched to the sketch's positions first.  The
-    oracle rebuilds the sketch instead, on the moved block, when it carries
-    ``_REFRESH_AFTER`` updates since its last rebuild and the step changed
-    something (a step that changes nothing adds no rounding drift, so it
-    never rebuilds), and when the update or the query on it meets a Schur
-    complement that is not positive; and for any other state, on the block
+    The oracle holds one :class:`CarriedSketch`.  For a state at the step
+    after the one it answered last, of the same run (same random handle),
+    it asks the sketch to follow the state's dictionary and score the new
+    column in one :meth:`CarriedSketch.query`, which moves the sketch in
+    place along the 1-2 dictionary columns a step changes, in O(k Q^2), and
+    refreshes it when it must.  For any other state, and for a dictionary
+    the sketch cannot follow, the oracle rebuilds the sketch on the block
     evaluated from the state's points.
     """
-
-    _REFRESH_AFTER = 64
 
     def __init__(self, gamma: float, epsilon: float):
         open_unit("epsilon", epsilon)
@@ -269,9 +259,8 @@ class EstimateOracle:
         self._gamma = float(gamma)
         self._sketch = CarriedSketch(self._gamma, self.alpha * self._gamma)
         # The step and random handle of the successor state the sketch can
-        # move to next, and the column (index, cross terms, self term) that
-        # its step may have admitted.
-        self._expects: tuple[int, RngHandle, int, np.ndarray, float] | None = None
+        # move to next.
+        self._expects: tuple[int, RngHandle] | None = None
 
     def begin_step(self, state, new_index, cross, self_term) -> tuple[np.ndarray, float]:
         gamma, sketch = self._gamma, self._sketch
@@ -281,33 +270,18 @@ class EstimateOracle:
             # The first score and effective dimension are exact (0.0 for a self term of 0).
             return np.array([self_term / (self_term + shift)]), self_term / (self_term + gamma)
         d = state.dictionary
-        # Whether the sketch's D is this dictionary's block, and whether the
-        # rest of the sketch is this dictionary's too.
-        moved = current = False
-        if expects is not None and state.step == expects[0] and state.rng is expects[1]:
-            update = sketch.updates < self._REFRESH_AFTER
-            if d.indices is sketch.indices:
-                # The step admitted and evicted nothing: the sketch keeps its
-                # positions, and is this dictionary's once its weights are.
-                moved = True
-                current = d.counts is sketch.counts or sketch.reweight(d.counts, update)
-            else:
-                pos = sketch.successor(d.indices, expects[2])
-                if pos is not None:
-                    moved = True
-                    current = sketch.advance(d.indices, d.counts, pos, *expects[3:], update)
-        query = sketch.query(cross, self_term) if current else None
-        if query is None or not query[3] > 0:
-            block = None if moved else _symmetric_pairwise(state.kernel, state.dict_points)
-            sketch.rebuild(d.indices, d.counts, block)
-            query = sketch.query(cross, self_term)
-            if not query[3] > 0:
-                raise NumericalError(
-                    "K~_D + alpha*gamma*I or its bordered Schur complement k + alpha*gamma - c^T "
-                    "(K~_D + alpha*gamma*I)^-1 c is not positive: bordered shifted matrix is not "
-                    f"positive definite (leading minor {d.size + 1})"
-                )
-        forms, quad_alpha, quad_sq, _ = query
+        follows = expects is not None and state.step == expects[0] and state.rng is expects[1]
+        query = sketch.query(d.indices, d.counts, new_index, cross, self_term) if follows else None
+        if query is None:
+            sketch.rebuild(d.indices, d.counts, _symmetric_pairwise(state.kernel, state.dict_points))
+            query = sketch.query(d.indices, d.counts, new_index, cross, self_term)
+        forms, quad_alpha, quad_sq, schur = query
+        if not schur > 0:
+            raise NumericalError(
+                "K~_D + alpha*gamma*I or its bordered Schur complement k + alpha*gamma - c^T "
+                "(K~_D + alpha*gamma*I)^-1 c is not positive: bordered shifted matrix is not "
+                f"positive definite (leading minor {d.size + 1})"
+            )
         q = cross.shape[0]
         diagonal = np.empty(q + 1)
         diagonal[:q] = sketch.diagonal[:q]
@@ -315,7 +289,7 @@ class EstimateOracle:
         tau = _clamped_scores(diagonal, forms, shift, self.diagnostics)
         delta = _increment_from_forms(self_term, gamma, self.curvature, quad_alpha, quad_sq)
         deff = _fold_increment(state.deff_tilde, delta, self.alpha, self.diagnostics)
-        self._expects = (state.step + 1, state.rng, new_index, cross, self_term)
+        self._expects = (state.step + 1, state.rng)
         return tau, deff
 
 

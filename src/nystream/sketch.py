@@ -24,14 +24,33 @@ surviving columns and bordered with the admitted one):
   with ``(c, k + gamma / b)``, which is a rank-one change of ``K~`` on the old
   coordinates followed by a bordering.
 
+A step makes one call, :meth:`CarriedSketch.query`, with the state's
+dictionary and the step's new column; the sketch follows the dictionary and
+then scores the column.  The streaming step tells it what moved by the
+dictionary it passes on: the sketch's own (the same ``indices`` and
+``counts`` arrays) when the step changed nothing, which is queried as it
+is; one on the same ``indices`` array when only weights changed, which the
+sketch reweights on the positions it has, leaving ``D`` untouched; and new
+arrays when the step admitted or evicted, which the sketch matches to its
+positions (keeping at least one column, and admitting at most the column of
+its last query, last), restricts to the kept columns and borders with that
+column.  A dictionary that does not match is not one step's successor: the
+query then answers None and leaves the sketch as it was, and its holder
+rebuilds it from the dictionary's points.
+
 :meth:`CarriedSketch.rebuild` computes the same quantities from scratch,
 with one :func:`shifted_cholesky` of ``D + Gamma`` (scaled as
 :class:`NystromFactor` holds it), whose inverse ``N`` gives ``K~ = D -
 Gamma + Gamma N Gamma``, one of ``K~`` at each shift, and one product
 ``(K~ + alpha gamma I)^-1 D`` for the forms.  Each update adds rounding
-drift, so the sketch counts the updates that changed something since its
-last rebuild, and its holder refreshes it by a rebuild after a fixed number
-of them.
+drift, so the sketch counts the updates that changed something (a weight,
+an eviction or an admission) since its last rebuild, and a query rebuilds
+on the moved ``D`` instead of updating once it carries ``_REFRESH_AFTER``
+of them and the step changes something.  It also rebuilds on the moved
+``D`` when an update meets a Schur complement that is not positive, and once
+more when the bordered Schur complement of the new column is not positive
+on a sketch not rebuilt since its last query, since rounding may be what
+made it so.
 
 The sketch owns one buffer per carried matrix (``D``, ``N`` and the two
 inverses), each a C-contiguous array with ``max(_SLACK, Q // 4)`` rows and
@@ -45,13 +64,7 @@ the new kernel column into ``D``'s zero border and borders the other three
 on theirs (``dger`` for ``N``, one ``dgemm`` for each shifted inverse).  A
 buffer is reallocated only when Q outgrows it, and a rebuild refills the
 same buffers.  So moving the sketch consumes it: the oracle that holds it is
-its only reader.  The streaming step tells the oracle what moved by the dictionary it passes on:
-the same object when nothing changed (the oracle queries the sketch as it
-is), a new one on the same ``indices`` array when only weights changed
-(:meth:`CarriedSketch.reweight` moves the sketch on the positions it has,
-leaving ``D`` untouched), and new arrays when the step admitted or evicted
-(:meth:`CarriedSketch.successor` matches the positions, and
-:meth:`CarriedSketch.advance` moves the sketch along them).
+its only reader.
 """
 
 from __future__ import annotations
@@ -70,6 +83,9 @@ from .sampling import selection_weights
 # until Q outgrows them, and a dictionary that grows reallocates a number of
 # times logarithmic in its size.
 _SLACK = 8
+# Updates that changed something a sketch carries before a query that would
+# update it once more rebuilds it instead, which bounds its rounding drift.
+_REFRESH_AFTER = 64
 
 
 class CarriedSketch:
@@ -82,9 +98,9 @@ class CarriedSketch:
     C-contiguous buffers of ``Q + max(_SLACK, Q // 4)`` rows and columns (as
     of their last allocation), whose entries past the leading block are
     zero; ``diagonal`` views ``D``'s diagonal through the whole buffer.
-    :meth:`reweight`, :meth:`advance` and :meth:`rebuild` write the buffers
-    in place, so a sketch stands for one dictionary at a time: moving it to a
-    successor consumes it.  The factors of an update are formed in one scratch array
+    :meth:`query` and :meth:`rebuild` write the buffers in place, so a
+    sketch stands for one dictionary at a time: moving it to a successor
+    consumes it.  The factors of an update are formed in one scratch array
     the sketch keeps beside the buffers.  ``updates`` counts the updates that
     changed something (a weight, an eviction or an admission: one per step)
     since the last rebuild.
@@ -98,7 +114,10 @@ class CarriedSketch:
         self._buffers = np.zeros((4, 0, 0))
         self.diagonal = self._buffers[0].reshape(-1)
         self._spare = np.empty(0)
-        self.updates = 0
+        # No update carried, and no column queried since the last rebuild:
+        # ``_column`` is the (index, cross terms, self term) of the last query
+        # since then, which the next step may have admitted.
+        self.updates, self._column = 0, None
         self._sized(0)
 
     def _sized(self, q: int) -> None:
@@ -118,28 +137,27 @@ class CarriedSketch:
             self.diagonal = buffers[0].reshape(-1)[:: cap + 1]
             self._sized(size)
 
-    def rebuild(self, indices, counts, gram: np.ndarray | None = None) -> None:
+    def rebuild(self, indices, counts, gram: np.ndarray) -> None:
         """The carried quantities from scratch, for the dictionary ``(indices,
-        counts)`` on its kernel block ``gram``, or on the block ``D`` holds
-        already when ``gram`` is None; the sketch then carries no update.
+        counts)`` on its kernel block ``gram``, which may be the sketch's own
+        ``gram``; the sketch then carries no update and no queried column.
 
         Raises :class:`NumericalError` when ``D + Gamma`` is not positive
         definite; the buffers are then as they were.
         """
         q = counts.shape[0]
-        block = self.gram if gram is None else gram
         # N = (D + Gamma)^-1 = B^{1/2} (B^{1/2} D B^{1/2} + gamma I)^-1 B^{1/2},
         # factored at the scale NystromFactor holds its sampled block in.
         sqrt_b = selection_weights(counts)
         scale = np.outer(sqrt_b, sqrt_b)
-        inv_m = _inverse(shifted_cholesky(block * scale, self.gamma)) * scale
+        inv_m = _inverse(shifted_cholesky(gram * scale, self.gamma)) * scale
         # K~ = D - Gamma + Gamma N Gamma, exactly symmetric as D and N are.
         g = self.gamma / counts
-        tilde = block + inv_m * np.outer(g, g)
+        tilde = gram + inv_m * np.outer(g, g)
         tilde.reshape(-1)[:: q + 1] -= g
         inv_shift = _inverse(shifted_cholesky(tilde, self.shift))
         inv_gamma = _inverse(shifted_cholesky(tilde, self.gamma))
-        if gram is not None:
+        if gram is not self.gram:
             self._reserve(q)
             size = self.size
             self._buffers[:, q:size] = 0.0
@@ -150,16 +168,16 @@ class CarriedSketch:
         self.inv_shift[...] = inv_shift
         self.inv_gamma[...] = inv_gamma
         self.indices, self.counts = indices, counts
-        self.quad = np.einsum("ij,ij->j", inv_shift @ block, block)
-        self.updates = 0
+        self.quad = np.einsum("ij,ij->j", inv_shift @ gram, gram)
+        self.updates, self._column = 0, None
 
-    def successor(self, indices, new_index: int) -> np.ndarray | None:
+    def _successor(self, indices) -> np.ndarray | None:
         """The positions here of the columns that the dictionary ``indices``
         kept, when one step made it from this sketch's dictionary (keeping
-        at least one column and admitting at most ``new_index``, last); None
-        otherwise."""
-        q1 = indices.shape[0]
-        m = q1 - (q1 > 0 and indices[-1] == new_index)
+        at least one column and admitting at most the last queried column's
+        index, last); None otherwise."""
+        q1, column = indices.shape[0], self._column
+        m = q1 - (q1 > 0 and column is not None and indices[-1] == column[0])
         if m == 0:
             return None
         kept = indices[:m]
@@ -168,17 +186,18 @@ class CarriedSketch:
             return pos
         return None
 
-    def reweight(self, counts, update: bool = True) -> bool:
+    def _reweight(self, counts) -> bool:
         """Move the sketch in place to the weights ``counts`` on the positions
-        it has, where 0 marks a column that :meth:`advance` deletes next: one
+        it has, where 0 marks a column that :meth:`_advance` deletes next: one
         Woodbury update for every weight change and eviction, added to ``N``,
         ``inv_shift`` and ``inv_gamma`` where they lie, with the forms
         updated to match; ``D`` is untouched.  The successor of a step that
         admitted and evicted nothing keeps this sketch's ``indices`` array
         and moves by this call alone: no position match and no gathers.
         True when the carried quantities are those of ``counts``; False when
-        a weight changed and ``update`` is False, which leaves the sketch
-        holding ``counts`` for :meth:`rebuild` to make the rest.
+        a weight changed and the sketch carries ``_REFRESH_AFTER`` updates,
+        which leaves it holding ``counts`` for :meth:`rebuild` to make the
+        rest.
 
         The three factors are formed in the sketch's scratch array, padded
         with zero rows to the buffers' height; the two shifted inverses'
@@ -197,7 +216,7 @@ class CarriedSketch:
         self.counts = counts
         if not changed.shape[0]:
             return True
-        if not update:
+        if self.updates >= _REFRESH_AFTER:
             return False
         b1 = counts[changed]
         N, cap = self._buffers[1], self._buffers.shape[1]
@@ -248,14 +267,14 @@ class CarriedSketch:
         self.updates += 1
         return True
 
-    def advance(self, indices, counts, pos, cross, self_term: float, update: bool = True) -> bool:
+    def _advance(self, indices, counts, pos) -> bool:
         """Move the sketch in place to the successor dictionary ``(indices,
-        counts)`` for which :meth:`successor` gave ``pos``, bordering ``D``
-        with the column ``(cross, self_term)`` of the step's new index if the
-        step admitted it.  True when the carried quantities are the
-        successor's; False when the step changed something and ``update`` is
-        False, or a Schur complement of the update is not positive.  ``D`` is
-        the successor's block either way, and :meth:`rebuild` on it makes the
+        counts)`` for which :meth:`_successor` gave ``pos``, bordering ``D``
+        with the last queried column if the step admitted it.  True when the
+        carried quantities are the successor's; False when the step changed
+        something and the sketch carries ``_REFRESH_AFTER`` updates, or a
+        Schur complement of the update is not positive.  ``D`` is the
+        successor's block either way, and :meth:`rebuild` on it makes the
         rest (and tells why an update failed)."""
         q0, m, q1 = self.size, pos.shape[0], indices.shape[0]
         self._reserve(q1)
@@ -264,22 +283,21 @@ class CarriedSketch:
         updates = self.updates
         # The step's reweights and evictions (weight 0) on the layout before
         # it; compacting then deletes the evicted coordinates.
-        current = self.reweight(b_new, update)
+        current = self._reweight(b_new)
         quad = self.quad
         if m < q0:
             gone = (b_new == 0).nonzero()[0].tolist()
             for P in self._buffers:
                 _compact(P, gone, q0)
             quad = quad[pos]
-        if m < q1:
-            D, border = self._buffers[0], cross[pos]
-            D[:m, m] = border
-            D[m, :m] = border
-            D[m, m] = self_term
         self.indices, self.counts = indices, counts
         self._sized(q1)
         if m < q1:
-            quad = self._admit(quad, counts, m) if update else None
+            _, cross, self_term = self._column
+            D = self._buffers[0]
+            D[:m, m] = D[m, :m] = cross[pos]
+            D[m, m] = self_term
+            quad = self._admit(quad, counts, m) if updates < _REFRESH_AFTER else None
             if quad is None:
                 return False
             # One update for the step, whether or not it also reweighted.
@@ -360,16 +378,35 @@ class CarriedSketch:
         forms += DF[:, 1] * DF[:, 1] / s[0] - DF[:, 0] * DF[:, 0] / rho[0]
         return forms
 
-    def query(self, cross: np.ndarray, self_term: float) -> tuple[np.ndarray, float, float, float]:
-        """Forms of the sketch bordered with the new column ``(c, k)``:
-        ``x_j^T (K_bar + shift I)^-1 x_j`` for each column ``x_j`` of ``D``
-        bordered with ``(c, k)``, the new one last; ``c^T (K~ + shift I)^-1
-        c``; ``|(K~ + gamma I)^-1 c|^2``; and the bordered Schur complement
-        ``s = k + shift - c^T (K~ + shift I)^-1 c``.  The forms are only
-        meaningful when ``s > 0``."""
+    def query(self, indices, counts, new_index, cross, self_term) -> tuple[np.ndarray, float, float, float] | None:
+        """Move the sketch to the dictionary ``(indices, counts)``, as the
+        module docstring sets out, and score the column ``(c, k)`` = ``(cross,
+        self_term)`` of ``new_index`` against it: the forms ``x_j^T (K_bar +
+        shift I)^-1 x_j`` for each column ``x_j`` of ``D`` bordered with ``(c,
+        k)``, the new one last; ``c^T (K~ + shift I)^-1 c``; ``|(K~ + gamma
+        I)^-1 c|^2``; and the bordered Schur complement ``s = k + shift - c^T
+        (K~ + shift I)^-1 c``.  The forms are only meaningful when ``s > 0``.
+        None, with the sketch as it was, when the dictionary is not one
+        step's successor of the sketch's; otherwise the sketch remembers the
+        column for the next step."""
+        if indices is not self.indices:
+            pos = self._successor(indices)
+            if pos is None:
+                return None
+            if not self._advance(indices, counts, pos):
+                self.rebuild(indices, counts, self.gram)
+        elif counts is not self.counts and not self._reweight(counts):
+            self.rebuild(indices, counts, self.gram)
         u = self.inv_shift @ cross
         quad_c = float(cross @ u)
         s = self_term + self.shift - quad_c
+        if not s > 0 and self._column is not None:
+            # A sketch queried since its last rebuild has been carried, and
+            # its rounding may be what made s non-positive: rebuild on D and
+            # score once more.
+            self.rebuild(indices, counts, self.gram)
+            return self.query(indices, counts, new_index, cross, self_term)
+        self._column = (new_index, cross, self_term)
         w = self.inv_gamma @ cross
         forms = np.empty(self.quad.shape[0] + 1)
         np.add(self.quad, (self.gram @ u - cross) ** 2 / s, out=forms[:-1])

@@ -212,16 +212,17 @@ def test_criterion_05_shrink_expand_martingale():
     ok = True
     for row, (l, l_target) in enumerate(product((1, 2, 4), (2, 5, 10))):
         p = 1.0 / ((l_target - 0.5) * q_bar)
+        # shrink_expand returns a new weight array and never writes d, so
+        # every trial can start from the same dictionary.
+        d = Dictionary.from_weights({0: l}, q_bar=q_bar)
         if l >= l_target:
             # threshold not crossed: the chain must not fire at all
             for trial in range(200):
-                d = Dictionary.from_weights({0: l}, q_bar=q_bar)
                 out = shrink_expand(d, np.array([p, 1.0]), 1, handle, step=row * trials + trial)
                 assert out[0] == l
             continue
         survived = 0
         for trial in range(trials):
-            d = Dictionary.from_weights({0: l}, q_bar=q_bar)
             out = shrink_expand(d, np.array([p, 1.0]), 1, handle, step=row * trials + trial)
             if out[0]:
                 assert out[0] == l_target

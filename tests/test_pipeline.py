@@ -44,7 +44,7 @@ from nystream import pipeline
 from nystream.evaluation import SyntheticSpec, checkpoint_selection, generate_synthetic
 from nystream.kernels import _symmetric_pairwise, evaluate, pairwise
 from nystream.leverage import estimate_rls_batch
-from nystream.sketch import CarriedSketch
+from nystream.sketch import _REFRESH_AFTER, CarriedSketch
 
 from conftest import KernelReads, RecordingOracle, border
 
@@ -68,7 +68,7 @@ def clustered(n, seed=0, d=2, clusters=3, std=0.4):
 def refreshes(monkeypatch):
     """The number of updates each sketch carried when it was rebuilt, one
     entry per :meth:`CarriedSketch.rebuild` call, in call order: a periodic
-    refresh is an entry of ``EstimateOracle._REFRESH_AFTER``."""
+    refresh is an entry of ``_REFRESH_AFTER``."""
     carried = []
     rebuild = CarriedSketch.rebuild
 
@@ -575,10 +575,10 @@ class TestEstimateOracleMatchesEstimators:
             nystrom_approx(block, selection, gamma).materialize()
         oracle = EstimateOracle(gamma, eps)
         oracle.begin_step(first, 1, *MADE_UP_COLUMN)
-        oracle._sketch.updates = EstimateOracle._REFRESH_AFTER
+        oracle._sketch.updates = _REFRESH_AFTER
         with pytest.raises(NumericalError, match="not positive definite"):
             oracle.begin_step(second, 2, np.array([0.5, 0.5]), 1.0)
-        assert refreshes == [0, EstimateOracle._REFRESH_AFTER]
+        assert refreshes == [0, _REFRESH_AFTER]
 
 
 class TestEstimateOracleCarry:
@@ -588,7 +588,7 @@ class TestEstimateOracleCarry:
     GAMMA, EPS = 0.05, 0.5
     # Long enough for every stream these tests run to cross two periodic
     # refreshes, each after _REFRESH_AFTER updates that changed something.
-    STEPS = 7 * EstimateOracle._REFRESH_AFTER
+    STEPS = 7 * _REFRESH_AFTER
 
     @classmethod
     def _calls(cls, seed, steps, oracle, kern=KernelSpec.gaussian_kernel(1.0)):
@@ -621,6 +621,25 @@ class TestEstimateOracleCarry:
             assert tau.tobytes() == ref_tau.tobytes()
             assert deff == ref_deff
 
+    def test_a_non_successor_dictionary_at_the_expected_step_gets_the_from_scratch_result(self):
+        """A state at the step the oracle expects next, with the same random
+        handle, whose dictionary one step cannot have made from the last one
+        (an earlier state's, which holds a column evicted since), gets a
+        fresh oracle's scores and effective dimension, bit for bit."""
+        oracle = EstimateOracle(self.GAMMA, self.EPS)
+        calls = self._calls(1, 60, oracle)
+        last, _, _ = calls[-1]
+        held = set(last.dictionary.indices.tolist())
+        earlier = next(state for state, _, _ in reversed(calls[:-1])
+                       if not set(state.dictionary.indices.tolist()) <= held)
+        call = (replace(last, step=last.step + 1, dictionary=earlier.dictionary, dict_points=earlier.dict_points,
+                        p_tilde=earlier.p_tilde), 60, clustered(80, seed=5, d=3).points[60])
+        assert call[0].rng is last.rng
+        tau, deff = self._ask(oracle, call)
+        ref_tau, ref_deff = self._ask(EstimateOracle(self.GAMMA, self.EPS), call)
+        assert tau.tobytes() == ref_tau.tobytes()
+        assert deff == ref_deff
+
     @pytest.mark.parametrize("kern", [KernelSpec.gaussian_kernel(1.0), KernelSpec.linear_kernel()])
     def test_successors_match_the_one_shot_step(self, kern, refreshes):
         """Each successor against a fresh oracle, which computes the step from
@@ -630,7 +649,7 @@ class TestEstimateOracleCarry:
         the diagonal a carried block keeps for its steps must follow."""
         oracle = EstimateOracle(self.GAMMA, self.EPS)
         calls = self._calls(1, self.STEPS, oracle, kern)
-        assert refreshes.count(EstimateOracle._REFRESH_AFTER) >= 2
+        assert refreshes.count(_REFRESH_AFTER) >= 2
         for call in calls[1:]:
             tau, deff = self._ask(oracle, call)
             ref_tau, ref_deff = self._ask(EstimateOracle(self.GAMMA, self.EPS), call)
@@ -654,14 +673,14 @@ class TestEstimateOracleCarry:
                 assert oracle._sketch.gram.tobytes() == expected.tobytes()
                 checked += 1
             state = nxt
-        assert checked > 2 * EstimateOracle._REFRESH_AFTER
-        assert refreshes.count(EstimateOracle._REFRESH_AFTER) >= 2
+        assert checked > 2 * _REFRESH_AFTER
+        assert refreshes.count(_REFRESH_AFTER) >= 2
 
-    def test_failed_admission_rebuilds(self):
+    def test_failed_admission_rebuilds(self, refreshes):
         """An admission whose Schur complement of ``D + Gamma`` is not
         positive leaves the carried update to a rebuild on the carried block,
         which raises what a rebuild on that block raises.  The block comes
-        from the made-up column the oracle was asked about on the step
+        from the made-up column the sketch was queried with on the step
         before."""
         gamma, eps = 0.1, 0.5
         shift = alpha_factor(eps) * gamma
@@ -671,7 +690,13 @@ class TestEstimateOracleCarry:
         d, d2 = first.dictionary, second.dictionary
         carried = CarriedSketch(gamma, shift)
         carried.rebuild(d.indices, d.counts, np.array([[1.0]]))
-        assert not carried.advance(d2.indices, d2.counts, carried.successor(d2.indices, 1), *MADE_UP_COLUMN)
+        carried.query(d.indices, d.counts, 1, *MADE_UP_COLUMN)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            carried.query(d2.indices, d2.counts, 2, np.array([0.5, 0.5]), 1.0)
+        # The update failed with no update carried: the one rebuild after
+        # the first is on the bordered block.
+        assert refreshes == [0, 0]
+        assert carried.gram.tobytes() == border(np.array([[1.0]]), *MADE_UP_COLUMN).tobytes()
         oracle = EstimateOracle(gamma, eps)
         oracle.begin_step(first, 1, *MADE_UP_COLUMN)
         with pytest.raises(NumericalError) as carried_error:
@@ -679,6 +704,30 @@ class TestEstimateOracleCarry:
         with pytest.raises(NumericalError) as rebuild_error:
             CarriedSketch(gamma, shift).rebuild(d2.indices, d2.counts, border(np.array([[1.0]]), *MADE_UP_COLUMN))
         assert str(carried_error.value) == str(rebuild_error.value)
+        assert "not positive definite (leading minor 2)" in str(carried_error.value)
+
+    @pytest.mark.parametrize("reweighted", [False, True], ids=["unchanged", "reweighted"])
+    def test_a_failed_query_on_the_carried_sketch_rebuilds_once(self, refreshes, reweighted):
+        """A successor whose carried sketch is current (the step changed
+        nothing, or only a weight) but whose bordered Schur complement is not
+        positive for the new column rebuilds once, on the carried block, and
+        then raises what a fresh oracle raises for that state.  The made-up
+        column (2.0, 1.0) against the block [[1.0]] at weight 1 or 2 makes it
+        negative.  The successor's points are placeholders whose block would
+        score the column: a rebuild from them would not raise."""
+        gamma, eps = 0.1, 0.5
+        column = (np.array([2.0]), 1.0)
+        first = one_column_state()
+        d = first.dictionary
+        successor = replace(first, step=2, dictionary=replace(d, counts=np.array([2])) if reweighted else d)
+        oracle = EstimateOracle(gamma, eps)
+        oracle.begin_step(first, 1, np.array([0.5]), 1.0)
+        with pytest.raises(NumericalError) as carried_error:
+            oracle.begin_step(replace(successor, dict_points=np.full((1, 1), 5.0)), 2, *column)
+        assert refreshes == [0, int(reweighted)]
+        with pytest.raises(NumericalError) as fresh_error:
+            EstimateOracle(gamma, eps).begin_step(successor, 2, *column)
+        assert str(carried_error.value) == str(fresh_error.value)
         assert "not positive definite (leading minor 2)" in str(carried_error.value)
 
     @pytest.mark.parametrize("written", ["N", "all"])
@@ -732,19 +781,19 @@ class TestEstimateOracleCarry:
         on a seeded stream across two periodic rebuilds, and on a successor
         whose carried update fails and falls back to a rebuild."""
         calls = []
-        successor = CarriedSketch.successor
+        successor = CarriedSketch._successor
 
-        def counted(sketch, *args):
-            calls.append(args)
-            return successor(sketch, *args)
+        def counted(sketch, indices):
+            calls.append(sketch._column[0])
+            return successor(sketch, indices)
 
-        monkeypatch.setattr(CarriedSketch, "successor", counted)
+        monkeypatch.setattr(CarriedSketch, "_successor", counted)
         steps = self.STEPS
         states = [state for state, _, _ in self._calls(1, steps, EstimateOracle(self.GAMMA, self.EPS))]
-        assert refreshes.count(EstimateOracle._REFRESH_AFTER) >= 2
+        assert refreshes.count(_REFRESH_AFTER) >= 2
         # Each call names the index the step before asked about; step 0
         # builds no sketch, and step 1 has none carried in.
-        asking = [new_index + 1 for _, new_index in calls]
+        asking = [new_index + 1 for new_index in calls]
         moved = [t for t in range(2, steps)
                  if states[t].dictionary.indices.tolist() != states[t - 1].dictionary.indices.tolist()]
         reweighted = [t for t in range(2, steps) if states[t].dictionary is not states[t - 1].dictionary
@@ -788,13 +837,14 @@ class TestEstimateOracleCarry:
                              ids=["q30", "q160"])
     def test_a_copied_dictionary_takes_the_update_path_to_the_same_bits(self, n, gamma, q_bar, q_range):
         """A twin oracle asked about each state with its dictionary arrays
-        freshly copied cannot share the carried sketch, so it matches and
-        advances it on every step; its scores and effective dimension match
-        the shared path's bit for bit at every step, on the steps that change
-        nothing (which query the carried sketch) and on those that only
-        reweight (which move it on its own positions) alike: on a seeded
-        Q ~ 30 stream, and on a Q ~ 160 one, past the Q ~ 100 where OpenBLAS
-        starts to round rank-two and wider updates differently."""
+        freshly copied cannot share the carried sketch's arrays, so it
+        matches the sketch's positions on every step; its scores and
+        effective dimension match the shared path's bit for bit at every
+        step, on the steps that change nothing (which query the carried
+        sketch) and on those that only reweight (which move it on its own
+        positions) alike: on a seeded Q ~ 30 stream, and on a Q ~ 160 one,
+        past the Q ~ 100 where OpenBLAS starts to round rank-two and wider
+        updates differently."""
         shared, twin = EstimateOracle(gamma, 0.5), EstimateOracle(gamma, 0.5)
         kinds = []
 
@@ -824,10 +874,10 @@ class TestEstimateOracleCarry:
         counting only steps that changed something, never on a step that
         changes nothing, and no sketch carries more updates than that.  A
         twin oracle asked about each state with its dictionary arrays freshly
-        copied (so it moves its sketch by ``advance`` on every step) rebuilds
+        copied (so it matches its sketch's positions on every step) rebuilds
         on the same steps after the same counts: on a seeded Q ~ 30 stream,
         across several refreshes."""
-        limit = EstimateOracle._REFRESH_AFTER
+        limit = _REFRESH_AFTER
         shared, twin = EstimateOracle(0.1, 0.5), EstimateOracle(0.1, 0.5)
         changed, rebuilt = [], ([], [])
 

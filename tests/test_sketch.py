@@ -13,7 +13,7 @@ from nystream.kernels import _symmetric_pairwise, evaluate, pairwise
 from nystream.leverage import alpha_factor
 from nystream.nystrom import Selection, nystrom_approx
 from nystream.sampling import selection_weights
-from nystream.sketch import CarriedSketch, _add_low_rank, _compact
+from nystream.sketch import _REFRESH_AFTER, CarriedSketch, _add_low_rank, _compact
 
 CARRIED = ("inv_m", "inv_shift", "inv_gamma", "quad")
 
@@ -60,18 +60,31 @@ def assert_zero_past_the_block(sketch):
 def test_updates_match_rebuild(seed, size, gamma, steps):
     """Random gaussian-kernel dictionary blocks through random sequences of
     reweights, evictions and admissions, one of them long enough to outgrow
-    the buffers: ``advance`` (or, for a step that keeps every column and
-    admits none, ``reweight``) consumes the sketch it moves, which after
-    every step holds the new dictionary, the kernel on its points as the
-    block, bit for bit, and quantities that match a rebuild on that block;
-    its buffers stay zero past the block."""
+    the buffers: ``query`` moves the sketch it consumes by an update (one
+    per step that changes something, none on one that changes nothing: no
+    refresh and no fallback rebuild), bordering ``D`` with the column it
+    was queried with last when the step admits it; after every step the
+    sketch holds the new dictionary, the kernel on its points as the block,
+    bit for bit, and quantities that match a rebuild on that block; its
+    buffers stay zero past the block."""
     rng = np.random.default_rng(seed)
     points = rng.normal(0.0, 1.5, size=(size + len(steps), 2))
     kernel = KernelSpec.gaussian_kernel(float(rng.uniform(0.5, 2.0)))
     shift = alpha_factor(0.5) * gamma
     indices, counts = np.arange(size), rng.integers(1, 10, size=size)
+    # The point of the column queried after the last step, which no step admits.
+    points = np.vstack([points, rng.normal(0.0, 1.5, size=(1, 2))])
+
+    def query(sketch, indices, counts, new_index):
+        """``query`` with the column of ``new_index`` against ``indices``."""
+        point = points[new_index]
+        cross = pairwise(kernel, point, points[indices])[0]
+        return sketch.query(indices, counts, new_index, cross, evaluate(kernel, point, point))
+
     sketch = built(indices, counts, _symmetric_pairwise(kernel, points[indices]), gamma, shift)
+    assert query(sketch, indices, counts, size) is not None
     for new_index, (reweights, evictions, admitted) in enumerate(steps, start=size):
+        old_counts, updates = counts, sketch.updates
         counts = counts.copy()
         for draw, weight in reweights:
             counts[draw % counts.shape[0]] = weight
@@ -79,18 +92,14 @@ def test_updates_match_rebuild(seed, size, gamma, steps):
         for draw in evictions:
             keep[draw % keep.shape[0]] = False
         keep[-1] |= not keep.any()  # a successor keeps at least one old column
-        if keep.all() and admitted is None:
-            # The columns stay: the sketch moves on the same indices array.
-            sketch.reweight(counts)
-        else:
+        # When the columns stay, the sketch moves on the same indices array.
+        changed = not (keep.all() and admitted is None and np.array_equal(counts, old_counts))
+        if not (keep.all() and admitted is None):
             indices, counts = indices[keep], counts[keep]
             if admitted is not None:
                 indices, counts = np.append(indices, new_index), np.append(counts, admitted)
-            cross = pairwise(kernel, points[new_index], points[sketch.indices])[0]
-            self_term = evaluate(kernel, points[new_index], points[new_index])
-            pos = sketch.successor(indices, new_index)
-            assert pos is not None
-            assert sketch.advance(indices, counts, pos, cross, self_term)
+        assert query(sketch, indices, counts, new_index + 1) is not None
+        assert sketch.updates == updates + changed < _REFRESH_AFTER
         assert sketch.indices is indices and sketch.counts is counts and sketch.size == indices.shape[0]
         assert sketch.gram.tobytes() == _symmetric_pairwise(kernel, points[indices]).tobytes()
         assert sketch.diagonal[: sketch.size].tobytes() == sketch.gram.diagonal().tobytes()
@@ -189,10 +198,10 @@ def test_rows_move_without_a_temporary():
 
 
 def test_a_step_allocates_little_beside_the_buffers():
-    """On a Q = 180 dictionary, a step that evicts, reweights and admits
-    moves the sketch inside its buffers: the only sizeable allocations are
-    the temporaries of the column moves that compact the buffers, well
-    under one (Q + 1)^2 array in all."""
+    """On a Q = 180 dictionary, a query whose step evicts, reweights and
+    admits moves the sketch inside its buffers: the only sizeable
+    allocations are the temporaries of the column moves that compact the
+    buffers, well under one (Q + 1)^2 array in all."""
     q = 180
     rng = np.random.default_rng(11)
     points = rng.normal(0.0, 1.5, size=(q + 1, 3))
@@ -206,16 +215,24 @@ def test_a_step_allocates_little_beside_the_buffers():
     new_counts[[5, 120]] += 3
     successor = np.append(indices[keep], q), np.append(new_counts, 2)
     column = pairwise(kernel, points[q], points[:q])[0], evaluate(kernel, points[q], points[q])
+    # The column of the next index, against the successor's points.
+    point = rng.normal(0.0, 1.5, size=3)
+    next_column = pairwise(kernel, point, points[successor[0]])[0], evaluate(kernel, point, point)
+
+    def sketch_before_the_step():
+        sketch = built(indices, counts, block, gamma, alpha_factor(0.5) * gamma)
+        sketch.query(indices, counts, q, *column)
+        return sketch
 
     def step(sketch):
-        return sketch.advance(*successor, sketch.successor(successor[0], q), *column)
+        return sketch.query(*successor, q + 1, *next_column)
 
     # The first step's set-up is not counted; each step consumes its sketch.
-    assert step(built(indices, counts, block, gamma, alpha_factor(0.5) * gamma))
-    sketch = built(indices, counts, block, gamma, alpha_factor(0.5) * gamma)
+    assert step(sketch_before_the_step()) is not None
+    sketch = sketch_before_the_step()
     buffers = sketch._buffers
-    peak, advanced = peak_bytes(lambda: step(sketch))
-    assert advanced and sketch._buffers is buffers
+    peak, answer = peak_bytes(lambda: step(sketch))
+    assert answer is not None and sketch.updates == 1 and sketch._buffers is buffers
     assert peak <= 0.65 * 8 * (q + 1) ** 2
     assert_matches_rebuild(sketch)
 
@@ -232,22 +249,33 @@ def test_a_lost_update_is_an_error():
         _add_low_rank(out, np.ones(3), 1.0, 3)
 
 
-def test_advance_rejects_a_non_successor():
-    """``advance`` takes its positions from ``successor``, which rejects a
-    dictionary that one step cannot have made from the sketch's."""
+def test_query_rejects_a_non_successor():
+    """``query`` answers None, and leaves the sketch as it was, for a
+    dictionary that one step cannot have made from the sketch's, and
+    follows one that it can: keeping columns 1 and 3 and admitting index 4,
+    the column it was queried with last."""
     rng = np.random.default_rng(3)
     points = rng.normal(size=(6, 2))
     kernel = KernelSpec.gaussian_kernel(1.0)
     indices, counts = np.arange(4), np.array([1, 2, 3, 4])
 
-    def sketch():
-        return built(indices, counts, _symmetric_pairwise(kernel, points[:4]), 0.1, 0.3)
+    def column(new_index, held):
+        return pairwise(kernel, points[new_index], points[held])[0], 1.0
 
-    # An index the sketch never held, other than the one the step may admit.
-    assert sketch().successor(np.array([0, 5]), 4) is None
-    # No old column kept.
-    assert sketch().successor(np.array([4]), 4) is None
-    assert sketch().successor(np.array([1, 3, 4]), 4).tolist() == [1, 3]
+    sketch = built(indices, counts, _symmetric_pairwise(kernel, points[:4]), 0.1, 0.3)
+    sketch.query(indices, counts, 4, *column(4, indices))
+    held = [sketch.gram.tobytes(), sketch.inv_m.tobytes(), sketch.quad.tobytes(), sketch.updates]
+    # An index the sketch never held, other than the one the step may admit;
+    # no old column kept.
+    for stranger in (np.array([0, 5]), np.array([4])):
+        assert sketch.query(stranger, np.ones(stranger.shape[0], dtype=np.int64), 5, *column(5, stranger)) is None
+        assert sketch.indices is indices
+        assert [sketch.gram.tobytes(), sketch.inv_m.tobytes(), sketch.quad.tobytes(), sketch.updates] == held
+    successor = np.array([1, 3, 4])
+    assert sketch.query(successor, np.array([2, 4, 1]), 5, *column(5, successor)) is not None
+    assert sketch.indices is successor and sketch.updates == 1
+    assert sketch.gram.tobytes() == _symmetric_pairwise(kernel, points[successor]).tobytes()
+    assert_matches_rebuild(sketch)
 
 
 def test_empty_dictionary(capfd):
@@ -257,6 +285,6 @@ def test_empty_dictionary(capfd):
     empty = np.zeros(0, dtype=np.int64)
     sketch = built(empty, empty, np.zeros((0, 0)), 0.1, 0.3)
     assert sketch.inv_m.shape == sketch.inv_shift.shape == sketch.inv_gamma.shape == (0, 0)
-    forms, quad_c, quad_sq, schur = sketch.query(np.zeros(0), 2.0)
+    forms, quad_c, quad_sq, schur = sketch.query(empty, empty, 0, np.zeros(0), 2.0)
     assert forms.tolist() == [2.0 * 2.0 / 2.3] and (quad_c, quad_sq, schur) == (0.0, 0.0, 2.3)
     assert capfd.readouterr() == ("", "")
