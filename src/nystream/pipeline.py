@@ -244,10 +244,14 @@ class EstimateOracle:
     after the one it answered last, of the same run (same random handle),
     it asks the sketch to follow the state's dictionary and score the new
     column in one :meth:`CarriedSketch.query`, which moves the sketch in
-    place along the 1-2 dictionary columns a step changes, in O(k Q^2), and
-    refreshes it when it must.  For any other state, and for a dictionary
-    the sketch cannot follow, the oracle rebuilds the sketch on the block
-    evaluated from the state's points.
+    place along the 1-2 dictionary columns a step changes, in O(k Q^2).  The
+    sketch rebuilds itself on its carried block only after a failure: when
+    an admission's Schur complement is not positive, and once when the new
+    column's bordered Schur complement is not positive on a carried sketch.
+    ``tests/test_sketch.py``'s ``test_drift_stays_within_the_condition_bound``
+    pins its drift between rebuilds.  For any other state, and for a
+    dictionary the sketch cannot follow, the oracle rebuilds the sketch on
+    the block evaluated from the state's points.
     """
 
     def __init__(self, gamma: float, epsilon: float):

@@ -42,15 +42,16 @@ rebuilds it from the dictionary's points.
 with one :func:`shifted_cholesky` of ``D + Gamma`` (scaled as
 :class:`NystromFactor` holds it), whose inverse ``N`` gives ``K~ = D -
 Gamma + Gamma N Gamma``, one of ``K~`` at each shift, and one product
-``(K~ + alpha gamma I)^-1 D`` for the forms.  Each update adds rounding
-drift, so the sketch counts the updates that changed something (a weight,
-an eviction or an admission) since its last rebuild, and a query rebuilds
-on the moved ``D`` instead of updating once it carries ``_REFRESH_AFTER``
-of them and the step changes something.  It also rebuilds on the moved
-``D`` when an update meets a Schur complement that is not positive, and once
-more when the bordered Schur complement of the new column is not positive
-on a sketch not rebuilt since its last query, since rounding may be what
-made it so.
+``(K~ + alpha gamma I)^-1 D`` for the forms.  A query rebuilds only after
+a failure: on the moved ``D`` when an admission meets a Schur complement
+that is not positive, and once more when the bordered Schur complement of
+the new column is not positive on a sketch not rebuilt since its last
+query, since rounding may be what made it so.  Otherwise the
+sketch carries its updates for the whole stream, with no periodic rebuild:
+each update adds rounding drift, and ``tests/test_sketch.py``'s
+``test_drift_stays_within_the_condition_bound`` pins it on the benchmark's
+streams to the number of updates, the condition number and the unit
+roundoff.
 
 The sketch owns one buffer per carried matrix (``D``, ``N`` and the two
 inverses), each a C-contiguous array with ``max(_SLACK, Q // 4)`` rows and
@@ -83,9 +84,6 @@ from .sampling import selection_weights
 # until Q outgrows them, and a dictionary that grows reallocates a number of
 # times logarithmic in its size.
 _SLACK = 8
-# Updates that changed something a sketch carries before a query that would
-# update it once more rebuilds it instead, which bounds its rounding drift.
-_REFRESH_AFTER = 64
 
 
 class CarriedSketch:
@@ -101,9 +99,8 @@ class CarriedSketch:
     :meth:`query` and :meth:`rebuild` write the buffers in place, so a
     sketch stands for one dictionary at a time: moving it to a successor
     consumes it.  The factors of an update are formed in one scratch array
-    the sketch keeps beside the buffers.  ``updates`` counts the updates that
-    changed something (a weight, an eviction or an admission: one per step)
-    since the last rebuild.
+    the sketch keeps beside the buffers.  A query rebuilds it only after a
+    failure (see the module docstring).
     """
 
     def __init__(self, gamma: float, shift: float):
@@ -114,10 +111,10 @@ class CarriedSketch:
         self._buffers = np.zeros((4, 0, 0))
         self.diagonal = self._buffers[0].reshape(-1)
         self._spare = np.empty(0)
-        # No update carried, and no column queried since the last rebuild:
-        # ``_column`` is the (index, cross terms, self term) of the last query
-        # since then, which the next step may have admitted.
-        self.updates, self._column = 0, None
+        # No column queried since the last rebuild: ``_column`` is the
+        # (index, cross terms, self term) of the last query since then, which
+        # the next step may have admitted.
+        self._column = None
         self._sized(0)
 
     def _sized(self, q: int) -> None:
@@ -140,7 +137,7 @@ class CarriedSketch:
     def rebuild(self, indices, counts, gram: np.ndarray) -> None:
         """The carried quantities from scratch, for the dictionary ``(indices,
         counts)`` on its kernel block ``gram``, which may be the sketch's own
-        ``gram``; the sketch then carries no update and no queried column.
+        ``gram``; the sketch then holds no queried column.
 
         Raises :class:`NumericalError` when ``D + Gamma`` is not positive
         definite; the buffers are then as they were.
@@ -169,7 +166,7 @@ class CarriedSketch:
         self.inv_gamma[...] = inv_gamma
         self.indices, self.counts = indices, counts
         self.quad = np.einsum("ij,ij->j", inv_shift @ gram, gram)
-        self.updates, self._column = 0, None
+        self._column = None
 
     def _successor(self, indices) -> np.ndarray | None:
         """The positions here of the columns that the dictionary ``indices``
@@ -186,7 +183,7 @@ class CarriedSketch:
             return pos
         return None
 
-    def _reweight(self, counts) -> bool:
+    def _reweight(self, counts) -> None:
         """Move the sketch in place to the weights ``counts`` on the positions
         it has, where 0 marks a column that :meth:`_advance` deletes next: one
         Woodbury update for every weight change and eviction, added to ``N``,
@@ -194,10 +191,6 @@ class CarriedSketch:
         updated to match; ``D`` is untouched.  The successor of a step that
         admitted and evicted nothing keeps this sketch's ``indices`` array
         and moves by this call alone: no position match and no gathers.
-        True when the carried quantities are those of ``counts``; False when
-        a weight changed and the sketch carries ``_REFRESH_AFTER`` updates,
-        which leaves it holding ``counts`` for :meth:`rebuild` to make the
-        rest.
 
         The three factors are formed in the sketch's scratch array, padded
         with zero rows to the buffers' height; the two shifted inverses'
@@ -215,9 +208,7 @@ class CarriedSketch:
         changed = (counts != b_old).nonzero()[0]
         self.counts = counts
         if not changed.shape[0]:
-            return True
-        if self.updates >= _REFRESH_AFTER:
-            return False
+            return
         b1 = counts[changed]
         N, cap = self._buffers[1], self._buffers.shape[1]
         shifted = self._buffers[2:, :, :q]
@@ -264,26 +255,22 @@ class CarriedSketch:
         for P, w, c in zip(self._buffers[1:], W, C):
             _add_low_rank(P, w, c, q)
         self.quad = quad
-        self.updates += 1
-        return True
 
     def _advance(self, indices, counts, pos) -> bool:
         """Move the sketch in place to the successor dictionary ``(indices,
         counts)`` for which :meth:`_successor` gave ``pos``, bordering ``D``
         with the last queried column if the step admitted it.  True when the
-        carried quantities are the successor's; False when the step changed
-        something and the sketch carries ``_REFRESH_AFTER`` updates, or a
-        Schur complement of the update is not positive.  ``D`` is the
-        successor's block either way, and :meth:`rebuild` on it makes the
-        rest (and tells why an update failed)."""
+        carried quantities are the successor's; False when a Schur complement
+        of the admission is not positive.  ``D`` is the successor's block
+        either way, and :meth:`rebuild` on it makes the rest (and tells why
+        the admission failed)."""
         q0, m, q1 = self.size, pos.shape[0], indices.shape[0]
         self._reserve(q1)
         b_new = np.zeros(q0, dtype=np.int64)
         b_new[pos] = counts[:m]
-        updates = self.updates
         # The step's reweights and evictions (weight 0) on the layout before
         # it; compacting then deletes the evicted coordinates.
-        current = self._reweight(b_new)
+        self._reweight(b_new)
         quad = self.quad
         if m < q0:
             gone = (b_new == 0).nonzero()[0].tolist()
@@ -297,13 +284,11 @@ class CarriedSketch:
             D = self._buffers[0]
             D[:m, m] = D[m, :m] = cross[pos]
             D[m, m] = self_term
-            quad = self._admit(quad, counts, m) if updates < _REFRESH_AFTER else None
+            quad = self._admit(quad, counts, m)
             if quad is None:
                 return False
-            # One update for the step, whether or not it also reweighted.
-            self.updates = updates + 1
         self.quad = quad
-        return current
+        return True
 
     def _workspace(self, *shape) -> np.ndarray:
         """A C-contiguous scratch array of ``shape``, a view of one buffer the
@@ -395,8 +380,8 @@ class CarriedSketch:
                 return None
             if not self._advance(indices, counts, pos):
                 self.rebuild(indices, counts, self.gram)
-        elif counts is not self.counts and not self._reweight(counts):
-            self.rebuild(indices, counts, self.gram)
+        elif counts is not self.counts:
+            self._reweight(counts)
         u = self.inv_shift @ cross
         quad_c = float(cross @ u)
         s = self_term + self.shift - quad_c
