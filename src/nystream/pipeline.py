@@ -31,10 +31,11 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
-from scipy.linalg.blas import dtpsv
+from scipy.linalg.blas import dgemm, dtrmm, dtrsm
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import InputError, InvariantViolation, NumericalError, open_unit, positive, positive_int
-from .kernels import Dataset, KernelSpec, _symmetric_pairwise, column, gram
+from .kernels import Dataset, KernelSpec, _symmetric_pairwise, column, gram, pairwise
 from .leverage import (
     Diagnostics,
     EstimatedProfile,
@@ -54,6 +55,10 @@ from .sketch import CarriedSketch
 
 # The three entry points, by the name a run's outputs and verify know them by.
 ALGORITHMS = ("batch-exact", "ink-oracle", "ink-estimate")
+
+# Rows of ExactOracle's inverse factor made at once; block edges sit at its
+# multiples whatever the dataset's length.
+_BLOCK = 128
 
 
 class ScoreOracle(Protocol):
@@ -168,17 +173,32 @@ class ExactOracle:
     """Exact score oracle (approximation factors both 1); a desk-scale
     testing device for the streaming loop.
 
-    Holds the lower Cholesky factor ``L`` of the regularized t x t kernel
-    prefix ``K_t + gamma I`` and the diagonal ``d`` of its inverse, and
-    borders both with each new column, evaluated against every earlier point
-    (``cross`` covers only the dictionary and is not read).  ``L`` is stored
-    row by row in one flat buffer, row i at offset i (i + 1) / 2: the packed
-    upper column-major layout of ``L^T``, so bordering appends a row and the
-    BLAS packed triangular solve ``dtpsv`` reads the prefix in place.  A step
-    makes two triangular solves against ``L`` and a rank-one update of
-    ``d``, O(t^2) time and no t x t temporary, and the oracle holds about
-    t^2 / 2 floats, grown by doubling.  Leverage scores fall out of the
-    identity ``tau_i = 1 - gamma * d_i``.
+    Holds the rows of the lower Cholesky factor ``L`` of ``K_n + gamma I``
+    over the whole dataset that the stream has reached, the rows of
+    ``W = L^-1`` of the current block, and the diagonal ``d`` of the
+    inverse of the regularized t x t prefix, which is the column sums of
+    squares of W's leading t x t block.  A step adds the squares of W's row
+    t to ``d``, O(t) time, and leverage scores fall out of the identity
+    ``tau_i = 1 - gamma * d_i`` (``cross`` and ``self_term`` are not read).
+
+    The rows come a block of ``_BLOCK`` at a time, when the stream reaches
+    the block's first row: one ``pairwise`` call for the block's kernel rows
+    against every point up to the block's end, then, by blocked triangular
+    solves against the earlier rows of L, ``L21 = K21 L11^-T``, the
+    Cholesky factor ``L22`` of ``S = K22 + gamma I - L21 L21^T`` and its
+    inverse ``W22``, and ``W21 = -W22 L21 L11^-1``; about 2 B t^2 flops at
+    level-3 speed every B steps.  Solves, not products with an explicit
+    inverse, keep the factor backward stable when gamma is tiny.  Block j of
+    L is one (B, (j + 1) B) array, so the oracle holds about
+    t^2 / 2 + t B floats and never copies them.
+
+    A block reads up to ``B - 1`` points past the step that starts it.  Its
+    edges sit at multiples of B, and a block that runs past the dataset, or
+    past a row that is not positive definite or has a non-finite kernel
+    value, takes identity rows in their place: every BLAS call has the same
+    shapes and every row the same inputs as on a longer dataset, so the
+    answer at step t is a function of the first t + 1 points, bit for bit,
+    and a failing row raises at its own step.
     """
 
     def __init__(self, dataset: Dataset, kernel: KernelSpec, gamma: float):
@@ -187,8 +207,11 @@ class ExactOracle:
         self._kernel = kernel
         self._gamma = float(gamma)
         self._t = 0
-        self._packed = np.empty(0)
-        self._diag = np.empty(0)
+        self._factor: list[np.ndarray] = []
+        self._inverse = np.empty((_BLOCK, 0))
+        self._diag = np.zeros(len(dataset))
+        # The first row known not to be positive definite and its Schur complement.
+        self._failure: tuple[int, float] | None = None
 
     def begin_step(self, state, new_index, cross, self_term) -> tuple[np.ndarray, float]:
         t, gamma = self._t, self._gamma
@@ -196,39 +219,86 @@ class ExactOracle:
             raise InputError("exact oracle must observe the stream in order")
         if t >= len(self._points):
             raise InputError(f"index {t} is past the oracle's dataset of {len(self._points)} points")
-        start = t * (t + 1) // 2
-        if start + t + 1 > self._packed.shape[0]:
-            self._packed = _grown(self._packed, start, start + t + 1)
-        if t + 1 > self._diag.shape[0]:
-            self._diag = _grown(self._diag, t, t + 1)
-        if t:
-            k_bar, _ = column(self._kernel, self._points[t], self._points[:t])
-            y = dtpsv(t, self._packed, k_bar, trans=1)  # L^-1 k_bar
-            u = dtpsv(t, self._packed, y)  # (K_t + gamma I)^-1 k_bar
-        else:
-            y = u = np.empty(0)  # BLAS rejects empty vectors
-        xi = self_term + gamma - float(y @ y)
-        if not xi > 0:
+        if t % _BLOCK == 0:
+            self._block(t)
+        if self._failure is not None and self._failure[0] == t:
             raise NumericalError(
                 f"regularized kernel prefix is not positive definite (leading minor {t + 1}): "
-                f"Schur complement {xi:.3e}"
+                f"Schur complement {self._failure[1]:.3e}"
             )
-        self._packed[start : start + t] = y
-        self._packed[start + t] = math.sqrt(xi)
-        self._diag[:t] += u * u / xi
-        self._diag[t] = 1.0 / xi
-        self._t = t + 1
+        row = self._inverse[t % _BLOCK, : t + 1]
         d = self._diag[: t + 1]
+        d += row * row
+        self._t = t + 1
         tau = 1.0 - gamma * d[np.append(state.dictionary.indices, new_index)]
         return tau, float(t + 1 - gamma * d.sum())
 
+    def _block(self, b: int) -> None:
+        """Make L's and W's rows ``[b, b + B)`` on columns ``[0, b + B)``,
+        and record the block's first row that is not positive definite, if
+        any."""
+        points = self._points
+        stop = min(b + _BLOCK, len(points))
+        # A non-finite value is reported at its own row's step, not here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = pairwise(self._kernel, points[b:stop], points[:stop])
+        # Each row's values against itself and every earlier point.
+        rows = _leading_true(np.isfinite(K[:, :b]).all(axis=1) & np.isfinite(np.tril(K[:, b:])).all(axis=1))
+        factor, inverse, bad, xi = self._rows(K, b, rows)
+        if factor is None:
+            # Identity rows from the failed pivot on: the rows before it
+            # are those of a stream that ends there.
+            factor, inverse, _, _ = self._rows(K, b, bad)
+        if bad < stop - b:
+            self._failure = (b + bad, xi)
+        self._factor.append(factor)
+        self._inverse = inverse
 
-def _grown(buffer: np.ndarray, used: int, needed: int) -> np.ndarray:
-    """A buffer of at least ``needed`` and twice ``buffer``'s entries that
-    starts with ``buffer[:used]``."""
-    out = np.empty(max(needed, 2 * buffer.shape[0]))
-    out[:used] = buffer[:used]
-    return out
+    def _rows(self, K: np.ndarray, b: int, rows: int) -> tuple[np.ndarray | None, np.ndarray | None, int, float]:
+        """``(factor, inverse, bad, xi)`` for the first ``rows`` kernel rows
+        ``K`` of the block at ``b`` and identity rows after them: L's and
+        W's rows, both None when the pivot of a row ``bad < rows`` is not
+        positive, ``bad`` (``rows`` if none) and that pivot's Schur
+        complement (NaN if none)."""
+        B = _BLOCK
+        # Column-major, so that each BLAS call below updates a slice in
+        # place (overwrite_b, overwrite_c).
+        factor = np.zeros((B, b + B), order="F")
+        L21, L22 = factor[:, :b], factor[:, b:]
+        L21[:rows] = K[:rows, :b]
+        for j, Lj in enumerate(self._factor):  # L21 L11^T = K21, block column j at a time
+            done, cols = j * B, slice(j * B, (j + 1) * B)
+            if done:
+                dgemm(-1.0, L21[:, :done], Lj[:, :done], beta=1.0, c=L21[:, cols], trans_b=1, overwrite_c=1)
+            dtrsm(1.0, Lj[:, cols], L21[:, cols], side=1, lower=1, trans_a=1, overwrite_b=1)
+        L22[:rows, :rows] = K[:rows, b : b + rows]
+        diagonal = np.arange(B)
+        L22[diagonal, diagonal] += np.where(diagonal < rows, self._gamma, 1.0)
+        L22 -= L21 @ L21.T
+        _, info = dpotrf(L22, lower=1, clean=1, overwrite_a=1)
+        positive_pivots = L22.diagonal()[:rows] > 0  # NaN fails
+        if info > 0:  # dpotrf stopped at this row and left the rows after it unfactored
+            positive_pivots[info - 1 :] = False
+        bad = _leading_true(positive_pivots)
+        if bad < rows:
+            return None, None, bad, float(L22[bad, bad])
+        W22, _ = dtrtri(L22, lower=1)
+        inverse = np.empty((B, b + B))
+        inverse[:, b:] = W22
+        if b:
+            W21 = dtrmm(-1.0, W22, L21, lower=1)
+            for j in reversed(range(len(self._factor))):  # W21 L11 = -W22 L21, block column j at a time
+                Lj, done, cols = self._factor[j], j * B, slice(j * B, (j + 1) * B)
+                dtrsm(1.0, Lj[:, cols], W21[:, cols], side=1, lower=1, overwrite_b=1)
+                if done:
+                    dgemm(-1.0, W21[:, cols], Lj[:, :done], beta=1.0, c=W21[:, :done], overwrite_c=1)
+            inverse[:, :b] = W21
+        return factor, inverse, rows, math.nan
+
+
+def _leading_true(mask: np.ndarray) -> int:
+    """The number of True entries before ``mask``'s first False."""
+    return mask.shape[0] if mask.all() else int(mask.argmin())
 
 
 class EstimateOracle:
@@ -379,12 +449,17 @@ def ink_step(
     return next_state, EstimatedProfile(queried, tau, deff_new, p_new)
 
 
-def _checkpoint(state: SketchState) -> RunCheckpoint:
+def _checkpoint(state: SketchState, ints: dict, floats: dict) -> RunCheckpoint:
+    """The state's checkpoint, whose numbers are the run's objects in
+    ``ints`` and ``floats``: an index or weight kept across checkpoints is
+    stored once."""
+    indices = state.dictionary.indices.tolist()
+    weights = state.dictionary.counts.astype(np.float64).tolist()
     return RunCheckpoint(
         step=state.step,
         deff_tilde=state.deff_tilde,
-        indices=tuple(state.dictionary.indices.tolist()),
-        weights=tuple(state.dictionary.counts.astype(np.float64).tolist()),
+        indices=tuple(map(ints.setdefault, indices, indices)),
+        weights=tuple(map(floats.setdefault, weights, weights)),
     )
 
 
@@ -413,13 +488,15 @@ def ink_oracle_run(
     n = len(dataset)
     state = initial_state(q_bar, RngHandle(seed=int(rng)), kernel, dataset.dim)
     checkpoints: list[RunCheckpoint] = []
+    ints: dict[int, int] = {}
+    floats: dict[float, float] = {}
     for idx in range(n):
         if audit is not None:
             audit.record_point(idx)
         state, _ = ink_step(state, idx, dataset.points[idx], oracle)
         if state.step % checkpoint_every == 0 and state.step != n:
-            checkpoints.append(_checkpoint(state))
-    checkpoints.append(_checkpoint(state))
+            checkpoints.append(_checkpoint(state, ints, floats))
+    checkpoints.append(_checkpoint(state, ints, floats))
     return RunResult(
         checkpoints=tuple(checkpoints),
         dictionary=state.dictionary,

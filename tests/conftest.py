@@ -84,7 +84,8 @@ def border(M, v, corner):
 
 class KernelReads:
     """Records every kernel evaluation a streaming run makes through
-    ``nystream.pipeline`` (``column`` and ``_symmetric_pairwise``): the index
+    ``nystream.pipeline`` (``column``, ``pairwise`` and
+    ``_symmetric_pairwise``): the index
     of the step it ran in, which is the last point ``audit`` saw, and the
     dataset indices of its row and column points.  The dataset's points must
     be distinct."""
@@ -93,7 +94,7 @@ class KernelReads:
         self._where = {p.tobytes(): i for i, p in enumerate(np.asarray(points, dtype=np.float64))}
         self._audit = audit
         self.calls = []
-        for name in ("column", "_symmetric_pairwise"):
+        for name in ("column", "pairwise", "_symmetric_pairwise"):
             monkeypatch.setattr(pipeline, name, self._recorded(getattr(pipeline, name)))
 
     def _indices(self, points):

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dtpsv
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from nystream import (
@@ -304,27 +302,3 @@ class TestInverse:
             assert info == 0
             expected = np.tril(lower) + np.tril(lower, -1).T
             assert _inverse(L).tobytes() == expected.tobytes()
-
-
-class TestPackedTriangularSolve:
-    def test_solves_against_a_packed_prefix(self, rng):
-        """BLAS dtpsv with n = t reads only the leading t x t triangle of a
-        longer buffer holding the rows of a lower factor L one after another
-        (L^T packed upper by columns), for both trans = 1 (L^-1 b) and
-        trans = 0 (L^-T b), and writes neither the buffer nor b."""
-        n = 9
-        A = random_psd(rng, n)
-        L = np.linalg.cholesky((A + A.T) / 2 + np.eye(n))
-        packed = np.concatenate([L[i, : i + 1] for i in range(n)] + [np.full(5, np.nan)])
-        kept = packed.copy()
-        for t in (1, 4, n - 1, n):
-            b = rng.normal(size=t)
-            b_kept = b.copy()
-            lower_solve = dtpsv(t, packed, b, trans=1)
-            upper_solve = dtpsv(t, packed, b, trans=0)
-            np.testing.assert_allclose(lower_solve, solve_triangular(L[:t, :t], b, lower=True), rtol=1e-12)
-            np.testing.assert_allclose(
-                upper_solve, solve_triangular(L[:t, :t], b, lower=True, trans="T"), rtol=1e-12
-            )
-            assert np.array_equal(b, b_kept)
-        assert np.array_equal(packed, kept, equal_nan=True)

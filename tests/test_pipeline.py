@@ -47,6 +47,7 @@ from nystream.leverage import estimate_rls_batch
 from nystream.sketch import CarriedSketch
 
 from conftest import KernelReads, RecordingOracle, border
+from perfbench.workloads import EPSILON, WORKLOADS, digest, make_problem
 
 
 def orthogonal_dataset(n):
@@ -164,8 +165,9 @@ class TestExactOracle:
             oracle.begin_step(prefix_state(3, ds.dim), 3, None, 1.0)
 
     def test_long_stream_matches_exact_profile(self):
-        """600 steps, all bordered onto one factor: the scores and deff match
-        the exact profile of every prefix.  The diagonal of prefix t's
+        """600 steps, over five of the oracle's 128-row blocks, the last
+        padded past the data: the scores and deff match the exact profile
+        of every prefix.  The diagonal of prefix t's
         (K_t + gamma I)^-1 is the column sums of squares of the leading
         t x t block of M = L^-1, for L the Cholesky factor of the whole
         K + gamma I, so one factorization gives every prefix's reference;
@@ -187,29 +189,103 @@ class TestExactOracle:
                 np.testing.assert_allclose(want_tau, prof.tau, atol=1e-9)
                 assert deff == pytest.approx(prof.deff, abs=1e-9)
 
+    @pytest.mark.parametrize("gamma", [1e-8, 1e-10])
+    def test_tiny_ridge_keeps_the_accuracy_of_a_cholesky_solve(self, gamma):
+        """At a tiny ridge ``W = L^-1`` has entries near gamma^-1/2, and a
+        factor built by products with it (``L21 = K21 W11^T``) lost about
+        100x the accuracy of a Cholesky solve at gamma = 1e-8 and reported a
+        non-positive pivot at gamma = 1e-10.  Built by triangular solves, the
+        scores along a 400-point stream stay within n u / (4 gamma) of
+        ``cho_solve`` on each prefix (measured: 1.3e-7 and 1.7e-5)."""
+        n = 400
+        ds = generate_synthetic(SyntheticSpec(n=n, d=3, n_clusters=4, cluster_std=0.5), rng=1).dataset
+        kern = KernelSpec.gaussian_kernel(2.0)
+        K = gram(ds, kern)
+        oracle = ExactOracle(ds, kern, gamma)
+        for t in range(n):
+            tau, _ = oracle.begin_step(prefix_state(t, ds.dim), t, None, K[t, t])
+            if t % 50 == 49:
+                factor = scipy.linalg.cho_factor(K[: t + 1, : t + 1] + gamma * np.eye(t + 1), lower=True)
+                want = 1.0 - gamma * np.diag(scipy.linalg.cho_solve(factor, np.eye(t + 1)))
+                np.testing.assert_allclose(tau, want, rtol=0, atol=n * np.finfo(float).eps / (4 * gamma))
+
     def test_steps_allocate_no_square(self):
-        """Apart from the steps that double the packed factor's buffer, a
-        step allocates O(t) memory: no t x t (or t^2 / 2) temporary."""
+        """A step that starts no block allocates O(t) memory: no t x t (or
+        t^2 / 2) temporary.  Exactly ceil(n / B) steps factor a block, the
+        ones at multiples of B."""
         ds = clustered(400, seed=3)
         kern = KernelSpec.gaussian_kernel(1.0)
         oracle = ExactOracle(ds, kern, 0.5)
-        doublings = 0
+        factoring = []
         tracemalloc.start()
         try:
             for t in range(len(ds)):
                 state, k = prefix_state(t, ds.dim), self_term(ds, kern, t)
-                buffer = oracle._packed
+                blocks = len(oracle._factor)
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
                 oracle.begin_step(state, t, None, k)
                 peak = tracemalloc.get_traced_memory()[1] - before
-                if oracle._packed is not buffer:
-                    doublings += 1
+                if len(oracle._factor) != blocks:
+                    factoring.append(t)
                 elif t >= 100:
                     assert peak < 16 * 8 * t, f"step {t} allocated {peak} bytes"
         finally:
             tracemalloc.stop()
-        assert doublings < 20
+        assert factoring == list(range(0, len(ds), pipeline._BLOCK))
+        assert len(factoring) == math.ceil(len(ds) / pipeline._BLOCK)
+
+    def test_non_positive_pivot_inside_a_block_raises_at_its_step(self):
+        """Point 130 repeats point 129 among orthogonal points, at gamma =
+        1e-18: its pivot, inside the block factored at step 128, rounds to
+        zero.  Every earlier step is answered as on the stream that ends
+        before point 130, bit for bit, and step 130 raises, with no
+        floating-point warning."""
+        points = np.eye(300)
+        points[130] = points[129]
+        ds, kern = Dataset(points=points), KernelSpec.linear_kernel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oracle = ExactOracle(ds, kern, 1e-18)
+            short = ExactOracle(Dataset(points=points[:130]), kern, 1e-18)
+            for t in range(130):
+                state = prefix_state(t, ds.dim)
+                tau, deff = oracle.begin_step(state, t, None, 1.0)
+                want_tau, want_deff = short.begin_step(state, t, None, 1.0)
+                assert tau.tobytes() == want_tau.tobytes() and deff == want_deff
+            with pytest.raises(NumericalError, match=r"not positive definite \(leading minor 131\): Schur complement"):
+                oracle.begin_step(prefix_state(130, ds.dim), 130, None, 1.0)
+            audit = AccessAudit()
+            with pytest.raises(NumericalError, match=r"leading minor 131\)"):
+                ink_oracle_run(ds, kern, 1e-18, 20, audit=audit)
+        assert audit.points_consumed == list(range(131))
+
+    def test_a_non_finite_read_ahead_row_raises_nothing_before_its_step(self):
+        """Point 135's self term overflows (linear kernel), and the block
+        factored at step 128 reads it.  Steps 0-134 are answered, with no
+        warning, as on the stream that ends before point 135; the oracle
+        raises at step 135, and a run stops there with ink_step's
+        InputError."""
+        points = np.eye(200)
+        points[135] *= 1e200
+        ds, kern = Dataset(points=points), KernelSpec.linear_kernel()
+        oracle = ExactOracle(ds, kern, 1.0)
+        short = ExactOracle(Dataset(points=points[:135]), kern, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in range(135):
+                state = prefix_state(t, ds.dim)
+                tau, deff = oracle.begin_step(state, t, None, 1.0)
+                want_tau, want_deff = short.begin_step(state, t, None, 1.0)
+                assert tau.tobytes() == want_tau.tobytes() and deff == want_deff
+            with pytest.raises(NumericalError, match=r"leading minor 136\): Schur complement nan"):
+                oracle.begin_step(prefix_state(135, ds.dim), 135, None, 1.0)
+        audit = AccessAudit()
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+            InputError, match=r"^step 136: point 135 has a non-finite kernel value"
+        ):
+            ink_oracle_run(ds, kern, 1.0, 20, audit=audit)
+        assert audit.points_consumed == list(range(136))
 
     def test_non_positive_pivot_names_the_leading_minor(self):
         """Six repeated points at gamma = 1e-18: the second pivot rounds to
@@ -1081,6 +1157,59 @@ class TestRuns:
         cp = RunCheckpoint(step=5, deff_tilde=1.0, indices=(0, 3, 3), weights=(1.0, 0.5, 0.5))
         assert cp.dict_size == 2
         assert "dict_size" not in {f.name for f in dataclasses.fields(RunCheckpoint)}
+
+    @pytest.mark.parametrize("algorithm", ["ink-estimate", "ink-oracle"])
+    def test_checkpoints_share_their_numbers(self, algorithm):
+        """An index or weight kept across checkpoints is one object, and the
+        checkpoints equal, with the same repr, those built from each state
+        on its own."""
+        ds = clustered(600, seed=5, d=3)
+        kern = KernelSpec.gaussian_kernel(1.0)
+
+        def oracle():
+            return EstimateOracle(0.1, 0.5) if algorithm == "ink-estimate" else ExactOracle(ds, kern, 0.1)
+
+        res = ink_oracle_run(ds, kern, 0.1, 30, oracle(), rng=3, checkpoint_every=50)
+        state, unshared, stepping = initial_state(30, RngHandle(3), kern, ds.dim), [], oracle()
+        for t in range(len(ds)):
+            state, _ = ink_step(state, t, ds.points[t], stepping)
+            if state.step % 50 == 0:
+                d = state.dictionary
+                unshared.append(RunCheckpoint(state.step, state.deff_tilde, tuple(d.indices.tolist()),
+                                              tuple(d.counts.astype(np.float64).tolist())))
+        assert res.checkpoints == tuple(unshared)
+        assert repr(res.checkpoints) == repr(tuple(unshared))
+        shared = 0
+        for a, b in zip(res.checkpoints, res.checkpoints[1:]):
+            indices, weights = {i: i for i in a.indices}, {w: w for w in a.weights}
+            assert all(indices[i] is i for i in b.indices if i in indices)
+            assert all(weights[w] is w for w in b.weights if w in weights)
+            # CPython keeps one object per small int anyway, so count the others.
+            shared += sum(i > 256 and i in indices for i in b.indices)
+        assert shared > 0
+
+    @pytest.mark.parametrize("name", ["oracle-exact", "estimate-q200"])
+    def test_a_prefix_stream_has_the_full_streams_checkpoints(self, name):
+        """A run on the first m points has, at every step, the checkpoint
+        digest of the run on all n, for m around ExactOracle's block edges;
+        perfbench's warm-up replays a prefix and checks just this.  The
+        exact oracle reads up to a block ahead, so its blocks past the data
+        must not change the bits of the rows before."""
+        w = dataclasses.replace(WORKLOADS[name], n=400)
+        for seed in (1, 2, 3):
+            problem, kernel = make_problem(w, seed)
+
+            def digests(dataset):
+                args = (dataset, kernel, w.gamma, w.q_bar)
+                if w.algorithm == "ink-estimate":
+                    res = ink_estimate_run(*args, EPSILON, checkpoint_every=1, rng=seed)
+                else:
+                    res = ink_oracle_run(*args, checkpoint_every=1, rng=seed)
+                return [digest(cp) for cp in res.checkpoints]
+
+            full = digests(problem.dataset)
+            for m in (1, 127, 128, 129, 255, 300):
+                assert digests(problem.prefix(m).dataset) == full[:m], f"seed {seed}, prefix {m}"
 
     @pytest.mark.parametrize("q_bar", [0, -3])
     def test_nonpositive_q_bar_rejected_before_any_step(self, q_bar):
