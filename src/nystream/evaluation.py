@@ -36,8 +36,8 @@ import scipy.linalg
 from .errors import InputError, NumericalError, half_open_unit, non_negative, positive, positive_int
 from .kernels import DESK_SCALE_CAP, Dataset, KernelSpec, gram
 from .leverage import deff_increment_exact, exact_rls
-from .linalg import DEFAULT_PSD_TOL, _descending, _finite_bounds, _psd_within, symmetrize
-from .nystrom import NystromFactor, Selection, _gathered, nystrom_approx
+from .linalg import DEFAULT_PSD_TOL, _finite_bounds, _psd_within, symmetrize
+from .nystrom import NystromFactor, Selection, _gathered
 from .pipeline import ALGORITHMS, RunCheckpoint
 from .sampling import selection_weights
 
@@ -141,11 +141,10 @@ def fixed_design_risk(K_effective: np.ndarray, problem: FixedDesignProblem) -> f
 
 
 def _spectrum(lam: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors and eigenvalues clipped at zero, in eig_pairs' order and
-    layout, from the ascending eigensolution ``(lam, V)`` of an exactly
-    symmetric matrix."""
-    pair = _descending(lam, V)
-    return pair.eigenvectors, np.clip(pair.eigenvalues, 0.0, None)
+    """Eigenvectors and eigenvalues clipped at zero, from the eigensolution
+    ``(lam, V)`` of an exactly symmetric matrix, in the order and layout the
+    solver wrote them: every reader sums over the spectrum."""
+    return V, np.clip(lam, 0.0, None)
 
 
 def _require_psd(lam: np.ndarray) -> None:
@@ -331,7 +330,8 @@ def rebuild_factor(
     """Second pass: assemble the full-row factor for a stored selection."""
     positive("gamma", gamma)
     K = gram(dataset, kernel, selection.t)
-    return nystrom_approx(K, selection, gamma)
+    _finite_bounds(K)  # gram builds K exactly symmetric, so this is its one check
+    return _gathered(K, selection, gamma)
 
 
 @dataclass(frozen=True)
@@ -379,13 +379,19 @@ def verify_checkpoints(
     helper thread beside the eigenvalues of ``K - K~`` (see the module
     docstring); the call starts that thread and joins it before it returns
     or raises.  Every checkpoint's t must lie in 1..n and within
-    ``DESK_SCALE_CAP``; these, gamma, epsilon and the algorithm are all
-    checked before any kernel work.
+    ``DESK_SCALE_CAP``, and a ``problem``'s dataset must hold ``dataset``'s
+    points; these, gamma, epsilon and the algorithm are all checked before
+    any kernel work.
     """
     if algorithm not in ALGORITHMS:
         raise InputError(f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}")
     positive("gamma", gamma)
     half_open_unit("epsilon", epsilon)
+    if problem is not None and not np.array_equal(problem.dataset.points, dataset.points):
+        raise InputError(
+            f"the problem's dataset (points of shape {problem.dataset.points.shape}) does not hold the verified "
+            f"dataset's points (shape {dataset.points.shape}): its risks would be another dataset's"
+        )
     n = len(dataset)
     top = min(n, DESK_SCALE_CAP)
     for cp in checkpoints:
@@ -440,7 +446,6 @@ def _verified(
     del K
     _require_psd(evd[0])
     U, lam = _spectrum(*evd)
-    del evd
     upper = _upper_gap(U, lam, diff, gamma, epsilon)
     del diff
     psi_matrix = _psi_matrix(U, lam, selection, gamma)

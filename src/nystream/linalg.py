@@ -4,10 +4,13 @@ PSD ordering tests, spectral norm.
 The public entry points symmetrize their input as (A + A^T)/2 when the
 asymmetry is below ``SYMMETRY_TOL`` (relative) and reject it otherwise, so
 floating-point drift accumulated while assembling approximations is absorbed
-here; callers do not symmetrize first.  Every Cholesky factor comes from
-:func:`shifted_cholesky`, which checks nothing: the solves pass it their
-symmetrized input, and the carried sketch its exactly symmetric blocks, with
-:func:`_inverse` for the inverse.  Every PSD verdict is :func:`_psd_within`'s.
+here; callers do not symmetrize first.  Every Cholesky factor of a whole
+matrix comes from :func:`shifted_cholesky`, which checks nothing: the solves
+pass it their symmetrized input, and the carried sketch its exactly
+symmetric blocks, with :func:`_inverse` for the inverse.  The one exception
+is ``pipeline.ExactOracle``, which factors the kernel a block of rows at a
+time with its own ``dpotrf`` calls.  Every PSD verdict is
+:func:`_psd_within`'s.
 """
 
 from __future__ import annotations
@@ -67,13 +70,7 @@ class EigPair:
 
 def eig_pairs(A: np.ndarray) -> EigPair:
     """Eigendecomposition of a symmetric matrix, descending order."""
-    return _descending(*np.linalg.eigh(symmetrize(A)))
-
-
-def _descending(lam: np.ndarray, U: np.ndarray) -> EigPair:
-    """The :class:`EigPair` of an ascending symmetric eigensolution
-    ``(lam, U)``, whose eigenvectors ``U`` may be in either memory order;
-    the pair's eigenvectors are a new C-contiguous array."""
+    lam, U = np.linalg.eigh(symmetrize(A))
     order = np.argsort(lam)[::-1]
     return EigPair(eigenvalues=lam[order], eigenvectors=np.take(U, order, axis=1))
 

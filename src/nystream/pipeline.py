@@ -49,7 +49,7 @@ from .leverage import (
     exact_rls,
 )
 from .linalg import spectral_norm
-from .nystrom import NystromFactor, Selection, nystrom_approx
+from .nystrom import NystromFactor, Selection, _gathered
 from .sampling import Dictionary, RngHandle, direct_sample, selection_weights, shrink_expand
 from .sketch import CarriedSketch
 
@@ -73,7 +73,9 @@ class ScoreOracle(Protocol):
 
     An oracle that counts clamps holds them in an optional ``diagnostics``
     attribute (a :class:`Diagnostics`), which the run reports; a run with an
-    oracle that has none reports zero counts.
+    oracle that has none reports zero counts.  An oracle that scores at a
+    fixed ridge holds it in an optional ``gamma`` attribute, which must be
+    the run's.
     """
 
     def begin_step(
@@ -136,10 +138,12 @@ class RunResult:
     @property
     def factor(self) -> NystromFactor:
         """The final selection's factored approximation restricted to the
-        dictionary rows; the kernel block is re-evaluated on each access."""
+        dictionary rows; the kernel block is re-evaluated on each access.
+        It is exactly symmetric, and its values are the ones the steps
+        checked finite."""
         q = self.dictionary.size
         block = Selection(np.arange(q), selection_weights(self.dictionary.counts), q)
-        return nystrom_approx(_symmetric_pairwise(self.kernel, self.dict_points), block, self.gamma)
+        return _gathered(_symmetric_pairwise(self.kernel, self.dict_points), block, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -170,8 +174,8 @@ def initial_state(q_bar: int, rng: RngHandle, kernel: KernelSpec, dim: int) -> S
 
 
 class ExactOracle:
-    """Exact score oracle (approximation factors both 1); a desk-scale
-    testing device for the streaming loop.
+    """Exact score oracle (approximation factors both 1) at the ridge
+    ``gamma``; a desk-scale testing device for the streaming loop.
 
     Holds the rows of the lower Cholesky factor ``L`` of ``K_n + gamma I``
     over the whole dataset that the stream has reached, the rows of
@@ -193,19 +197,21 @@ class ExactOracle:
     t^2 / 2 + t B floats and never copies them.
 
     A block reads up to ``B - 1`` points past the step that starts it.  Its
-    edges sit at multiples of B, and a block that runs past the dataset, or
-    past a row that is not positive definite or has a non-finite kernel
-    value, takes identity rows in their place: every BLAS call has the same
-    shapes and every row the same inputs as on a longer dataset, so the
-    answer at step t is a function of the first t + 1 points, bit for bit,
-    and a failing row raises at its own step.
+    edges sit at multiples of B.  A block that runs past the dataset, or
+    past a row with a non-finite kernel value, takes identity rows in their
+    place before it is factored, and the first row whose pivot is not
+    positive, and every row after it, become identity rows once it is
+    factored.  Every BLAS call has the same shapes and every row the same
+    inputs as on a longer dataset, and a row of L depends only on the rows
+    before it, so the answer at step t is a function of the first t + 1
+    points, bit for bit, and a failing row raises at its own step.
     """
 
     def __init__(self, dataset: Dataset, kernel: KernelSpec, gamma: float):
         positive("gamma", gamma)
         self._points = dataset.points
         self._kernel = kernel
-        self._gamma = float(gamma)
+        self.gamma = float(gamma)
         self._t = 0
         self._factor: list[np.ndarray] = []
         self._inverse = np.empty((_BLOCK, 0))
@@ -214,7 +220,7 @@ class ExactOracle:
         self._failure: tuple[int, float] | None = None
 
     def begin_step(self, state, new_index, cross, self_term) -> tuple[np.ndarray, float]:
-        t, gamma = self._t, self._gamma
+        t, gamma = self._t, self.gamma
         if new_index != t:
             raise InputError("exact oracle must observe the stream in order")
         if t >= len(self._points):
@@ -237,30 +243,13 @@ class ExactOracle:
         """Make L's and W's rows ``[b, b + B)`` on columns ``[0, b + B)``,
         and record the block's first row that is not positive definite, if
         any."""
-        points = self._points
-        stop = min(b + _BLOCK, len(points))
+        B, points = _BLOCK, self._points
+        stop = min(b + B, len(points))
         # A non-finite value is reported at its own row's step, not here.
         with np.errstate(over="ignore", invalid="ignore"):
             K = pairwise(self._kernel, points[b:stop], points[:stop])
         # Each row's values against itself and every earlier point.
         rows = _leading_true(np.isfinite(K[:, :b]).all(axis=1) & np.isfinite(np.tril(K[:, b:])).all(axis=1))
-        factor, inverse, bad, xi = self._rows(K, b, rows)
-        if factor is None:
-            # Identity rows from the failed pivot on: the rows before it
-            # are those of a stream that ends there.
-            factor, inverse, _, _ = self._rows(K, b, bad)
-        if bad < stop - b:
-            self._failure = (b + bad, xi)
-        self._factor.append(factor)
-        self._inverse = inverse
-
-    def _rows(self, K: np.ndarray, b: int, rows: int) -> tuple[np.ndarray | None, np.ndarray | None, int, float]:
-        """``(factor, inverse, bad, xi)`` for the first ``rows`` kernel rows
-        ``K`` of the block at ``b`` and identity rows after them: L's and
-        W's rows, both None when the pivot of a row ``bad < rows`` is not
-        positive, ``bad`` (``rows`` if none) and that pivot's Schur
-        complement (NaN if none)."""
-        B = _BLOCK
         # Column-major, so that each BLAS call below updates a slice in
         # place (overwrite_b, overwrite_c).
         factor = np.zeros((B, b + B), order="F")
@@ -273,15 +262,19 @@ class ExactOracle:
             dtrsm(1.0, Lj[:, cols], L21[:, cols], side=1, lower=1, trans_a=1, overwrite_b=1)
         L22[:rows, :rows] = K[:rows, b : b + rows]
         diagonal = np.arange(B)
-        L22[diagonal, diagonal] += np.where(diagonal < rows, self._gamma, 1.0)
+        L22[diagonal, diagonal] += np.where(diagonal < rows, self.gamma, 1.0)
         L22 -= L21 @ L21.T
         _, info = dpotrf(L22, lower=1, clean=1, overwrite_a=1)
-        positive_pivots = L22.diagonal()[:rows] > 0  # NaN fails
-        if info > 0:  # dpotrf stopped at this row and left the rows after it unfactored
-            positive_pivots[info - 1 :] = False
-        bad = _leading_true(positive_pivots)
-        if bad < rows:
-            return None, None, bad, float(L22[bad, bad])
+        # dpotrf stops at row info - 1 when its pivot is not positive, but
+        # OpenBLAS's passes a NaN pivot with info 0, which fails here.
+        bad = _leading_true(L22.diagonal()[: info - 1 if info else rows] > 0)
+        if bad < stop - b:
+            self._failure = (b + bad, float(L22[bad, bad]) if bad < rows else math.nan)
+            # A row of L depends only on the rows before it, so with identity
+            # rows from the failed one on, the rows before it are those of a
+            # stream that ends there.
+            factor[bad:] = 0.0
+            L22[diagonal[bad:], diagonal[bad:]] = 1.0
         W22, _ = dtrtri(L22, lower=1)
         inverse = np.empty((B, b + B))
         inverse[:, b:] = W22
@@ -293,7 +286,8 @@ class ExactOracle:
                 if done:
                     dgemm(-1.0, W21[:, cols], Lj[:, :done], beta=1.0, c=W21[:, :done], overwrite_c=1)
             inverse[:, :b] = W21
-        return factor, inverse, rows, math.nan
+        self._factor.append(factor)
+        self._inverse = inverse
 
 
 def _leading_true(mask: np.ndarray) -> int:
@@ -302,7 +296,8 @@ def _leading_true(mask: np.ndarray) -> int:
 
 
 class EstimateOracle:
-    """Score oracle backed by the incremental estimators.
+    """Score oracle backed by the incremental estimators, at the ridge
+    ``gamma``.
 
     Queries touch only the bordered sketch restricted to dictionary
     coordinates and the exact entries of the new column, so the oracle works
@@ -330,14 +325,14 @@ class EstimateOracle:
         self.alpha = alpha_factor(epsilon)
         self.curvature = curvature_coefficient(epsilon)
         self.diagnostics = Diagnostics()
-        self._gamma = float(gamma)
-        self._sketch = CarriedSketch(self._gamma, self.alpha * self._gamma)
+        self.gamma = float(gamma)
+        self._sketch = CarriedSketch(self.gamma, self.alpha * self.gamma)
         # The step and random handle of the successor state the sketch can
         # move to next.
         self._expects: tuple[int, RngHandle] | None = None
 
     def begin_step(self, state, new_index, cross, self_term) -> tuple[np.ndarray, float]:
-        gamma, sketch = self._gamma, self._sketch
+        gamma, sketch = self.gamma, self._sketch
         shift = sketch.shift
         expects, self._expects = self._expects, None
         if state.step == 0:
@@ -358,7 +353,7 @@ class EstimateOracle:
             )
         q = cross.shape[0]
         diagonal = np.empty(q + 1)
-        diagonal[:q] = sketch.diagonal[:q]
+        diagonal[:q] = sketch.gram.diagonal()
         diagonal[q] = self_term
         tau = _clamped_scores(diagonal, forms, shift, self.diagnostics)
         delta = _increment_from_forms(self_term, gamma, self.curvature, quad_alpha, quad_sq)
@@ -480,10 +475,16 @@ def ink_oracle_run(
 
     With the default (exact) oracle this is the reference sequential
     algorithm; any object satisfying :class:`ScoreOracle` can be plugged in.
+    Raises :class:`InputError` when the oracle has a ``gamma`` other than
+    the run's.
     """
     if oracle is None:
         oracle = ExactOracle(dataset, kernel, gamma)
     positive("gamma", gamma)
+    oracle_gamma = getattr(oracle, "gamma", gamma)
+    if oracle_gamma != gamma:
+        raise InputError(f"the run's gamma {gamma} differs from its oracle's gamma {oracle_gamma}: "
+                         "the scores and deff_tilde would be at the oracle's ridge, the factor at the run's")
     positive_int("checkpoint_every", checkpoint_every)
     n = len(dataset)
     state = initial_state(q_bar, RngHandle(seed=int(rng)), kernel, dataset.dim)

@@ -62,15 +62,14 @@ term to each buffer by one BLAS call (``dger`` for a rank-one term,
 ``dgemm`` otherwise) on the layout before the step, and an eviction then
 compacts the kept rows and columns inside each buffer; an admission writes
 the new kernel column into ``D``'s zero border and borders the other three
-on theirs (``dger`` for ``N``, one ``dgemm`` for each shifted inverse).  A
-buffer is reallocated only when Q outgrows it, and a rebuild refills the
-same buffers.  So moving the sketch consumes it: the oracle that holds it is
-its only reader.
+on theirs (``dger`` for ``N``, one ``dgemm`` for each shifted inverse).  The
+update's factors, a few columns as tall as the buffers, are formed in a new
+array each time.  A buffer is reallocated only when Q outgrows it, and a
+rebuild refills the same buffers.  So moving the sketch consumes it: the
+oracle that holds it is its only reader.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dger
@@ -95,12 +94,10 @@ class CarriedSketch:
     The four Q x Q matrices are views of the leading blocks of four
     C-contiguous buffers of ``Q + max(_SLACK, Q // 4)`` rows and columns (as
     of their last allocation), whose entries past the leading block are
-    zero; ``diagonal`` views ``D``'s diagonal through the whole buffer.
-    :meth:`query` and :meth:`rebuild` write the buffers in place, so a
-    sketch stands for one dictionary at a time: moving it to a successor
-    consumes it.  The factors of an update are formed in one scratch array
-    the sketch keeps beside the buffers.  A query rebuilds it only after a
-    failure (see the module docstring).
+    zero.  :meth:`query` and :meth:`rebuild` write the buffers in place, so
+    a sketch stands for one dictionary at a time: moving it to a successor
+    consumes it.  A query rebuilds it only after a failure (see the module
+    docstring).
     """
 
     def __init__(self, gamma: float, shift: float):
@@ -109,8 +106,6 @@ class CarriedSketch:
         self.indices = self.counts = np.zeros(0, dtype=np.int64)
         self.quad = np.zeros(0)
         self._buffers = np.zeros((4, 0, 0))
-        self.diagonal = self._buffers[0].reshape(-1)
-        self._spare = np.empty(0)
         # No column queried since the last rebuild: ``_column`` is the
         # (index, cross terms, self term) of the last query since then, which
         # the next step may have admitted.
@@ -131,7 +126,6 @@ class CarriedSketch:
             buffers = np.zeros((4, cap, cap))
             buffers[:, :size, :size] = self._buffers[:, :size, :size]
             self._buffers = buffers
-            self.diagonal = buffers[0].reshape(-1)[:: cap + 1]
             self._sized(size)
 
     def rebuild(self, indices, counts, gram: np.ndarray) -> None:
@@ -192,10 +186,10 @@ class CarriedSketch:
         admitted and evicted nothing keeps this sketch's ``indices`` array
         and moves by this call alone: no position match and no gathers.
 
-        The three factors are formed in the sketch's scratch array, padded
-        with zero rows to the buffers' height; the two shifted inverses'
-        products, capacitance matrices and inverses are formed together on
-        the stacked buffers.  A step that changes one weight and evicts
+        The three factors are formed in one new array, padded with zero
+        rows to the buffers' height; the two shifted inverses' products,
+        capacitance matrices and inverses are formed together on the
+        stacked buffers.  A step that changes one weight and evicts
         nothing makes it a rank-one update on vectors and scalars."""
         # (D + Gamma + E_S diag(delta) E_S^T)^-1 = N - N_S T^-1 N_S^T with
         # T = diag(1/delta) + N_SS and delta = gamma (1/b1 - 1/b0); an
@@ -215,7 +209,7 @@ class CarriedSketch:
         if changed.shape[0] == 1 and b1[0]:
             j = int(changed[0])
             b0, b = float(b_old[j]), float(b1[0])
-            W = self._workspace(3, cap)
+            W = np.empty((3, cap))
             W[0] = N[:, j]
             h = W[0, :q] * (-gamma / b_old)
             h[j] += 1.0
@@ -234,7 +228,7 @@ class CarriedSketch:
             k, gone = changed.shape[0], changed[b1 == 0]
             r = k + gone.shape[0]
             cols = np.arange(r)
-            W = self._workspace(3, cap, r)
+            W = np.empty((3, cap, r))
             W[0, :, :k] = N[:, changed]
             W[0, :, k:] = 0.0
             b0 = b_old[changed].astype(np.float64)
@@ -290,15 +284,6 @@ class CarriedSketch:
         self.quad = quad
         return True
 
-    def _workspace(self, *shape) -> np.ndarray:
-        """A C-contiguous scratch array of ``shape``, a view of one buffer the
-        sketch keeps for its update factors (grown, never shrunk), whose
-        entries the caller writes before reading."""
-        size = math.prod(shape)
-        if self._spare.shape[0] < size:
-            self._spare = np.empty(size)
-        return self._spare[:size].reshape(shape)
-
     def _admit(self, quad, counts, m: int):
         """Border ``N``, ``inv_shift`` and ``inv_gamma`` in place with the
         newest column, which ``D``'s row and column ``m`` hold: their leading
@@ -308,15 +293,15 @@ class CarriedSketch:
         ``N`` is bordered by then, and the shifted inverses are bordered only
         when both of theirs are positive.
 
-        The factors are formed in the sketch's scratch array, padded with
-        zero rows to the buffers' height; the two shifted inverses' products
-        with ``h`` and ``c`` are one stacked product, and their factors are
-        those products, turned in place into the bordering's columns."""
+        The factors are formed in one new array, padded with zero rows to
+        the buffers' height; the two shifted inverses' products with ``h``
+        and ``c`` are one stacked product, and their factors are those
+        products, turned in place into the bordering's columns."""
         D, N = self._buffers[0], self._buffers[1]
         cap, gamma = D.shape[0], self.gamma
         c, k = D[m, :m], float(D[m, m])
         gamma_new = gamma / float(counts[m])
-        W = self._workspace(7, cap)
+        W = np.empty((7, cap))
         w = W[0]
         np.matmul(N[:, :m], c, out=w)
         v = w[:m]

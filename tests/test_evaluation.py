@@ -384,6 +384,27 @@ class TestVerifyCheckpoints:
                 [cp], "ink-estimate",
             )
 
+    @pytest.mark.parametrize("other", ["prefix", "moved"])
+    def test_problem_on_other_points_rejected_before_kernel_work(self, monkeypatch, other):
+        """The risks are the problem's targets on the verified points: a
+        problem on the first 50 of 100 points, or on 100 other points, is
+        rejected before the first gram, not by a shape error in the risk or
+        with another dataset's risks."""
+        prob = generate_synthetic(SyntheticSpec(n=100, d=2, n_clusters=2, cluster_std=0.4), rng=12)
+        if other == "prefix":
+            wrong = prob.prefix(50)
+        else:
+            wrong = replace(prob, dataset=Dataset(points=prob.dataset.points + 1.0))
+        cp = RunCheckpoint(step=50, deff_tilde=1.0, indices=(0,), weights=(1.0,))
+
+        def no_kernel_work(*args, **kwargs):
+            raise AssertionError("gram evaluated before the problem was checked")
+
+        monkeypatch.setattr(evaluation, "gram", no_kernel_work)
+        with pytest.raises(InputError, match=r"problem's dataset .* does not hold the verified dataset's points"):
+            verify_checkpoints(prob.dataset, KernelSpec.gaussian_kernel(1.0), 1.0, 0.5, [cp], "ink-estimate",
+                               problem=wrong)
+
     def test_dataset_past_the_cap_verifies_checkpoints_within_it(self):
         """The guard is on each checkpoint's t, not on the dataset's length."""
         points = np.random.default_rng(4).normal(size=(DESK_SCALE_CAP + 1, 2))

@@ -222,6 +222,25 @@ class TestZeroKernelMass:
             assert result.checkpoints[-1].dict_size == 0 and result.deff_tilde == 0.0
 
 
+class TestRunGammaIsTheOracles:
+    """The scores and deff_tilde are the oracle's, the final factor and the
+    rho proxy the run's: both must be at one ridge."""
+
+    @pytest.mark.parametrize("oracle", [lambda: EstimateOracle(0.01, 0.5), lambda: ExactOracle(DS, GAUSS, 0.01)],
+                             ids=["estimate", "exact"])
+    def test_an_oracle_at_another_gamma_is_rejected_before_kernel_work(self, no_kernel_work, oracle):
+        with pytest.raises(InputError, match=r"^the run's gamma 0\.1 differs from its oracle's gamma 0\.01: "):
+            ink_oracle_run(DS, GAUSS, 0.1, 50, oracle())
+
+    def test_an_oracle_without_a_gamma_runs_at_the_runs(self):
+        class Oracle:
+            def begin_step(self, state, new_index, cross, self_term):
+                return np.ones(state.dictionary.size + 1), 1.0
+
+        assert ink_oracle_run(DS, GAUSS, 0.1, 50, Oracle()).gamma == 0.1
+        assert ink_oracle_run(DS, GAUSS, 1, 50, EstimateOracle(1.0, 0.5)).gamma == 1
+
+
 def test_kept_column_with_zero_score_estimate_names_step_index_and_score():
     """At a ridge of 1e-10 the estimator clamps a kept column's score to 0
     at step 35; the exact oracle runs the same stream to the end.  Where the

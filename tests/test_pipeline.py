@@ -235,30 +235,33 @@ class TestExactOracle:
         assert factoring == list(range(0, len(ds), pipeline._BLOCK))
         assert len(factoring) == math.ceil(len(ds) / pipeline._BLOCK)
 
-    def test_non_positive_pivot_inside_a_block_raises_at_its_step(self):
-        """Point 130 repeats point 129 among orthogonal points, at gamma =
-        1e-18: its pivot, inside the block factored at step 128, rounds to
-        zero.  Every earlier step is answered as on the stream that ends
-        before point 130, bit for bit, and step 130 raises, with no
+    @pytest.mark.parametrize("bad", [128, 130, 255], ids=["first-row", "inner-row", "last-row"])
+    def test_non_positive_pivot_inside_a_block_raises_at_its_step(self, bad):
+        """Point ``bad`` repeats the point before it among orthogonal
+        points, at gamma = 1e-18: its pivot, in the first, an inner or the
+        last row of the block factored at step 128, rounds to zero.  Every
+        earlier step is answered as on the stream that ends before point
+        ``bad``, bit for bit, and step ``bad`` raises, with no
         floating-point warning."""
         points = np.eye(300)
-        points[130] = points[129]
+        points[bad] = points[bad - 1]
         ds, kern = Dataset(points=points), KernelSpec.linear_kernel()
+        minor = rf"leading minor {bad + 1}\)"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             oracle = ExactOracle(ds, kern, 1e-18)
-            short = ExactOracle(Dataset(points=points[:130]), kern, 1e-18)
-            for t in range(130):
+            short = ExactOracle(Dataset(points=points[:bad]), kern, 1e-18)
+            for t in range(bad):
                 state = prefix_state(t, ds.dim)
                 tau, deff = oracle.begin_step(state, t, None, 1.0)
                 want_tau, want_deff = short.begin_step(state, t, None, 1.0)
                 assert tau.tobytes() == want_tau.tobytes() and deff == want_deff
-            with pytest.raises(NumericalError, match=r"not positive definite \(leading minor 131\): Schur complement"):
-                oracle.begin_step(prefix_state(130, ds.dim), 130, None, 1.0)
+            with pytest.raises(NumericalError, match=rf"not positive definite \({minor}: Schur complement"):
+                oracle.begin_step(prefix_state(bad, ds.dim), bad, None, 1.0)
             audit = AccessAudit()
-            with pytest.raises(NumericalError, match=r"leading minor 131\)"):
+            with pytest.raises(NumericalError, match=minor):
                 ink_oracle_run(ds, kern, 1e-18, 20, audit=audit)
-        assert audit.points_consumed == list(range(131))
+        assert audit.points_consumed == list(range(bad + 1))
 
     def test_a_non_finite_read_ahead_row_raises_nothing_before_its_step(self):
         """Point 135's self term overflows (linear kernel), and the block
@@ -1416,8 +1419,9 @@ def test_step_call_budget():
     # sketch was refreshed after 64 updates instead of every 64 steps and an
     # admission formed both shifted inverses' products in one call, 15740
     # before the periodic refresh was deleted (a rebuild only follows a
-    # failed update).
-    assert calls <= 15664
+    # failed update), 15664 before the sketch formed each update's factors
+    # in a new array instead of a view of a kept scratch array.
+    assert calls <= 15278
 
 
 class TestGoldenRuns:
