@@ -205,13 +205,14 @@ class ExactOracle:
     inputs as on a longer dataset, and a row of L depends only on the rows
     before it, so the answer at step t is a function of the first t + 1
     points, bit for bit, and a failing row raises at its own step.
+
+    The oracle's ``dataset``, ``kernel`` and ``gamma`` are public, so a run
+    can refuse an oracle built for another stream.
     """
 
     def __init__(self, dataset: Dataset, kernel: KernelSpec, gamma: float):
         positive("gamma", gamma)
-        self._points = dataset.points
-        self._kernel = kernel
-        self.gamma = float(gamma)
+        self.dataset, self.kernel, self.gamma = dataset, kernel, float(gamma)
         self._t = 0
         self._factor: list[np.ndarray] = []
         self._inverse = np.empty((_BLOCK, 0))
@@ -223,8 +224,8 @@ class ExactOracle:
         t, gamma = self._t, self.gamma
         if new_index != t:
             raise InputError("exact oracle must observe the stream in order")
-        if t >= len(self._points):
-            raise InputError(f"index {t} is past the oracle's dataset of {len(self._points)} points")
+        if t >= len(self.dataset.points):
+            raise InputError(f"index {t} is past the oracle's dataset of {len(self.dataset.points)} points")
         if t % _BLOCK == 0:
             self._block(t)
         if self._failure is not None and self._failure[0] == t:
@@ -243,11 +244,11 @@ class ExactOracle:
         """Make L's and W's rows ``[b, b + B)`` on columns ``[0, b + B)``,
         and record the block's first row that is not positive definite, if
         any."""
-        B, points = _BLOCK, self._points
+        B, points = _BLOCK, self.dataset.points
         stop = min(b + B, len(points))
         # A non-finite value is reported at its own row's step, not here.
         with np.errstate(over="ignore", invalid="ignore"):
-            K = pairwise(self._kernel, points[b:stop], points[:stop])
+            K = pairwise(self.kernel, points[b:stop], points[:stop])
         # Each row's values against itself and every earlier point.
         rows = _leading_true(np.isfinite(K[:, :b]).all(axis=1) & np.isfinite(np.tril(K[:, b:])).all(axis=1))
         # Column-major, so that each BLAS call below updates a slice in
@@ -309,14 +310,13 @@ class EstimateOracle:
     after the one it answered last, of the same run (same random handle),
     it asks the sketch to follow the state's dictionary and score the new
     column in one :meth:`CarriedSketch.query`, which moves the sketch in
-    place along the 1-2 dictionary columns a step changes, in O(k Q^2).  The
-    sketch rebuilds itself on its carried block only after a failure: when
-    an admission's Schur complement is not positive, and once when the new
-    column's bordered Schur complement is not positive on a carried sketch.
-    ``tests/test_sketch.py``'s ``test_drift_stays_within_the_condition_bound``
-    pins its drift between rebuilds.  For any other state, and for a
-    dictionary the sketch cannot follow, the oracle rebuilds the sketch on
-    the block evaluated from the state's points.
+    place along the 1-2 dictionary columns a step changes, in O(k Q^2).
+    For any other state, and when the query declines, the oracle rebuilds
+    the sketch on the block evaluated from the state's points and asks
+    again; it raises :class:`NumericalError` when the rebuilt sketch
+    declines too.  ``tests/test_sketch.py``'s
+    ``test_drift_stays_within_the_condition_bound`` pins the carried
+    sketch's drift between rebuilds.
     """
 
     def __init__(self, gamma: float, epsilon: float):
@@ -344,13 +344,13 @@ class EstimateOracle:
         if query is None:
             sketch.rebuild(d.indices, d.counts, _symmetric_pairwise(state.kernel, state.dict_points))
             query = sketch.query(d.indices, d.counts, new_index, cross, self_term)
-        forms, quad_alpha, quad_sq, schur = query
-        if not schur > 0:
-            raise NumericalError(
-                "K~_D + alpha*gamma*I or its bordered Schur complement k + alpha*gamma - c^T "
-                "(K~_D + alpha*gamma*I)^-1 c is not positive: bordered shifted matrix is not "
-                f"positive definite (leading minor {d.size + 1})"
-            )
+            if query is None:
+                raise NumericalError(
+                    "K~_D + alpha*gamma*I or its bordered Schur complement k + alpha*gamma - c^T "
+                    "(K~_D + alpha*gamma*I)^-1 c is not positive: bordered shifted matrix is not "
+                    f"positive definite (leading minor {d.size + 1})"
+                )
+        forms, quad_alpha, quad_sq = query
         q = cross.shape[0]
         diagonal = np.empty(q + 1)
         diagonal[:q] = sketch.gram.diagonal()
@@ -458,6 +458,19 @@ def _checkpoint(state: SketchState, ints: dict, floats: dict) -> RunCheckpoint:
     )
 
 
+def _refuse_other_points(points: np.ndarray, oracle_points: np.ndarray) -> None:
+    """Raise :class:`InputError` unless the oracle's points start with the
+    run's ``points``."""
+    n = points.shape[0]
+    if oracle_points.shape[0] < n or oracle_points.shape[1] != points.shape[1]:
+        raise InputError(f"the run's {n} points of dimension {points.shape[1]} are not a prefix of its oracle's "
+                         f"dataset of {oracle_points.shape[0]} points of dimension {oracle_points.shape[1]}")
+    differ = np.logical_or.reduce(oracle_points[:n] != points, axis=1).nonzero()[0]
+    if differ.shape[0]:
+        raise InputError(f"the run's point {differ[0]} differs from its oracle's: the oracle's dataset must "
+                         "start with the run's points, or its scores are another stream's")
+
+
 def ink_oracle_run(
     dataset: Dataset,
     kernel: KernelSpec,
@@ -475,16 +488,27 @@ def ink_oracle_run(
 
     With the default (exact) oracle this is the reference sequential
     algorithm; any object satisfying :class:`ScoreOracle` can be plugged in.
-    Raises :class:`InputError` when the oracle has a ``gamma`` other than
-    the run's.
+    Raises :class:`InputError`, before any kernel work, when the oracle has
+    a ``gamma`` or a ``kernel`` other than the run's, or a ``dataset`` that
+    does not start with the run's points (a longer one that does answers
+    as the run's would, since its answer at a step reads only the points up
+    to it).
     """
     if oracle is None:
         oracle = ExactOracle(dataset, kernel, gamma)
     positive("gamma", gamma)
+    # An oracle without one of these attributes is taken to share the run's.
     oracle_gamma = getattr(oracle, "gamma", gamma)
     if oracle_gamma != gamma:
         raise InputError(f"the run's gamma {gamma} differs from its oracle's gamma {oracle_gamma}: "
                          "the scores and deff_tilde would be at the oracle's ridge, the factor at the run's")
+    oracle_kernel = getattr(oracle, "kernel", kernel)
+    if oracle_kernel is not kernel and oracle_kernel != kernel:
+        raise InputError(f"the run's kernel {kernel} differs from its oracle's kernel {oracle_kernel}: "
+                         "the scores and deff_tilde would be the oracle kernel's, the factor the run's")
+    oracle_dataset = getattr(oracle, "dataset", dataset)
+    if oracle_dataset is not dataset:
+        _refuse_other_points(dataset.points, oracle_dataset.points)
     positive_int("checkpoint_every", checkpoint_every)
     n = len(dataset)
     state = initial_state(q_bar, RngHandle(seed=int(rng)), kernel, dataset.dim)

@@ -26,28 +26,26 @@ surviving columns and bordered with the admitted one):
 
 A step makes one call, :meth:`CarriedSketch.query`, with the state's
 dictionary and the step's new column; the sketch follows the dictionary and
-then scores the column.  The streaming step tells it what moved by the
-dictionary it passes on: the sketch's own (the same ``indices`` and
-``counts`` arrays) when the step changed nothing, which is queried as it
-is; one on the same ``indices`` array when only weights changed, which the
-sketch reweights on the positions it has, leaving ``D`` untouched; and new
-arrays when the step admitted or evicted, which the sketch matches to its
-positions (keeping at least one column, and admitting at most the column of
-its last query, last), restricts to the kept columns and borders with that
-column.  A dictionary that does not match is not one step's successor: the
-query then answers None and leaves the sketch as it was, and its holder
-rebuilds it from the dictionary's points.
+then scores the column, or declines.  The streaming step tells it what
+moved by the dictionary it passes on: the sketch's own (the same
+``indices`` and ``counts`` arrays) when the step changed nothing, which is
+queried as it is; one on the same ``indices`` array when only weights
+changed, which the sketch reweights on the positions it has, leaving ``D``
+untouched; and new arrays when the step admitted or evicted, which the
+sketch matches to its positions (keeping at least one column, and admitting
+at most the column of its last query, last), restricts to the kept columns
+and borders with that column.  The query declines, answering None, for a
+dictionary that is not one step's successor (the sketch is then as it
+was), for an admission that meets a Schur complement that is not positive,
+and for a new column whose bordered Schur complement is not positive; its
+holder then rebuilds the sketch from the dictionary's points and asks once
+more.
 
 :meth:`CarriedSketch.rebuild` computes the same quantities from scratch,
 with one :func:`shifted_cholesky` of ``D + Gamma`` (scaled as
 :class:`NystromFactor` holds it), whose inverse ``N`` gives ``K~ = D -
 Gamma + Gamma N Gamma``, one of ``K~`` at each shift, and one product
-``(K~ + alpha gamma I)^-1 D`` for the forms.  A query rebuilds only after
-a failure: on the moved ``D`` when an admission meets a Schur complement
-that is not positive, and once more when the bordered Schur complement of
-the new column is not positive on a sketch not rebuilt since its last
-query, since rounding may be what made it so.  Otherwise the
-sketch carries its updates for the whole stream, with no periodic rebuild:
+``(K~ + alpha gamma I)^-1 D`` for the forms.  There is no periodic rebuild:
 each update adds rounding drift, and ``tests/test_sketch.py``'s
 ``test_drift_stays_within_the_condition_bound`` pins it on the benchmark's
 streams to the number of updates, the condition number and the unit
@@ -96,8 +94,8 @@ class CarriedSketch:
     of their last allocation), whose entries past the leading block are
     zero.  :meth:`query` and :meth:`rebuild` write the buffers in place, so
     a sketch stands for one dictionary at a time: moving it to a successor
-    consumes it.  A query rebuilds it only after a failure (see the module
-    docstring).
+    consumes it, and a query that declines may leave it half moved, for a
+    rebuild to refill.
     """
 
     def __init__(self, gamma: float, shift: float):
@@ -106,9 +104,8 @@ class CarriedSketch:
         self.indices = self.counts = np.zeros(0, dtype=np.int64)
         self.quad = np.zeros(0)
         self._buffers = np.zeros((4, 0, 0))
-        # No column queried since the last rebuild: ``_column`` is the
-        # (index, cross terms, self term) of the last query since then, which
-        # the next step may have admitted.
+        # The (index, cross terms, self term) of the last column scored since
+        # the last rebuild, which the next step may have admitted.
         self._column = None
         self._sized(0)
 
@@ -130,8 +127,8 @@ class CarriedSketch:
 
     def rebuild(self, indices, counts, gram: np.ndarray) -> None:
         """The carried quantities from scratch, for the dictionary ``(indices,
-        counts)`` on its kernel block ``gram``, which may be the sketch's own
-        ``gram``; the sketch then holds no queried column.
+        counts)`` on its kernel block ``gram``; the sketch then holds no
+        queried column.
 
         Raises :class:`NumericalError` when ``D + Gamma`` is not positive
         definite; the buffers are then as they were.
@@ -148,13 +145,12 @@ class CarriedSketch:
         tilde.reshape(-1)[:: q + 1] -= g
         inv_shift = _inverse(shifted_cholesky(tilde, self.shift))
         inv_gamma = _inverse(shifted_cholesky(tilde, self.gamma))
-        if gram is not self.gram:
-            self._reserve(q)
-            size = self.size
-            self._buffers[:, q:size] = 0.0
-            self._buffers[:, :q, q:size] = 0.0
-            self._sized(q)
-            self.gram[...] = gram
+        self._reserve(q)
+        size = self.size
+        self._buffers[:, q:size] = 0.0
+        self._buffers[:, :q, q:size] = 0.0
+        self._sized(q)
+        self.gram[...] = gram
         self.inv_m[...] = inv_m
         self.inv_shift[...] = inv_shift
         self.inv_gamma[...] = inv_gamma
@@ -190,7 +186,19 @@ class CarriedSketch:
         rows to the buffers' height; the two shifted inverses' products,
         capacitance matrices and inverses are formed together on the
         stacked buffers.  A step that changes one weight and evicts
-        nothing makes it a rank-one update on vectors and scalars."""
+        nothing makes it a rank-one update on vectors and scalars.
+
+        Both forks pay on the benchmark's ``ink-estimate`` streams (problem
+        and chain seeds 1-5).  The rank-one route serves 9321 of the 14478
+        changing reweights on estimate-q30-long and 995 of 2930 on
+        estimate-q200; through the general path instead, estimate-q30-long
+        read about 10% fewer steps/s (median 14526 against 16217 over 10
+        alternating in-process rounds, a shared 2-core Xeon with one BLAS
+        thread: indicative), estimate-q200 moved within its spread, and
+        ``test_step_call_budget`` counted 15490 calls instead of 15278.
+        The same-``indices`` route takes 13283 of the 49995 queries on
+        estimate-q30-long and 865 of 5115 on estimate-q200; through the
+        position match instead, the count was 15934."""
         # (D + Gamma + E_S diag(delta) E_S^T)^-1 = N - N_S T^-1 N_S^T with
         # T = diag(1/delta) + N_SS and delta = gamma (1/b1 - 1/b0); an
         # eviction (b1 = 0) has 1/delta = 0.  K~ changes by -H T^-1 H^T with
@@ -255,9 +263,7 @@ class CarriedSketch:
         counts)`` for which :meth:`_successor` gave ``pos``, bordering ``D``
         with the last queried column if the step admitted it.  True when the
         carried quantities are the successor's; False when a Schur complement
-        of the admission is not positive.  ``D`` is the successor's block
-        either way, and :meth:`rebuild` on it makes the rest (and tells why
-        the admission failed)."""
+        of the admission is not positive, with the sketch half moved."""
         q0, m, q1 = self.size, pos.shape[0], indices.shape[0]
         self._reserve(q1)
         b_new = np.zeros(q0, dtype=np.int64)
@@ -289,9 +295,7 @@ class CarriedSketch:
         newest column, which ``D``'s row and column ``m`` hold: their leading
         m x m blocks hold the predecessor's quantities after this step's
         reweights, and their row and column ``m`` are zero.  Returns the
-        bordered forms, or None when a Schur complement is not positive;
-        ``N`` is bordered by then, and the shifted inverses are bordered only
-        when both of theirs are positive.
+        bordered forms, or None when a Schur complement is not positive.
 
         The factors are formed in one new array, padded with zero rows to
         the buffers' height; the two shifted inverses' products with ``h``
@@ -348,40 +352,33 @@ class CarriedSketch:
         forms += DF[:, 1] * DF[:, 1] / s[0] - DF[:, 0] * DF[:, 0] / rho[0]
         return forms
 
-    def query(self, indices, counts, new_index, cross, self_term) -> tuple[np.ndarray, float, float, float] | None:
+    def query(self, indices, counts, new_index, cross, self_term) -> tuple[np.ndarray, float, float] | None:
         """Move the sketch to the dictionary ``(indices, counts)``, as the
         module docstring sets out, and score the column ``(c, k)`` = ``(cross,
         self_term)`` of ``new_index`` against it: the forms ``x_j^T (K_bar +
         shift I)^-1 x_j`` for each column ``x_j`` of ``D`` bordered with ``(c,
-        k)``, the new one last; ``c^T (K~ + shift I)^-1 c``; ``|(K~ + gamma
-        I)^-1 c|^2``; and the bordered Schur complement ``s = k + shift - c^T
-        (K~ + shift I)^-1 c``.  The forms are only meaningful when ``s > 0``.
-        None, with the sketch as it was, when the dictionary is not one
-        step's successor of the sketch's; otherwise the sketch remembers the
-        column for the next step."""
+        k)``, the new one last; ``c^T (K~ + shift I)^-1 c``; and ``|(K~ +
+        gamma I)^-1 c|^2``.  The bordered Schur complement ``s = k + shift -
+        c^T (K~ + shift I)^-1 c`` of an answer is positive.  None when the
+        query declines (see the module docstring); otherwise the sketch
+        remembers the column for the next step."""
         if indices is not self.indices:
             pos = self._successor(indices)
-            if pos is None:
+            if pos is None or not self._advance(indices, counts, pos):
                 return None
-            if not self._advance(indices, counts, pos):
-                self.rebuild(indices, counts, self.gram)
         elif counts is not self.counts:
             self._reweight(counts)
         u = self.inv_shift @ cross
         quad_c = float(cross @ u)
         s = self_term + self.shift - quad_c
-        if not s > 0 and self._column is not None:
-            # A sketch queried since its last rebuild has been carried, and
-            # its rounding may be what made s non-positive: rebuild on D and
-            # score once more.
-            self.rebuild(indices, counts, self.gram)
-            return self.query(indices, counts, new_index, cross, self_term)
+        if not s > 0:
+            return None
         self._column = (new_index, cross, self_term)
         w = self.inv_gamma @ cross
         forms = np.empty(self.quad.shape[0] + 1)
         np.add(self.quad, (self.gram @ u - cross) ** 2 / s, out=forms[:-1])
         forms[-1] = quad_c + (quad_c - self_term) ** 2 / s
-        return forms, quad_c, float(w @ w), s
+        return forms, quad_c, float(w @ w)
 
 
 def _compact(P: np.ndarray, gone: list[int], size: int) -> None:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from nystream import (
+    AccessAudit,
     Dataset,
     Dictionary,
     EstimateOracle,
@@ -239,6 +240,45 @@ class TestRunGammaIsTheOracles:
 
         assert ink_oracle_run(DS, GAUSS, 0.1, 50, Oracle()).gamma == 0.1
         assert ink_oracle_run(DS, GAUSS, 1, 50, EstimateOracle(1.0, 0.5)).gamma == 1
+
+
+class TestRunStreamIsTheOracles:
+    """An oracle that holds a kernel and a dataset, as ``ExactOracle`` does,
+    scores the stream they make: the run's kernel must be its kernel, and
+    the run's points the first points of its dataset."""
+
+    @pytest.mark.parametrize("oracle, message", [
+        (lambda: ExactOracle(DS, KernelSpec.gaussian_kernel(0.5), 0.1),
+         r"^the run's kernel KernelSpec\(family='gaussian', bandwidth=1\.0, degree=None, offset=None\) differs "
+         r"from its oracle's kernel KernelSpec\(family='gaussian', bandwidth=0\.5, degree=None, offset=None\): "),
+        (lambda: ExactOracle(DS, KernelSpec.linear_kernel(), 0.1), r"^the run's kernel .* its oracle's kernel "
+         r"KernelSpec\(family='linear'"),
+        (lambda: ExactOracle(Dataset(points=DS.points[::-1]), GAUSS, 0.1), r"^the run's point 0 differs from its "
+         r"oracle's: the oracle's dataset must start with the run's points"),
+        (lambda: ExactOracle(Dataset(points=np.vstack([DS.points[:2], [[9.0, 9.0]], DS.points])), GAUSS, 0.1),
+         r"^the run's point 2 differs from its oracle's"),
+        (lambda: ExactOracle(Dataset(points=DS.points[:3]), GAUSS, 0.1),
+         r"^the run's 4 points of dimension 2 are not a prefix of its oracle's dataset of 3 points of dimension 2$"),
+        (lambda: ExactOracle(Dataset(points=np.ones((5, 3))), GAUSS, 0.1),
+         r"^the run's 4 points of dimension 2 are not a prefix of its oracle's dataset of 5 points of dimension 3$"),
+    ], ids=["bandwidth", "family", "other-points", "one-point-differs", "shorter", "other-dimension"])
+    def test_an_oracle_of_another_stream_is_rejected_before_kernel_work(self, no_kernel_work, oracle, message):
+        audit = AccessAudit()
+        with pytest.raises(InputError, match=message):
+            ink_oracle_run(DS, GAUSS, 0.1, 50, oracle(), audit=audit)
+        assert audit.points_consumed == []
+
+    @pytest.mark.parametrize("dataset", [DS, Dataset(points=DS.points.copy()),
+                                         Dataset(points=np.vstack([DS.points, [[2.0, 2.0]]]))],
+                             ids=["same", "equal", "longer"])
+    def test_an_oracle_on_the_runs_points_and_an_equal_kernel_runs(self, dataset):
+        """Equal objects are the run's, and a longer dataset that starts
+        with the run's points gives the run's checkpoints: the oracle's
+        answer at a step reads only the points up to it."""
+        reference = ink_oracle_run(DS, GAUSS, 0.1, 50, checkpoint_every=1)
+        result = ink_oracle_run(DS, GAUSS, 0.1, 50, ExactOracle(dataset, KernelSpec.gaussian_kernel(1.0), 0.1),
+                                checkpoint_every=1)
+        assert result.checkpoints == reference.checkpoints
 
 
 def test_kept_column_with_zero_score_estimate_names_step_index_and_score():

@@ -609,24 +609,6 @@ def one_column_state(step=1):
     )
 
 
-def admitting_successor(state):
-    """The state one step after a :func:`one_column_state` that admitted
-    index 1 beside index 0, both at weight 1.  Its points are placeholders:
-    an oracle moving its carried sketch to a successor does not read them."""
-    return replace(
-        state, step=state.step + 1, dict_points=np.ones((2, 1)),
-        dictionary=Dictionary.from_weights({0: 1, 1: 1}, q_bar=10),
-    )
-
-
-# A made-up column (cross, self_term) of index 1 against a one-column state:
-# at gamma = 0.1 and eps = 0.5 the one-column sketch scores it (its bordered
-# Schur complement and increment denominator are positive), but it borders
-# the block [[1.0]] into an indefinite one whose D + Gamma is not positive
-# definite.
-MADE_UP_COLUMN = (np.array([2.0]), 3.4)
-
-
 class TestEstimateOracleMatchesEstimators:
     def test_seeded_stream(self):
         spec = SyntheticSpec(n=300, d=3, n_clusters=4, cluster_std=0.5)
@@ -666,24 +648,27 @@ class TestEstimateOracleMatchesEstimators:
             oracle.begin_step(state, 1, cross, corner)
         assert oracle.diagnostics == Diagnostics() == reference
 
-    def test_numerical_error_on_indefinite_dictionary_block(self, rebuilds):
-        """A carried dictionary block whose weighted form plus gamma is not
-        positive definite cannot be factored: the rebuild after the failed
-        admission raises NumericalError, as the public materialize() does on
-        that block.  The block comes from the made-up column the oracle was
-        asked about on the step before, which the next step admits."""
+    def test_numerical_error_on_indefinite_dictionary_block(self):
+        """A dictionary block whose weighted form plus gamma is not positive
+        definite cannot be factored: a rebuild on it raises the
+        NumericalError the public materialize() raises on that block, and
+        leaves the sketch as it was.  The block borders [[1.0]] with a
+        made-up column, (2.0, 3.4); no kernel makes it, since a kernel block
+        is positive semidefinite."""
         gamma, eps = 0.1, 0.5
-        first = one_column_state()
-        second = admitting_successor(first)
-        block = border(np.array([[1.0]]), *MADE_UP_COLUMN)
-        selection = build_selection([0, 1], {0: 1.0, 1: 1.0}, 2)
-        with pytest.raises(NumericalError, match="not positive definite"):
-            nystrom_approx(block, selection, gamma).materialize()
-        oracle = EstimateOracle(gamma, eps)
-        oracle.begin_step(first, 1, *MADE_UP_COLUMN)
-        with pytest.raises(NumericalError, match="not positive definite"):
-            oracle.begin_step(second, 2, np.array([0.5, 0.5]), 1.0)
-        assert rebuilds == [oracle._sketch] * 2
+        state = one_column_state()
+        d = state.dictionary
+        block = border(np.array([[1.0]]), np.array([2.0]), 3.4)
+        with pytest.raises(NumericalError) as public_error:
+            nystrom_approx(block, build_selection([0, 1], {0: 1.0, 1: 1.0}, 2), gamma).materialize()
+        sketch = CarriedSketch(gamma, alpha_factor(eps) * gamma)
+        sketch.rebuild(d.indices, d.counts, np.array([[1.0]]))
+        held = sketch._buffers.tobytes()
+        with pytest.raises(NumericalError) as rebuild_error:
+            sketch.rebuild(np.array([0, 1]), np.array([1, 1]), block)
+        assert str(rebuild_error.value) == str(public_error.value)
+        assert "not positive definite (leading minor 2)" in str(rebuild_error.value)
+        assert sketch.indices is d.indices and sketch._buffers.tobytes() == held
 
 
 class TestEstimateOracleCarry:
@@ -782,109 +767,104 @@ class TestEstimateOracleCarry:
         assert checked == steps - 1
         assert rebuilds == [oracle._sketch]
 
-    def test_failed_admission_rebuilds(self, rebuilds):
-        """An admission whose Schur complement of ``D + Gamma`` is not
-        positive leaves the carried update to a rebuild on the carried block,
-        which raises what a rebuild on that block raises.  The block comes
-        from the made-up column the sketch was queried with on the step
-        before."""
-        gamma, eps = 0.1, 0.5
-        shift = alpha_factor(eps) * gamma
-        first = one_column_state()
-        # The step admits index 1; its block with index 0 is indefinite.
-        second = admitting_successor(first)
-        d, d2 = first.dictionary, second.dictionary
-        carried = CarriedSketch(gamma, shift)
-        carried.rebuild(d.indices, d.counts, np.array([[1.0]]))
-        carried.query(d.indices, d.counts, 1, *MADE_UP_COLUMN)
-        with pytest.raises(NumericalError, match="not positive definite"):
-            carried.query(d2.indices, d2.counts, 2, np.array([0.5, 0.5]), 1.0)
-        # The one rebuild after the first is on the bordered block.
-        assert rebuilds == [carried] * 2
-        assert carried.gram.tobytes() == border(np.array([[1.0]]), *MADE_UP_COLUMN).tobytes()
-        oracle = EstimateOracle(gamma, eps)
-        oracle.begin_step(first, 1, *MADE_UP_COLUMN)
-        with pytest.raises(NumericalError) as carried_error:
-            oracle.begin_step(second, 2, np.array([0.5, 0.5]), 1.0)
-        with pytest.raises(NumericalError) as rebuild_error:
-            CarriedSketch(gamma, shift).rebuild(d2.indices, d2.counts, border(np.array([[1.0]]), *MADE_UP_COLUMN))
-        assert str(carried_error.value) == str(rebuild_error.value)
-        assert "not positive definite (leading minor 2)" in str(carried_error.value)
+    @pytest.mark.parametrize("site", ["successor", "N", "shifted", "bordered", "schur"])
+    def test_a_declined_query_rebuilds_once_from_the_points(self, monkeypatch, site):
+        """Each way a carried sketch's query declines, forced on a seeded
+        stream:
 
-    @pytest.mark.parametrize("reweighted", [False, True], ids=["unchanged", "reweighted"])
-    def test_a_failed_query_on_the_carried_sketch_rebuilds_once(self, rebuilds, reweighted):
-        """A successor whose carried sketch is current (the step changed
-        nothing, or only a weight) but whose bordered Schur complement is not
-        positive for the new column rebuilds once, on the carried block, and
-        then raises what a fresh oracle raises for that state.  The made-up
-        column (2.0, 1.0) against the block [[1.0]] at weight 1 or 2 makes it
-        negative.  The successor's points are placeholders whose block would
-        score the column: a rebuild from them would not raise."""
-        gamma, eps = 0.1, 0.5
-        column = (np.array([2.0]), 1.0)
-        first = one_column_state()
-        d = first.dictionary
-        successor = replace(first, step=2, dictionary=replace(d, counts=np.array([2])) if reweighted else d)
-        oracle = EstimateOracle(gamma, eps)
-        oracle.begin_step(first, 1, np.array([0.5]), 1.0)
-        with pytest.raises(NumericalError) as carried_error:
-            oracle.begin_step(replace(successor, dict_points=np.full((1, 1), 5.0)), 2, *column)
-        assert rebuilds == [oracle._sketch] * 2
-        with pytest.raises(NumericalError) as fresh_error:
-            EstimateOracle(gamma, eps).begin_step(successor, 2, *column)
-        assert str(carried_error.value) == str(fresh_error.value)
-        assert "not positive definite (leading minor 2)" in str(carried_error.value)
+        - successor: the state's dictionary is not one step's successor;
+        - N: an admission's Schur complement of ``D + Gamma`` is not positive
+          (gamma is -inf inside the admission), after the step's reweights
+          and evictions have written the buffers;
+        - shifted: a shifted inverse's bordered Schur complement is not
+          positive (the shift is -inf inside the admission), after N's
+          bordering too;
+        - bordered: the admission runs to its end and is then reported
+          failed, after every bordering;
+        - schur: the new column's bordered Schur complement is not positive
+          (its self term is -inf on the carried sketch).
 
-    @pytest.mark.parametrize("written", ["N", "all"])
-    def test_a_failed_admission_after_partial_writes_rebuilds_from_scratch(self, monkeypatch, written):
-        """An admission that meets a Schur complement that is not positive
-        after the step has written the buffers in place (the step's
-        reweights and evictions and N's bordering, or every bordering too)
-        leaves them to the rebuild on the moved block, which gives the
-        scores and effective dimension of a fresh oracle's rebuild from the
-        state's points, bit for bit.  The failure is forced: with a shift of
-        -inf the first bordered Schur complement after N's is -inf; with
-        "all" the real admission runs to its end and is then reported
-        failed."""
-        admit = CarriedSketch._admit
-        outcomes = []
-
-        def failing(sketch, *args):
-            shift = sketch.shift
-            if written == "N":
-                sketch.shift = -math.inf
-            try:
-                outcomes.append(admit(sketch, *args) is None)
-            finally:
-                sketch.shift = shift
-            return None
-
-        monkeypatch.setattr(CarriedSketch, "_admit", failing)
+        Each forced query answers None; the oracle then rebuilds the sketch
+        exactly once, on the kernel block of the state's points, and answers
+        what a fresh oracle answers for that state, bit for bit, or raises
+        its error."""
         gamma, eps = self.GAMMA, self.EPS
         oracle = EstimateOracle(gamma, eps)
+        # Each rebuild's block and each query's answer of the oracle's sketch.
+        events = []
+        rebuild, query, admit = CarriedSketch.rebuild, CarriedSketch.query, CarriedSketch._admit
+
+        def rebuilt(sketch, indices, counts, block):
+            if sketch is oracle._sketch:
+                events.append(("rebuild", block))
+            return rebuild(sketch, indices, counts, block)
+
+        def queried(sketch, indices, counts, new_index, cross, self_term):
+            if sketch is not oracle._sketch:
+                return query(sketch, indices, counts, new_index, cross, self_term)
+            carried = bool(events) and events[-1][0] == "query"
+            answer = query(sketch, indices, counts, new_index, cross,
+                           -math.inf if site == "schur" and carried else self_term)
+            events.append(("query", answer))
+            return answer
+
+        def failing(sketch, *args):
+            if site == "bordered":
+                admit(sketch, *args)
+                return None
+            name = "gamma" if site == "N" else "shift"
+            kept = getattr(sketch, name)
+            setattr(sketch, name, -math.inf)
+            try:
+                return admit(sketch, *args)
+            finally:
+                setattr(sketch, name, kept)
+
+        monkeypatch.setattr(CarriedSketch, "rebuild", rebuilt)
+        monkeypatch.setattr(CarriedSketch, "query", queried)
+        if site == "successor":
+            monkeypatch.setattr(CarriedSketch, "_successor", lambda sketch, indices: None)
+        elif site != "schur":
+            monkeypatch.setattr(CarriedSketch, "_admit", failing)
+
+        def answer(oracle, call):
+            """The oracle's ``(tau, deff)`` for the call, or its NumericalError."""
+            try:
+                return oracle.begin_step(*call)
+            except NumericalError as error:
+                return error
+
+        def seen(result):
+            return str(result) if isinstance(result, NumericalError) else (result[0].tobytes(), result[1])
+
+        declined = []
 
         class Twins:
-            def begin_step(self, state, new_index, cross, self_term):
-                failed = len(outcomes)
-                tau, deff = oracle.begin_step(state, new_index, cross, self_term)
-                if len(outcomes) > failed:
-                    fresh = EstimateOracle(gamma, eps)
-                    ref_tau, ref_deff = fresh.begin_step(state, new_index, cross, self_term)
-                    assert (tau.tobytes(), deff) == (ref_tau.tobytes(), ref_deff), new_index
-                return tau, deff
+            def begin_step(self, *call):
+                start = len(events)
+                result = answer(oracle, call)
+                step = events[start:]
+                if step and step[0] == ("query", None):
+                    state, new_index = call[:2]
+                    declined.append(new_index)
+                    assert [kind for kind, _ in step] == ["query", "rebuild", "query"], new_index
+                    block = _symmetric_pairwise(state.kernel, state.dict_points)
+                    assert step[1][1].tobytes() == block.tobytes(), new_index
+                    assert seen(result) == seen(answer(EstimateOracle(gamma, eps), call)), new_index
+                if isinstance(result, NumericalError):
+                    raise result
+                return result
 
         ds = clustered(150, seed=5, d=3)
         ink_oracle_run(ds, KernelSpec.gaussian_kernel(1.0), gamma, 40, Twins(), rng=1)
-        assert len(outcomes) > 10
-        assert all(outcomes) if written == "N" else not any(outcomes)
+        assert len(declined) > 10
 
     def test_successor_match_runs_once_per_admitting_or_evicting_step(self, monkeypatch, rebuilds):
         """The oracle matches its carried sketch to the state exactly once on
         each successor whose step admitted or evicted a column, and never on
         one whose step only reweighted or changed nothing (that state keeps
-        the carried sketch's indices array, and the sketch its positions):
-        on a seeded stream whose carried sketch is rebuilt once, and on a
-        successor whose carried update fails and falls back to a rebuild."""
+        the carried sketch's indices array, and the sketch its positions),
+        on a seeded stream whose carried sketch is rebuilt once."""
         calls = []
         successor = CarriedSketch._successor
 
@@ -906,13 +886,6 @@ class TestEstimateOracleCarry:
                       and states[t].dictionary.indices is states[t - 1].dictionary.indices]
         assert asking == moved
         assert 0 < len(moved) < steps - 2 and reweighted
-        calls.clear()
-        oracle = EstimateOracle(0.1, 0.5)
-        first = one_column_state()
-        oracle.begin_step(first, 1, *MADE_UP_COLUMN)
-        with pytest.raises(NumericalError):
-            oracle.begin_step(admitting_successor(first), 2, np.array([0.5, 0.5]), 1.0)
-        assert len(calls) == 1
 
     def test_a_reweighting_step_keeps_the_indices_array(self):
         """A step that only changes weights builds the next dictionary on the

@@ -87,9 +87,9 @@ def assert_zero_past_the_block(sketch):
 def test_updates_match_rebuild(seed, size, gamma, steps):
     """Random gaussian-kernel dictionary blocks through random sequences of
     reweights, evictions and admissions, one of them long enough to outgrow
-    the buffers: ``query`` moves the sketch it consumes by updates alone
-    (no fallback rebuild), bordering ``D`` with the column it was queried
-    with last when the step admits it; after every step the sketch holds
+    the buffers: ``query`` moves the sketch it consumes by updates alone,
+    bordering ``D`` with the column it was queried with last when the step
+    admits it, and answers; after every step the sketch holds
     the new dictionary, the kernel on its points as the block, bit for bit,
     and quantities that match a rebuild on that block; its buffers stay
     zero past the block."""
@@ -108,7 +108,6 @@ def test_updates_match_rebuild(seed, size, gamma, steps):
         return sketch.query(indices, counts, new_index, cross, evaluate(kernel, point, point))
 
     sketch = built(indices, counts, _symmetric_pairwise(kernel, points[indices]), gamma, shift)
-    rebuilds = counted_rebuilds(sketch)
     assert query(sketch, indices, counts, size) is not None
     for new_index, (reweights, evictions, admitted) in enumerate(steps, start=size):
         counts = counts.copy()
@@ -124,7 +123,6 @@ def test_updates_match_rebuild(seed, size, gamma, steps):
             if admitted is not None:
                 indices, counts = np.append(indices, new_index), np.append(counts, admitted)
         assert query(sketch, indices, counts, new_index + 1) is not None
-        assert not rebuilds
         assert sketch.indices is indices and sketch.counts is counts and sketch.size == indices.shape[0]
         assert sketch.gram.tobytes() == _symmetric_pairwise(kernel, points[indices]).tobytes()
         assert_zero_past_the_block(sketch)
@@ -293,9 +291,9 @@ def test_a_step_allocates_little_beside_the_buffers():
     # The first step's set-up is not counted; each step consumes its sketch.
     assert step(sketch_before_the_step()) is not None
     sketch = sketch_before_the_step()
-    buffers, rebuilds = sketch._buffers, counted_rebuilds(sketch)
+    buffers = sketch._buffers
     peak, answer = peak_bytes(lambda: step(sketch))
-    assert answer is not None and not rebuilds and sketch._buffers is buffers
+    assert answer is not None and sketch._buffers is buffers
     assert peak <= 0.65 * 8 * (q + 1) ** 2
     assert_matches_rebuild(sketch)
 
@@ -327,7 +325,6 @@ def test_query_rejects_a_non_successor():
 
     sketch = built(indices, counts, _symmetric_pairwise(kernel, points[:4]), 0.1, 0.3)
     sketch.query(indices, counts, 4, *column(4, indices))
-    rebuilds = counted_rebuilds(sketch)
     held = [sketch.gram.tobytes(), sketch.inv_m.tobytes(), sketch.quad.tobytes()]
     # An index the sketch never held, other than the one the step may admit;
     # no old column kept.
@@ -337,7 +334,7 @@ def test_query_rejects_a_non_successor():
         assert [sketch.gram.tobytes(), sketch.inv_m.tobytes(), sketch.quad.tobytes()] == held
     successor = np.array([1, 3, 4])
     assert sketch.query(successor, np.array([2, 4, 1]), 5, *column(5, successor)) is not None
-    assert sketch.indices is successor and not rebuilds
+    assert sketch.indices is successor
     assert sketch.gram.tobytes() == _symmetric_pairwise(kernel, points[successor]).tobytes()
     assert_matches_rebuild(sketch)
 
@@ -345,10 +342,11 @@ def test_query_rejects_a_non_successor():
 def test_empty_dictionary(capfd):
     """A dictionary emptied by evictions: the rebuild gives empty arrays
     (without LAPACK complaining about a 0 x 0 matrix), and the new column is
-    scored alone."""
+    scored alone, or declined when its Schur complement k + shift is 0."""
     empty = np.zeros(0, dtype=np.int64)
     sketch = built(empty, empty, np.zeros((0, 0)), 0.1, 0.3)
     assert sketch.inv_m.shape == sketch.inv_shift.shape == sketch.inv_gamma.shape == (0, 0)
-    forms, quad_c, quad_sq, schur = sketch.query(empty, empty, 0, np.zeros(0), 2.0)
-    assert forms.tolist() == [2.0 * 2.0 / 2.3] and (quad_c, quad_sq, schur) == (0.0, 0.0, 2.3)
+    forms, quad_c, quad_sq = sketch.query(empty, empty, 0, np.zeros(0), 2.0)
+    assert forms.tolist() == [2.0 * 2.0 / 2.3] and (quad_c, quad_sq) == (0.0, 0.0)
+    assert sketch.query(empty, empty, 0, np.zeros(0), -0.3) is None
     assert capfd.readouterr() == ("", "")
